@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo run --release -p sgs-bench --bin bench_compare -- \
-//!     BENCH_3.json BENCH_ci.json [--max-regress 0.25] [--metrics spanner_ms,sparsify_ms] \
+//!     BENCH_7.json BENCH_ci.json [--max-regress 0.25] [--metrics spanner_ms,sparsify_ms] \
 //!     [--min-speedup 1.8 --speedup-metric sparsify_ms --speedup-threads 4]
 //! ```
 //!

@@ -69,11 +69,7 @@ fn main() {
             .num_threads(threads)
             .build()
             .expect("thread pool");
-        let (sparsify_out, sparsify_ms) = pool.install(|| {
-            let mut cfg = cfg.clone();
-            cfg.parallel = true;
-            time_ms(|| parallel_sparsify(&g, &cfg))
-        });
+        let (sparsify_out, sparsify_ms) = pool.install(|| time_ms(|| parallel_sparsify(&g, &cfg)));
         let (spanner_out, spanner_ms) =
             pool.install(|| time_ms(|| baswana_sen_spanner(&g, &SpannerConfig::with_seed(3))));
         let (bundle_out, bundle_ms) =

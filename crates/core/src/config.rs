@@ -53,8 +53,6 @@ pub struct SparsifyConfig {
     pub keep_probability: f64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Run the per-edge sampling and the spanner construction in parallel with rayon.
-    pub parallel: bool,
     /// Stop iterating once the graph has at most this many times `n · log₂ n` edges;
     /// mirrors the "threshold of applicability" discussion in Section 4.
     pub stop_below_nlogn_factor: f64,
@@ -64,8 +62,7 @@ pub struct SparsifyConfig {
 
 impl SparsifyConfig {
     /// Creates a configuration with the given accuracy `ε` and sparsification factor
-    /// `ρ`, using a practically sized bundle (`Scaled(0.5)`), keep probability 1/4 and
-    /// parallelism enabled.
+    /// `ρ`, using a practically sized bundle (`Scaled(0.5)`) and keep probability 1/4.
     pub fn new(epsilon: f64, rho: f64) -> Self {
         assert!(epsilon > 0.0 && epsilon <= 1.0, "epsilon must be in (0, 1]");
         assert!(rho >= 1.0, "rho must be at least 1");
@@ -75,7 +72,6 @@ impl SparsifyConfig {
             bundle_sizing: BundleSizing::Scaled(0.5),
             keep_probability: 0.25,
             seed: 0xC0FFEE,
-            parallel: true,
             stop_below_nlogn_factor: 2.0,
             sampling: SamplingPolicy::uniform(),
         }
@@ -103,12 +99,6 @@ impl SparsifyConfig {
     pub fn with_keep_probability(mut self, p: f64) -> Self {
         assert!(p > 0.0 && p < 1.0, "keep probability must be in (0, 1)");
         self.keep_probability = p;
-        self
-    }
-
-    /// Enables or disables rayon parallelism.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -187,12 +177,10 @@ mod tests {
     fn builder_methods_compose() {
         let cfg = SparsifyConfig::new(0.3, 16.0)
             .with_seed(9)
-            .with_parallel(false)
             .with_bundle_sizing(BundleSizing::Fixed(5))
             .with_keep_probability(0.5)
             .with_sampling(SamplingPolicy::effective_resistance(4, 1e-3));
         assert_eq!(cfg.seed, 9);
-        assert!(!cfg.parallel);
         assert_eq!(cfg.bundle_sizing, BundleSizing::Fixed(5));
         assert_eq!(cfg.keep_probability, 0.5);
         assert_eq!(cfg.rounds(), 4);

@@ -52,8 +52,6 @@ pub struct ErPassConfig {
     pub cg_tol: f64,
     /// Seed of the sampling coin stream and the JL projections.
     pub seed: u64,
-    /// Run solves and the per-edge filter in parallel with rayon.
-    pub parallel: bool,
 }
 
 /// Iteration cap on the pass's CG solves; estimates steer sampling only.
@@ -71,7 +69,6 @@ impl ErPassConfig {
             jl_dims: 8,
             cg_tol: 1e-4,
             seed: 0xC0FFEE,
-            parallel: true,
         }
     }
 
@@ -112,12 +109,6 @@ impl ErPassConfig {
         self
     }
 
-    /// Enables or disables rayon parallelism.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// The expected number of sampled edges: `oversample · n · log₂ n / ε²`.
     pub fn target_samples(&self, n: usize) -> f64 {
         self.oversample * n as f64 * (n.max(2) as f64).log2() / (self.epsilon * self.epsilon)
@@ -151,8 +142,7 @@ pub struct ErPassOutput {
 
 /// Runs one leverage-weighted resampling pass over `g` (see module docs).
 ///
-/// Deterministic in `(g, cfg)`: output is bitwise identical across thread counts and
-/// across `cfg.parallel` on/off.
+/// Deterministic in `(g, cfg)`: output is bitwise identical across thread counts.
 pub fn resparsify_er(g: &Graph, cfg: &ErPassConfig) -> ErPassOutput {
     resparsify_on_engine(g, cfg, &mut SparsifyEngine::new())
 }
@@ -187,7 +177,6 @@ pub(crate) fn resparsify_on_engine(
         tolerance: cfg.cg_tol,
         max_iterations: CG_MAX_ITERATIONS,
         seed: cfg.seed ^ 0x1337_C0DE_ACE1_D00D,
-        parallel: cfg.parallel,
     };
     sgs_linalg::resistance::approx_effective_resistances_in(
         g,
@@ -249,20 +238,18 @@ pub(crate) fn resparsify_on_engine(
 
     let coin_seed = cfg.seed ^ 0xE57A_B1E5_EED5_EED5;
     let probs = &scratch.probs;
-    let decide = |id: usize| -> Option<Edge> {
-        let e = g.edge(id);
-        let p = probs[id];
-        if edge_coin(coin_seed, id as u64) < p {
-            Some(Edge::new(e.u, e.v, e.w / p))
-        } else {
-            None
-        }
-    };
-    let kept: Vec<Edge> = if cfg.parallel {
-        (0..m).into_par_iter().filter_map(decide).collect()
-    } else {
-        (0..m).filter_map(decide).collect()
-    };
+    let kept: Vec<Edge> = (0..m)
+        .into_par_iter()
+        .filter_map(|id| {
+            let e = g.edge(id);
+            let p = probs[id];
+            if edge_coin(coin_seed, id as u64) < p {
+                Some(Edge::new(e.u, e.v, e.w / p))
+            } else {
+                None
+            }
+        })
+        .collect();
 
     let m_out = kept.len();
     ErPassOutput {
@@ -330,10 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_and_parallelism_invariant() {
+    fn deterministic_and_seed_sensitive() {
         let g = generators::erdos_renyi(250, 0.3, 1.0, 23);
-        let a = resparsify_er(&g, &pass_cfg().with_parallel(true));
-        let b = resparsify_er(&g, &pass_cfg().with_parallel(false));
+        let a = resparsify_er(&g, &pass_cfg());
+        let b = resparsify_er(&g, &pass_cfg());
         assert_eq!(a.sparsifier.edges(), b.sparsifier.edges());
         let c = resparsify_er(&g, &pass_cfg().with_seed(99));
         assert_ne!(a.sparsifier.edges(), c.sparsifier.edges());

@@ -133,7 +133,6 @@ pub fn approx_effective_resistances(g: &Graph, jl_factor: f64, seed: u64) -> Vec
         tolerance: 1e-8,
         max_iterations: 50 * n,
         seed,
-        parallel: true,
     };
     let mut out = Vec::new();
     approx_effective_resistances_in(g, &opts, &mut ResistanceScratch::new(), &mut out);
@@ -158,8 +157,6 @@ pub struct ResistanceOptions {
     pub max_iterations: usize,
     /// Seed of the ±1 projection draws.
     pub seed: u64,
-    /// Run the rows and the per-edge accumulation under rayon.
-    pub parallel: bool,
 }
 
 /// Reusable workspace of [`approx_effective_resistances_in`]: the `k × n` projection
@@ -188,9 +185,8 @@ impl ResistanceScratch {
 /// merge-and-reduce tree of `sgs-stream` relies on this: leaf slices of an edge stream
 /// are routinely disconnected.
 ///
-/// For a fixed seed the output is bitwise identical across thread counts *and* across
-/// `parallel` on/off — rows and per-edge accumulations are independent, and no
-/// cross-edge reduction is performed.
+/// For a fixed seed the output is bitwise identical across thread counts — rows and
+/// per-edge accumulations are independent, and no cross-edge reduction is performed.
 pub fn approx_effective_resistances_in(
     g: &Graph,
     opts: &ResistanceOptions,
@@ -220,57 +216,41 @@ pub fn approx_effective_resistances_in(
         z.clear();
         z.resize(n, 0.0);
     }
-    let fill_row =
-        |y: &mut Vec<f64>, q: &mut Vec<f64>, cg: &mut CgScratch, i: usize, z: &mut [f64]| {
-            y.fill(0.0);
-            vector::rademacher_in(opts.seed.wrapping_add(i as u64).wrapping_mul(0x9E37), q);
-            for (j, e) in g.edges().iter().enumerate() {
-                let val = q[j] * e.w.sqrt();
-                y[e.u] += val;
-                y[e.v] -= val;
-            }
-            cg_solve_in(&op, y, &cfg, cg);
-            z.copy_from_slice(cg.solution());
-        };
-    if opts.parallel {
-        scratch.zs[..k]
-            .par_iter_mut()
-            .enumerate()
-            .map_init(
-                || (vec![0.0; n], vec![0.0; m], CgScratch::new(n)),
-                |(y, q, cg), (i, z)| fill_row(y, q, cg, i, z),
-            )
-            .count();
-    } else {
-        let (mut y, mut q, mut cg) = (vec![0.0; n], vec![0.0; m], CgScratch::new(n));
-        for (i, z) in scratch.zs[..k].iter_mut().enumerate() {
-            fill_row(&mut y, &mut q, &mut cg, i, z);
-        }
-    }
+    scratch.zs[..k]
+        .par_iter_mut()
+        .enumerate()
+        .map_init(
+            || (vec![0.0; n], vec![0.0; m], CgScratch::new(n)),
+            |(y, q, cg), (i, z)| {
+                y.fill(0.0);
+                vector::rademacher_in(opts.seed.wrapping_add(i as u64).wrapping_mul(0x9E37), q);
+                for (j, e) in g.edges().iter().enumerate() {
+                    let val = q[j] * e.w.sqrt();
+                    y[e.u] += val;
+                    y[e.v] -= val;
+                }
+                cg_solve_in(&op, y, &cfg, cg);
+                z.copy_from_slice(cg.solution());
+            },
+        )
+        .count();
 
     let zs = &scratch.zs[..k];
     let scale = 1.0 / k as f64;
-    let estimate = |j: usize| -> f64 {
-        let e = g.edge(j);
-        let mut acc = 0.0;
-        for z in zs {
-            let d = z[e.u] - z[e.v];
-            acc += d * d;
-        }
-        acc * scale
-    };
-    if opts.parallel {
-        // Each estimate is k multiply-adds; batch the per-edge dispatch so the ER
-        // sampling strategy and `resparsify_er` stop paying per-item overhead.
-        out.par_iter_mut()
-            .enumerate()
-            .with_min_len(256)
-            .for_each(|(j, r)| *r = estimate(j));
-    } else {
-        for (j, r) in out.iter_mut().enumerate() {
-            *r = estimate(j);
-        }
-    }
+    // Each estimate is k multiply-adds; batch the per-edge dispatch so the ER
+    // sampling strategy and `resparsify_er` stop paying per-item overhead.
+    out.par_iter_mut()
+        .enumerate()
+        .with_min_len(256)
+        .for_each(|(j, r)| {
+            let e = g.edge(j);
+            let mut acc = 0.0;
+            for z in zs {
+                let d = z[e.u] - z[e.v];
+                acc += d * d;
+            }
+            *r = acc * scale;
+        });
 }
 
 /// Sum of leverage scores `Σ_e w_e R_e[G]`; equals `n − 1` exactly for a connected
@@ -386,24 +366,12 @@ mod tests {
             tolerance: 1e-8,
             max_iterations: 50 * n,
             seed: 5,
-            parallel: true,
         };
         let mut scratch = ResistanceScratch::new();
         let mut out = Vec::new();
         approx_effective_resistances_in(&g, &opts, &mut scratch, &mut out);
         assert_eq!(wrapper.len(), out.len());
         for (a, b) in wrapper.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Sequential mode is bitwise identical too (per-row and per-edge math are
-        // independent; no cross-edge float reduction exists in the estimator).
-        let seq_opts = ResistanceOptions {
-            parallel: false,
-            ..opts
-        };
-        let mut seq = Vec::new();
-        approx_effective_resistances_in(&g, &seq_opts, &mut scratch, &mut seq);
-        for (a, b) in out.iter().zip(&seq) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -429,7 +397,6 @@ mod tests {
             tolerance: 1e-10,
             max_iterations: 2000,
             seed: 11,
-            parallel: true,
         };
         let mut out = Vec::new();
         approx_effective_resistances_in(&g, &opts, &mut ResistanceScratch::new(), &mut out);
@@ -454,7 +421,6 @@ mod tests {
             tolerance: 1e-8,
             max_iterations: 2000,
             seed: 3,
-            parallel: true,
         };
         for g in [
             generators::erdos_renyi(60, 0.2, 1.0, 1),

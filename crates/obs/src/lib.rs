@@ -218,12 +218,6 @@ pub fn counter(name: &'static str, value: f64) {
     }
 }
 
-/// Records one histogram sample. The shim keeps no buckets process-side; samples
-/// are exported raw and bucketed by whatever reads the JSONL.
-pub fn histogram(name: &'static str, sample: f64) {
-    counter(name, sample);
-}
-
 /// RAII span guard. Emits `SpanBegin` on creation (when enabled) and the paired
 /// `SpanEnd` on drop. Inactive guards (disabled at creation) never emit the end
 /// even if a sink appears mid-span, so begins and ends always pair.

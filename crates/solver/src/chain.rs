@@ -582,6 +582,31 @@ mod tests {
     }
 
     #[test]
+    fn reused_scratch_and_preconditioner_match_apply_inverse_bitwise() {
+        // `apply_inverse` builds a fresh scratch per call. One scratch reused across
+        // right-hand sides must leave no stale buffer behind, and the mutex-guarded
+        // preconditioner view — the path PCG runs — must give the same bits.
+        let g = generators::erdos_renyi(200, 0.3, 1.0, 9);
+        let system = GroundedLaplacian::from_graph(g);
+        let chain = Chain::build(&system, &ChainConfig::default());
+        assert_eq!(chain.depth(), 9, "want the recursive chain of this input");
+        let n = system.n();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = ChainScratch::new();
+        let mut out = vec![0.0; n];
+        for seed in 0..4u64 {
+            let b = vector::random_unit_orthogonal(n, seed);
+            chain.apply_inverse_in(&b, &mut out, &mut scratch);
+            assert_eq!(bits(&out), bits(&chain.apply_inverse(&b)), "seed {seed}");
+        }
+        let pre = chain.preconditioner();
+        let b = vector::random_unit_orthogonal(n, 9);
+        let mut z = vec![0.0; n];
+        pre.apply(&b, &mut z);
+        assert_eq!(bits(&z), bits(&chain.apply_inverse(&b)));
+    }
+
+    #[test]
     fn jacobi_base_case_is_linear() {
         let g = generators::path(30, 1.0);
         let excess = vec![3.0; 30]; // strongly dominant

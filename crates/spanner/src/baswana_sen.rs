@@ -66,8 +66,6 @@ pub struct SpannerConfig {
     pub k: Option<usize>,
     /// RNG seed; cluster sampling is the only source of randomness.
     pub seed: u64,
-    /// Process vertices of each round in parallel with rayon.
-    pub parallel: bool,
 }
 
 impl Default for SpannerConfig {
@@ -75,7 +73,6 @@ impl Default for SpannerConfig {
         SpannerConfig {
             k: None,
             seed: 0xBA5EBA11,
-            parallel: true,
         }
     }
 }
@@ -92,12 +89,6 @@ impl SpannerConfig {
     /// Overrides the stretch parameter `k`.
     pub fn with_k(mut self, k: usize) -> Self {
         self.k = Some(k);
-        self
-    }
-
-    /// Enables or disables rayon parallelism.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 }
@@ -123,9 +114,8 @@ pub struct SpannerResult {
 ///
 /// `decide` is the per-vertex clustering decision sweep, `apply` the decision commit,
 /// `sweep` the intra-cluster edge removal, and `join` the final vertex–cluster joining
-/// phase. Since the parallel two-phase commit landed, *every* phase runs on the rayon
-/// pool when `parallel` is set — `exp_scaling` reports these columns so CI can see
-/// that no phase stays serial as threads grow.
+/// phase. Every phase runs on the ambient rayon pool — `exp_scaling` reports these
+/// columns so CI can see that no phase stays serial as threads grow.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpannerPhases {
     /// Clustering decision sweeps (all rounds).
@@ -596,9 +586,6 @@ fn join_block(
 ///   decision on edges some batch kills anyway (every added edge is also killed by
 ///   the adding vertex, so a skipped defensive kill is always covered by a batch
 ///   kill).
-///
-/// The same function serves the sequential path (`batches.iter()` instead of
-/// `par_iter`), which keeps the two paths literally one code path.
 fn apply_batch(
     batch: &RoundBatch,
     view: &[EdgeView],
@@ -657,14 +644,9 @@ fn run_spanner(
 
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let sample_prob = (n as f64).powf(-1.0 / k as f64);
-    let threads = if cfg.parallel {
-        rayon::current_num_threads()
-    } else {
-        1
-    };
     // Density-aware blocks (degree-load balanced, 64-vertex floor). The partition may
     // depend on the pool width; outputs cannot (see module docs).
-    let part = BlockPartition::adaptive(n, threads, |v| csr.row(v).len());
+    let part = BlockPartition::adaptive(n, rayon::current_num_threads(), |v| csr.row(v).len());
     let n_blocks = part.len();
     let mut total_work = 0u64;
     let mut rounds = 0usize;
@@ -681,38 +663,21 @@ fn run_spanner(
         let (center, alive, sampled) = (&state.center, &state.alive, &state.sampled);
         let t_decide = Instant::now();
         let decide_span = sgs_obs::span!("spanner.decide", round = rounds);
-        let batches: Vec<RoundBatch> = if cfg.parallel {
-            (0..n_blocks)
-                .into_par_iter()
-                .map_init(
-                    || RoundScratch::new(n),
-                    |scratch, b| {
-                        process_block(part.block(b), view, csr, center, alive, sampled, scratch)
-                    },
-                )
-                .collect()
-        } else {
-            let mut scratch = RoundScratch::new(n);
-            (0..n_blocks)
-                .map(|b| {
-                    process_block(
-                        part.block(b),
-                        view,
-                        csr,
-                        center,
-                        alive,
-                        sampled,
-                        &mut scratch,
-                    )
-                })
-                .collect()
-        };
+        let batches: Vec<RoundBatch> = (0..n_blocks)
+            .into_par_iter()
+            .map_init(
+                || RoundScratch::new(n),
+                |scratch, b| {
+                    process_block(part.block(b), view, csr, center, alive, sampled, scratch)
+                },
+            )
+            .collect();
         drop(decide_span);
         phases.decide_ms += ms_since(t_decide);
 
         // Commit the decisions. The commit is order-invariant (see `apply_batch`), so
-        // the parallel path runs every batch concurrently through shared atomic views
-        // and still lands bit-identical to the sequential block-order walk.
+        // every batch runs concurrently through shared atomic views and still lands
+        // bit-identical to a sequential block-order walk.
         let t_apply = Instant::now();
         let apply_span = sgs_obs::span!("spanner.apply", round = rounds);
         state.center_next.copy_from_slice(&state.center);
@@ -721,14 +686,9 @@ fn run_spanner(
             let in_spanner = AtomicFlags::new(&mut state.in_spanner);
             let center_next = AtomicIds::new(&mut state.center_next);
             let center = &state.center;
-            let commit = |batch: &RoundBatch| {
+            batches.par_iter().for_each(|batch| {
                 apply_batch(batch, view, csr, center, alive, in_spanner, center_next)
-            };
-            if cfg.parallel {
-                batches.par_iter().for_each(commit);
-            } else {
-                batches.iter().for_each(commit);
-            }
+            });
         }
         for batch in &batches {
             total_work += batch.work;
@@ -743,27 +703,22 @@ fn run_spanner(
         let t_sweep = Instant::now();
         let sweep_span = sgs_obs::span!("spanner.sweep", round = rounds);
         let center = &state.center;
-        let sweep = |(a, &(_, u, v, _)): (&mut bool, &EdgeView)| -> u64 {
-            if *a {
-                let cu = center[u];
-                if cu != NO_CLUSTER && cu == center[v] {
-                    *a = false;
+        total_work += state
+            .alive
+            .par_iter_mut()
+            .zip(view.par_iter())
+            .map(|(a, &(_, u, v, _))| {
+                if *a {
+                    let cu = center[u];
+                    if cu != NO_CLUSTER && cu == center[v] {
+                        *a = false;
+                    }
+                    1
+                } else {
+                    0
                 }
-                1
-            } else {
-                0
-            }
-        };
-        total_work += if cfg.parallel {
-            state
-                .alive
-                .par_iter_mut()
-                .zip(view.par_iter())
-                .map(sweep)
-                .sum::<u64>()
-        } else {
-            state.alive.iter_mut().zip(view.iter()).map(sweep).sum()
-        };
+            })
+            .sum::<u64>();
         drop(sweep_span);
         phases.sweep_ms += ms_since(t_sweep);
         sgs_obs::point!("spanner.round", round = rounds, work = total_work);
@@ -774,33 +729,21 @@ fn run_spanner(
     let t_join = Instant::now();
     let join_span = sgs_obs::span!("spanner.join", round = rounds);
     let (center, alive) = (&state.center, &state.alive);
-    let join_batches: Vec<RoundBatch> = if cfg.parallel {
-        (0..n_blocks)
-            .into_par_iter()
-            .map_init(
-                || RoundScratch::new(n),
-                |scratch, b| join_block(part.block(b), view, csr, center, alive, scratch),
-            )
-            .collect()
-    } else {
-        let mut scratch = RoundScratch::new(n);
-        (0..n_blocks)
-            .map(|b| join_block(part.block(b), view, csr, center, alive, &mut scratch))
-            .collect()
-    };
+    let join_batches: Vec<RoundBatch> = (0..n_blocks)
+        .into_par_iter()
+        .map_init(
+            || RoundScratch::new(n),
+            |scratch, b| join_block(part.block(b), view, csr, center, alive, scratch),
+        )
+        .collect();
     // Join adds are a plain union, so the commit parallelises the same way.
     {
         let in_spanner = AtomicFlags::new(&mut state.in_spanner);
-        let commit = |batch: &RoundBatch| {
+        join_batches.par_iter().for_each(|batch| {
             for &idx in &batch.adds {
                 in_spanner.set(idx as usize, true);
             }
-        };
-        if cfg.parallel {
-            join_batches.par_iter().for_each(commit);
-        } else {
-            join_batches.iter().for_each(commit);
-        }
+        });
     }
     for batch in &join_batches {
         total_work += batch.work;
@@ -1019,14 +962,6 @@ mod tests {
         let s = stretch::max_stretch(&g, &h_tight);
         assert!(s <= 3.0 + 1e-9, "3-spanner stretch was {s}");
         assert!(tight.edge_ids.len() >= loose.edge_ids.len() / 2);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree_for_same_seed() {
-        let g = generators::erdos_renyi(150, 0.15, 1.0, 11);
-        let par = baswana_sen_spanner(&g, &SpannerConfig::with_seed(9).with_parallel(true));
-        let seq = baswana_sen_spanner(&g, &SpannerConfig::with_seed(9).with_parallel(false));
-        assert_eq!(par.edge_ids, seq.edge_ids);
     }
 
     #[test]

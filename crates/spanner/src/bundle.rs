@@ -43,12 +43,6 @@ impl BundleConfig {
         self.spanner.seed = seed;
         self
     }
-
-    /// Enables or disables rayon parallelism inside each spanner call.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.spanner.parallel = parallel;
-        self
-    }
 }
 
 /// Result of a t-bundle construction.

@@ -5,8 +5,8 @@
 //! * [`baswana_sen`] — the randomized clustering algorithm of Baswana and Sen that
 //!   computes a `(2k − 1)`-spanner with `O(k · n^{1 + 1/k})` edges in expectation. With
 //!   `k = ⌈log₂ n⌉` this is the `O(n log n)`-edge, `≤ 2 log n`-stretch spanner invoked by
-//!   Theorems 1 and 2 of the paper. A rayon-parallel variant mirrors the CRCW PRAM
-//!   adaptation (Corollary 2).
+//!   Theorems 1 and 2 of the paper. Every round runs on the ambient rayon pool, the
+//!   CRCW PRAM adaptation of Corollary 2; a 1-thread pool is the sequential run.
 //! * [`greedy`] — the classical greedy spanner, used as a deterministic baseline and as
 //!   a correctness oracle in tests.
 //! * [`bundle`] — t-bundle spanners (Definition 1): `H = H₁ + … + H_t` where `H_i` is a

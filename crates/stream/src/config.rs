@@ -64,8 +64,6 @@ pub struct StreamConfig {
     /// Base RNG seed; every reduction derives its own seed from (depth, index), so
     /// results depend only on the edge stream and this value.
     pub seed: u64,
-    /// Run the per-reduction sparsification under rayon.
-    pub parallel: bool,
     /// Early-stop threshold forwarded to every reduction (`PARALLELSPARSIFY` leaves
     /// graphs with at most this many times `n log₂ n` edges untouched).
     pub stop_below_nlogn_factor: f64,
@@ -175,8 +173,7 @@ impl Default for FinalPassConfig {
 impl StreamConfig {
     /// Creates a configuration with accuracy `ε_total` and a resident-edge budget,
     /// with the same practical defaults as [`SparsifyConfig::new`] (scaled bundle,
-    /// keep probability 1/4, parallel on) plus a binary merge tree (`arity = 2`,
-    /// `r = 1/2`).
+    /// keep probability 1/4) plus a binary merge tree (`arity = 2`, `r = 1/2`).
     ///
     /// Two defaults differ deliberately from the one-shot sparsifier: `ρ = 2` — each
     /// reduction performs a *single* sampling round, because the tree itself supplies
@@ -197,7 +194,6 @@ impl StreamConfig {
             bundle_sizing: BundleSizing::Scaled(0.5),
             keep_probability: 0.25,
             seed: 0xC0FFEE,
-            parallel: true,
             stop_below_nlogn_factor: 0.5,
             leaf_sampling: SamplingPolicy::uniform(),
             interior_sampling: SamplingPolicy::uniform(),
@@ -243,12 +239,6 @@ impl StreamConfig {
     /// Overrides the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables rayon parallelism inside reductions.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -345,7 +335,6 @@ impl StreamConfig {
         let mut cfg = SparsifyConfig::new(self.level_epsilon(j).min(1.0), self.rho)
             .with_bundle_sizing(self.bundle_sizing)
             .with_keep_probability(self.keep_probability)
-            .with_parallel(self.parallel)
             .with_sampling(sampling)
             .with_seed(splitmix64(
                 splitmix64(self.seed ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ index,

@@ -523,7 +523,6 @@ impl StreamSparsifier {
                 .with_oversample(fp.oversample)
                 .with_jl_dims(fp.jl_dims)
                 .with_cg_tol(fp.cg_tol)
-                .with_parallel(self.cfg.parallel)
                 .with_seed(self.cfg.seed ^ 0xF1A1_9A55_0000_00ED);
             if let Some(shrink) = fp.auto_shrink {
                 pass_cfg = pass_cfg.with_auto_oversample(shrink);

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-command replication of every committed benchmark number.
 #
-# Rebuilds, from source, the snapshots behind BENCH_2/3/7 (shared-memory scaling,
-# er n=4000 deg=150), BENCH_4 (distributed CONGEST engine, er n=2000 deg=60),
+# Rebuilds, from source, the snapshots behind BENCH_7 (shared-memory scaling,
+# er n=4000 deg=150; earlier snapshots live in PERF_HISTORY.jsonl), BENCH_4 (distributed CONGEST engine, er n=2000 deg=60),
 # BENCH_5/6 (semi-streaming + leverage-aware sampling, same workload) and BENCH_9
 # (out-of-core spill + solve, generator stream n=1000 / 600k edges) — the numbers
 # quoted in README "Performance" — into replication/out/, then diffs each against
@@ -34,7 +34,7 @@ run() { echo "+ $*" >&2; "$@"; }
 
 run cargo build --release -p sgs-bench
 
-# --- Shared-memory scaling (BENCH_2 -> BENCH_3 -> BENCH_7 trajectory) ---------------
+# --- Shared-memory scaling (BENCH_7; history in PERF_HISTORY.jsonl) ----------------
 run cargo run --release -p sgs-bench --bin exp_scaling -- \
     --n 4000 --deg 150 --threads 1,2,4 \
     --json-out "$OUT/exp_scaling.json" --bench-json "$OUT/BENCH_7.json"

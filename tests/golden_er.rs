@@ -21,6 +21,15 @@ use spectral_sparsify::graph::{generators, Graph};
 use spectral_sparsify::sparsify::{resparsify_er, BundleSizing, ErPassConfig, SamplingPolicy};
 use spectral_sparsify::stream::{FinalPassConfig, StreamConfig, StreamOutput, StreamSparsifier};
 
+/// Runs `op` pinned to a pool of `threads` threads.
+fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool");
+    pool.install(op)
+}
+
 /// FNV-1a over each edge's `(u, v, w)` — endpoints as little-endian u64, the weight
 /// by its exact bit pattern, so any reweighting drift re-pins the fixture.
 fn fingerprint(g: &Graph) -> u64 {
@@ -95,16 +104,17 @@ fn er_pass_fixtures_match_across_seeds() {
 
 #[test]
 fn er_pass_fixtures_are_parallelism_mode_independent() {
-    // `parallel: false` must reproduce the same streams: the CG rows and the final
-    // filter may fan out, but the score normalisation is sequential by construction.
+    // A 1-thread pool is the sequential run and must reproduce the same streams: the
+    // CG rows and the final filter may fan out, but the score normalisation is
+    // sequential by construction.
     for &(name, seed, m_out, fp, ..) in &GOLDEN_ER[..4] {
         let g = graph(name);
-        let out = resparsify_er(&g, &pass_config(seed).with_parallel(false));
-        assert_eq!(out.sparsifier.m(), m_out, "{name}/seed {seed} sequential");
+        let out = on_pool(1, || resparsify_er(&g, &pass_config(seed)));
+        assert_eq!(out.sparsifier.m(), m_out, "{name}/seed {seed} 1 thread");
         assert_eq!(
             fingerprint(&out.sparsifier),
             fp,
-            "{name}/seed {seed} sequential"
+            "{name}/seed {seed} 1 thread"
         );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! These values were captured from the pre-rewrite (PR-2) implementation — the
 //! per-vertex `BTreeMap` grouping and per-component incidence rebuild — across
-//! five seeds, five graph families, both parallelism modes, and two stretch
+//! five seeds, five graph families, sequential and parallel runs, and two stretch
 //! settings. The allocation-free engine (flat CSR incidence + per-worker
 //! scratch) must reproduce every byte of them: the spanner's ChaCha8 cluster
 //! sampling stream is part of the public deterministic contract, and the
@@ -19,6 +19,15 @@
 
 use spectral_sparsify::graph::{generators, Graph};
 use spectral_sparsify::spanner::{baswana_sen_spanner, t_bundle, BundleConfig, SpannerConfig};
+
+/// Runs `op` pinned to a pool of `threads` threads.
+fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool");
+    pool.install(op)
+}
 
 /// FNV-1a over the little-endian bytes of each id: a stable fingerprint of an
 /// ordered id list that is cheap to recompute in a capture binary.
@@ -45,7 +54,7 @@ fn graph(name: &str) -> Graph {
 }
 
 /// (graph, seed, edge_count, fnv1a(edge_ids), rounds, work) with the default
-/// `k = ⌈log₂ n⌉`; the same row must hold for parallel and sequential runs.
+/// `k = ⌈log₂ n⌉`; the same row must hold on a 1-thread and a 4-thread pool.
 const GOLDEN_DEFAULT_K: &[(&str, u64, usize, u64, usize, u64)] = &[
     ("er300", 1, 1446, 0xacf024ffc5491afa, 9, 99337),
     ("er300", 2, 1216, 0x0f3e9dfecdf9ed99, 9, 94249),
@@ -210,13 +219,14 @@ fn print_current_fixtures() {
 fn spanner_matches_pre_rewrite_fixtures_default_k() {
     for &(name, seed, len, hash, rounds, work) in GOLDEN_DEFAULT_K {
         let g = graph(name);
-        for parallel in [true, false] {
-            let cfg = SpannerConfig::with_seed(seed).with_parallel(parallel);
-            let r = baswana_sen_spanner(&g, &cfg);
+        for threads in [1, 4] {
+            let r = on_pool(threads, || {
+                baswana_sen_spanner(&g, &SpannerConfig::with_seed(seed))
+            });
             assert_eq!(
                 (r.edge_ids.len(), fnv1a(&r.edge_ids), r.rounds, r.work),
                 (len, hash, rounds, work),
-                "{name} seed={seed} parallel={parallel}"
+                "{name} seed={seed} threads={threads}"
             );
         }
     }

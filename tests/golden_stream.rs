@@ -22,6 +22,15 @@ use spectral_sparsify::stream::{
     SpillConfig, SpillLedger, StreamConfig, StreamOutput, StreamSparsifier,
 };
 
+/// Runs `op` pinned to a pool of `threads` threads.
+fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool");
+    pool.install(op)
+}
+
 /// FNV-1a over each edge's `(u, v, w)` — endpoints as little-endian u64, the weight
 /// by its exact bit pattern, so any reweighting drift re-pins the fixture.
 fn fingerprint(g: &Graph) -> u64 {
@@ -106,18 +115,20 @@ fn stream_fixtures_match_for_one_and_many_batches() {
 
 #[test]
 fn stream_fixtures_are_parallelism_mode_independent() {
-    // `parallel: false` must reproduce the same streams (the rayon shim is
-    // thread-count deterministic, and the sequential path shares the seeding).
+    // A 1-thread pool is the sequential run and must reproduce the same streams (the
+    // rayon shim chunks deterministically, whatever the pool width).
     for &(name, seed, m_out, fp, ..) in &GOLDEN_STREAM[..5] {
         let g = graph(name);
-        let mut s = StreamSparsifier::new(g.n(), config(&g, seed).with_parallel(false));
-        s.ingest_batch(g.edges()).unwrap();
-        let out = s.finish();
-        assert_eq!(out.sparsifier.m(), m_out, "{name}/seed {seed} sequential");
+        let out = on_pool(1, || {
+            let mut s = StreamSparsifier::new(g.n(), config(&g, seed));
+            s.ingest_batch(g.edges()).unwrap();
+            s.finish()
+        });
+        assert_eq!(out.sparsifier.m(), m_out, "{name}/seed {seed} 1 thread");
         assert_eq!(
             fingerprint(&out.sparsifier),
             fp,
-            "{name}/seed {seed} sequential"
+            "{name}/seed {seed} 1 thread"
         );
     }
 }
@@ -199,11 +210,7 @@ fn stream_fixtures_survive_spilling_across_chops_and_threads() {
                 "in-memory runs must report an empty spill ledger"
             );
             for threads in [1usize, 4] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let out = pool.install(|| {
+                let out = on_pool(threads, || {
                     let cfg = config(&g, seed).with_spill(SpillConfig::new(store_budget_bytes));
                     let mut s = StreamSparsifier::new(g.n(), cfg);
                     let chunk = g.m().div_ceil(batches).max(1);
