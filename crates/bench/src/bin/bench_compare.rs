@@ -1,7 +1,7 @@
-//! Perf-trajectory gate: compares two `exp_scaling --bench-json` snapshots and fails
-//! (exit code 1) when a watched metric regressed by more than the allowed fraction on
-//! the single-thread row, or when the candidate's multicore speedup falls below a
-//! requested floor.
+//! Perf-trajectory gate: compares two `--bench-json` snapshots of the same experiment
+//! (`exp_scaling`, `exp_stream`, `exp_outofcore`, …) and fails (exit code 1) when a
+//! watched metric regressed by more than the allowed fraction on the single-thread
+//! row, or when the candidate's multicore speedup falls below a requested floor.
 //!
 //! Usage:
 //!
@@ -17,7 +17,8 @@
 //! machine that committed the baseline and the CI runner, while single-thread time is
 //! the architecture-stable signal the >25% budget is meant for. When the two
 //! snapshots' `host_cores` differ, the tool says so explicitly — their multi-thread
-//! rows are not comparable to each other.
+//! rows are not comparable to each other. A gated metric may also be a deterministic
+//! count (`peak_resident_edges`, `m_out_er`); only `*_ms` metrics print a unit.
 //!
 //! The `--min-speedup` gate is *candidate-internal*: it divides the candidate's own
 //! `threads = 1` wall-clock by its `threads = T` wall-clock, so it needs no
@@ -25,66 +26,29 @@
 //! cores (e.g. a 1-core container, where every speedup is legitimately ~1.0×), the
 //! gate is skipped with a warning instead of failing.
 //!
-//! The vendored `serde_json` shim is serialize-only, so this tool carries a minimal
-//! field scanner for the snapshot layout `exp_scaling` itself emits (string fields and
-//! `["name", number]` pairs); it is not a general JSON parser.
+//! Snapshots are read with `sgs_obs::json`; a malformed file or flag value is an
+//! error (exit code 1), never a panic.
 
 use std::process::ExitCode;
 
-/// Extracts the string value of `"key": "…"`.
-fn string_field(json: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\"");
-    let at = json.find(&pat)?;
-    let rest = &json[at + pat.len()..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
+use serde::Value;
+use sgs_bench::{snapshot_rows, Cli};
+use sgs_obs::json;
+
+/// Reads and parses one snapshot file.
+fn load(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Extracts the numeric second element of the `["name", number]` pair that follows
-/// `anchor` (the row label), i.e. the named column of one snapshot row.
-fn row_metric(json: &str, row_label: &str, metric: &str) -> Option<f64> {
-    let row_pat = format!("\"{row_label}\"");
-    let row_at = json.find(&row_pat)?;
-    let rest = &json[row_at + row_pat.len()..];
-    // Bound the scan at the next row's "label" key so a metric missing from this row
-    // errors out instead of silently reading a later row's value.
-    let row = match rest.find("\"label\"") {
-        Some(next_row) => &rest[..next_row],
-        None => rest,
-    };
-    let metric_pat = format!("\"{metric}\"");
-    let at = row.find(&metric_pat)?;
-    let rest = &row[at + metric_pat.len()..];
-    let comma = rest.find(',')?;
-    let tail = rest[comma + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Extracts the numeric value of a top-level `"key": N` field (e.g. `host_cores`).
-/// Distinct from [`row_metric`]: snapshot scalars are plain JSON fields, not
-/// `["name", number]` row pairs.
-fn number_field(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = json.find(&pat)?;
-    let rest = &json[at + pat.len()..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The named column of the row labelled `row_label`.
+fn row_metric(snapshot: &Value, row_label: &str, metric: &str) -> Option<f64> {
+    let rows = snapshot_rows(snapshot);
+    let (_, columns) = rows.iter().find(|(label, _)| *label == row_label)?;
+    columns
+        .iter()
+        .find(|(name, _)| *name == metric)
+        .map(|&(_, v)| v)
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -99,37 +63,37 @@ fn run(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     };
-    let max_regress: f64 = flag_value(args, "--max-regress")
-        .map(|v| v.parse().expect("--max-regress takes a float"))
-        .unwrap_or(0.25);
-    let metrics: Vec<String> = flag_value(args, "--metrics")
+    let cli = Cli::from_args(args.to_vec());
+    let max_regress: f64 = cli.parsed("--max-regress")?.unwrap_or(0.25);
+    let metrics: Vec<String> = cli
+        .value("--metrics")
         .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
         .unwrap_or_else(|| vec!["spanner_ms".to_string(), "sparsify_ms".to_string()]);
-    let min_speedup: Option<f64> =
-        flag_value(args, "--min-speedup").map(|v| v.parse().expect("--min-speedup takes a float"));
-    let speedup_metric =
-        flag_value(args, "--speedup-metric").unwrap_or_else(|| "sparsify_ms".to_string());
-    let speedup_threads: usize = flag_value(args, "--speedup-threads")
-        .map(|v| v.parse().expect("--speedup-threads takes an integer"))
-        .unwrap_or(4);
+    let min_speedup: Option<f64> = cli.parsed("--min-speedup")?;
+    let speedup_metric = cli
+        .value("--speedup-metric")
+        .unwrap_or_else(|| "sparsify_ms".to_string());
+    let speedup_threads: usize = cli.parsed("--speedup-threads")?.unwrap_or(4);
 
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-    let current = std::fs::read_to_string(current_path)
-        .map_err(|e| format!("reading {current_path}: {e}"))?;
+    let baseline = load(baseline_path)?;
+    let current = load(current_path)?;
 
-    let wl_base = string_field(&baseline, "workload")
-        .ok_or_else(|| format!("{baseline_path}: no workload field"))?;
-    let wl_cur = string_field(&current, "workload")
-        .ok_or_else(|| format!("{current_path}: no workload field"))?;
+    let workload = |v: &Value, path: &str| {
+        json::get(v, "workload")
+            .and_then(json::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("{path}: no workload field"))
+    };
+    let wl_base = workload(&baseline, baseline_path)?;
+    let wl_cur = workload(&current, current_path)?;
     if wl_base != wl_cur {
         return Err(format!(
             "workload mismatch: baseline is {wl_base}, candidate is {wl_cur}"
         ));
     }
 
-    let cores_base = number_field(&baseline, "host_cores");
-    let cores_cur = number_field(&current, "host_cores");
+    let cores_base = json::get(&baseline, "host_cores").and_then(json::as_f64);
+    let cores_cur = json::get(&current, "host_cores").and_then(json::as_f64);
     if cores_base != cores_cur {
         // Wall-clock rows from different hosts are not mutually comparable; the
         // regression gate below stays valid because it reads only the
@@ -162,7 +126,10 @@ fn run(args: &[String]) -> Result<(), String> {
         } else {
             "ok"
         };
-        println!("  {metric:>12}: {base:10.3} ms -> {cur:10.3} ms  ({ratio:5.2}x)  {verdict}");
+        let unit = if metric.ends_with("_ms") { " ms" } else { "" };
+        println!(
+            "  {metric:>12}: {base:10.3}{unit} -> {cur:10.3}{unit}  ({ratio:5.2}x)  {verdict}"
+        );
     }
 
     if let Some(min) = min_speedup {
@@ -260,23 +227,59 @@ mod tests {
 }"#;
 
     #[test]
-    fn extracts_fields_and_row_metrics() {
-        assert_eq!(
-            string_field(SNAPSHOT, "workload").as_deref(),
-            Some("er(n=4000,deg=150)")
-        );
-        assert_eq!(number_field(SNAPSHOT, "host_cores"), Some(1.0));
-        assert_eq!(number_field(SNAPSHOT_4CORE, "host_cores"), Some(4.0));
-        assert_eq!(number_field(SNAPSHOT, "no_such_field"), None);
-        let v = row_metric(SNAPSHOT, "threads = 1", "spanner_ms").unwrap();
+    fn reads_row_metrics_through_the_parser() {
+        let snap = json::parse(SNAPSHOT).unwrap();
+        let v = row_metric(&snap, "threads = 1", "spanner_ms").unwrap();
         assert!((v - 119.033917).abs() < 1e-9);
-        let v2 = row_metric(SNAPSHOT, "threads = 2", "sparsify_ms").unwrap();
+        let v2 = row_metric(&snap, "threads = 2", "sparsify_ms").unwrap();
         assert!((v2 - 705.98).abs() < 1e-9);
-        assert!(row_metric(SNAPSHOT, "threads = 1", "nope").is_none());
+        assert!(row_metric(&snap, "threads = 1", "nope").is_none());
+        assert!(row_metric(&snap, "threads = 9", "sparsify_ms").is_none());
         // A metric present only in a *later* row must not leak into this row's lookup.
-        assert!(row_metric(SNAPSHOT, "threads = 1", "only_here").is_none());
-        let v3 = row_metric(SNAPSHOT, "threads = 2", "only_here").unwrap();
+        assert!(row_metric(&snap, "threads = 1", "only_here").is_none());
+        let v3 = row_metric(&snap, "threads = 2", "only_here").unwrap();
         assert!((v3 - 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn committed_snapshot_gates_against_itself() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
+        let argv: Vec<String> = [
+            "bench_compare",
+            path,
+            path,
+            "--max-regress",
+            "0.25",
+            "--metrics",
+            "spanner_ms,sparsify_ms,work_ops",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        run(&argv).unwrap();
+        let snap = load(path).unwrap();
+        assert_eq!(snapshot_rows(&snap).len(), 3);
+    }
+
+    #[test]
+    fn malformed_flags_and_files_are_errors() {
+        let dir = std::env::temp_dir();
+        let base_path = dir.join("bench_compare_flags_base.json");
+        let broken_path = dir.join("bench_compare_flags_broken.json");
+        std::fs::write(&base_path, SNAPSHOT).unwrap();
+        std::fs::write(&broken_path, &SNAPSHOT[..40]).unwrap();
+        let base = base_path.to_string_lossy().into_owned();
+        let argv = |cur: &str, extra: &[&str]| {
+            let mut v = vec!["bench_compare".to_string(), base.clone(), cur.to_string()];
+            v.extend(extra.iter().map(|s| s.to_string()));
+            v
+        };
+        for flag in ["--max-regress", "--min-speedup", "--speedup-threads"] {
+            let err = run(&argv(&base, &[flag, "x"])).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        let err = run(&argv(&broken_path.to_string_lossy(), &[])).unwrap_err();
+        assert!(err.contains("json parse error"), "{err}");
     }
 
     #[test]

@@ -35,10 +35,9 @@
 //!   (spill evictions, read-backs, chain levels, PCG iterations) and write a Chrome
 //!   trace / append a `RunReport` JSONL line. Tracing changes no output.
 
-use sgs_bench::{print_table, report, time_ms, Cli, Row};
+use sgs_bench::{print_table, time_ms, Cli, Row};
 use sgs_core::BundleSizing;
 use sgs_graph::generators;
-use sgs_obs::RunReport;
 use sgs_solver::{SddSolver, SolverConfig};
 use sgs_stream::store::EDGE_BYTES;
 use sgs_stream::{SpillConfig, StreamConfig, StreamOutput, StreamSparsifier};
@@ -94,8 +93,6 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut baseline_ms = f64::NAN;
-    let mut last_stats = None;
-    let mut last_solve = None;
     for &threads in &thread_counts {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -142,7 +139,7 @@ fn main() {
         let forced = spill_out.stats.forced_reductions;
         let eps = spill_out.stats.epsilon_spent();
         let m_out = spill_out.sparsifier.m();
-        last_stats = Some(spill_out.stats.clone());
+        let batches = spill_out.stats.batches_ingested;
         drop(mem_out);
 
         // Ground + chain the sparsifier straight off the stream and solve.
@@ -157,7 +154,6 @@ fn main() {
             "chain-PCG failed to converge: residual {}",
             solve_out.relative_residual
         );
-        last_solve = Some(solve_out.stats.clone());
 
         if baseline_ms.is_nan() {
             baseline_ms = spill_ms;
@@ -170,6 +166,7 @@ fn main() {
                 .push("spill_speedup", baseline_ms / spill_ms)
                 .push("chain_build_ms", chain_ms)
                 .push("solve_ms", solve_ms)
+                .push("batches", batches as f64)
                 .push("m_out", m_out as f64)
                 .push("peak_mem_bytes", peak_mem as f64)
                 .push("peak_spill_bytes", peak_spill as f64)
@@ -200,16 +197,5 @@ fn main() {
     let label = format!("stream(n={n},edges={total_edges})");
     cli.write_json_out(&rows);
     cli.write_bench_json_labeled("exp_outofcore", &label, n, total_edges, &rows);
-
-    let mut run_report = RunReport::new("exp_outofcore", &label);
-    for section in report::rows_sections(&rows) {
-        run_report.push(section);
-    }
-    if let Some(stats) = &last_stats {
-        run_report.push(report::stream_stats_section(stats));
-    }
-    if let Some(solve) = &last_solve {
-        run_report.push(report::solve_stats_section(solve));
-    }
-    cli.finish_observability(sink, &run_report);
+    cli.finish_observability(sink, "exp_outofcore", &label, &rows);
 }

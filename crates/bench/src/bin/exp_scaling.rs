@@ -26,21 +26,33 @@
 //!
 //! Reading the output: `sparsify_ms` / `spanner_ms` / `bundle_ms` are wall-clock; the
 //! `*_speedup` columns are relative to the first (usually 1-thread) row, so ideal
-//! scaling shows `speedup ≈ threads` until the machine runs out of cores. The
-//! `decide_ms` / `apply_ms` / `sweep_ms` / `join_ms` / `sampling_ms` columns break the
-//! sparsify wall-clock into the engine's phases — in particular `apply_ms` must shrink
-//! with the pool like `decide_ms` does, demonstrating that the decision commit is no
-//! longer a serial section. `work_ops`, `m_out`, `spanner_edges` and `bundle_edges`
-//! must be **identical** across rows — the outputs are deterministic per seed
-//! regardless of the thread count; only the wall clock (and hence the phase timings)
-//! may change. `bench_compare` diffs two `--bench-json` snapshots and fails on
-//! single-thread wall-clock regressions (the CI perf gate).
+//! scaling shows `speedup ≈ threads` until the machine runs out of cores. On a traced
+//! run (`--trace-out` or `--report-out`) the `decide_ms` / `apply_ms` / `sweep_ms` /
+//! `join_ms` / `sampling_ms` columns break the sparsify wall-clock into the engine's
+//! phases, summed from the `spanner.{decide,apply,sweep,join}` and `sample.coins`
+//! spans of that row's `parallel_sparsify` call — in particular `apply_ms` must
+//! shrink with the pool like `decide_ms` does, demonstrating that the decision commit
+//! is no longer a serial section. Untraced runs omit those columns: their wall clock
+//! is the end-to-end measurement and carries no tracing cost. `work_ops`, `m_out`,
+//! `spanner_edges` and `bundle_edges` must be **identical** across rows — the
+//! outputs are deterministic per seed regardless of the thread count; only the wall
+//! clock (and hence the phase timings) may change. `bench_compare` diffs two
+//! `--bench-json` snapshots and fails on single-thread wall-clock regressions (the CI
+//! perf gate).
 
-use sgs_bench::{print_table, report, time_ms, Cli, Row, Workload};
+use sgs_bench::{print_table, time_ms, Cli, Row, Workload};
 use sgs_core::{parallel_sparsify, BundleSizing, SparsifyConfig};
 use sgs_distributed::{distributed_sample, distributed_spanner, DistSpannerConfig};
-use sgs_obs::RunReport;
 use sgs_spanner::{baswana_sen_spanner, t_bundle, BundleConfig, SpannerConfig};
+
+/// The phase columns of a traced row and the span each one sums.
+const PHASES: [(&str, &str); 5] = [
+    ("decide_ms", "spanner.decide"),
+    ("apply_ms", "spanner.apply"),
+    ("sweep_ms", "spanner.sweep"),
+    ("join_ms", "spanner.join"),
+    ("sampling_ms", "sample.coins"),
+];
 
 fn main() {
     let cli = Cli::parse();
@@ -62,14 +74,15 @@ fn main() {
     let mut rows = Vec::new();
     let mut baseline_sparsify = f64::NAN;
     let mut baseline_spanner = f64::NAN;
-    let mut last_work = None;
-    let mut last_net = None;
     for &threads in &thread_counts {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("thread pool");
+        let first_event = sink.map_or(0, |s| s.len());
         let (sparsify_out, sparsify_ms) = pool.install(|| time_ms(|| parallel_sparsify(&g, &cfg)));
+        // Events of this call only: the spans that follow belong to other engines.
+        let phase_spans = sink.map(|s| sgs_obs::span_totals(&s.events()[first_event..]));
         let (spanner_out, spanner_ms) =
             pool.install(|| time_ms(|| baswana_sen_spanner(&g, &SpannerConfig::with_seed(3))));
         let (bundle_out, bundle_ms) =
@@ -81,12 +94,13 @@ fn main() {
         let mut row = Row::new(format!("threads = {threads}"))
             .push("threads", threads as f64)
             .push("sparsify_ms", sparsify_ms)
-            .push("sparsify_speedup", baseline_sparsify / sparsify_ms)
-            .push("decide_ms", sparsify_out.phases.spanner.decide_ms)
-            .push("apply_ms", sparsify_out.phases.spanner.apply_ms)
-            .push("sweep_ms", sparsify_out.phases.spanner.sweep_ms)
-            .push("join_ms", sparsify_out.phases.spanner.join_ms)
-            .push("sampling_ms", sparsify_out.phases.sampling_ms)
+            .push("sparsify_speedup", baseline_sparsify / sparsify_ms);
+        if let Some(spans) = &phase_spans {
+            for (column, span) in PHASES {
+                row = row.push(column, spans.get(span).map_or(0.0, |t| t.total_ms));
+            }
+        }
+        row = row
             .push("spanner_ms", spanner_ms)
             .push("spanner_speedup", baseline_spanner / spanner_ms)
             .push("bundle_ms", bundle_ms)
@@ -94,7 +108,6 @@ fn main() {
             .push("m_out", sparsify_out.sparsifier.m() as f64)
             .push("spanner_edges", spanner_out.edge_ids.len() as f64)
             .push("bundle_edges", bundle_out.bundle_size as f64);
-        last_work = Some(sparsify_out.stats.clone());
         if distributed {
             // Same workload through the CONGEST simulator: the wall clock tracks the
             // engine, the rounds/messages/bits columns track Theorem 2 / Corollary 3
@@ -114,7 +127,6 @@ fn main() {
                 .push("dist_bits", dist_out.metrics.total_bits as f64)
                 .push("dist_m_out", dist_out.sparsifier.m() as f64)
                 .push("dist_spanner_edges", dist_sp.edge_ids.len() as f64);
-            last_net = Some(dist_out.metrics.clone());
         }
         rows.push(row);
     }
@@ -129,16 +141,5 @@ fn main() {
 
     cli.write_json_out(&rows);
     cli.write_bench_json("exp_scaling", &workload, &g, &rows);
-
-    let mut run_report = RunReport::new("exp_scaling", &workload.label());
-    for section in report::rows_sections(&rows) {
-        run_report.push(section);
-    }
-    if let Some(work) = &last_work {
-        run_report.push(report::work_stats_section(work));
-    }
-    if let Some(metrics) = &last_net {
-        run_report.push(report::network_metrics_section(metrics));
-    }
-    cli.finish_observability(sink, &run_report);
+    cli.finish_observability(sink, "exp_scaling", &workload.label(), &rows);
 }

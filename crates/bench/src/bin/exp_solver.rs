@@ -13,20 +13,18 @@
 //! Run with: `cargo run --release -p sgs-bench --bin exp_solver [--json]`
 //!
 //! `--trace-out PATH` / `--report-out PATH` record the runs through `sgs-obs`
-//! (chain builds, per-level sizes, the PCG residual trajectory) and write a Chrome
-//! trace / append a `RunReport` JSONL line carrying the chain-PCG `SolveStats`.
+//! (chain builds, per-level sizes, the PCG residual trajectory, per-level solve work)
+//! and write a Chrome trace / append a `RunReport` JSONL line.
 
-use sgs_bench::{print_table, report, time_ms, Cli, Row, Workload};
+use sgs_bench::{print_table, time_ms, Cli, Row, Workload};
 use sgs_graph::{generators, Graph};
 use sgs_linalg::csr::CsrMatrix;
 use sgs_linalg::eigen;
-use sgs_obs::RunReport;
 use sgs_solver::{SddSolver, SolverConfig, SolverMethod};
 
 fn main() {
     let cli = Cli::parse();
     let sink = cli.start_observability();
-    let mut last_solve = None;
     // --- Part 1: iterations and wall clock vs condition number.
     let mut rows = Vec::new();
     let mut e8a = |label: String, g: Graph, kappa: f64| {
@@ -39,7 +37,6 @@ fn main() {
         let (cg, cg_ms) = time_ms(|| solver.solve_with(&b, SolverMethod::Cg));
         let (jac, jacobi_ms) = time_ms(|| solver.solve_with(&b, SolverMethod::JacobiPcg));
         let (chain, chain_solve_ms) = time_ms(|| solver.solve_with(&b, SolverMethod::ChainPcg));
-        last_solve = Some(chain.stats.clone());
         rows.push(
             Row::new(label)
                 .push("kappa", kappa)
@@ -67,10 +64,7 @@ fn main() {
         "E8a: solver iteration counts (Theorem 6) — chain-PCG vs CG / Jacobi-PCG as kappa grows",
         &rows,
     );
-    let mut run_report = RunReport::new("exp_solver", "solver suite");
-    for section in report::rows_sections(&rows) {
-        run_report.push(section);
-    }
+    let mut all_rows = rows;
 
     // --- Part 2: chain anatomy.
     let mut rows = Vec::new();
@@ -115,11 +109,6 @@ fn main() {
          chain-PCG is Jacobi-polynomial PCG."
     );
 
-    for section in report::rows_sections(&rows) {
-        run_report.push(section);
-    }
-    if let Some(solve) = &last_solve {
-        run_report.push(report::solve_stats_section(solve));
-    }
-    cli.finish_observability(sink, &run_report);
+    all_rows.extend(rows);
+    cli.finish_observability(sink, "exp_solver", "solver suite", &all_rows);
 }

@@ -40,10 +40,9 @@
 //!   (leaf flushes, tree reductions, spills, the ER pass) and write a Chrome trace /
 //!   append a `RunReport` JSONL line. Tracing changes no output.
 
-use sgs_bench::{print_table, report, time_ms, Cli, Row, Workload};
+use sgs_bench::{print_table, time_ms, Cli, Row, Workload};
 use sgs_core::{resparsify_er, BundleSizing, ErPassConfig, SamplingPolicy};
 use sgs_linalg::spectral::{approximation_bounds, CertifyOptions};
-use sgs_obs::RunReport;
 use sgs_stream::{FinalPassConfig, StreamConfig, StreamOutput, StreamSparsifier};
 
 fn main() {
@@ -107,8 +106,6 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut baseline_ms = f64::NAN;
-    let mut last_stats = None;
-    let mut last_er_pass = None;
     for &threads in &thread_counts {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -130,14 +127,13 @@ fn main() {
         }
         let er_solves =
             out_er.stats.er_pass.as_ref().map(|p| p.solves).unwrap_or(0) + pass_out.solves as u64;
-        last_stats = Some(out.stats.clone());
-        last_er_pass = out_er.stats.er_pass.clone();
         let mut row = Row::new(format!("threads = {threads}"))
             .push("threads", threads as f64)
             .push("stream_sparsify_ms", stream_ms)
             .push("stream_speedup", baseline_ms / stream_ms)
             .push("peak_resident_edges", out.stats.peak_resident_edges as f64)
             .push("budget_edges", budget as f64)
+            .push("batches", out.stats.batches_ingested as f64)
             .push("m_out", out.sparsifier.m() as f64)
             .push("m_out_er", out_er.sparsifier.m() as f64)
             .push("stream_er_ms", stream_er_ms)
@@ -172,16 +168,5 @@ fn main() {
 
     cli.write_json_out(&rows);
     cli.write_bench_json("exp_stream", &workload, &g, &rows);
-
-    let mut run_report = RunReport::new("exp_stream", &workload.label());
-    for section in report::rows_sections(&rows) {
-        run_report.push(section);
-    }
-    if let Some(stats) = &last_stats {
-        run_report.push(report::stream_stats_section(stats));
-    }
-    if let Some(er) = &last_er_pass {
-        run_report.push(report::er_pass_section(er));
-    }
-    cli.finish_observability(sink, &run_report);
+    cli.finish_observability(sink, "exp_stream", &workload.label(), &rows);
 }

@@ -16,14 +16,12 @@
 //! {"commit":"abc1234","source":"BENCH_7.json","snapshot":{...}}
 //! ```
 //!
-//! where `snapshot` is the snapshot file verbatim, minified to one line. The snapshot
-//! already carries `workload`, `host_cores` and the per-thread rows, so a history line
-//! never needs the original file again. Appends are idempotent per (commit, source):
-//! re-running on the same commit is a no-op, so a CI retry doesn't duplicate rows.
-//!
-//! The vendored `serde_json` shim is serialize-only, so minification is textual: the
-//! input must already be valid JSON (which `exp_scaling` guarantees for its own
-//! output); this tool only strips inter-token whitespace, respecting string literals.
+//! where `snapshot` is the snapshot file parsed with `sgs_obs::json` and written back
+//! on one line by `serde_json`. The snapshot already carries `workload`, `host_cores`
+//! and the per-thread rows, so a history line never needs the original file again.
+//! Appends are idempotent per (commit, source), compared on the parsed fields of each
+//! existing line whatever its spacing: re-running on the same commit is a no-op, so a
+//! CI retry doesn't duplicate rows.
 //!
 //! # Report mode
 //!
@@ -39,56 +37,9 @@
 
 use std::process::ExitCode;
 
+use serde::Value;
+use sgs_bench::{snapshot_rows, Cli};
 use sgs_obs::json;
-
-/// Strips whitespace outside string literals, collapsing a pretty-printed JSON
-/// document to one line. Not a validator: it assumes well-formed input.
-fn minify_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in text.chars() {
-        if in_string {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-        } else if c == '"' {
-            in_string = true;
-            out.push(c);
-        } else if !c.is_whitespace() {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Escapes a string for embedding inside a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
 
 /// One `(commit, source)` history line reduced to the single-thread row's metrics.
 struct HistoryEntry {
@@ -97,42 +48,36 @@ struct HistoryEntry {
     metrics: Vec<(String, f64)>,
 }
 
-/// Pulls the `threads = 1` row (falling back to the first row) out of one parsed
-/// history line. Rows serialize as `{"label": ..., "values": [["name", v], ...]}`.
-fn entry_metrics(snapshot: &serde::Value) -> Vec<(String, f64)> {
-    let Some(rows) = json::get(snapshot, "rows").and_then(json::as_array) else {
-        return Vec::new();
-    };
+/// The `threads = 1` row (falling back to the first row) of one parsed snapshot.
+fn entry_metrics(snapshot: &Value) -> Vec<(String, f64)> {
+    let rows = snapshot_rows(snapshot);
     let row = rows
         .iter()
-        .find(|r| json::get(r, "label").and_then(json::as_str) == Some("threads = 1"))
+        .find(|(label, _)| *label == "threads = 1")
         .or_else(|| rows.first());
-    let Some(values) = row
-        .and_then(|r| json::get(r, "values"))
-        .and_then(json::as_array)
-    else {
-        return Vec::new();
-    };
-    values
-        .iter()
-        .filter_map(|pair| {
-            let pair = json::as_array(pair)?;
-            let name = json::as_str(pair.first()?)?;
-            let value = json::as_f64(pair.get(1)?)?;
-            Some((name.to_string(), value))
-        })
-        .collect()
+    row.map(|(_, columns)| {
+        columns
+            .iter()
+            .map(|&(name, value)| (name.to_string(), value))
+            .collect()
+    })
+    .unwrap_or_default()
+}
+
+/// A string field of a parsed history line.
+fn str_field<'v>(line: &'v Value, key: &str) -> Option<&'v str> {
+    json::get(line, key).and_then(json::as_str)
 }
 
 fn report(args: &[String]) -> Result<(), String> {
-    let history_path =
-        flag_value(args, "--history").unwrap_or_else(|| "PERF_HISTORY.jsonl".to_string());
-    let budget = flag_value(args, "--max-regress")
-        .map(|v| v.parse::<f64>().map_err(|e| format!("--max-regress: {e}")))
-        .transpose()?
-        .unwrap_or(0.25);
-    let wanted: Option<Vec<String>> =
-        flag_value(args, "--metrics").map(|v| v.split(',').map(|m| m.trim().to_string()).collect());
+    let cli = Cli::from_args(args.to_vec());
+    let history_path = cli
+        .value("--history")
+        .unwrap_or_else(|| "PERF_HISTORY.jsonl".to_string());
+    let budget: f64 = cli.parsed("--max-regress")?.unwrap_or(0.25);
+    let wanted: Option<Vec<String>> = cli
+        .value("--metrics")
+        .map(|v| v.split(',').map(|m| m.trim().to_string()).collect());
 
     let text = std::fs::read_to_string(&history_path)
         .map_err(|e| format!("reading {history_path}: {e}"))?;
@@ -142,14 +87,8 @@ fn report(args: &[String]) -> Result<(), String> {
             continue;
         }
         let v = json::parse(line).map_err(|e| format!("{history_path}:{}: {e}", idx + 1))?;
-        let commit = json::get(&v, "commit")
-            .and_then(json::as_str)
-            .unwrap_or("?")
-            .to_string();
-        let source = json::get(&v, "source")
-            .and_then(json::as_str)
-            .unwrap_or("?")
-            .to_string();
+        let commit = str_field(&v, "commit").unwrap_or("?").to_string();
+        let source = str_field(&v, "source").unwrap_or("?").to_string();
         let snapshot = json::get(&v, "snapshot")
             .ok_or_else(|| format!("{history_path}:{}: missing snapshot", idx + 1))?;
         entries.push(HistoryEntry {
@@ -262,30 +201,38 @@ fn run(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     };
-    let commit = flag_value(args, "--commit").ok_or("--commit SHA is required")?;
-    let source = flag_value(args, "--source").unwrap_or_else(|| snapshot_path.to_string());
-    let history_path =
-        flag_value(args, "--history").unwrap_or_else(|| "PERF_HISTORY.jsonl".to_string());
+    let cli = Cli::from_args(args.to_vec());
+    let commit = cli.value("--commit").ok_or("--commit SHA is required")?;
+    let source = cli
+        .value("--source")
+        .unwrap_or_else(|| snapshot_path.to_string());
+    let history_path = cli
+        .value("--history")
+        .unwrap_or_else(|| "PERF_HISTORY.jsonl".to_string());
 
     let snapshot = std::fs::read_to_string(snapshot_path)
         .map_err(|e| format!("reading {snapshot_path}: {e}"))?;
-    let line = format!(
-        "{{\"commit\":\"{}\",\"source\":\"{}\",\"snapshot\":{}}}",
-        escape_json(&commit),
-        escape_json(&source),
-        minify_json(&snapshot)
-    );
+    let snapshot = json::parse(&snapshot).map_err(|e| format!("{snapshot_path}: {e}"))?;
 
     let existing = std::fs::read_to_string(&history_path).unwrap_or_default();
-    let key = format!(
-        "{{\"commit\":\"{}\",\"source\":\"{}\"",
-        escape_json(&commit),
-        escape_json(&source)
-    );
-    if existing.lines().any(|l| l.starts_with(&key)) {
-        println!("perf_history: {history_path} already has ({commit}, {source}); nothing to do");
-        return Ok(());
+    for (idx, l) in existing.lines().enumerate() {
+        if l.trim().is_empty() {
+            continue;
+        }
+        let v = json::parse(l).map_err(|e| format!("{history_path}:{}: {e}", idx + 1))?;
+        if str_field(&v, "commit") == Some(&commit) && str_field(&v, "source") == Some(&source) {
+            println!(
+                "perf_history: {history_path} already has ({commit}, {source}); nothing to do"
+            );
+            return Ok(());
+        }
     }
+    let line = Value::Object(vec![
+        ("commit".to_string(), Value::Str(commit.clone())),
+        ("source".to_string(), Value::Str(source.clone())),
+        ("snapshot".to_string(), snapshot),
+    ]);
+    let line = serde_json::to_string(&line).map_err(|e| e.to_string())?;
 
     let mut out = existing;
     if !out.is_empty() && !out.ends_with('\n') {
@@ -312,23 +259,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn minify_strips_whitespace_but_not_string_contents() {
-        let pretty =
-            "{\n  \"workload\": \"er(n=4000, deg=150)\",\n  \"rows\": [ [\"a b\", 1.5] ]\n}";
-        assert_eq!(
-            minify_json(pretty),
-            "{\"workload\":\"er(n=4000, deg=150)\",\"rows\":[[\"a b\",1.5]]}"
-        );
-        // Escaped quotes inside strings don't terminate the literal.
-        assert_eq!(minify_json("{\"k\": \"a\\\" b\"}"), "{\"k\":\"a\\\" b\"}");
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
 
     #[test]
     fn append_is_idempotent_per_commit_and_source() {
@@ -361,9 +291,48 @@ mod tests {
         assert_eq!(lines.len(), 2, "{hist}");
         assert_eq!(
             lines[0],
-            "{\"commit\":\"aaa1111\",\"source\":\"BENCH_X.json\",\"snapshot\":{\"workload\":\"er\",\"host_cores\":1}}"
+            r#"{"commit": "aaa1111", "source": "BENCH_X.json", "snapshot": {"workload": "er", "host_cores": 1}}"#
         );
-        assert!(lines[1].starts_with("{\"commit\":\"bbb2222\""), "{hist}");
+        let second = json::parse(lines[1]).unwrap();
+        assert_eq!(str_field(&second, "commit"), Some("bbb2222"));
+    }
+
+    #[test]
+    fn append_over_a_compact_row_is_a_no_op() {
+        let dir = std::env::temp_dir();
+        let snap_path = dir.join("perf_history_compact_snap.json");
+        let hist_path = dir.join("perf_history_compact.jsonl");
+        std::fs::write(&snap_path, "{\"workload\": \"er\"}").unwrap();
+        // The compact spelling earlier versions of this tool wrote.
+        let compact =
+            r#"{"commit":"ccc3333","source":"BENCH_X.json","snapshot":{"workload":"er"}}"#;
+        std::fs::write(&hist_path, format!("{compact}\n")).unwrap();
+        run(&[
+            "perf_history".to_string(),
+            snap_path.to_string_lossy().into_owned(),
+            "--commit".to_string(),
+            "ccc3333".to_string(),
+            "--source".to_string(),
+            "BENCH_X.json".to_string(),
+            "--history".to_string(),
+            hist_path.to_string_lossy().into_owned(),
+        ])
+        .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&hist_path).unwrap(),
+            format!("{compact}\n")
+        );
+    }
+
+    #[test]
+    fn committed_history_rows_re_serialize_without_drift() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../PERF_HISTORY.jsonl");
+        let text = std::fs::read_to_string(path).unwrap();
+        let squeeze = |s: &str| s.split_whitespace().collect::<String>();
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            let v = json::parse(line).unwrap();
+            assert_eq!(squeeze(&serde_json::to_string(&v).unwrap()), squeeze(line));
+        }
     }
 
     #[test]

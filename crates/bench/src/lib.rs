@@ -1,21 +1,19 @@
 //! # sgs-bench
 //!
-//! Shared infrastructure for the experiment binaries (`src/bin/exp_*.rs`) and the
-//! Criterion benches (`benches/bench_*.rs`) that regenerate every experiment listed in
-//! `EXPERIMENTS.md`.
+//! Shared infrastructure for the experiment binaries (`src/bin/exp_*.rs`) and the two
+//! snapshot tools (`bench_compare`, `perf_history`).
 //!
-//! Each experiment binary prints a table whose rows correspond to the series recorded in
-//! `EXPERIMENTS.md`, and optionally dumps the same rows as JSON (pass `--json`), so the
-//! document can be regenerated mechanically.
+//! Each experiment binary prints a table of rows (one per workload or parameter
+//! setting) and optionally dumps the same rows as JSON (pass `--json`). With
+//! `--trace-out` or `--report-out` the run is recorded through `sgs-obs`, and the
+//! run report is built from the recorded events plus the table rows.
 
 #![warn(missing_docs)]
 
 use serde::Serialize;
 
 use sgs_graph::{generators, Graph};
-use sgs_obs::RunReport;
-
-pub mod report;
+use sgs_obs::{RunReport, Section};
 
 /// The standard workload suite used across experiments.
 ///
@@ -211,6 +209,15 @@ impl Cli {
             .unwrap_or(default)
     }
 
+    /// A flag parsed as `T`, `None` when absent. Unlike the `*_flag` helpers a
+    /// malformed value is an error, not a panic, for tools that report failures
+    /// through their exit code.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("{name}: cannot parse '{v}'")))
+            .transpose()
+    }
+
     /// A `u64`-valued flag with a default.
     pub fn u64_flag(&self, name: &str, default: u64) -> u64 {
         self.value(name)
@@ -261,11 +268,16 @@ impl Cli {
     }
 
     /// Uninstalls the sink and writes whatever the command line asked for: the Chrome
-    /// trace to `--trace-out` and one appended `report` JSONL line to `--report-out`.
+    /// trace to `--trace-out` and one appended [`RunReport`] JSONL line to
+    /// `--report-out`. The report is [`RunReport::from_events`] over the recorded
+    /// events, followed by one section per table row (the row label names the
+    /// section, the columns become its fields).
     pub fn finish_observability(
         &self,
         sink: Option<&'static sgs_obs::RecordingSink>,
-        report: &RunReport,
+        bench: &str,
+        workload: &str,
+        rows: &[Row],
     ) {
         let Some(sink) = sink else { return };
         sgs_obs::clear();
@@ -277,6 +289,14 @@ impl Cli {
         }
         if let Some(path) = self.report_out() {
             use std::io::Write;
+            let mut report = RunReport::from_events(bench, workload, &events);
+            for row in rows {
+                report.push(Section {
+                    name: row.label.clone(),
+                    fields: row.values.clone(),
+                    ..Section::default()
+                });
+            }
             let mut file = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -348,6 +368,29 @@ pub struct BenchSnapshot {
     pub rows: Vec<Row>,
 }
 
+/// The rows of a parsed [`BenchSnapshot`] as `(label, columns)` pairs. Rows
+/// serialize as `{"label": ..., "values": [["name", v], ...]}`; anything else is
+/// skipped.
+pub fn snapshot_rows(snapshot: &serde::Value) -> Vec<(&str, Vec<(&str, f64)>)> {
+    use sgs_obs::json;
+    let rows = json::get(snapshot, "rows").and_then(json::as_array);
+    rows.unwrap_or_default()
+        .iter()
+        .filter_map(|row| {
+            let label = json::get(row, "label").and_then(json::as_str)?;
+            let values = json::get(row, "values").and_then(json::as_array)?;
+            let columns = values
+                .iter()
+                .filter_map(|pair| {
+                    let pair = json::as_array(pair)?;
+                    Some((json::as_str(pair.first()?)?, json::as_f64(pair.get(1)?)?))
+                })
+                .collect();
+            Some((label, columns))
+        })
+        .collect()
+}
+
 impl BenchSnapshot {
     /// Assembles a snapshot for one workload/graph pair.
     pub fn new(bench: &str, workload: &Workload, g: &Graph, rows: Vec<Row>) -> Self {
@@ -413,6 +456,9 @@ mod tests {
         assert!(cli.has("--verify"));
         assert!(!cli.has("--json"));
         assert!(cli.value("--json-out").is_none());
+        assert_eq!(cli.parsed::<f64>("--keep"), Ok(Some(0.25)));
+        assert_eq!(cli.parsed::<f64>("--absent"), Ok(None));
+        assert!(cli.parsed::<usize>("--keep").is_err());
     }
 
     #[test]
@@ -426,6 +472,10 @@ mod tests {
         assert_eq!(snap.graph_m, g.m());
         assert!(snap.host_cores >= 1);
         assert_eq!(snap.rows.len(), 1);
+        // What the snapshot writes, snapshot_rows reads back.
+        let text = serde_json::to_string_pretty(&snap).unwrap();
+        let parsed = sgs_obs::json::parse(&text).unwrap();
+        assert_eq!(snapshot_rows(&parsed), vec![("r", vec![("a", 1.0)])]);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use engine::SparsifyEngine;
 pub use resparsify::{resparsify_er, ErPassConfig, ErPassOutput};
 pub use sample::{edge_coin, parallel_sample, SampleOutput};
 pub use sparsify::{parallel_sparsify, SparsifyOutput};
-pub use stats::{PipelinePhases, WorkStats};
+pub use stats::WorkStats;
 pub use strategy::{
     EffectiveResistance, SampleContext, SamplingPolicy, SamplingScratch, SamplingStrategy, Uniform,
 };

@@ -14,8 +14,6 @@
 //! probability `1 − 1/n²` (Theorem 4). In expectation the off-bundle edge count drops by
 //! a factor of 4 — the output has `O(n log³ n / ε² + m/2)` edges.
 
-use std::time::Instant;
-
 use rayon::prelude::*;
 
 use sgs_graph::{Edge, Graph};
@@ -23,7 +21,7 @@ use sgs_spanner::{t_bundle_on_engine, BundleConfig, SpannerConfig};
 
 use crate::config::SparsifyConfig;
 use crate::engine::SparsifyEngine;
-use crate::stats::{PipelinePhases, WorkStats};
+use crate::stats::WorkStats;
 use crate::strategy::SampleContext;
 
 /// SplitMix64 finalizer: one add-and-mix round with full 64-bit avalanche
@@ -70,8 +68,6 @@ pub struct SampleOutput {
     pub t: usize,
     /// Work counters for this round.
     pub stats: WorkStats,
-    /// Wall-clock phase breakdown of this round (excluded from determinism checks).
-    pub phases: PipelinePhases,
 }
 
 /// Runs one round of `PARALLELSAMPLE` on `g`.
@@ -123,7 +119,7 @@ pub(crate) fn sample_on_engine(
     // probabilities (leverage-aware sampling). Both branches consume the *same* coin
     // stream — a strategy only moves each edge's threshold, never its draw — so the
     // uniform path stays byte-identical to the original Algorithm 1 implementation.
-    let t_sampling = Instant::now();
+    let sampling_span = sgs_obs::span!("sample.coins");
     let seed = cfg.seed ^ 0xA5A5_5A5A_DEAD_BEEF;
     let ctx = SampleContext {
         graph: g,
@@ -179,13 +175,11 @@ pub(crate) fn sample_on_engine(
         t = t,
         bundle_edges = bundle_edges,
         sampled_edges = sampled_edges,
+        bundle_work = bundle.work,
         weighted = weighted,
     );
     let sparsifier = Graph::from_edges_unchecked(n, kept);
-    let phases = PipelinePhases {
-        spanner: bundle.phases,
-        sampling_ms: t_sampling.elapsed().as_secs_f64() * 1e3,
-    };
+    drop(sampling_span);
 
     let stats = WorkStats {
         spanner_work: bundle.work,
@@ -202,7 +196,6 @@ pub(crate) fn sample_on_engine(
         sampled_edges,
         t,
         stats,
-        phases,
     }
 }
 

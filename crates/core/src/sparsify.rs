@@ -18,7 +18,7 @@ use sgs_graph::Graph;
 use crate::config::SparsifyConfig;
 use crate::engine::SparsifyEngine;
 use crate::sample::sample_on_engine;
-use crate::stats::{PipelinePhases, WorkStats};
+use crate::stats::WorkStats;
 
 /// Output of `PARALLELSPARSIFY`.
 #[derive(Debug, Clone)]
@@ -32,8 +32,6 @@ pub struct SparsifyOutput {
     pub per_round_epsilon: f64,
     /// Aggregated work counters across all rounds.
     pub stats: WorkStats,
-    /// Wall-clock phase breakdown across all rounds (excluded from determinism checks).
-    pub phases: PipelinePhases,
 }
 
 impl SparsifyOutput {
@@ -74,7 +72,6 @@ pub(crate) fn sparsify_on_engine(
     // edges either way), so per-batch callers never pay an O(m) copy of the input.
     let mut current: Option<Graph> = None;
     let mut stats = WorkStats::default();
-    let mut phases = PipelinePhases::default();
     let mut rounds_executed = 0usize;
 
     for round in 0..rounds {
@@ -89,7 +86,6 @@ pub(crate) fn sparsify_on_engine(
             .wrapping_add((round as u64).wrapping_mul(0x9E3779B97F4A7C15));
         let out = sample_on_engine(cur, &round_cfg, engine);
         stats.absorb_round(&out.stats);
-        phases.absorb(&out.phases);
         sgs_obs::point!(
             "sparsify.round",
             round = round,
@@ -109,7 +105,6 @@ pub(crate) fn sparsify_on_engine(
         rounds_executed,
         per_round_epsilon,
         stats,
-        phases,
     }
 }
 

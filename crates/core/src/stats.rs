@@ -9,37 +9,6 @@
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
 
-use sgs_spanner::SpannerPhases;
-
-/// Wall-clock phase breakdown of one sparsification run.
-///
-/// Timings are *measurements*, not outputs: the struct deliberately implements neither
-/// `PartialEq` nor serde, and it is excluded from every determinism comparison (the
-/// golden fixtures and the thread-count invariance tests compare [`WorkStats`], never
-/// this). The benchmark harness reads it to show where a run's wall-clock goes — in
-/// particular, that the spanner apply phase is no longer a serial section.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PipelinePhases {
-    /// Spanner/bundle phase timings, accumulated across all rounds.
-    pub spanner: SpannerPhases,
-    /// Wall-clock of the per-edge sampling passes (strategy probabilities + coin
-    /// flips + output assembly), in milliseconds.
-    pub sampling_ms: f64,
-}
-
-impl PipelinePhases {
-    /// Accumulates another run's (or round's) timings into this one.
-    pub fn absorb(&mut self, other: &PipelinePhases) {
-        self.spanner.absorb(&other.spanner);
-        self.sampling_ms += other.sampling_ms;
-    }
-
-    /// Total measured wall-clock across all phases, in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.spanner.total_ms() + self.sampling_ms
-    }
-}
-
 /// Aggregated counters for one sparsification run.
 #[derive(Debug, Clone, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]

@@ -327,6 +327,7 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
                 round = self.metrics.rounds,
                 messages = self.metrics.messages - before.messages,
                 bits = self.metrics.total_bits - before.total_bits,
+                max_message_bits = self.metrics.max_message_bits,
                 dropped = self.metrics.dropped - before.dropped,
                 duplicated = self.metrics.duplicated - before.duplicated,
                 delayed = self.metrics.delayed - before.delayed,

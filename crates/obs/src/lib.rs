@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -381,6 +382,40 @@ pub fn install_recording() -> &'static RecordingSink {
     s
 }
 
+/// Count and summed wall clock of every span that shares one name.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SpanTotal {
+    /// Closed spans of this name.
+    pub count: u64,
+    /// Summed duration, in milliseconds.
+    pub total_ms: f64,
+}
+
+/// Sums the spans of `events` by name. Begins pair with ends per thread: an end
+/// closes the innermost open span of the same name on its thread, so nested
+/// same-name spans each count once. An end with no open begin is ignored, and so is
+/// a begin that never ends.
+pub fn span_totals(events: &[Event]) -> BTreeMap<&'static str, SpanTotal> {
+    let mut open: BTreeMap<u64, Vec<(&'static str, u64)>> = BTreeMap::new();
+    let mut totals: BTreeMap<&'static str, SpanTotal> = BTreeMap::new();
+    for ev in events {
+        let stack = open.entry(ev.tid).or_default();
+        match ev.kind {
+            EventKind::SpanBegin => stack.push((ev.name, ev.ts_us)),
+            EventKind::SpanEnd => {
+                if let Some(pos) = stack.iter().rposition(|&(name, _)| name == ev.name) {
+                    let (_, start_us) = stack.remove(pos);
+                    let total = totals.entry(ev.name).or_default();
+                    total.count += 1;
+                    total.total_ms += ev.ts_us.saturating_sub(start_us) as f64 / 1e3;
+                }
+            }
+            EventKind::Point | EventKind::Counter => {}
+        }
+    }
+    totals
+}
+
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -446,6 +481,46 @@ mod tests {
         );
         let c = ev("x", vec![("n", FieldValue::U64(4))]);
         assert_ne!(structure_fingerprint(&[b]), structure_fingerprint(&[c]));
+    }
+
+    #[test]
+    fn span_totals_pair_per_thread_and_skip_stray_ends() {
+        let at = |name, kind, ts_us, tid| Event {
+            name,
+            kind,
+            fields: Vec::new(),
+            ts_us,
+            tid,
+        };
+        use EventKind::{SpanBegin as B, SpanEnd as E};
+        let events = [
+            at("a", E, 0, 1), // stray end: nothing open yet
+            at("a", B, 0, 1),
+            at("a", B, 1000, 2), // other thread, interleaved
+            at("a", B, 2000, 1), // nested same name
+            at("a", E, 3000, 1), // closes the inner one (1 ms)
+            at("b", B, 3500, 1),
+            at("a", E, 4000, 2), // thread 2: 3 ms
+            at("a", E, 6000, 1), // closes the outer one (6 ms)
+            at("b", E, 6500, 1),
+            at("c", B, 7000, 1), // never ends
+        ];
+        let t = span_totals(&events);
+        assert_eq!(
+            t["a"],
+            SpanTotal {
+                count: 3,
+                total_ms: 10.0
+            }
+        );
+        assert_eq!(
+            t["b"],
+            SpanTotal {
+                count: 1,
+                total_ms: 3.0
+            }
+        );
+        assert!(!t.contains_key("c"));
     }
 
     #[test]

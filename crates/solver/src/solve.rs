@@ -215,6 +215,9 @@ impl SddSolver {
             converged = outcome.converged,
             applies = applies,
         );
+        for (level, &work) in per_level_work.iter().enumerate() {
+            sgs_obs::point!("solver.level_work", level = level, work = work);
+        }
         SolveOutcome {
             stats: SolveStats {
                 iterations: outcome.iterations,

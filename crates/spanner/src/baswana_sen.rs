@@ -43,11 +43,10 @@
 //! The outputs (edge ids, round count, and the `work` counter) are byte-for-byte
 //! identical to the original `BTreeMap`-based implementation; `tests/golden_spanner.rs`
 //! pins that equivalence against pre-rewrite fixtures, and `tests/parallelism.rs` pins
-//! it across pool widths. Wall-clock per phase (decide / apply / sweep / join) is
-//! reported via [`SpannerPhases`] so the scaling experiments can prove the apply phase
-//! is no longer a serial section.
-
-use std::time::Instant;
+//! it across pool widths. Each phase runs inside an `sgs-obs` span
+//! (`spanner.decide` / `apply` / `sweep` / `join`), so a traced run shows where the
+//! wall clock went and the scaling experiments can prove the apply phase is no longer
+//! a serial section.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -104,50 +103,6 @@ pub struct SpannerResult {
     /// Work counter: total number of edge examinations across all rounds. Experiment E1
     /// compares this against the `O(m log n)` bound of Theorem 1.
     pub work: u64,
-    /// Wall-clock spent per engine phase. Timings are *measurements*, not outputs:
-    /// they vary run to run and are deliberately excluded from every determinism
-    /// comparison (golden fixtures, cross-thread-count tests).
-    pub phases: SpannerPhases,
-}
-
-/// Wall-clock breakdown of one spanner construction, in milliseconds.
-///
-/// `decide` is the per-vertex clustering decision sweep, `apply` the decision commit,
-/// `sweep` the intra-cluster edge removal, and `join` the final vertex–cluster joining
-/// phase. Every phase runs on the ambient rayon pool — `exp_scaling` reports these
-/// columns so CI can see that no phase stays serial as threads grow.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpannerPhases {
-    /// Clustering decision sweeps (all rounds).
-    pub decide_ms: f64,
-    /// Decision commits (all rounds).
-    pub apply_ms: f64,
-    /// Intra-cluster edge removal sweeps (all rounds).
-    pub sweep_ms: f64,
-    /// Vertex–cluster joining phase (decide + commit).
-    pub join_ms: f64,
-}
-
-impl SpannerPhases {
-    /// Accumulates another breakdown into this one (used by the t-bundle loop and the
-    /// sampling pipeline to aggregate across components and rounds).
-    pub fn absorb(&mut self, other: &SpannerPhases) {
-        self.decide_ms += other.decide_ms;
-        self.apply_ms += other.apply_ms;
-        self.sweep_ms += other.sweep_ms;
-        self.join_ms += other.join_ms;
-    }
-
-    /// Total measured wall-clock across the phases.
-    pub fn total_ms(&self) -> f64 {
-        self.decide_ms + self.apply_ms + self.sweep_ms + self.join_ms
-    }
-}
-
-/// Milliseconds elapsed since `start`.
-#[inline]
-fn ms_since(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 impl SpannerResult {
@@ -369,7 +324,6 @@ fn trivial_spanner(n: usize, view: &[EdgeView], cfg: &SpannerConfig) -> Option<S
             edge_ids: ids,
             rounds: 0,
             work: m as u64,
-            phases: SpannerPhases::default(),
         });
     }
     None
@@ -650,7 +604,6 @@ fn run_spanner(
     let n_blocks = part.len();
     let mut total_work = 0u64;
     let mut rounds = 0usize;
-    let mut phases = SpannerPhases::default();
 
     for _round in 1..k {
         rounds += 1;
@@ -661,7 +614,6 @@ fn run_spanner(
         }
 
         let (center, alive, sampled) = (&state.center, &state.alive, &state.sampled);
-        let t_decide = Instant::now();
         let decide_span = sgs_obs::span!("spanner.decide", round = rounds);
         let batches: Vec<RoundBatch> = (0..n_blocks)
             .into_par_iter()
@@ -673,12 +625,10 @@ fn run_spanner(
             )
             .collect();
         drop(decide_span);
-        phases.decide_ms += ms_since(t_decide);
 
         // Commit the decisions. The commit is order-invariant (see `apply_batch`), so
         // every batch runs concurrently through shared atomic views and still lands
         // bit-identical to a sequential block-order walk.
-        let t_apply = Instant::now();
         let apply_span = sgs_obs::span!("spanner.apply", round = rounds);
         state.center_next.copy_from_slice(&state.center);
         {
@@ -694,13 +644,11 @@ fn run_spanner(
             total_work += batch.work;
         }
         drop(apply_span);
-        phases.apply_ms += ms_since(t_apply);
         std::mem::swap(&mut state.center, &mut state.center_next);
 
         // Remove intra-cluster edges of the new clustering. The per-edge flag writes
         // commute, so this sweep runs in parallel; the u64 work tally is combined in
         // chunk order and stays deterministic.
-        let t_sweep = Instant::now();
         let sweep_span = sgs_obs::span!("spanner.sweep", round = rounds);
         let center = &state.center;
         total_work += state
@@ -720,13 +668,11 @@ fn run_spanner(
             })
             .sum::<u64>();
         drop(sweep_span);
-        phases.sweep_ms += ms_since(t_sweep);
         sgs_obs::point!("spanner.round", round = rounds, work = total_work);
     }
 
     // Phase 2: vertex–cluster joining on the final clustering.
     rounds += 1;
-    let t_join = Instant::now();
     let join_span = sgs_obs::span!("spanner.join", round = rounds);
     let (center, alive) = (&state.center, &state.alive);
     let join_batches: Vec<RoundBatch> = (0..n_blocks)
@@ -749,7 +695,6 @@ fn run_spanner(
         total_work += batch.work;
     }
     drop(join_span);
-    phases.join_ms += ms_since(t_join);
 
     let mut edge_ids: Vec<EdgeId> = view
         .iter()
@@ -774,7 +719,6 @@ fn run_spanner(
         edge_ids,
         rounds,
         work: total_work,
-        phases,
     }
 }
 

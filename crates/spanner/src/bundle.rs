@@ -17,7 +17,7 @@
 
 use sgs_graph::{EdgeId, Graph};
 
-use crate::baswana_sen::{SpannerConfig, SpannerEngine, SpannerPhases, SpannerResult};
+use crate::baswana_sen::{SpannerConfig, SpannerEngine, SpannerResult};
 
 /// Configuration for the t-bundle construction.
 #[derive(Debug, Clone)]
@@ -58,9 +58,6 @@ pub struct BundleResult {
     /// Accumulated spanner work (edge examinations) across components; experiment E3
     /// compares this against the `O(t · m log n)` bound of Corollary 2.
     pub work: u64,
-    /// Accumulated per-phase wall-clock across components (a measurement, excluded
-    /// from determinism comparisons — see [`SpannerPhases`]).
-    pub phases: SpannerPhases,
 }
 
 impl BundleResult {
@@ -123,7 +120,6 @@ pub fn t_bundle_on_engine(engine: &mut SpannerEngine, cfg: &BundleConfig) -> Bun
     // tiny ε resolves to astronomically large `t`).
     let mut components = Vec::with_capacity(cfg.t.min(m));
     let mut work = 0u64;
-    let mut phases = SpannerPhases::default();
 
     for i in 0..cfg.t {
         if engine.is_empty() {
@@ -135,13 +131,9 @@ pub fn t_bundle_on_engine(engine: &mut SpannerEngine, cfg: &BundleConfig) -> Bun
             .seed
             .wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15));
         let SpannerResult {
-            edge_ids,
-            work: w,
-            phases: p,
-            ..
+            edge_ids, work: w, ..
         } = engine.spanner(&spanner_cfg);
         work += w;
-        phases.absorb(&p);
         for &id in &edge_ids {
             in_bundle[id] = true;
         }
@@ -156,7 +148,6 @@ pub fn t_bundle_on_engine(engine: &mut SpannerEngine, cfg: &BundleConfig) -> Bun
         in_bundle,
         bundle_size,
         work,
-        phases,
     }
 }
 

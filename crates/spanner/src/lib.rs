@@ -29,7 +29,7 @@ pub mod partition;
 pub use atomic::{AtomicFlags, AtomicIds};
 pub use baswana_sen::{
     baswana_sen_on_view, baswana_sen_spanner, EdgeView, SpannerConfig, SpannerEngine,
-    SpannerPhases, SpannerResult, ViewCsr,
+    SpannerResult, ViewCsr,
 };
 pub use bundle::{t_bundle, t_bundle_on_engine, BundleConfig, BundleResult};
 pub use greedy::greedy_spanner;

@@ -324,6 +324,7 @@ impl StreamSparsifier {
             "stream.reduce",
             depth = j,
             index = index,
+            epsilon = eps,
             m_in = g.m(),
             m_out = out.sparsifier.m(),
         );
@@ -537,6 +538,7 @@ impl StreamSparsifier {
             });
             sgs_obs::point!(
                 "stream.er_pass",
+                epsilon = pass_eps,
                 m_in = out.m_in,
                 m_out = out.m_out,
                 solves = out.solves,
@@ -545,6 +547,24 @@ impl StreamSparsifier {
             sparsifier = out.sparsifier;
         }
 
+        // The final census. `batches_ingested` stays out: it is the caller's chop, and
+        // the event stream must not depend on it.
+        let (stats, spill) = (&self.stats, &self.stats.spill);
+        sgs_obs::point!(
+            "stream.finish",
+            edges_ingested = stats.edges_ingested,
+            leaves = stats.leaves,
+            forced_reductions = stats.forced_reductions,
+            peak_resident_edges = stats.peak_resident_edges,
+            peak_resident_bytes = stats.peak_resident_bytes,
+            final_depth = stats.final_depth,
+            spilled_nodes = spill.spilled_nodes,
+            spilled_edges = spill.spilled_edges,
+            spilled_bytes = spill.spilled_bytes,
+            readback_nodes = spill.readback_nodes,
+            readback_edges = spill.readback_edges,
+            readback_bytes = spill.readback_bytes,
+        );
         Ok(StreamOutput {
             sparsifier,
             stats: self.stats,

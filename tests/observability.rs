@@ -92,6 +92,68 @@ fn event_structure_is_identical_across_thread_widths() {
 }
 
 #[test]
+fn span_counts_are_identical_across_thread_widths() {
+    let _guard = lock();
+    let g = generators::erdos_renyi(400, 0.2, 1.0, 31);
+    let cfg = SparsifyConfig::new(0.75, 4.0)
+        .with_bundle_sizing(BundleSizing::Fixed(4))
+        .with_seed(5);
+    let counts = |threads| {
+        let (_, events) = record(|| on_pool(threads, || parallel_sparsify(&g, &cfg)));
+        obs::span_totals(&events)
+            .into_iter()
+            .map(|(name, total)| (name, total.count))
+            .collect::<Vec<_>>()
+    };
+    let base = counts(1);
+    for name in [
+        "spanner.decide",
+        "spanner.apply",
+        "spanner.sweep",
+        "spanner.join",
+        "sample.coins",
+    ] {
+        assert!(
+            base.iter().any(|&(n, c)| n == name && c > 0),
+            "no {name} span in {base:?}"
+        );
+    }
+    assert_eq!(counts(4), base);
+}
+
+#[test]
+fn run_report_from_events_carries_spans_and_ledgers() {
+    let _guard = lock();
+    let g = generators::erdos_renyi(500, 0.4, 1.0, 3);
+    let cfg = SparsifyConfig::new(0.75, 4.0)
+        .with_bundle_sizing(BundleSizing::Fixed(3))
+        .with_seed(5);
+    let (out, events) = record(|| parallel_sparsify(&g, &cfg));
+    let line = obs::RunReport::from_events("exp_demo", "er(300)", &events).to_jsonl_line();
+    let v = json::parse(&line).expect("report line parses");
+    let sections = json::get(&v, "sections").and_then(json::as_array).unwrap();
+    let section = |name: &str| {
+        sections
+            .iter()
+            .find(|s| json::get(s, "name").and_then(json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("no {name} section in {line}"))
+    };
+    for name in ["spans", "sample.pass", "spanner.run", "sparsify.round"] {
+        section(name);
+    }
+    // Two rounds, so each sample.pass field is a series; summed, they give back the
+    // WorkStats ledger the report used to be built from.
+    assert_eq!(out.rounds_executed, 2);
+    let total = |key: &str| -> f64 {
+        let series = json::get(section("sample.pass"), "series").unwrap();
+        let xs = json::get(series, key).and_then(json::as_array).unwrap();
+        xs.iter().filter_map(json::as_f64).sum()
+    };
+    assert_eq!(total("bundle_work"), out.stats.spanner_work as f64);
+    assert_eq!(total("m"), out.stats.sampling_work as f64);
+}
+
+#[test]
 fn event_structure_is_identical_across_batch_chops() {
     let _guard = lock();
     let g = generators::erdos_renyi(350, 0.3, 1.0, 47);

@@ -1,5 +1,5 @@
 //! Integration tests that check the paper's quantitative statements directly (small
-//! instances of the experiments in EXPERIMENTS.md).
+//! instances of the experiments the `exp_*` binaries in `crates/bench` run).
 
 use spectral_sparsify::graph::{connectivity::is_connected, generators, stretch};
 use spectral_sparsify::linalg::resistance::exact_effective_resistances;
