@@ -12,7 +12,7 @@
 //! fault/recovery counters).
 //!
 //! Run with: `cargo run --release -p sgs-bench --bin exp_faults [--json]
-//! [--loss 0,0.05,0.10] [--json-out PATH] [--bench-json PATH]`
+//! [--loss 0,0.05,0.10] [--json-out PATH]`
 
 use sgs_bench::{print_table, Cli, Row, Workload};
 use sgs_distributed::{distributed_spanner, DistSpannerConfig, FaultPlan, ReliabilityConfig};
@@ -104,5 +104,4 @@ fn main() {
     }
 
     cli.write_json_out(&all_rows);
-    cli.write_bench_json("exp_faults", &workload, &g, &all_rows);
 }

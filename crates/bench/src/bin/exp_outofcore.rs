@@ -28,9 +28,7 @@
 //! * `--batch-edges E` — ingestion batch size (default 65536; informational).
 //! * `--threads 1,4` — pool widths to sweep (default `1,4`).
 //! * `--seed S` — configuration seed (default 9; the stream keeps its own seed).
-//! * `--json` / `--json-out PATH` / `--bench-json PATH` — as in every experiment
-//!   binary; `bench_compare` gates `stream_spill_ms` and `solve_ms` of the
-//!   `threads = 1` row against the committed `BENCH_9.json`.
+//! * `--json` / `--json-out PATH` — as in every experiment binary.
 //! * `--trace-out PATH` / `--report-out PATH` — record the run through `sgs-obs`
 //!   (spill evictions, read-backs, chain levels, PCG iterations) and write a Chrome
 //!   trace / append a `RunReport` JSONL line. Tracing changes no output.
@@ -196,6 +194,5 @@ fn main() {
 
     let label = format!("stream(n={n},edges={total_edges})");
     cli.write_json_out(&rows);
-    cli.write_bench_json_labeled("exp_outofcore", &label, n, total_edges, &rows);
     cli.finish_observability(sink, "exp_outofcore", &label, &rows);
 }

@@ -18,8 +18,6 @@
 //!   across rows: the simulator's accounting is deterministic per seed).
 //! * `--json` — append the rows as JSON to stdout (as in every experiment binary).
 //! * `--json-out PATH` — write the rows as a JSON file (for CI artifacts).
-//! * `--bench-json PATH` — write a `BENCH_*.json` perf snapshot (graph size, host
-//!   cores, wall-clock per thread count) for the repo-root perf trajectory.
 //! * `--trace-out PATH` / `--report-out PATH` — record the run through `sgs-obs` and
 //!   write a Chrome `trace_event` JSON / append a `RunReport` JSONL line. Tracing
 //!   changes no output: the kept edge set and every counter stay byte-identical.
@@ -36,9 +34,9 @@
 //! is the end-to-end measurement and carries no tracing cost. `work_ops`, `m_out`,
 //! `spanner_edges` and `bundle_edges` must be **identical** across rows — the
 //! outputs are deterministic per seed regardless of the thread count; only the wall
-//! clock (and hence the phase timings) may change. `bench_compare` diffs two
-//! `--bench-json` snapshots and fails on single-thread wall-clock regressions (the CI
-//! perf gate).
+//! clock (and hence the phase timings) may change. CI runs this binary untraced and
+//! traced on the same workload and fails when tracing adds more than 10% to
+//! `sparsify_ms`.
 
 use sgs_bench::{print_table, time_ms, Cli, Row, Workload};
 use sgs_core::{parallel_sparsify, BundleSizing, SparsifyConfig};
@@ -140,6 +138,5 @@ fn main() {
     );
 
     cli.write_json_out(&rows);
-    cli.write_bench_json("exp_scaling", &workload, &g, &rows);
     cli.finish_observability(sink, "exp_scaling", &workload.label(), &rows);
 }

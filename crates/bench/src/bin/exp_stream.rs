@@ -11,8 +11,8 @@
 //! interior sampling plus the ER-weighted final reduction pass — and reports its
 //! output size (`m_out_er`), the standalone cost of the final pass on the uniform
 //! tree's output (`er_pass_ms`), and the Laplacian solves consumed (`er_solves`).
-//! The uniform run's `stream_sparsify_ms` is timed separately so the historical
-//! like-for-like perf gate is unaffected.
+//! The uniform run's `stream_sparsify_ms` is timed separately, so the leverage-aware
+//! run does not change it.
 //!
 //! Run with: `cargo run --release -p sgs-bench --bin exp_stream [-- FLAGS]`
 //!
@@ -32,10 +32,10 @@
 //!   constant, JL sketch dimensions, and CG tolerance (defaults 0.02 / 8 / 1e-4).
 //! * `--verify` — also certify the spectral bounds of the final sparsifier against
 //!   the full graph (adds a few seconds of CG-powered power iteration).
-//! * `--json` / `--json-out PATH` / `--bench-json PATH` — as in every experiment
-//!   binary; `bench_compare` gates `stream_sparsify_ms` and `peak_resident_edges`
-//!   of the `threads = 1` row against the committed `BENCH_5.json`, and `m_out_er`
-//!   and `er_pass_ms` against `BENCH_6.json`.
+//! * `--json` / `--json-out PATH` — as in every experiment binary. The deterministic
+//!   columns of the 2000/60, 8-batch, 30k-budget configuration (`m_out`,
+//!   `peak_resident_edges`, `m_out_er`, the ε ledgers) are pinned exactly by
+//!   `tests/golden_stream.rs`.
 //! * `--trace-out PATH` / `--report-out PATH` — record the run through `sgs-obs`
 //!   (leaf flushes, tree reductions, spills, the ER pass) and write a Chrome trace /
 //!   append a `RunReport` JSONL line. Tracing changes no output.
@@ -167,6 +167,5 @@ fn main() {
     );
 
     cli.write_json_out(&rows);
-    cli.write_bench_json("exp_stream", &workload, &g, &rows);
     cli.finish_observability(sink, "exp_stream", &workload.label(), &rows);
 }

@@ -1,7 +1,7 @@
 //! # sgs-bench
 //!
-//! Shared infrastructure for the experiment binaries (`src/bin/exp_*.rs`) and the two
-//! snapshot tools (`bench_compare`, `perf_history`).
+//! Shared infrastructure for the experiment binaries (`src/bin/exp_*.rs`), which print
+//! the paper's experiment tables. The repository benchmark is `perfbench/`.
 //!
 //! Each experiment binary prints a table of rows (one per workload or parameter
 //! setting) and optionally dumps the same rows as JSON (pass `--json`). With
@@ -158,9 +158,9 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Parsed command line shared by every experiment binary, so that the common flags
-/// (`--seed`, `--threads`, `--json`, `--json-out PATH`, `--bench-json PATH`,
-/// `--trace-out PATH`, `--report-out PATH`) carry the same spelling and semantics
-/// everywhere instead of each binary re-implementing its own `flag_value` helper.
+/// (`--seed`, `--threads`, `--json`, `--json-out PATH`, `--trace-out PATH`,
+/// `--report-out PATH`) carry the same spelling and semantics everywhere instead of
+/// each binary re-implementing its own `flag_value` helper.
 #[derive(Debug, Clone)]
 pub struct Cli {
     args: Vec<String>,
@@ -207,15 +207,6 @@ impl Cli {
         self.value(name)
             .map(|v| v.parse().unwrap_or_else(|_| panic!("{name} takes a float")))
             .unwrap_or(default)
-    }
-
-    /// A flag parsed as `T`, `None` when absent. Unlike the `*_flag` helpers a
-    /// malformed value is an error, not a panic, for tools that report failures
-    /// through their exit code.
-    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        self.value(name)
-            .map(|v| v.parse().map_err(|_| format!("{name}: cannot parse '{v}'")))
-            .transpose()
     }
 
     /// A `u64`-valued flag with a default.
@@ -315,96 +306,6 @@ impl Cli {
             println!("rows written to {path}");
         }
     }
-
-    /// Writes a [`BenchSnapshot`] to the `--bench-json` path when the flag is present.
-    pub fn write_bench_json(&self, bench: &str, workload: &Workload, g: &Graph, rows: &[Row]) {
-        self.write_bench_json_labeled(bench, &workload.label(), g.n(), g.m(), rows);
-    }
-
-    /// [`Cli::write_bench_json`] for experiments whose workload is never materialised
-    /// as a [`Graph`] (e.g. generator-driven out-of-core streams): the label and sizes
-    /// are passed explicitly.
-    pub fn write_bench_json_labeled(
-        &self,
-        bench: &str,
-        workload_label: &str,
-        n: usize,
-        m: usize,
-        rows: &[Row],
-    ) {
-        if let Some(path) = self.value("--bench-json") {
-            let snapshot = BenchSnapshot {
-                bench: bench.to_string(),
-                workload: workload_label.to_string(),
-                graph_n: n,
-                graph_m: m,
-                host_cores: std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1),
-                rows: rows.to_vec(),
-            };
-            let json = serde_json::to_string_pretty(&snapshot).expect("serializable snapshot");
-            std::fs::write(&path, json).expect("writing --bench-json file");
-            println!("perf snapshot written to {path}");
-        }
-    }
-}
-
-/// Repo-root perf snapshot (`BENCH_*.json`): one record per swept setting on one fixed
-/// workload, diffed across commits by `bench_compare`.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchSnapshot {
-    /// Name of the experiment binary that produced the snapshot.
-    pub bench: String,
-    /// Workload label.
-    pub workload: String,
-    /// Vertices of the workload graph.
-    pub graph_n: usize,
-    /// Edges of the workload graph.
-    pub graph_m: usize,
-    /// Cores of the host that produced the snapshot.
-    pub host_cores: usize,
-    /// The measured rows.
-    pub rows: Vec<Row>,
-}
-
-/// The rows of a parsed [`BenchSnapshot`] as `(label, columns)` pairs. Rows
-/// serialize as `{"label": ..., "values": [["name", v], ...]}`; anything else is
-/// skipped.
-pub fn snapshot_rows(snapshot: &serde::Value) -> Vec<(&str, Vec<(&str, f64)>)> {
-    use sgs_obs::json;
-    let rows = json::get(snapshot, "rows").and_then(json::as_array);
-    rows.unwrap_or_default()
-        .iter()
-        .filter_map(|row| {
-            let label = json::get(row, "label").and_then(json::as_str)?;
-            let values = json::get(row, "values").and_then(json::as_array)?;
-            let columns = values
-                .iter()
-                .filter_map(|pair| {
-                    let pair = json::as_array(pair)?;
-                    Some((json::as_str(pair.first()?)?, json::as_f64(pair.get(1)?)?))
-                })
-                .collect();
-            Some((label, columns))
-        })
-        .collect()
-}
-
-impl BenchSnapshot {
-    /// Assembles a snapshot for one workload/graph pair.
-    pub fn new(bench: &str, workload: &Workload, g: &Graph, rows: Vec<Row>) -> Self {
-        BenchSnapshot {
-            bench: bench.to_string(),
-            workload: workload.label(),
-            graph_n: g.n(),
-            graph_m: g.m(),
-            host_cores: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-            rows,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -456,26 +357,6 @@ mod tests {
         assert!(cli.has("--verify"));
         assert!(!cli.has("--json"));
         assert!(cli.value("--json-out").is_none());
-        assert_eq!(cli.parsed::<f64>("--keep"), Ok(Some(0.25)));
-        assert_eq!(cli.parsed::<f64>("--absent"), Ok(None));
-        assert!(cli.parsed::<usize>("--keep").is_err());
-    }
-
-    #[test]
-    fn bench_snapshot_captures_workload_shape() {
-        let w = Workload::Barbell { k: 10 };
-        let g = w.build(1);
-        let snap = BenchSnapshot::new("exp_test", &w, &g, vec![Row::new("r").push("a", 1.0)]);
-        assert_eq!(snap.bench, "exp_test");
-        assert_eq!(snap.workload, w.label());
-        assert_eq!(snap.graph_n, g.n());
-        assert_eq!(snap.graph_m, g.m());
-        assert!(snap.host_cores >= 1);
-        assert_eq!(snap.rows.len(), 1);
-        // What the snapshot writes, snapshot_rows reads back.
-        let text = serde_json::to_string_pretty(&snap).unwrap();
-        let parsed = sgs_obs::json::parse(&text).unwrap();
-        assert_eq!(snapshot_rows(&parsed), vec![("r", vec![("a", 1.0)])]);
     }
 
     #[test]

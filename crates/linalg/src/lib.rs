@@ -22,7 +22,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cg;
-pub mod chebyshev;
 pub mod csr;
 pub mod dense;
 pub mod eigen;
@@ -49,7 +48,6 @@ pub mod prelude {
     pub use crate::cg::{
         cg_solve, pcg_solve, CgConfig, CgOutcome, JacobiPreconditioner, Preconditioner,
     };
-    pub use crate::chebyshev::chebyshev_solve;
     pub use crate::csr::CsrMatrix;
     pub use crate::dense::DenseMatrix;
     pub use crate::eigen::{power_method, smallest_nonzero_eigenvalue};

@@ -7,11 +7,11 @@
 //!   `k = ⌈log₂ n⌉` this is the `O(n log n)`-edge, `≤ 2 log n`-stretch spanner invoked by
 //!   Theorems 1 and 2 of the paper. Every round runs on the ambient rayon pool, the
 //!   CRCW PRAM adaptation of Corollary 2; a 1-thread pool is the sequential run.
-//! * [`greedy`] — the classical greedy spanner, used as a deterministic baseline and as
-//!   a correctness oracle in tests.
 //! * [`bundle`] — t-bundle spanners (Definition 1): `H = H₁ + … + H_t` where `H_i` is a
 //!   spanner of `G − Σ_{j<i} H_j`. The bundle certifies the effective-resistance upper
 //!   bound of Lemma 1, which experiments E3 validates directly.
+//! * [`partition`] — density-aware vertex blocks for the parallel sweeps.
+//! * [`atomic`] — atomic views over flag and id arrays for conflict-free commits.
 //!
 //! All constructions return *edge ids into the input graph*, so downstream code (the
 //! sampler of Algorithm 1) can cheaply partition the input into "bundle" and
@@ -23,7 +23,6 @@
 pub mod atomic;
 pub mod baswana_sen;
 pub mod bundle;
-pub mod greedy;
 pub mod partition;
 
 pub use atomic::{AtomicFlags, AtomicIds};
@@ -32,14 +31,13 @@ pub use baswana_sen::{
     SpannerResult, ViewCsr,
 };
 pub use bundle::{t_bundle, t_bundle_on_engine, BundleConfig, BundleResult};
-pub use greedy::greedy_spanner;
 pub use partition::BlockPartition;
 
 /// Default stretch target `2 ⌈log₂ n⌉` used when the caller does not override `k`.
 ///
 /// The paper calls a `log n`-spanner any subgraph with stretch at most `2 log n`
-/// (Section 2); both the Baswana–Sen construction with `k = ⌈log₂ n⌉` and the greedy
-/// construction with this target satisfy that definition.
+/// (Section 2); the Baswana–Sen construction with `k = ⌈log₂ n⌉` satisfies that
+/// definition.
 pub fn default_stretch_bound(n: usize) -> f64 {
     2.0 * (n.max(2) as f64).log2().ceil()
 }

@@ -17,9 +17,9 @@
 //! and document the change in vendor/README.md (as for `golden_spanner.rs`).
 
 use spectral_sparsify::graph::{generators, Edge, Graph};
-use spectral_sparsify::sparsify::BundleSizing;
+use spectral_sparsify::sparsify::{BundleSizing, SamplingPolicy};
 use spectral_sparsify::stream::{
-    SpillConfig, SpillLedger, StreamConfig, StreamOutput, StreamSparsifier,
+    FinalPassConfig, SpillConfig, SpillLedger, StreamConfig, StreamOutput, StreamSparsifier,
 };
 
 /// Runs `op` pinned to a pool of `threads` threads.
@@ -188,6 +188,66 @@ fn acceptance_er4000_budget_quarter_m() {
     assert_eq!(one.sparsifier.edges(), out.sparsifier.edges());
     assert_eq!(one.stats.levels, out.stats.levels);
     assert_eq!(one.stats.peak_resident_edges, out.stats.peak_resident_edges);
+}
+
+/// The `exp_stream --n 2000 --deg 60 --batches 8 --budget-edges 30000` configuration,
+/// replayed exactly. It is the only fixture where forced merges push the resident
+/// peak above budget plus one batch, and the only one that runs the ER final pass
+/// inside the stream, so its deterministic columns are pinned here.
+///
+/// ROADMAP items 1 (an honest ε ledger) and 2 (a spill budget that holds) are
+/// expected to re-pin these values.
+#[test]
+fn er2000_forced_merge_and_er_final_pass_are_pinned() {
+    let n = 2000usize;
+    let g = generators::erdos_renyi(n, 60.0 / (n as f64 - 1.0), 1.0, 51);
+    let batch = g.m().div_ceil(8);
+    assert_eq!(batch, 7518, "input drifted");
+    let cfg = StreamConfig::new(0.75, 30000)
+        .with_bundle_sizing(BundleSizing::Fixed(2))
+        .with_keep_probability(0.5)
+        .with_rho(2.0)
+        .with_arity(2)
+        .with_seed(5);
+    let cfg_er = cfg
+        .clone()
+        .with_interior_sampling(SamplingPolicy::effective_resistance(8, 1e-4))
+        .with_final_pass(
+            FinalPassConfig::new()
+                .with_oversample(0.02)
+                .with_jl_dims(8)
+                .with_cg_tol(1e-4),
+        );
+    let stream = |cfg: StreamConfig| {
+        let mut s = StreamSparsifier::new(n, cfg);
+        for chunk in g.edges().chunks(batch) {
+            s.ingest_batch(chunk).unwrap();
+        }
+        s.finish()
+    };
+
+    let out = stream(cfg);
+    assert_eq!(out.sparsifier.m(), 20688, "m_out");
+    assert_eq!(out.stats.peak_resident_edges, 46312, "peak_resident_edges");
+    assert_eq!(out.stats.leaves, 9, "leaves");
+    assert_eq!(out.stats.forced_reductions, 7, "forced");
+    assert_eq!(out.stats.final_depth, 9, "depth");
+    assert_eq!(
+        out.stats.epsilon_spent().to_bits(),
+        0.74853515625f64.to_bits(),
+        "epsilon_spent {}",
+        out.stats.epsilon_spent()
+    );
+    assert_eq!(out.stats.total_work(), 5095199, "total work");
+
+    let er = stream(cfg_er);
+    assert_eq!(er.sparsifier.m(), 6663, "m_out_er");
+    assert_eq!(
+        er.stats.epsilon_spent().to_bits(),
+        0.7490234375f64.to_bits(),
+        "epsilon_spent_er {}",
+        er.stats.epsilon_spent()
+    );
 }
 
 /// Storage-backend determinism: replaying a fixture through a `SpillStore` whose
