@@ -14,7 +14,8 @@
 //!   `sgs_core::edge_coin` — so outcomes depend only on the message's position in the
 //!   traffic stream, never on scheduling: fixed-seed runs are bitwise identical across
 //!   thread counts, and [`FaultPlan::none()`] leaves the byte stream and
-//!   [`NetworkMetrics`] untouched.
+//!   [`NetworkMetrics`] untouched. Staged records carry their link slot, so the
+//!   per-link `seq` counter and the delay queue need no lookup.
 //! * [`ReliableNet`] — a reliable-delivery protocol layered over the faulty transport:
 //!   per-directed-link sequence numbers, positive acks, round-based
 //!   timeout/retransmit with exponential backoff and a bounded retry budget, and
@@ -22,13 +23,20 @@
 //!   transport sub-rounds as needed to either deliver or abandon every staged
 //!   message, so a protocol built on top sees a lossless (if slower) network until
 //!   the retry budget is exhausted. Retransmits, acks, drops, and suppressed
-//!   duplicates are ledgered as [`NetworkMetrics`] columns.
-
-use std::collections::HashMap;
+//!   duplicates are ledgered as [`NetworkMetrics`] columns. The bookkeeping is
+//!   slot-addressed, with no hash map: each data frame of a logical round owns one
+//!   pending entry that stays in place until the round ends; a `(link, seq)` lookup
+//!   walks a per-link chain from `head[link]` (usually one hop); acks travel on the
+//!   reverse link `rev[link]`; the timeout sweep walks a live-index list compacted in
+//!   order; a `delivered` flag on the entry suppresses duplicates; and round end
+//!   resets only the links that carried data. Each logical round is one
+//!   `congest.reliable_round` span whose end records its `subrounds`.
 
 use sgs_graph::{Graph, NodeId};
 
-use crate::network::{Envelope, MessageSize, NetworkMetrics, Staged, SyncNetwork, VertexOutbox};
+use crate::network::{
+    sort_by_recipient, Envelope, MessageSize, NetworkMetrics, Staged, SyncNetwork, VertexOutbox,
+};
 
 /// splitmix64 finalizer — the same mixer behind `sgs_core::edge_coin`.
 #[inline]
@@ -46,16 +54,32 @@ fn splitmix64(x: u64) -> u64 {
 /// coin is bitwise identical across thread counts and replayable from the seed alone.
 #[inline]
 pub fn fault_bits(seed: u64, round: u64, from: u32, to: u32, seq: u64) -> u64 {
-    let mut h = splitmix64(seed);
-    h = splitmix64(h ^ round);
-    h = splitmix64(h ^ (((from as u64) << 32) | to as u64));
-    splitmix64(h ^ seq)
+    keyed_bits(round_key(seed, round), from, to, seq)
 }
 
 /// A uniform coin in `[0, 1)` keyed on `(round, from, to, seq)` — see [`fault_bits`].
 #[inline]
 pub fn fault_coin(seed: u64, round: u64, from: u32, to: u32, seq: u64) -> f64 {
-    (fault_bits(seed, round, from, to, seq) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    unit(fault_bits(seed, round, from, to, seq))
+}
+
+/// The `(seed, round)` prefix of the [`fault_bits`] mix, shared by every message of
+/// one delivery round.
+#[inline]
+fn round_key(seed: u64, round: u64) -> u64 {
+    splitmix64(splitmix64(seed) ^ round)
+}
+
+/// [`fault_bits`] from a precomputed [`round_key`].
+#[inline]
+fn keyed_bits(round_key: u64, from: u32, to: u32, seq: u64) -> u64 {
+    splitmix64(splitmix64(round_key ^ (((from as u64) << 32) | to as u64)) ^ seq)
+}
+
+/// The top 53 bits of `bits` as a uniform draw in `[0, 1)`.
+#[inline]
+fn unit(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Domain-separation salts so the drop/duplication/delay coins of one message are
@@ -222,7 +246,8 @@ impl FaultPlan {
 
 /// The transport fault hook owned by a [`SyncNetwork`] built with
 /// [`SyncNetwork::with_faults`]. Applies the plan's coins to every staged message at
-/// delivery time and keeps the bounded-delay queue.
+/// delivery time and keeps the bounded-delay queue. Records carry their link slot, so
+/// the per-link `seq` counter is a plain index.
 #[derive(Debug)]
 pub(crate) struct FaultLayer<M> {
     plan: FaultPlan,
@@ -230,7 +255,7 @@ pub(crate) struct FaultLayer<M> {
     /// staged message consumes one position whatever its fate, so one message's
     /// outcome never shifts another's coins.
     link_seq: Vec<u64>,
-    /// Held-back messages: `(due_round, from, to, msg)`, in injection order.
+    /// Held-back messages: `(due_round, from, link, msg)`, in injection order.
     delayed: Vec<(u64, u32, u32, M)>,
     delayed_scratch: Vec<(u64, u32, u32, M)>,
     /// Reusable effective-delivery buffer returned by `apply`.
@@ -238,10 +263,10 @@ pub(crate) struct FaultLayer<M> {
 }
 
 impl<M: Clone> FaultLayer<M> {
-    pub(crate) fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan, links: usize) -> Self {
         FaultLayer {
             plan,
-            link_seq: Vec::new(),
+            link_seq: vec![0; links],
             delayed: Vec::new(),
             delayed_scratch: Vec::new(),
             eff: Vec::new(),
@@ -263,14 +288,13 @@ impl<M: Clone> FaultLayer<M> {
 
     /// Runs every staged message (and newly-due delayed message) through the plan for
     /// delivery at `round`, returning the list that actually gets delivered.
-    /// `link_ix` maps a directed edge to its flat-adjacency slot for the `seq`
-    /// counters.
+    /// `nbr_ids` is the network's flat adjacency: link `l` leads to `nbr_ids[l]`.
     pub(crate) fn apply(
         &mut self,
         round: u64,
         staged: &mut Vec<Staged<M>>,
         metrics: &mut NetworkMetrics,
-        link_ix: impl Fn(u32, u32) -> usize,
+        nbr_ids: &[u32],
     ) -> Vec<Staged<M>> {
         let mut eff = std::mem::take(&mut self.eff);
         eff.clear();
@@ -280,60 +304,55 @@ impl<M: Clone> FaultLayer<M> {
         let mut delayed = std::mem::take(&mut self.delayed);
         let mut keep = std::mem::take(&mut self.delayed_scratch);
         keep.clear();
-        for (due, from, to, msg) in delayed.drain(..) {
+        for (due, from, link, msg) in delayed.drain(..) {
             if due <= round {
+                let to = nbr_ids[link as usize];
                 if self.plan.link_failed(from, to, round) || self.plan.is_down(to as usize, round) {
                     metrics.dropped += 1;
                 } else {
-                    eff.push((from, to, msg));
+                    eff.push((from, link, msg));
                 }
             } else {
-                keep.push((due, from, to, msg));
+                keep.push((due, from, link, msg));
             }
         }
         self.delayed_scratch = delayed;
         self.delayed = keep;
-        for (from, to, msg) in staged.drain(..) {
-            let l = link_ix(from, to);
-            if self.link_seq.len() <= l {
-                self.link_seq.resize(l + 1, 0);
-            }
-            let seq = self.link_seq[l];
-            self.link_seq[l] += 1;
+        let plan = &self.plan;
+        let drop_key = round_key(plan.seed ^ DROP_SALT, round);
+        let delay_key = round_key(plan.seed ^ DELAY_SALT, round);
+        let delay_mag_key = round_key(plan.seed ^ DELAY_MAG_SALT, round);
+        let dup_key = round_key(plan.seed ^ DUP_SALT, round);
+        for (from, link, msg) in staged.drain(..) {
+            let to = nbr_ids[link as usize];
+            let seq = self.link_seq[link as usize];
+            self.link_seq[link as usize] += 1;
             // Scheduled omissions: sender down at send time (the previous round),
             // recipient down at delivery time, or the link itself out.
-            if self.plan.link_failed(from, to, round)
-                || self.plan.is_down(to as usize, round)
-                || self.plan.is_down(from as usize, round.saturating_sub(1))
+            if plan.link_failed(from, to, round)
+                || plan.is_down(to as usize, round)
+                || plan.is_down(from as usize, round.saturating_sub(1))
             {
                 metrics.dropped += 1;
                 continue;
             }
-            if self.plan.drop_prob > 0.0
-                && fault_coin(self.plan.seed ^ DROP_SALT, round, from, to, seq)
-                    < self.plan.drop_prob
-            {
+            if plan.drop_prob > 0.0 && unit(keyed_bits(drop_key, from, to, seq)) < plan.drop_prob {
                 metrics.dropped += 1;
                 continue;
             }
-            if self.plan.delay_prob > 0.0
-                && fault_coin(self.plan.seed ^ DELAY_SALT, round, from, to, seq)
-                    < self.plan.delay_prob
+            if plan.delay_prob > 0.0 && unit(keyed_bits(delay_key, from, to, seq)) < plan.delay_prob
             {
-                let span = self.plan.max_delay.max(1) as u64;
-                let extra =
-                    1 + fault_bits(self.plan.seed ^ DELAY_MAG_SALT, round, from, to, seq) % span;
+                let span = plan.max_delay.max(1) as u64;
+                let extra = 1 + keyed_bits(delay_mag_key, from, to, seq) % span;
                 metrics.delayed += 1;
-                self.delayed.push((round + extra, from, to, msg));
+                self.delayed.push((round + extra, from, link, msg));
                 continue;
             }
-            if self.plan.dup_prob > 0.0
-                && fault_coin(self.plan.seed ^ DUP_SALT, round, from, to, seq) < self.plan.dup_prob
-            {
+            if plan.dup_prob > 0.0 && unit(keyed_bits(dup_key, from, to, seq)) < plan.dup_prob {
                 metrics.duplicated += 1;
-                eff.push((from, to, msg.clone()));
+                eff.push((from, link, msg.clone()));
             }
-            eff.push((from, to, msg));
+            eff.push((from, link, msg));
         }
         eff
     }
@@ -394,23 +413,62 @@ impl<M: MessageSize> MessageSize for Reliable<M> {
     }
 }
 
-/// An in-flight, not-yet-acked data message.
+/// Sentinel closing a per-link pending chain.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// One data frame staged in the current logical round: what a retransmission needs.
+/// Entries stay in place until the round ends, so an index into
+/// `ReliableNet::pending` is stable for the whole round; the entry's lookup key and
+/// flags live in the parallel `ReliableNet::chain` and `ReliableNet::state` arrays,
+/// which every frame arrival touches and which are kept small for it.
 #[derive(Debug)]
 struct Pending<M> {
     from: u32,
-    to: u32,
-    seq: u32,
+    link: u32,
     msg: M,
     /// Sub-round of the most recent (re)transmission.
     sent_sub: u32,
     retries: u32,
-    acked: bool,
+}
+
+/// The lookup key of a pending entry: its sequence number and the entry staged
+/// before it on the same link this round ([`NO_ENTRY`] ends the chain).
+#[derive(Debug, Clone, Copy)]
+struct ChainLink {
+    seq: u32,
+    next_on_link: u32,
+}
+
+/// Sender side: acked or abandoned, so out of the timeout sweep.
+const SETTLED: u8 = 1;
+/// Receiver side: one copy was delivered; later copies are duplicates.
+const DELIVERED: u8 = 2;
+
+/// The index of the pending entry `(link, seq)`, walking the link's chain from
+/// `head[link]`. Every frame in flight belongs to the current logical round (a round
+/// ends only once nothing is in flight), so the entry always exists.
+#[inline]
+fn find_pending(head: &[u32], chain: &[ChainLink], link: u32, seq: u32) -> usize {
+    let mut i = head[link as usize];
+    while i != NO_ENTRY {
+        let c = chain[i as usize];
+        if c.seq == seq {
+            return i as usize;
+        }
+        i = c.next_on_link;
+    }
+    panic!("frame on link {link} with seq {seq} has no pending entry this round");
 }
 
 /// A reliable-delivery network: the same vertex-program API as [`SyncNetwork`], but
 /// each logical [`ReliableNet::advance_round`] runs ack/retransmit sub-rounds on the
 /// underlying (faulty) transport until every staged message is delivered exactly once
 /// or abandoned after the retry budget.
+///
+/// Bookkeeping is addressed by link slot and stable pending index, with no hashing:
+/// a frame's link comes with it from the transport, a `(link, seq)` lookup follows
+/// `head[link]` down a short per-link chain (usually one hop), acks travel on the
+/// reverse link, and duplicate suppression is a flag on the entry.
 ///
 /// Determinism: sequence numbers are stamped in staging order (deterministic for
 /// `par_step` sweeps), retransmissions and acks are issued in deterministic sweeps,
@@ -423,19 +481,25 @@ pub struct ReliableNet<M> {
     n: usize,
     /// Next sequence number per directed link.
     next_seq: Vec<u32>,
-    /// Sequence numbers received per directed link within the current logical round
-    /// (duplicate suppression); cleared via `touched` at round end.
-    seen: Vec<Vec<u32>>,
-    touched: Vec<u32>,
+    /// Per-link newest pending entry of the current logical round ([`NO_ENTRY`] when
+    /// the link sent nothing); reset link by link at round end.
+    head: Vec<u32>,
+    /// Every data frame of the current logical round, in staging order, with its
+    /// lookup key and its [`SETTLED`]/[`DELIVERED`] flags at the same index.
     pending: Vec<Pending<M>>,
-    pending_ix: HashMap<(u32, u32, u32), u32>,
-    /// Logical deliveries accumulated this round: `(to, from, msg)`.
-    acc: Vec<(u32, u32, M)>,
-    /// Ack emissions queued during an inbox sweep: `(acker, data_sender, seq)`.
+    chain: Vec<ChainLink>,
+    state: Vec<u8>,
+    /// Indices of unsettled `pending` entries in staging order: the timeout sweep's
+    /// worklist, compacted in place.
+    live: Vec<u32>,
+    /// Logical deliveries accumulated this round: `(from, link, msg)`.
+    acc: Vec<Staged<M>>,
+    /// Ack emissions queued during an inbox sweep: `(acker, reverse link, seq)`.
     ack_queue: Vec<(u32, u32, u32)>,
-    /// Logical inbox CSR presented to the protocol.
+    /// Logical inbox CSR presented to the protocol, with each delivery's link.
     inbox_offsets: Vec<u32>,
     inbox_buf: Vec<Envelope<M>>,
+    inbox_links: Vec<u32>,
     cursor: Vec<u32>,
     perm: Vec<u32>,
 }
@@ -443,7 +507,8 @@ pub struct ReliableNet<M> {
 impl<M: MessageSize + Clone> ReliableNet<M> {
     /// Builds a reliable network over `g` with the given fault plan underneath.
     pub fn new(g: &Graph, plan: FaultPlan, cfg: ReliabilityConfig) -> Self {
-        let net: SyncNetwork<Reliable<M>> = SyncNetwork::with_faults(g, plan);
+        let mut net: SyncNetwork<Reliable<M>> = SyncNetwork::with_faults(g, plan);
+        net.track_links();
         let links = net.num_links();
         let n = net.n();
         ReliableNet {
@@ -451,14 +516,16 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
             cfg,
             n,
             next_seq: vec![0; links],
-            seen: vec![Vec::new(); links],
-            touched: Vec::new(),
+            head: vec![NO_ENTRY; links],
             pending: Vec::new(),
-            pending_ix: HashMap::new(),
+            chain: Vec::new(),
+            state: Vec::new(),
+            live: Vec::new(),
             acc: Vec::new(),
             ack_queue: Vec::new(),
             inbox_offsets: vec![0; n + 1],
             inbox_buf: Vec::new(),
+            inbox_links: Vec::new(),
             cursor: Vec::new(),
             perm: Vec::new(),
         }
@@ -473,6 +540,17 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
     #[inline]
     pub fn inbox(&self, v: NodeId) -> &[Envelope<M>] {
         &self.inbox_buf[self.inbox_offsets[v] as usize..self.inbox_offsets[v + 1] as usize]
+    }
+
+    /// The link each message of [`ReliableNet::inbox`]`(v)` arrived on.
+    #[inline]
+    pub(crate) fn inbox_links(&self, v: NodeId) -> &[u32] {
+        &self.inbox_links[self.inbox_offsets[v] as usize..self.inbox_offsets[v + 1] as usize]
+    }
+
+    /// The transport underneath (for its topology tables).
+    pub(crate) fn transport(&self) -> &SyncNetwork<Reliable<M>> {
+        &self.net
     }
 
     /// Transport metrics (rounds counts *sub*-rounds — the protocol's real cost).
@@ -490,6 +568,7 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
         B: Send + Default,
         F: Fn(&mut T, &mut B, NodeId, &[Envelope<M>], &mut VertexOutbox<'_, M>) + Sync,
     {
+        let start = self.net.staged_len();
         let payloads = {
             let ReliableNet {
                 net,
@@ -504,14 +583,11 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
                 |(sc, local), payload, v, _raw_inbox, out| {
                     local.clear();
                     let lb = &inbox_buf[inbox_offsets[v] as usize..inbox_offsets[v + 1] as usize];
-                    {
-                        let mut shim = VertexOutbox::over(v as u32, out.neighbor_row(), local);
-                        step(sc, payload, v, lb, &mut shim);
-                    }
-                    for (_from, to, m) in local.drain(..) {
+                    step(sc, payload, v, lb, &mut out.over(local));
+                    for (_from, link, m) in local.drain(..) {
                         // Sequence numbers are stamped after the sweep, in staging
                         // order, so they are deterministic in the thread count.
-                        out.send(to as usize, Reliable::Data { seq: 0, msg: m });
+                        out.send_on_link(link, Reliable::Data { seq: 0, msg: m });
                     }
                 },
             )
@@ -519,26 +595,35 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
         let ReliableNet {
             net,
             next_seq,
+            head,
             pending,
-            pending_ix,
+            chain,
+            state,
+            live,
             ..
         } = self;
-        net.for_each_staged_with_link(|from, to, link, rmsg| {
-            if let Reliable::Data { seq, msg } = rmsg {
-                *seq = next_seq[link];
-                next_seq[link] = next_seq[link].wrapping_add(1);
-                pending_ix.insert((from, to, *seq), pending.len() as u32);
+        for (from, link, frame) in net.staged_from(start) {
+            if let Reliable::Data { seq, msg } = frame {
+                let l = *link as usize;
+                *seq = next_seq[l];
+                next_seq[l] = next_seq[l].wrapping_add(1);
+                let i = pending.len() as u32;
                 pending.push(Pending {
-                    from,
-                    to,
-                    seq: *seq,
+                    from: *from,
+                    link: *link,
                     msg: msg.clone(),
                     sent_sub: 0,
                     retries: 0,
-                    acked: false,
                 });
+                chain.push(ChainLink {
+                    seq: *seq,
+                    next_on_link: head[l],
+                });
+                state.push(0);
+                head[l] = i;
+                live.push(i);
             }
-        });
+        }
         payloads
     }
 
@@ -548,148 +633,119 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
     /// Afterwards [`ReliableNet::inbox`] holds each vertex's deduplicated logical
     /// deliveries, sorted by `(recipient, sender)` arrival order.
     pub fn advance_round(&mut self) {
+        let span = sgs_obs::span!("congest.reliable_round");
         let mut sub: u32 = 0;
         loop {
             self.net.advance_round();
             sub += 1;
             let mut dup_sup = 0u64;
             let mut acks_seen = 0u64;
-            {
-                let ReliableNet {
-                    net,
-                    seen,
-                    touched,
-                    pending,
-                    pending_ix,
-                    acc,
-                    ack_queue,
-                    ..
-                } = self;
-                for v in 0..net.n() {
-                    for &(from, ref rmsg) in net.inbox(v) {
-                        match rmsg {
-                            Reliable::Data { seq, msg } => {
-                                let l = net.link_index(from as u32, v as u32);
-                                if seen[l].contains(seq) {
-                                    dup_sup += 1;
-                                } else {
-                                    if seen[l].is_empty() {
-                                        touched.push(l as u32);
-                                    }
-                                    seen[l].push(*seq);
-                                    acc.push((v as u32, from as u32, msg.clone()));
-                                }
-                                // Always (re-)ack: the previous ack may have been lost.
-                                ack_queue.push((v as u32, from as u32, *seq));
+            let ReliableNet {
+                net,
+                cfg,
+                head,
+                pending,
+                chain,
+                state,
+                live,
+                acc,
+                ack_queue,
+                ..
+            } = self;
+            let rev = net.rev_links();
+            for v in 0..net.n() {
+                for (&(from, ref frame), &link) in net.inbox(v).iter().zip(net.inbox_links(v)) {
+                    match frame {
+                        Reliable::Data { seq, msg } => {
+                            let st = &mut state[find_pending(head, chain, link, *seq)];
+                            if *st & DELIVERED != 0 {
+                                dup_sup += 1;
+                            } else {
+                                *st |= DELIVERED;
+                                acc.push((from as u32, link, msg.clone()));
                             }
-                            Reliable::Ack { seq } => {
-                                acks_seen += 1;
-                                if let Some(i) = pending_ix.remove(&(v as u32, from as u32, *seq)) {
-                                    pending[i as usize].acked = true;
-                                }
-                            }
+                            // Always (re-)ack: the previous ack may have been lost.
+                            ack_queue.push((v as u32, rev[link as usize], *seq));
+                        }
+                        Reliable::Ack { seq } => {
+                            acks_seen += 1;
+                            state[find_pending(head, chain, rev[link as usize], *seq)] |= SETTLED;
                         }
                     }
                 }
             }
-            {
-                let m = self.net.metrics_mut();
-                m.dup_suppressed += dup_sup;
-                m.acks += acks_seen;
+            for &(acker, link, seq) in ack_queue.iter() {
+                net.send_on_link(acker, link, Reliable::Ack { seq });
             }
-            for (acker, sender, seq) in std::mem::take(&mut self.ack_queue) {
-                self.net
-                    .send(acker as usize, sender as usize, Reliable::Ack { seq });
-            }
-            // Compact acked entries, keeping the index in sync.
-            if self.pending.iter().any(|p| p.acked) {
-                self.pending.retain(|p| !p.acked);
-                self.pending_ix.clear();
-                for (i, p) in self.pending.iter().enumerate() {
-                    self.pending_ix.insert((p.from, p.to, p.seq), i as u32);
-                }
-            }
-            // Timeout sweep: retransmit overdue messages, abandon exhausted ones.
-            let cap_hit = sub >= self.cfg.max_subrounds;
+            ack_queue.clear();
+            // Timeout sweep over the unsettled entries, in staging order: retransmit
+            // overdue messages, abandon exhausted ones, and drop settled ones from
+            // the worklist.
+            let cap_hit = sub >= cfg.max_subrounds;
             let mut retransmits = 0u64;
             let mut abandoned = 0u64;
-            let mut resend: Vec<(u32, u32, Reliable<M>)> = Vec::new();
-            for p in &mut self.pending {
-                let threshold = if self.cfg.backoff {
-                    self.cfg
-                        .timeout_rounds
-                        .saturating_mul(1u32 << p.retries.min(16))
+            let mut kept = 0;
+            for j in 0..live.len() {
+                let i = live[j];
+                if state[i as usize] & SETTLED != 0 {
+                    continue;
+                }
+                let p = &mut pending[i as usize];
+                let threshold = if cfg.backoff {
+                    cfg.timeout_rounds.saturating_mul(1u32 << p.retries.min(16))
                 } else {
-                    self.cfg.timeout_rounds
+                    cfg.timeout_rounds
                 };
                 if cap_hit || sub.saturating_sub(p.sent_sub) >= threshold {
-                    if cap_hit || p.retries >= self.cfg.retry_budget {
+                    if cap_hit || p.retries >= cfg.retry_budget {
                         abandoned += 1;
-                        p.acked = true; // reuse the flag to drop it below
-                    } else {
-                        retransmits += 1;
-                        p.retries += 1;
-                        p.sent_sub = sub;
-                        resend.push((
-                            p.from,
-                            p.to,
-                            Reliable::Data {
-                                seq: p.seq,
-                                msg: p.msg.clone(),
-                            },
-                        ));
+                        state[i as usize] |= SETTLED;
+                        continue;
                     }
+                    retransmits += 1;
+                    p.retries += 1;
+                    p.sent_sub = sub;
+                    let frame = Reliable::Data {
+                        seq: chain[i as usize].seq,
+                        msg: p.msg.clone(),
+                    };
+                    net.send_on_link(p.from, p.link, frame);
                 }
+                live[kept] = i;
+                kept += 1;
             }
-            if abandoned > 0 {
-                self.pending.retain(|p| !p.acked);
-                self.pending_ix.clear();
-                for (i, p) in self.pending.iter().enumerate() {
-                    self.pending_ix.insert((p.from, p.to, p.seq), i as u32);
-                }
-            }
-            for (from, to, frame) in resend {
-                self.net.send(from as usize, to as usize, frame);
-            }
-            {
-                let m = self.net.metrics_mut();
-                m.retransmits += retransmits;
-                m.abandoned += abandoned;
-            }
-            if self.pending.is_empty() && !self.net.in_flight() {
+            live.truncate(kept);
+            let m = net.metrics_mut();
+            m.dup_suppressed += dup_sup;
+            m.acks += acks_seen;
+            m.retransmits += retransmits;
+            m.abandoned += abandoned;
+            if live.is_empty() && !net.in_flight() {
                 break;
             }
         }
-        // Seal the logical round: clear per-link duplicate state and expose the
+        span.end_with(&[("subrounds", sgs_obs::FieldValue::from(sub))]);
+        // Seal the logical round: reset the links that carried data and expose the
         // accumulated deliveries as the logical inbox CSR (stable sort by recipient).
-        for &l in &self.touched {
-            self.seen[l as usize].clear();
+        for p in &self.pending {
+            self.head[p.link as usize] = NO_ENTRY;
         }
-        self.touched.clear();
-        let n = self.n;
-        let total = self.acc.len();
-        self.inbox_offsets.clear();
-        self.inbox_offsets.resize(n + 1, 0);
-        for &(to, _, _) in &self.acc {
-            self.inbox_offsets[to as usize + 1] += 1;
-        }
-        for v in 0..n {
-            self.inbox_offsets[v + 1] += self.inbox_offsets[v];
-        }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.inbox_offsets[..n]);
-        self.perm.clear();
-        self.perm.resize(total, 0);
-        for (i, &(to, _, _)) in self.acc.iter().enumerate() {
-            let c = &mut self.cursor[to as usize];
-            self.perm[*c as usize] = i as u32;
-            *c += 1;
-        }
+        self.pending.clear();
+        self.chain.clear();
+        self.state.clear();
+        sort_by_recipient(
+            &self.acc,
+            self.net.link_targets(),
+            &mut self.inbox_offsets,
+            &mut self.cursor,
+            &mut self.perm,
+        );
         self.inbox_buf.clear();
-        self.inbox_buf.reserve(total);
-        for j in 0..total {
-            let (_, from, ref msg) = self.acc[self.perm[j] as usize];
+        self.inbox_links.clear();
+        for &i in &self.perm {
+            let (from, link, ref msg) = self.acc[i as usize];
             self.inbox_buf.push((from as usize, msg.clone()));
+            self.inbox_links.push(link);
         }
         self.acc.clear();
     }
@@ -841,7 +897,10 @@ mod tests {
                 out.broadcast(Ping(v as u64));
             },
         );
-        net.advance_round(); // round 2: v1 down at send time (round 1)? window is [0,2): up from round 2 on; sends staged at round 1 are checked against round 1 -> still down
+        // Round 2: the window [0, 2) still covered the sweep just run at round 1, so
+        // vertex 1 did not execute and sent nothing. Messages addressed to it are
+        // delivered again from round 2 on.
+        net.advance_round();
         net.par_step(
             || (),
             |_, _: &mut (), v, _inbox, out| {
@@ -930,6 +989,70 @@ mod tests {
         let m = net.metrics();
         assert_eq!(m.abandoned, 1);
         assert_eq!(m.retransmits, 3, "exactly the retry budget");
+    }
+
+    /// Vertex 0 sends three distinct `Ping`s to vertex 1 in one sweep: three pending
+    /// entries chained on one link, each looked up by `(link, seq)` on every data and
+    /// ack arrival.
+    fn three_pings_on_one_link(plan: FaultPlan, cfg: ReliabilityConfig) -> ReliableNet<Ping> {
+        let g = generators::path(2, 1.0);
+        let mut net: ReliableNet<Ping> = ReliableNet::new(&g, plan, cfg);
+        net.par_step(
+            || (),
+            |_, _: &mut (), v, _inbox, out| {
+                if v == 0 {
+                    for p in [10, 20, 30] {
+                        out.send(1, Ping(p));
+                    }
+                }
+            },
+        );
+        net.advance_round();
+        net
+    }
+
+    #[test]
+    fn reliable_net_delivers_several_frames_on_one_link_exactly_once() {
+        let plan = FaultPlan::iid_loss(0x3F, 0.3)
+            .with_duplication(0.2)
+            .with_delay(0.2, 3);
+        let cfg = ReliabilityConfig {
+            retry_budget: 16,
+            ..ReliabilityConfig::default()
+        };
+        let net = three_pings_on_one_link(plan, cfg);
+        let mut got: Vec<u64> = net
+            .inbox(1)
+            .iter()
+            .map(|(from, p)| {
+                assert_eq!(*from, 0);
+                p.0
+            })
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![10, 20, 30], "each Ping exactly once");
+        let m = net.metrics();
+        assert_eq!(m.abandoned, 0);
+        assert!(
+            m.dup_suppressed >= 1,
+            "duplicates must be suppressed: {m:?}"
+        );
+    }
+
+    #[test]
+    fn reliable_net_abandons_every_frame_on_one_link_under_total_loss() {
+        let budget = 16;
+        let cfg = ReliabilityConfig {
+            timeout_rounds: 1,
+            retry_budget: budget,
+            backoff: false,
+            max_subrounds: 512,
+        };
+        let net = three_pings_on_one_link(FaultPlan::iid_loss(5, 1.0), cfg);
+        assert!(net.inbox(1).is_empty());
+        let m = net.metrics();
+        assert_eq!(m.abandoned, 3);
+        assert_eq!(m.retransmits, 3 * budget as u64);
     }
 
     #[test]

@@ -11,15 +11,24 @@
 //!
 //! The mailboxes are flat CSR buffers, not `Vec<Vec>` queues:
 //!
-//! * **Staging**: every send appends one `(from, to, msg)` record to a single reusable
-//!   buffer; no per-vertex queue is touched.
+//! * **Staging**: every send appends one `(from, link, msg)` record to a single reusable
+//!   buffer; no per-vertex queue is touched. `link` is the message's *link slot*: the
+//!   position of the recipient in the sender's row of the flat adjacency, so the
+//!   recipient is `nbr_ids[link]` and the record is no larger than `(from, to, msg)`.
 //! * **Delivery** ([`SyncNetwork::advance_round`]): one stable counting sort by
 //!   recipient turns the staged buffer into the next round's inbox CSR — per-vertex
 //!   offset ranges over one flat message array. Communication metrics are counted
 //!   here, *at delivery*: a message staged but never advanced is a protocol bug, not
 //!   traffic, and [`SyncNetwork::metrics`] debug-asserts that nothing is left staged.
-//! * **Topology**: the neighbor check behind [`SyncNetwork::send`] is a binary search
-//!   in a sorted flat adjacency (CSR of neighbor ids), replacing per-vertex hash sets.
+//! * **Topology**: a sorted flat adjacency (CSR of neighbor ids) replaces per-vertex
+//!   hash sets. [`SyncNetwork::send`]'s neighbor check is the one binary search a
+//!   message ever pays: the position it finds is the link slot that travels with the
+//!   message, and `broadcast` gets it for free. Every per-link structure downstream
+//!   (fault coins, the delay queue, reliable-delivery state) is indexed by that slot.
+//!   With faults or reliable delivery installed the network also records each
+//!   delivered frame's link and a reverse-link table `rev[l]` (the slot of the
+//!   opposite direction, built in O(m) without a search), so replies and per-link
+//!   knowledge need no lookup either; the clean path builds neither.
 //! * **Vertex programs** ([`SyncNetwork::par_step`]): one round of per-vertex execution
 //!   runs under rayon in contiguous vertex blocks cut by the density-aware
 //!   [`BlockPartition`](sgs_spanner::partition) (degree-load balanced, a few blocks
@@ -98,7 +107,8 @@ impl NetworkMetrics {
 /// An inbox entry: the sender and the message.
 pub type Envelope<M> = (NodeId, M);
 
-/// A staged message record: `(from, to, msg)`.
+/// A staged message record: `(from, link, msg)`, where `link` is the recipient's slot
+/// in the sender's row of the flat adjacency (the recipient is `nbr_ids[link]`).
 pub(crate) type Staged<M> = (u32, u32, M);
 
 /// A synchronous network over the vertices of a graph.
@@ -112,13 +122,20 @@ pub struct SyncNetwork<M> {
     /// `nbr_ids[nbr_offsets[v]..nbr_offsets[v + 1]]`, ascending.
     nbr_offsets: Vec<u32>,
     nbr_ids: Vec<u32>,
-    /// Messages staged for the next delivery, in emission order: `(from, to, msg)`.
+    /// Messages staged for the next delivery, in emission order: `(from, link, msg)`.
     staged: Vec<Staged<M>>,
+    /// Reverse-link table, built only when link tracking is on (faults or reliable
+    /// delivery installed): `rev[l]` is the slot of the opposite direction of link
+    /// `l`. Empty on the clean path.
+    rev: Vec<u32>,
     /// Current round's inbox CSR: the inbox of `v` is
     /// `inbox_buf[inbox_offsets[v]..inbox_offsets[v + 1]]`, sorted by sender whenever
     /// the staging order was sender-ordered (always true for `par_step` rounds).
     inbox_offsets: Vec<u32>,
     inbox_buf: Vec<Envelope<M>>,
+    /// The link each `inbox_buf` frame arrived on, recorded only when link tracking
+    /// is on (empty on the clean path).
+    inbox_links: Vec<u32>,
     /// Delivery scratch: per-recipient write cursors and the sort permutation.
     cursor: Vec<u32>,
     perm: Vec<u32>,
@@ -159,8 +176,10 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
             nbr_offsets,
             nbr_ids,
             staged: Vec::new(),
+            rev: Vec::new(),
             inbox_offsets: vec![0; n + 1],
             inbox_buf: Vec::new(),
+            inbox_links: Vec::new(),
             cursor,
             perm: Vec::new(),
             part_cache: None,
@@ -176,9 +195,34 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
     pub fn with_faults(g: &Graph, plan: FaultPlan) -> Self {
         let mut net = Self::new(g);
         if !plan.is_none() {
-            net.faults = Some(FaultLayer::new(plan));
+            net.faults = Some(FaultLayer::new(plan, net.num_links()));
+            net.track_links();
         }
         net
+    }
+
+    /// Turns on link tracking: builds the reverse-link table and makes delivery
+    /// record each frame's link ([`SyncNetwork::inbox_links`]). Only the fault path
+    /// (a fault layer or the reliable layer) needs either, so the clean path never
+    /// pays for them.
+    ///
+    /// `rev` is filled in O(m) with no search: senders are visited in ascending
+    /// order and every row is sorted, so recipient `v`'s row fills front to back —
+    /// the k-th sender that lists `v` is `v`'s k-th neighbor.
+    pub(crate) fn track_links(&mut self) {
+        if !self.rev.is_empty() {
+            return;
+        }
+        let mut fill: Vec<u32> = self.nbr_offsets[..self.n].to_vec();
+        self.rev = vec![0; self.nbr_ids.len()];
+        for u in 0..self.n {
+            for l in self.nbr_offsets[u] as usize..self.nbr_offsets[u + 1] as usize {
+                let v = self.nbr_ids[l] as usize;
+                let back = fill[v];
+                fill[v] += 1;
+                self.rev[l] = back;
+            }
+        }
     }
 
     /// Number of vertices in the network.
@@ -204,16 +248,26 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
     }
 
     /// Directed-link index of the edge `from -> to` in the flat adjacency: the slot
-    /// of `to` inside `from`'s sorted neighbor row. Used to key per-link state
-    /// (sequence numbers, fault coins) without hashing.
+    /// of `to` inside `from`'s sorted neighbor row, or `None` for a non-edge. This is
+    /// the one search behind a send; everything downstream carries the slot.
     #[inline]
-    pub(crate) fn link_index(&self, from: u32, to: u32) -> usize {
-        let row =
-            self.nbr_offsets[from as usize] as usize..self.nbr_offsets[from as usize + 1] as usize;
-        let at = self.nbr_ids[row.clone()]
-            .binary_search(&to)
-            .expect("link_index along a non-edge");
-        row.start + at
+    pub(crate) fn link_index(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        let start = self.nbr_offsets[from] as usize;
+        let at = self.neighbors(from).binary_search(&(to as u32)).ok()?;
+        Some(start + at)
+    }
+
+    /// The flat adjacency: link `l` leads to `link_targets()[l]`.
+    #[inline]
+    pub(crate) fn link_targets(&self) -> &[u32] {
+        &self.nbr_ids
+    }
+
+    /// The reverse-link table (`rev[l]` = slot of the opposite direction); empty
+    /// unless link tracking is on.
+    #[inline]
+    pub(crate) fn rev_links(&self) -> &[u32] {
+        &self.rev
     }
 
     /// Number of directed links (2m).
@@ -233,18 +287,27 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
         &mut self.metrics
     }
 
-    /// Visits every staged record in staging order together with its directed-link
-    /// index, allowing in-place rewrites (the reliable layer stamps sequence numbers
-    /// here, after a `par_step` sweep and before `advance_round`).
-    pub(crate) fn for_each_staged_with_link(&mut self, mut f: impl FnMut(u32, u32, usize, &mut M)) {
-        let (offsets, ids, staged) = (&self.nbr_offsets, &self.nbr_ids, &mut self.staged);
-        for (from, to, msg) in staged.iter_mut() {
-            let row = offsets[*from as usize] as usize..offsets[*from as usize + 1] as usize;
-            let at = ids[row.clone()]
-                .binary_search(to)
-                .expect("staged message along a non-edge");
-            f(*from, *to, row.start + at, msg);
-        }
+    /// Number of records currently staged.
+    #[inline]
+    pub(crate) fn staged_len(&self) -> usize {
+        self.staged.len()
+    }
+
+    /// The records staged from position `start` on, in staging order, for in-place
+    /// rewrites (the reliable layer stamps sequence numbers here, after a `par_step`
+    /// sweep and before `advance_round`).
+    pub(crate) fn staged_from(&mut self, start: usize) -> &mut [Staged<M>] {
+        &mut self.staged[start..]
+    }
+
+    /// Stages `msg` from `from` on link `link` (a slot of `from`'s row, found earlier).
+    #[inline]
+    pub(crate) fn send_on_link(&mut self, from: u32, link: u32, msg: M) {
+        debug_assert!(
+            (self.nbr_offsets[from as usize]..self.nbr_offsets[from as usize + 1]).contains(&link),
+            "link {link} is not in the row of vertex {from}"
+        );
+        self.staged.push((from, link, msg));
     }
 
     /// The neighbors of `v` in the communication topology, ascending.
@@ -258,19 +321,16 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
     /// Panics if `to` is not adjacent to `from` — the CONGEST model only allows
     /// communication along edges.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        assert!(
-            self.neighbors(from).binary_search(&(to as u32)).is_ok(),
-            "vertex {from} attempted to send to non-neighbor {to}"
-        );
-        self.staged.push((from as u32, to as u32, msg));
+        let Some(link) = self.link_index(from, to) else {
+            panic!("vertex {from} attempted to send to non-neighbor {to}");
+        };
+        self.staged.push((from as u32, link as u32, msg));
     }
 
     /// Broadcasts a message from `from` to all of its neighbors (ascending id order).
     pub fn broadcast(&mut self, from: NodeId, msg: M) {
-        let row = self.nbr_offsets[from] as usize..self.nbr_offsets[from + 1] as usize;
-        for i in row {
-            let to = self.nbr_ids[i];
-            self.staged.push((from as u32, to, msg.clone()));
+        for link in self.nbr_offsets[from]..self.nbr_offsets[from + 1] {
+            self.staged.push((from as u32, link, msg.clone()));
         }
     }
 
@@ -294,20 +354,12 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
                 let Self {
                     faults,
                     staged,
-                    nbr_offsets,
                     nbr_ids,
                     metrics,
                     ..
                 } = self;
                 let fl = faults.as_mut().expect("checked above");
-                fl.apply(round, staged, metrics, |from, to| {
-                    let row = nbr_offsets[from as usize] as usize
-                        ..nbr_offsets[from as usize + 1] as usize;
-                    let at = nbr_ids[row.clone()]
-                        .binary_search(&to)
-                        .expect("staged message along a non-edge");
-                    row.start + at
-                })
+                fl.apply(round, staged, metrics, nbr_ids)
             };
             self.deliver(&eff);
             eff.clear();
@@ -340,43 +392,35 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
     }
 
     /// Stable counting sort of `records` by recipient into the inbox CSR, billing
-    /// metrics per delivered message.
+    /// metrics per delivered message (and recording each frame's link when link
+    /// tracking is on).
     fn deliver(&mut self, records: &[Staged<M>]) {
-        let n = self.n;
-        let total = records.len();
-        self.inbox_offsets.clear();
-        self.inbox_offsets.resize(n + 1, 0);
-        for &(_, to, _) in records {
-            self.inbox_offsets[to as usize + 1] += 1;
-        }
-        for v in 0..n {
-            self.inbox_offsets[v + 1] += self.inbox_offsets[v];
-        }
-        // `perm[j]` = record index delivered at position `j` (stable counting
-        // placement).
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.inbox_offsets[..n]);
-        self.perm.clear();
-        self.perm.resize(total, 0);
-        for (i, &(_, to, _)) in records.iter().enumerate() {
-            let c = &mut self.cursor[to as usize];
-            self.perm[*c as usize] = i as u32;
-            *c += 1;
-        }
+        sort_by_recipient(
+            records,
+            &self.nbr_ids,
+            &mut self.inbox_offsets,
+            &mut self.cursor,
+            &mut self.perm,
+        );
         // Gather through the permutation with a clone per message. Messages in this
         // workspace are Copy-sized enums, so the clone is a memcpy and the gather's
         // sequential writes beat an in-place cycle-walk permutation (tried: ~10%
         // slower end-to-end on er(2000,60) due to the swap loop's locality). A future
         // heap-owning message type would prefer a move-based delivery.
+        let track = !self.rev.is_empty();
         self.inbox_buf.clear();
-        self.inbox_buf.reserve(total);
-        for j in 0..total {
-            let (from, _, ref msg) = records[self.perm[j] as usize];
+        self.inbox_buf.reserve(records.len());
+        self.inbox_links.clear();
+        for &i in &self.perm {
+            let (from, link, ref msg) = records[i as usize];
             let bits = msg.size_bits();
             self.metrics.messages += 1;
             self.metrics.total_bits += bits as u64;
             self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
             self.inbox_buf.push((from as usize, msg.clone()));
+            if track {
+                self.inbox_links.push(link);
+            }
         }
     }
 
@@ -384,6 +428,13 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
     #[inline]
     pub fn inbox(&self, v: NodeId) -> &[Envelope<M>] {
         &self.inbox_buf[self.inbox_offsets[v] as usize..self.inbox_offsets[v + 1] as usize]
+    }
+
+    /// The link each message of [`SyncNetwork::inbox`]`(v)` arrived on, position for
+    /// position. Only recorded while link tracking is on (the fault path).
+    #[inline]
+    pub(crate) fn inbox_links(&self, v: NodeId) -> &[u32] {
+        &self.inbox_links[self.inbox_offsets[v] as usize..self.inbox_offsets[v + 1] as usize]
     }
 
     /// The metrics accumulated so far.
@@ -458,10 +509,11 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
                         }
                         let inbox =
                             &inbox_buf[inbox_offsets[v] as usize..inbox_offsets[v + 1] as usize];
-                        let neighbors =
-                            &nbr_ids[nbr_offsets[v] as usize..nbr_offsets[v + 1] as usize];
+                        let base = nbr_offsets[v];
+                        let neighbors = &nbr_ids[base as usize..nbr_offsets[v + 1] as usize];
                         let mut outbox = VertexOutbox {
                             from: v as u32,
+                            base,
                             neighbors,
                             buf: &mut msgs,
                         };
@@ -480,30 +532,66 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
     }
 }
 
+/// Stable counting sort of staged records by recipient (`nbr_ids[link]`): fills the
+/// inbox CSR row starts `offsets` (one per vertex plus the end) and `perm`, where
+/// `perm[j]` is the index of the record placed at position `j`. `cursor` is scratch.
+pub(crate) fn sort_by_recipient<M>(
+    records: &[Staged<M>],
+    nbr_ids: &[u32],
+    offsets: &mut [u32],
+    cursor: &mut Vec<u32>,
+    perm: &mut Vec<u32>,
+) {
+    let n = offsets.len() - 1;
+    offsets.fill(0);
+    for &(_, link, _) in records {
+        offsets[nbr_ids[link as usize] as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    cursor.clear();
+    cursor.extend_from_slice(&offsets[..n]);
+    perm.clear();
+    perm.resize(records.len(), 0);
+    for (i, &(_, link, _)) in records.iter().enumerate() {
+        let c = &mut cursor[nbr_ids[link as usize] as usize];
+        perm[*c as usize] = i as u32;
+        *c += 1;
+    }
+}
+
 /// The per-vertex message sink handed to a [`SyncNetwork::par_step`] vertex program.
 ///
 /// Enforces the same edges-only discipline as [`SyncNetwork::send`].
 pub struct VertexOutbox<'a, M> {
     from: u32,
+    /// Flat-adjacency offset of `neighbors`: `neighbors[i]` is link `base + i`.
+    base: u32,
     neighbors: &'a [u32],
     buf: &'a mut Vec<Staged<M>>,
 }
 
 impl<'a, M> VertexOutbox<'a, M> {
-    /// Builds an outbox over an externally owned staging buffer — used by the
-    /// reliable-delivery layer to present a protocol-typed outbox while the real
-    /// transport stages wrapped messages underneath.
-    pub(crate) fn over(from: u32, neighbors: &'a [u32], buf: &'a mut Vec<Staged<M>>) -> Self {
+    /// An outbox for the same vertex over an externally owned staging buffer — used
+    /// by the reliable-delivery layer to present a protocol-typed outbox while the
+    /// real transport stages wrapped messages underneath.
+    pub(crate) fn over<'b, N>(&self, buf: &'b mut Vec<Staged<N>>) -> VertexOutbox<'b, N>
+    where
+        'a: 'b,
+    {
         VertexOutbox {
-            from,
-            neighbors,
+            from: self.from,
+            base: self.base,
+            neighbors: self.neighbors,
             buf,
         }
     }
 
-    /// The sorted neighbor row this outbox enforces.
-    pub(crate) fn neighbor_row(&self) -> &'a [u32] {
-        self.neighbors
+    /// Stages `msg` on a link slot this outbox's vertex already resolved.
+    #[inline]
+    pub(crate) fn send_on_link(&mut self, link: u32, msg: M) {
+        self.buf.push((self.from, link, msg));
     }
 
     /// Queues a message from the current vertex to its neighbor `to`.
@@ -511,12 +599,13 @@ impl<'a, M> VertexOutbox<'a, M> {
     /// Panics if `to` is not adjacent — the CONGEST model only allows communication
     /// along edges.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        assert!(
-            self.neighbors.binary_search(&(to as u32)).is_ok(),
-            "vertex {} attempted to send to non-neighbor {to}",
-            self.from
-        );
-        self.buf.push((self.from, to as u32, msg));
+        let Ok(at) = self.neighbors.binary_search(&(to as u32)) else {
+            panic!(
+                "vertex {} attempted to send to non-neighbor {to}",
+                self.from
+            );
+        };
+        self.buf.push((self.from, self.base + at as u32, msg));
     }
 
     /// Broadcasts a message to every neighbor (ascending id order).
@@ -524,8 +613,8 @@ impl<'a, M> VertexOutbox<'a, M> {
     where
         M: Clone,
     {
-        for &to in self.neighbors {
-            self.buf.push((self.from, to, msg.clone()));
+        for link in self.base..self.base + self.neighbors.len() as u32 {
+            self.buf.push((self.from, link, msg.clone()));
         }
     }
 }
@@ -658,6 +747,48 @@ mod tests {
         assert_eq!(sums.iter().sum::<u64>(), 30);
         net.advance_round();
         assert_eq!(net.metrics().messages, 3);
+    }
+
+    #[test]
+    fn reverse_links_pair_up_every_direction() {
+        let g = generators::erdos_renyi(40, 0.3, 1.0, 3);
+        let mut net: SyncNetwork<Ping> = SyncNetwork::new(&g);
+        assert!(
+            net.rev_links().is_empty(),
+            "the clean path builds no reverse table"
+        );
+        net.track_links();
+        let rev = net.rev_links().to_vec();
+        assert_eq!(rev.len(), 2 * g.m());
+        for u in 0..g.n() {
+            for (i, &v) in net.neighbors(u).iter().enumerate() {
+                let l = net.nbr_offsets[u] as usize + i;
+                assert_eq!(net.link_index(u, v as usize), Some(l));
+                let back = rev[l] as usize;
+                assert_eq!(
+                    net.link_targets()[back] as usize,
+                    u,
+                    "rev[l] leads back to u"
+                );
+                assert_eq!(rev[back] as usize, l);
+            }
+        }
+    }
+
+    #[test]
+    fn tracked_delivery_records_each_frames_link() {
+        let g = generators::star(4, 1.0);
+        let mut net: SyncNetwork<Ping> = SyncNetwork::new(&g);
+        net.track_links();
+        net.broadcast(0, Ping(1));
+        net.send(2, 0, Ping(2));
+        net.advance_round();
+        for v in 1..4 {
+            let links = net.inbox_links(v);
+            assert_eq!(links.len(), 1);
+            assert_eq!(net.link_targets()[links[0] as usize] as usize, v);
+        }
+        assert_eq!(net.inbox_links(0), &[net.link_index(2, 0).unwrap() as u32]);
     }
 
     #[test]

@@ -197,6 +197,31 @@ impl Net {
         }
     }
 
+    /// The link each message of `inbox(v)` arrived on (fault mode only: link
+    /// tracking is on whenever faults or the reliable layer are installed).
+    fn inbox_links(&self, v: NodeId) -> &[u32] {
+        match self {
+            Net::Raw(net) => net.inbox_links(v),
+            Net::Ft(net) => net.inbox_links(v),
+        }
+    }
+
+    /// The topology's reverse-link table (fault mode only, like `inbox_links`).
+    fn rev_links(&self) -> &[u32] {
+        match self {
+            Net::Raw(net) => net.rev_links(),
+            Net::Ft(net) => net.transport().rev_links(),
+        }
+    }
+
+    /// The slot of link `from -> to`, if the two are adjacent.
+    fn link_index(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        match self {
+            Net::Raw(net) => net.link_index(from, to),
+            Net::Ft(net) => net.transport().link_index(from, to),
+        }
+    }
+
     fn par_step<T, B, F>(&mut self, scratch: impl Fn() -> T + Sync, step: F) -> Vec<B>
     where
         T: Send,
@@ -219,13 +244,24 @@ impl Net {
 /// ([`RecvInfo`]): per-directed-link payloads with a freshness bit, so a lost
 /// broadcast reads as "unknown" and the decision sweeps degrade conservatively
 /// instead of acting on stale state.
+///
+/// Every lookup names the edge the way its call site already has it: `other` is the
+/// far endpoint of view edge `idx` and `half` is [`half_edge`]`(idx, v is the edge's
+/// first endpoint)`, the near endpoint being `v`.
 trait NbrInfo: Copy + Sync {
     /// `other`'s cluster center as known to `v` ([`NONE32`] = unclustered or unknown).
-    fn center(&self, v: NodeId, other: NodeId) -> u32;
+    fn center(&self, other: NodeId, half: usize) -> u32;
     /// `other`'s sampled flag as known to `v` (false when unknown).
-    fn sampled(&self, v: NodeId, other: NodeId) -> bool;
+    fn sampled(&self, other: NodeId, half: usize) -> bool;
     /// Whether `v` actually holds fresh info about `other` from the last exchange.
-    fn known(&self, v: NodeId, other: NodeId) -> bool;
+    fn known(&self, other: NodeId, half: usize) -> bool;
+}
+
+/// The half-edge of view edge `idx` seen from its first endpoint (`from_a`) or its
+/// second: the key of [`FaultView::slots`].
+#[inline]
+fn half_edge(idx: usize, from_a: bool) -> usize {
+    2 * idx + usize::from(!from_a)
 }
 
 /// Reliable-delivery knowledge: the global broadcast mirrors.
@@ -237,136 +273,93 @@ struct MirrorInfo<'a> {
 
 impl NbrInfo for MirrorInfo<'_> {
     #[inline]
-    fn center(&self, _v: NodeId, other: NodeId) -> u32 {
+    fn center(&self, other: NodeId, _half: usize) -> u32 {
         self.rep_c[other]
     }
 
     #[inline]
-    fn sampled(&self, _v: NodeId, other: NodeId) -> bool {
+    fn sampled(&self, other: NodeId, _half: usize) -> bool {
         self.rep_s[other]
     }
 
     #[inline]
-    fn known(&self, _v: NodeId, _other: NodeId) -> bool {
+    fn known(&self, _other: NodeId, _half: usize) -> bool {
         true
     }
 }
 
 /// Received-message knowledge for fault mode, backed by a [`FaultView`].
 #[derive(Clone, Copy)]
-struct RecvInfo<'a> {
-    offsets: &'a [u32],
-    ids: &'a [u32],
-    c: &'a [u32],
-    s: &'a [bool],
-    fresh: &'a [bool],
-}
-
-impl<'a> RecvInfo<'a> {
-    fn new(fv: &'a FaultView) -> Self {
-        RecvInfo {
-            offsets: &fv.offsets,
-            ids: &fv.ids,
-            c: &fv.c,
-            s: &fv.s,
-            fresh: &fv.fresh,
-        }
-    }
-
-    /// Flat slot of the directed link `other -> v` inside `v`'s sorted neighbor row.
-    #[inline]
-    fn slot(&self, v: NodeId, other: NodeId) -> usize {
-        let start = self.offsets[v] as usize;
-        let end = self.offsets[v + 1] as usize;
-        start
-            + self.ids[start..end]
-                .binary_search(&(other as u32))
-                .expect("neighbor info lookup along a non-edge")
-    }
-}
+struct RecvInfo<'a>(&'a FaultView);
 
 impl NbrInfo for RecvInfo<'_> {
     #[inline]
-    fn center(&self, v: NodeId, other: NodeId) -> u32 {
-        let s = self.slot(v, other);
-        if self.fresh[s] {
-            self.c[s]
+    fn center(&self, _other: NodeId, half: usize) -> u32 {
+        let s = self.0.slots[half] as usize;
+        if self.0.fresh[s] {
+            self.0.c[s]
         } else {
             NONE32
         }
     }
 
     #[inline]
-    fn sampled(&self, v: NodeId, other: NodeId) -> bool {
-        let s = self.slot(v, other);
-        self.fresh[s] && self.s[s]
+    fn sampled(&self, _other: NodeId, half: usize) -> bool {
+        let s = self.0.slots[half] as usize;
+        self.0.fresh[s] && self.0.s[s]
     }
 
     #[inline]
-    fn known(&self, v: NodeId, other: NodeId) -> bool {
-        self.fresh[self.slot(v, other)]
+    fn known(&self, _other: NodeId, half: usize) -> bool {
+        self.0.fresh[self.0.slots[half] as usize]
     }
 }
 
-/// Fault-mode neighbor knowledge: for every directed link `u -> v`, the last
-/// `ClusterInfo` payload that actually reached `v`, with a per-exchange freshness bit.
-/// Refreshed from the inboxes after every Phase B exchange.
+/// Fault-mode neighbor knowledge: for every directed link `v -> u`, the last
+/// `ClusterInfo` payload `u` sent that actually reached `v`, with a per-exchange
+/// freshness bit. Refreshed from the inboxes after every Phase B exchange.
 #[derive(Debug)]
 struct FaultView {
-    /// Sorted flat adjacency, same layout as the simulator's.
-    offsets: Vec<u32>,
-    ids: Vec<u32>,
-    /// Received payloads per link slot (slot of sender inside receiver's row).
+    /// Per view half-edge ([`half_edge`]), the link slot holding the near endpoint's
+    /// knowledge of the far one: the slot of `a -> b` for half `2·idx`, of `b -> a`
+    /// for `2·idx + 1`. Resolved once, when the view is built.
+    slots: Vec<u32>,
+    /// Received payloads per link slot.
     c: Vec<u32>,
     s: Vec<bool>,
     fresh: Vec<bool>,
 }
 
 impl FaultView {
-    fn new(g: &Graph) -> FaultView {
-        let n = g.n();
-        let mut offsets = vec![0u32; n + 1];
-        for e in g.edges() {
-            offsets[e.u + 1] += 1;
-            offsets[e.v + 1] += 1;
+    fn new(net: &Net, view: &[EdgeView]) -> FaultView {
+        let rev = net.rev_links();
+        let mut slots = Vec::with_capacity(2 * view.len());
+        for &(_, a, b, _) in view {
+            let ab = net
+                .link_index(a, b)
+                .expect("view edge is not a network link");
+            slots.push(ab as u32);
+            slots.push(rev[ab]);
         }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut cursor = offsets.clone();
-        let mut ids = vec![0u32; 2 * g.m()];
-        for e in g.edges() {
-            ids[cursor[e.u] as usize] = e.v as u32;
-            cursor[e.u] += 1;
-            ids[cursor[e.v] as usize] = e.u as u32;
-            cursor[e.v] += 1;
-        }
-        for v in 0..n {
-            ids[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
-        }
-        let links = ids.len();
+        let links = rev.len();
         FaultView {
-            offsets,
-            ids,
+            slots,
             c: vec![NONE32; links],
             s: vec![false; links],
             fresh: vec![false; links],
         }
     }
 
-    /// Replaces the view with what the latest exchange actually delivered.
-    fn refresh(&mut self, net: &Net) {
-        self.fresh.iter_mut().for_each(|f| *f = false);
-        let n = self.offsets.len() - 1;
+    /// Replaces the view with what the latest exchange actually delivered: a
+    /// `ClusterInfo` from `u` arriving at `v` on link `u -> v` is `v`'s knowledge
+    /// of `u`, stored at the reverse slot `v -> u`.
+    fn refresh(&mut self, net: &Net, n: usize) {
+        self.fresh.fill(false);
+        let rev = net.rev_links();
         for v in 0..n {
-            for &(from, ref msg) in net.inbox(v) {
+            for ((_, msg), &link) in net.inbox(v).iter().zip(net.inbox_links(v)) {
                 if let SpannerMsg::ClusterInfo { center, sampled } = *msg {
-                    let start = self.offsets[v] as usize;
-                    let end = self.offsets[v + 1] as usize;
-                    let slot = start
-                        + self.ids[start..end]
-                            .binary_search(&(from as u32))
-                            .expect("ClusterInfo from a non-neighbor");
+                    let slot = rev[link as usize] as usize;
                     self.c[slot] = center.map_or(NONE32, |c| c as u32);
                     self.s[slot] = sampled;
                     self.fresh[slot] = true;
@@ -446,7 +439,8 @@ impl ClusterScratch {
             if !own_alive {
                 continue;
             }
-            let c_o = ctx.info.center(v, other);
+            let half = half_edge(idx, a == v);
+            let c_o = ctx.info.center(other, half);
             if c_o == NONE32 || c_o == c_v {
                 // Neighbor is unclustered, unheard-from (fault mode), or shares the
                 // cluster; intra-cluster edges retire in the local sweep.
@@ -457,7 +451,7 @@ impl ClusterScratch {
                 self.last_seen[c] = stamp;
                 self.best_w[c] = w;
                 self.best_idx[c] = idx32;
-                self.grp_sampled[c] = ctx.info.sampled(v, other);
+                self.grp_sampled[c] = ctx.info.sampled(other, half);
                 self.touched.push(c_o);
             } else if w < self.best_w[c] {
                 self.best_w[c] = w;
@@ -560,11 +554,12 @@ impl Protocol {
         } else {
             Net::Raw(Box::new(SyncNetwork::with_faults(g, cfg.faults.clone())))
         };
+        let fault_view = cfg.fault_mode().then(|| FaultView::new(&net, &view));
         Protocol {
             n,
             k,
             net,
-            fault_view: cfg.fault_mode().then(|| FaultView::new(g)),
+            fault_view,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             sample_prob: (n as f64).powf(-1.0 / k as f64),
             view,
@@ -704,10 +699,10 @@ impl Protocol {
         );
         self.net.advance_round();
         let Protocol {
-            net, fault_view, ..
+            net, fault_view, n, ..
         } = self;
         if let Some(fv) = fault_view {
-            fv.refresh(net);
+            fv.refresh(net, *n);
         }
     }
 
@@ -744,7 +739,7 @@ impl Protocol {
             in_spanner,
         };
         match fault_view {
-            Some(fv) => phase_c_impl(sw, RecvInfo::new(fv)),
+            Some(fv) => phase_c_impl(sw, RecvInfo(fv)),
             None => phase_c_impl(
                 sw,
                 MirrorInfo {
@@ -806,9 +801,7 @@ impl Protocol {
             ..
         } = self;
         match fault_view {
-            Some(fv) => {
-                retain_intra_cluster_impl(states, view, alive_a, alive_b, RecvInfo::new(fv))
-            }
+            Some(fv) => retain_intra_cluster_impl(states, view, alive_a, alive_b, RecvInfo(fv)),
             None => retain_intra_cluster_impl(
                 states,
                 view,
@@ -856,7 +849,7 @@ impl Protocol {
             in_spanner,
         };
         match fault_view {
-            Some(fv) => finale_impl(sw, RecvInfo::new(fv), true),
+            Some(fv) => finale_impl(sw, RecvInfo(fv), true),
             None => finale_impl(
                 sw,
                 MirrorInfo {
@@ -945,7 +938,7 @@ fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
                         } else {
                             (alive_b[idx], a)
                         };
-                        if own_alive && info.known(v, other) {
+                        if own_alive && info.known(other, half_edge(idx, a == v)) {
                             batch.kills.push(idx32);
                         }
                     }
@@ -980,10 +973,11 @@ fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
                                 } else {
                                     (alive_b[idx], a)
                                 };
-                                if !own_alive || !info.known(v, other) {
+                                let half = half_edge(idx, a == v);
+                                if !own_alive || !info.known(other, half) {
                                     continue;
                                 }
-                                let c_o = info.center(v, other);
+                                let c_o = info.center(other, half);
                                 if c_o != NONE32 && c_o != c_v && sc.best_idx[c_o as usize] == idx32
                                 {
                                     batch.adds.push(idx32);
@@ -1012,7 +1006,7 @@ fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
                                 if !own_alive {
                                     continue;
                                 }
-                                let c_o = info.center(v, other);
+                                let c_o = info.center(other, half_edge(idx, a == v));
                                 if c_o == NONE32 || c_o == c_v {
                                     continue;
                                 }
@@ -1108,10 +1102,11 @@ fn retain_intra_cluster_impl<I: NbrInfo>(
     alive_a
         .par_iter_mut()
         .zip(view.par_iter())
-        .for_each(|(alive, &(_, a, b, _))| {
+        .enumerate()
+        .for_each(|(idx, (alive, &(_, a, b, _)))| {
             if *alive {
                 let c = states[a].center;
-                if c != NONE32 && info.center(a, b) == c {
+                if c != NONE32 && info.center(b, half_edge(idx, true)) == c {
                     *alive = false;
                 }
             }
@@ -1119,10 +1114,11 @@ fn retain_intra_cluster_impl<I: NbrInfo>(
     alive_b
         .par_iter_mut()
         .zip(view.par_iter())
-        .for_each(|(alive, &(_, a, b, _))| {
+        .enumerate()
+        .for_each(|(idx, (alive, &(_, a, b, _)))| {
             if *alive {
                 let c = states[b].center;
-                if c != NONE32 && info.center(b, a) == c {
+                if c != NONE32 && info.center(a, half_edge(idx, false)) == c {
                     *alive = false;
                 }
             }
@@ -1176,12 +1172,13 @@ fn finale_impl<I: NbrInfo>(sw: SweepState<'_>, info: I, conservative: bool) {
     }
     if conservative {
         for (idx, &(_, a, b, _)) in view.iter().enumerate() {
+            let (ha, hb) = (half_edge(idx, true), half_edge(idx, false));
             let keep_a = alive_a[idx]
-                && (!info.known(a, b)
-                    || (states[a].center == NONE32 && info.center(a, b) == NONE32));
+                && (!info.known(b, ha)
+                    || (states[a].center == NONE32 && info.center(b, ha) == NONE32));
             let keep_b = alive_b[idx]
-                && (!info.known(b, a)
-                    || (states[b].center == NONE32 && info.center(b, a) == NONE32));
+                && (!info.known(a, hb)
+                    || (states[b].center == NONE32 && info.center(a, hb) == NONE32));
             if keep_a || keep_b {
                 in_spanner[idx] = true;
             }
@@ -1203,6 +1200,7 @@ pub fn distributed_spanner_on_edges(
     active: &[EdgeId],
     cfg: &DistSpannerConfig,
 ) -> DistSpannerResult {
+    let _span = sgs_obs::span!("congest.spanner", edges = active.len());
     let n = g.n();
     let k = resolve_k(n, cfg);
     if n <= 2 || k <= 1 || active.is_empty() {

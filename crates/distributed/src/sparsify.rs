@@ -53,6 +53,7 @@ pub fn distributed_sample_with_faults(
     cfg: &SparsifyConfig,
     faults: &FaultConfig,
 ) -> DistSparsifyResult {
+    let _span = sgs_obs::span!("congest.sample", m = g.m());
     let n = g.n();
     let m = g.m();
     let t = cfg.bundle_sizing.resolve(n, cfg.epsilon);

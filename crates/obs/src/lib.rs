@@ -256,6 +256,22 @@ impl Span {
             active: false,
         }
     }
+
+    /// Closes the span now, attaching `fields` to its end event — for values known
+    /// only when the work is done, such as an iteration count.
+    pub fn end_with(mut self, fields: &[(&'static str, FieldValue)]) {
+        if std::mem::take(&mut self.active) {
+            if let Some(s) = sink() {
+                s.record(Event {
+                    name: self.name,
+                    kind: EventKind::SpanEnd,
+                    fields: fields.to_vec(),
+                    ts_us: now_us(),
+                    tid: thread_id(),
+                });
+            }
+        }
+    }
 }
 
 impl Drop for Span {

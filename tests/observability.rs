@@ -19,6 +19,9 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use spectral_sparsify::distributed::{
+    distributed_sample_with_faults, FaultConfig, FaultPlan, ReliabilityConfig,
+};
 use spectral_sparsify::graph::generators;
 use spectral_sparsify::obs::{self, json, EventKind};
 use spectral_sparsify::solver::{SddSolver, SolverConfig, SolverMethod};
@@ -119,6 +122,43 @@ fn span_counts_are_identical_across_thread_widths() {
         );
     }
     assert_eq!(counts(4), base);
+}
+
+/// The CONGEST engine is covered by spans: one `congest.sample` per sampling round,
+/// one `congest.spanner` per spanner run inside it, and one `congest.reliable_round`
+/// per logical round of the reliable layer, whose end carries the sub-rounds it took.
+#[test]
+fn congest_spans_cover_sampling_spanner_runs_and_reliable_rounds() {
+    let _guard = lock();
+    let g = generators::erdos_renyi(120, 0.2, 1.0, 42);
+    let cfg = SparsifyConfig::new(0.75, 4.0)
+        .with_bundle_sizing(BundleSizing::Fixed(2))
+        .with_seed(3);
+    let faults = FaultConfig {
+        plan: FaultPlan::iid_loss(9, 0.1),
+        reliability: Some(ReliabilityConfig::default()),
+    };
+    let (out, events) = record(|| distributed_sample_with_faults(&g, &cfg, &faults));
+    let totals = obs::span_totals(&events);
+    assert_eq!(totals["congest.sample"].count, 1);
+    assert_eq!(
+        totals["congest.spanner"].count, 2,
+        "one run per bundle component"
+    );
+    let rounds = totals["congest.reliable_round"].count;
+    assert!(rounds > 0);
+    let subrounds: u64 = events
+        .iter()
+        .filter(|e| e.name == "congest.reliable_round" && e.kind == EventKind::SpanEnd)
+        .map(|e| match e.fields.as_slice() {
+            [("subrounds", obs::FieldValue::U64(s))] => *s,
+            other => panic!("reliable_round end without subrounds: {other:?}"),
+        })
+        .sum();
+    assert_eq!(
+        subrounds, out.metrics.rounds as u64,
+        "sub-rounds add up to transport rounds"
+    );
 }
 
 #[test]

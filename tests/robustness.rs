@@ -3,8 +3,9 @@
 //! project would exercise it.
 
 use spectral_sparsify::distributed::{
-    distributed_sample, distributed_sample_with_faults, distributed_spanner, DistSpannerConfig,
-    FaultConfig, FaultPlan, NetworkMetrics, ReliabilityConfig,
+    distributed_sample, distributed_sample_with_faults, distributed_spanner, distributed_sparsify,
+    distributed_sparsify_with_faults, DistSpannerConfig, FaultConfig, FaultPlan, NetworkMetrics,
+    ReliabilityConfig,
 };
 use spectral_sparsify::graph::{connectivity, generators, io, metrics, ops, Graph};
 use spectral_sparsify::linalg::spectral::CertifyOptions;
@@ -334,6 +335,65 @@ fn clean_fault_config_is_byte_identical_to_default() {
         let b = distributed_sample_with_faults(&g, &cfg, &FaultConfig::clean());
         assert_eq!(a.sparsifier.edges(), b.sparsifier.edges(), "seed={seed}");
         assert_eq!(a.metrics, b.metrics, "seed={seed}");
+    }
+}
+
+/// The congest-loss benchmark's configuration (ε = 0.75, ρ = 4, t = 2; 5% i.i.d.
+/// loss behind 12 fixed-timeout retries) on an input large enough to pass the
+/// `2·n·log₂ n` stop threshold, so the reliable layer really carries traffic. The
+/// lossy run must recover the clean sparsifier exactly, and both runs' communication
+/// is pinned at every width: any change to sequence stamping, ack or retransmission
+/// order, or the fault-coin positions moves these numbers.
+#[test]
+fn benchmark_reliable_delivery_configuration_is_pinned() {
+    let g = generators::erdos_renyi(200, 0.3, 1.0, 42);
+    let cfg = SparsifyConfig::new(0.75, 4.0)
+        .with_bundle_sizing(BundleSizing::Fixed(2))
+        .with_seed(1);
+    let faults = FaultConfig {
+        plan: FaultPlan::iid_loss(0xC0_4E57, 0.05),
+        reliability: Some(ReliabilityConfig {
+            timeout_rounds: 2,
+            retry_budget: 12,
+            backoff: false,
+            max_subrounds: 512,
+        }),
+    };
+    for w in [1, 2, 4] {
+        let (clean, lossy) = on_pool(w, || {
+            (
+                distributed_sparsify(&g, &cfg),
+                distributed_sparsify_with_faults(&g, &cfg, &faults),
+            )
+        });
+        assert_eq!(
+            lossy.sparsifier.edges(),
+            clean.sparsifier.edges(),
+            "width {w}: lossy run did not recover the clean output"
+        );
+        let c = &clean.metrics;
+        assert_eq!(
+            (clean.sparsifier.m(), c.rounds, c.messages),
+            (2757, 86, 192599),
+            "width {w}: clean run"
+        );
+        let l = &lossy.metrics;
+        assert_eq!(
+            (l.rounds, l.messages, l.total_bits),
+            (549, 426757, 20555949),
+            "width {w}: lossy traffic"
+        );
+        assert_eq!(
+            (
+                l.dropped,
+                l.retransmits,
+                l.acks,
+                l.dup_suppressed,
+                l.abandoned
+            ),
+            (22279, 22279, 208007, 10743, 0),
+            "width {w}: reliable-layer ledger"
+        );
     }
 }
 
