@@ -41,7 +41,7 @@
 //!   append a `RunReport` JSONL line. Tracing changes no output.
 
 use sgs_bench::{print_table, time_ms, Cli, Row, Workload};
-use sgs_core::{resparsify_er, BundleSizing, ErPassConfig, SamplingPolicy};
+use sgs_core::{resparsify_er, BundleSizing, SamplingPolicy};
 use sgs_linalg::spectral::{approximation_bounds, CertifyOptions};
 use sgs_stream::{FinalPassConfig, StreamConfig, StreamOutput, StreamSparsifier};
 
@@ -86,15 +86,15 @@ fn main() {
     // The leverage-aware configuration: ER sampling on interior reductions (where the
     // inputs are already sparsifiers and the solve cost is small) plus the ER-weighted
     // final pass on the tree's output.
+    let pass_cfg = FinalPassConfig::new()
+        .with_oversample(er_oversample)
+        .with_jl_dims(er_dims)
+        .with_cg_tol(er_tol);
     let cfg_er = cfg
         .clone()
         .with_interior_sampling(SamplingPolicy::effective_resistance(er_dims, er_tol))
-        .with_final_pass(
-            FinalPassConfig::new()
-                .with_oversample(er_oversample)
-                .with_jl_dims(er_dims)
-                .with_cg_tol(er_tol),
-        );
+        .with_final_pass(pass_cfg.clone());
+    let (pass_eps, pass_seed) = (cfg_er.final_pass_epsilon(), cfg_er.final_pass_seed());
 
     let run = |cfg: &StreamConfig| -> StreamOutput {
         let mut stream = StreamSparsifier::new(g.n(), cfg.clone());
@@ -115,13 +115,8 @@ fn main() {
         let (out_er, stream_er_ms) = pool.install(|| time_ms(|| run(&cfg_er)));
         // Standalone timing of the ER pass on the uniform tree's output: the pass cost
         // in isolation, on an input whose size does not depend on the ER knobs.
-        let pass_cfg = ErPassConfig::new(cfg_er.final_pass_epsilon().min(1.0))
-            .with_oversample(er_oversample)
-            .with_jl_dims(er_dims)
-            .with_cg_tol(er_tol)
-            .with_seed(seed ^ 0xF1A1_9A55_0000_00ED);
-        let (pass_out, er_pass_ms) =
-            pool.install(|| time_ms(|| resparsify_er(&out.sparsifier, &pass_cfg)));
+        let (pass_out, er_pass_ms) = pool
+            .install(|| time_ms(|| resparsify_er(&out.sparsifier, &pass_cfg, pass_eps, pass_seed)));
         if baseline_ms.is_nan() {
             baseline_ms = stream_ms;
         }

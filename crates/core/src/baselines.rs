@@ -1,6 +1,6 @@
 //! Baseline sparsification algorithms used for the comparison experiments (E9).
 //!
-//! * [`effective_resistance_sparsify`] — the Spielman–Srivastava scheme [23]: sample `q`
+//! * [`effective_resistance_sparsify`] — the Spielman–Srivastava scheme \[23\]: sample `q`
 //!   edges with replacement with probability proportional to `w_e R_e`, each kept at
 //!   weight `w_e / (q p_e)`. Resistances are approximated with the random-projection
 //!   estimator of `sgs_linalg`, which itself costs `O(log n)` Laplacian solves — this is

@@ -1,6 +1,6 @@
 //! Configuration of the sparsification algorithms.
 
-use crate::strategy::SamplingPolicy;
+use crate::leverage::SamplingPolicy;
 
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
@@ -73,7 +73,7 @@ impl SparsifyConfig {
             keep_probability: 0.25,
             seed: 0xC0FFEE,
             stop_below_nlogn_factor: 2.0,
-            sampling: SamplingPolicy::uniform(),
+            sampling: SamplingPolicy::Uniform,
         }
     }
 
@@ -102,7 +102,7 @@ impl SparsifyConfig {
         self
     }
 
-    /// Selects the off-bundle sampling strategy (see [`SamplingPolicy`]).
+    /// Selects the off-bundle sampling policy (see [`SamplingPolicy`]).
     pub fn with_sampling(mut self, sampling: SamplingPolicy) -> Self {
         self.sampling = sampling;
         self

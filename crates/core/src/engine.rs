@@ -14,10 +14,9 @@ use sgs_graph::Graph;
 use sgs_spanner::SpannerEngine;
 
 use crate::config::SparsifyConfig;
-use crate::resparsify::{resparsify_on_engine, ErPassConfig, ErPassOutput};
+use crate::leverage::{resparsify_on_engine, ErPassConfig, ErPassOutput, SamplingScratch};
 use crate::sample::{sample_on_engine, SampleOutput};
 use crate::sparsify::{sparsify_on_engine, SparsifyOutput};
-use crate::strategy::SamplingScratch;
 
 /// A reusable `PARALLELSAMPLE` / `PARALLELSPARSIFY` runner.
 ///
@@ -49,7 +48,7 @@ impl SparsifyEngine {
     pub fn new() -> SparsifyEngine {
         SparsifyEngine {
             spanner: SpannerEngine::empty(),
-            sampling: SamplingScratch::new(),
+            sampling: SamplingScratch::default(),
         }
     }
 
@@ -68,8 +67,14 @@ impl SparsifyEngine {
     /// Effective-resistance resparsification pass (Spielman–Srivastava over a finished
     /// sparsifier); byte-identical to [`crate::resparsify_er`] but reuses this engine's
     /// JL/CG scratch.
-    pub fn resparsify_er(&mut self, g: &Graph, cfg: &ErPassConfig) -> ErPassOutput {
-        resparsify_on_engine(g, cfg, self)
+    pub fn resparsify_er(
+        &mut self,
+        g: &Graph,
+        cfg: &ErPassConfig,
+        epsilon: f64,
+        seed: u64,
+    ) -> ErPassOutput {
+        resparsify_on_engine(g, cfg, epsilon, seed, self)
     }
 }
 

@@ -16,12 +16,11 @@
 //! * [`engine`] — a re-entrant [`SparsifyEngine`] that reuses the spanner engine's
 //!   `O(m)` scratch across calls, for batch pipelines (the `sgs-stream` merge-and-reduce
 //!   tree) that sparsify many graphs in sequence.
-//! * [`strategy`] — pluggable off-bundle sampling: the object-safe [`SamplingStrategy`]
-//!   trait with the paper's [`Uniform`](strategy::Uniform) coin and a Spielman–Srivastava
-//!   [`EffectiveResistance`](strategy::EffectiveResistance) leverage-weighted variant,
-//!   selected via [`SparsifyConfig::with_sampling`].
-//! * [`resparsify`] — [`resparsify_er`], a standalone ER-weighted final pass that
-//!   resamples a finished sparsifier down toward `O(n log n / ε²)` edges.
+//! * [`leverage`] — the off-bundle [`SamplingPolicy`], selected via
+//!   [`SparsifyConfig::with_sampling`]: the paper's uniform coin or Spielman–Srivastava
+//!   leverage-weighted sampling. The same leverage kernel drives [`resparsify_er`], a
+//!   standalone ER-weighted final pass that resamples a finished sparsifier down
+//!   toward `O(n log n / ε²)` edges.
 //! * [`config`], [`stats`], [`verify`] — configuration, work accounting, and spectral
 //!   verification helpers shared by examples, tests and the benchmark harness.
 //!
@@ -46,23 +45,19 @@
 pub mod baselines;
 pub mod config;
 pub mod engine;
+pub mod leverage;
 pub mod lst;
-pub mod resparsify;
 pub mod sample;
 pub mod sparsify;
 pub mod stats;
-pub mod strategy;
 pub mod verify;
 
 pub use config::{BundleSizing, SparsifyConfig};
 pub use engine::SparsifyEngine;
-pub use resparsify::{resparsify_er, ErPassConfig, ErPassOutput};
-pub use sample::{edge_coin, parallel_sample, SampleOutput};
+pub use leverage::{resparsify_er, ErPassConfig, ErPassOutput, SamplingPolicy};
+pub use sample::{edge_coin, parallel_sample, sample_uniform, SampleOutput};
 pub use sparsify::{parallel_sparsify, SparsifyOutput};
 pub use stats::WorkStats;
-pub use strategy::{
-    EffectiveResistance, SampleContext, SamplingPolicy, SamplingScratch, SamplingStrategy, Uniform,
-};
 pub use verify::{verify_sparsifier, VerificationReport};
 
 /// Commonly used items for downstream crates and examples.
@@ -72,11 +67,10 @@ pub mod prelude {
     };
     pub use crate::config::{BundleSizing, SparsifyConfig};
     pub use crate::engine::SparsifyEngine;
+    pub use crate::leverage::{resparsify_er, ErPassConfig, ErPassOutput, SamplingPolicy};
     pub use crate::lst::tree_bundle_sparsify;
-    pub use crate::resparsify::{resparsify_er, ErPassConfig, ErPassOutput};
     pub use crate::sample::{parallel_sample, SampleOutput};
     pub use crate::sparsify::{parallel_sparsify, SparsifyOutput};
     pub use crate::stats::WorkStats;
-    pub use crate::strategy::{SamplingPolicy, SamplingStrategy};
     pub use crate::verify::{verify_sparsifier, VerificationReport};
 }

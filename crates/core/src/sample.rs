@@ -21,8 +21,8 @@ use sgs_spanner::{t_bundle_on_engine, BundleConfig, SpannerConfig};
 
 use crate::config::SparsifyConfig;
 use crate::engine::SparsifyEngine;
+use crate::leverage::{leverage_probabilities, OffBudget, SamplingPolicy};
 use crate::stats::WorkStats;
-use crate::strategy::SampleContext;
 
 /// SplitMix64 finalizer: one add-and-mix round with full 64-bit avalanche
 /// (Steele et al., *Fast splittable pseudorandom number generators*, OOPSLA 2014).
@@ -55,6 +55,48 @@ pub fn edge_coin(seed: u64, id: u64) -> f64 {
     (splitmix64(splitmix64(seed) ^ id) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// The uniform coin of Algorithm 1, step 3: edges marked in `verbatim` are kept as
+/// they are, every other edge is kept with probability `p` at weight `w / p`.
+///
+/// Each edge reads its own [`edge_coin`] position `(seed, id)`, so the outcome is
+/// independent of thread scheduling. Kept edges are collected in id order (the
+/// executor concatenates chunks in domain order) and moved into the output graph
+/// without a second pass.
+pub fn sample_uniform(g: &Graph, verbatim: &[bool], p: f64, seed: u64) -> Graph {
+    let reweight = 1.0 / p;
+    let kept: Vec<Edge> = (0..g.m())
+        .into_par_iter()
+        .filter_map(|id| {
+            let e = g.edge(id);
+            if verbatim[id] {
+                Some(e)
+            } else if edge_coin(seed, id as u64) < p {
+                Some(Edge::new(e.u, e.v, e.w * reweight))
+            } else {
+                None
+            }
+        })
+        .collect();
+    Graph::from_edges_unchecked(g.n(), kept)
+}
+
+/// [`sample_uniform`] with a per-edge threshold: edge `id` outside `verbatim` is kept
+/// with probability `probs[id]` at weight `w / probs[id]`, on the same coin stream.
+pub(crate) fn sample_weighted(g: &Graph, verbatim: &[bool], probs: &[f64], seed: u64) -> Graph {
+    let kept: Vec<Edge> = (0..g.m())
+        .into_par_iter()
+        .filter_map(|id| {
+            let e = g.edge(id);
+            if verbatim[id] {
+                return Some(e);
+            }
+            let p = probs[id];
+            (edge_coin(seed, id as u64) < p).then(|| Edge::new(e.u, e.v, e.w / p))
+        })
+        .collect();
+    Graph::from_edges_unchecked(g.n(), kept)
+}
+
 /// Output of one `PARALLELSAMPLE` round.
 #[derive(Debug, Clone)]
 pub struct SampleOutput {
@@ -73,7 +115,7 @@ pub struct SampleOutput {
 /// Runs one round of `PARALLELSAMPLE` on `g`.
 ///
 /// `cfg` is the single source of truth for the round: accuracy (`cfg.epsilon`), bundle
-/// sizing, keep probability, sampling strategy and seed. Parallelism is the ambient
+/// sizing, keep probability, sampling policy and seed. Parallelism is the ambient
 /// rayon pool's; a 1-thread pool yields the same output.
 /// (`PARALLELSPARSIFY` derives a per-round config with `ε / ⌈log ρ⌉` before calling
 /// this, so no separate `eps` argument exists any more.)
@@ -82,7 +124,7 @@ pub fn parallel_sample(g: &Graph, cfg: &SparsifyConfig) -> SampleOutput {
 }
 
 /// Re-entrant `PARALLELSAMPLE`: identical to [`parallel_sample`] but runs the bundle
-/// construction and the strategy's probability computation on a caller-owned
+/// construction and the leverage kernel on a caller-owned
 /// [`SparsifyEngine`], whose view/CSR/mask/probability allocations are reused across
 /// calls. Batch pipelines (`sgs-stream`) call this once per batch; outputs are
 /// byte-identical to the one-shot entry point.
@@ -109,66 +151,33 @@ pub(crate) fn sample_on_engine(
     spanner.reset_from_graph(g);
     let bundle = t_bundle_on_engine(spanner, &bundle_cfg);
 
-    // Steps 2–3: keep the bundle, flip a coin for everything else. Each edge uses its
-    // own counter-based coin ([`edge_coin`]) so the outcome is independent of thread
-    // scheduling. Kept edges are collected as ready-made `Edge`s (in id order — the
-    // executor concatenates chunks in domain order) and moved into the output graph
-    // without a second pass.
-    //
-    // The configured strategy may replace the uniform coin threshold with per-edge
-    // probabilities (leverage-aware sampling). Both branches consume the *same* coin
-    // stream — a strategy only moves each edge's threshold, never its draw — so the
-    // uniform path stays byte-identical to the original Algorithm 1 implementation.
+    // Steps 2–3: keep the bundle, flip a coin for everything else. Under the
+    // effective-resistance policy each off-bundle edge's threshold becomes its
+    // leverage-weighted probability; both coins consume the same draw per edge, so
+    // the uniform path stays byte-identical to the original Algorithm 1.
     let sampling_span = sgs_obs::span!("sample.coins");
     let seed = cfg.seed ^ 0xA5A5_5A5A_DEAD_BEEF;
-    let ctx = SampleContext {
-        graph: g,
-        in_bundle: &bundle.in_bundle,
-        epsilon: eps,
-        t,
-        keep_probability: cfg.keep_probability,
-        seed: cfg.seed,
+    let weighted = match cfg.sampling {
+        SamplingPolicy::Uniform => false,
+        SamplingPolicy::EffectiveResistance { jl_dims, cg_tol } => leverage_probabilities(
+            g,
+            &bundle.in_bundle,
+            jl_dims,
+            cg_tol,
+            cfg.seed ^ 0x7E57_ED5E_0DDB_A11E,
+            OffBudget::Rate(cfg.keep_probability),
+            sampling,
+        ),
     };
-    let weighted = cfg.sampling.strategy().keep_probabilities(&ctx, sampling);
-    let kept: Vec<Edge> = if weighted {
-        let probs = &sampling.probs;
-        (0..m)
-            .into_par_iter()
-            .filter_map(|id| {
-                let e = g.edge(id);
-                if bundle.in_bundle[id] {
-                    Some(e)
-                } else {
-                    let p = probs[id];
-                    if edge_coin(seed, id as u64) < p {
-                        Some(Edge::new(e.u, e.v, e.w / p))
-                    } else {
-                        None
-                    }
-                }
-            })
-            .collect()
+    let sparsifier = if weighted {
+        sample_weighted(g, &bundle.in_bundle, &sampling.probs, seed)
     } else {
-        let p = cfg.keep_probability;
-        let reweight = 1.0 / p;
-        (0..m)
-            .into_par_iter()
-            .filter_map(|id| {
-                let e = g.edge(id);
-                if bundle.in_bundle[id] {
-                    Some(e)
-                } else if edge_coin(seed, id as u64) < p {
-                    Some(Edge::new(e.u, e.v, e.w * reweight))
-                } else {
-                    None
-                }
-            })
-            .collect()
+        sample_uniform(g, &bundle.in_bundle, cfg.keep_probability, seed)
     };
 
     // Every bundle edge is kept unconditionally, so the split needs no re-scan.
     let bundle_edges = bundle.bundle_size;
-    let sampled_edges = kept.len() - bundle_edges;
+    let sampled_edges = sparsifier.m() - bundle_edges;
     sgs_obs::point!(
         "sample.pass",
         m = m,
@@ -178,7 +187,6 @@ pub(crate) fn sample_on_engine(
         bundle_work = bundle.work,
         weighted = weighted,
     );
-    let sparsifier = Graph::from_edges_unchecked(n, kept);
     drop(sampling_span);
 
     let stats = WorkStats {
@@ -369,7 +377,6 @@ mod tests {
 
     #[test]
     fn er_strategy_output_is_connected_and_differs_from_uniform() {
-        use crate::strategy::SamplingPolicy;
         let g = generators::erdos_renyi(150, 0.25, 1.0, 13);
         let cfg = base_cfg().with_sampling(SamplingPolicy::effective_resistance(4, 1e-3));
         let a = parallel_sample(&g, &cfg);
@@ -381,7 +388,6 @@ mod tests {
 
     #[test]
     fn er_strategy_keeps_expected_size_near_uniform_budget() {
-        use crate::strategy::SamplingPolicy;
         let g = generators::erdos_renyi(200, 0.3, 1.0, 29);
         let cfg = base_cfg().with_sampling(SamplingPolicy::effective_resistance(4, 1e-3));
         let out = parallel_sample(&g, &cfg);

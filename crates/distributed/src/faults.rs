@@ -8,7 +8,7 @@
 //!   drop/duplication/bounded-delay probabilities, scheduled per-link failure windows,
 //!   and vertex crash–restart windows (omission model: a crashed vertex neither
 //!   executes, sends, nor receives during its window, but keeps its local state).
-//! * [`FaultLayer`] — the transport hook applied inside
+//! * `FaultLayer` — the transport hook applied inside
 //!   [`SyncNetwork::advance_round`]'s delivery sort. Every fault coin is keyed
 //!   splitmix64-style on `(round, from, to, seq)` — the same counter-mix discipline as
 //!   `sgs_core::edge_coin` — so outcomes depend only on the message's position in the

@@ -8,17 +8,16 @@
 //!   3.1), adding `O(t log² n)` rounds and `O(t m log n)` messages (Corollary 3);
 //! * the uniform sampling step of Algorithm 1 is entirely local — every vertex owns the
 //!   coin flips of its incident edges (the lower-endpoint owns the coin, so each edge is
-//!   flipped exactly once) and no communication is needed. The coin is the shared
-//!   counter-based [`edge_coin`] mix of `sgs-core`: each edge reads its own stateless
-//!   stream position, so the outcome is independent of scheduling and costs two
-//!   multiply-xor cascades instead of a fresh ChaCha8 key schedule per edge;
+//!   flipped exactly once) and no communication is needed. The step is the
+//!   shared-memory uniform coin [`sample_uniform`] of `sgs-core`: each edge reads its
+//!   own stateless counter-based stream position, so the outcome is independent of
+//!   scheduling. The coin is always uniform — `cfg.sampling` is not read, because
+//!   leverage scores would need Laplacian solves this protocol does not run;
 //! * `PARALLELSPARSIFY` repeats the above `⌈log ρ⌉` times.
 
-use rayon::prelude::*;
-
 use sgs_core::config::SparsifyConfig;
-use sgs_core::edge_coin;
-use sgs_graph::{Edge, EdgeId, Graph};
+use sgs_core::sample_uniform;
+use sgs_graph::{EdgeId, Graph};
 
 use crate::faults::FaultConfig;
 use crate::network::NetworkMetrics;
@@ -40,6 +39,9 @@ pub struct DistSparsifyResult {
 
 /// One distributed `PARALLELSAMPLE` round on `g`; `cfg` carries the round's accuracy
 /// (`cfg.epsilon`) along with every other knob, matching the shared-memory API.
+///
+/// `cfg.sampling` is ignored: the off-bundle coin is always the uniform one, so an
+/// effective-resistance policy silently runs the uniform coin here.
 pub fn distributed_sample(g: &Graph, cfg: &SparsifyConfig) -> DistSparsifyResult {
     distributed_sample_with_faults(g, cfg, &FaultConfig::clean())
 }
@@ -88,27 +90,12 @@ pub fn distributed_sample_with_faults(
     }
 
     // Local sampling: the lower-id endpoint of each off-bundle edge flips the coin.
-    // No communication happens here, so the step also runs thread-parallel in the
-    // simulator — each edge's coin is a counter mix of (seed, id), never of worker
-    // scheduling, and kept edges collect in id order.
-    let p = cfg.keep_probability;
-    let reweight = 1.0 / p;
-    let seed = cfg.seed ^ 0xD157_5A4D;
-    let decide = |id: usize| -> Option<Edge> {
-        let e = g.edge(id);
-        if in_bundle[id] {
-            Some(e)
-        } else if edge_coin(seed, id as u64) < p {
-            Some(Edge::new(e.u, e.v, e.w * reweight))
-        } else {
-            None
-        }
-    };
-    let kept: Vec<Edge> = (0..m).into_par_iter().filter_map(decide).collect();
+    // No communication happens here, so the step runs as the shared-memory uniform
+    // coin, on this protocol's own seed.
+    let sparsifier = sample_uniform(g, &in_bundle, cfg.keep_probability, cfg.seed ^ 0xD157_5A4D);
     // `active` was retained to exactly the off-bundle edges, so the split needs no
     // re-scan of the bitmap.
     let bundle_edges = m - active.len();
-    let sparsifier = Graph::from_edges_unchecked(n, kept);
 
     DistSparsifyResult {
         sparsifier,
@@ -119,6 +106,9 @@ pub fn distributed_sample_with_faults(
 }
 
 /// Distributed `PARALLELSPARSIFY`: `⌈log ρ⌉` rounds of [`distributed_sample`].
+///
+/// Like [`distributed_sample`], every round runs the uniform coin whatever
+/// `cfg.sampling` says.
 pub fn distributed_sparsify(g: &Graph, cfg: &SparsifyConfig) -> DistSparsifyResult {
     distributed_sparsify_with_faults(g, cfg, &FaultConfig::clean())
 }

@@ -16,8 +16,8 @@
 //!
 //! Two read paths are provided:
 //!
-//! * [`from_str`] / [`read_file`] — parse a whole graph. `read_file` streams the file
-//!   through a [`EdgeBatchReader`] line by line, so it never materialises the file as a
+//! * [`from_str`] / [`read_file`] — parse a whole graph. Both drain an
+//!   [`EdgeBatchReader`] line by line; `read_file` never materialises the file as a
 //!   `String` (the edge list is the only `O(m)` allocation).
 //! * [`EdgeBatchReader`] — a chunked reader that yields validated edges in
 //!   caller-sized batches with `O(batch)` resident memory. This is the ingestion path of
@@ -126,27 +126,37 @@ fn parse_edge(line: &str, line_no: usize, n: usize) -> Result<Edge> {
 
 /// Parses a graph from the edge-list text format.
 pub fn from_str(text: &str) -> Result<Graph> {
-    let mut lines = text
-        .lines()
-        .map(str::trim)
-        .enumerate()
-        .filter(|(_, l)| !is_skippable(l));
-    let (header_no, header) = lines
-        .next()
-        .ok_or_else(|| GraphError::Parse("missing header line".into()))?;
-    let (n, m) = parse_header(header, header_no + 1)?;
-    let mut g = Graph::with_capacity(n, m.min(MAX_TRUSTED_PREALLOC_EDGES));
-    for (i, line) in lines {
-        let e = parse_edge(line, i + 1, n)?;
-        g.push_edge_unchecked(e.u, e.v, e.w);
+    let mut reader = EdgeBatchReader::new(text.as_bytes())?;
+    drain_batches(reader.n(), reader.declared_edges(), |max, out| {
+        reader.next_batch(max, out)
+    })
+}
+
+/// Edges per batch when a whole graph is drained from a batch reader.
+const DRAIN_BATCH_EDGES: usize = 16 * 1024;
+
+/// Collects every edge a batch reader yields into a graph on `n` vertices.
+///
+/// `next_batch` is a reader's `next_batch`: it validates every edge, so edges are
+/// moved in unchecked, and `Ok(0)` ends the stream. Preallocation from the untrusted
+/// `declared` count is clamped; batches keep the transient buffer small without a
+/// per-edge function-call round trip.
+fn drain_batches(
+    n: usize,
+    declared: usize,
+    mut next_batch: impl FnMut(usize, &mut Vec<Edge>) -> Result<usize>,
+) -> Result<Graph> {
+    let mut g = Graph::with_capacity(n, declared.min(MAX_TRUSTED_PREALLOC_EDGES));
+    let mut batch: Vec<Edge> = Vec::with_capacity(declared.min(DRAIN_BATCH_EDGES));
+    loop {
+        batch.clear();
+        if next_batch(DRAIN_BATCH_EDGES, &mut batch)? == 0 {
+            return Ok(g);
+        }
+        for e in &batch {
+            g.push_edge_unchecked(e.u, e.v, e.w);
+        }
     }
-    if g.m() != m {
-        return Err(GraphError::Parse(format!(
-            "header declared {m} edges but {} were read",
-            g.m()
-        )));
-    }
-    Ok(g)
 }
 
 /// A buffered, chunked reader over the edge-list text format.
@@ -277,23 +287,9 @@ pub fn write_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<()> {
 /// plus one line buffer, not file-size + edge-list as with `fs::read_to_string`.
 pub fn read_file<P: AsRef<Path>>(path: P) -> Result<Graph> {
     let mut reader = EdgeBatchReader::open(path)?;
-    let mut g = Graph::with_capacity(
-        reader.n(),
-        reader.declared_edges().min(MAX_TRUSTED_PREALLOC_EDGES),
-    );
-    // The reader validates every edge, so they can be moved in unchecked; batches keep
-    // the transient buffer small without a per-edge function-call round trip.
-    let mut batch: Vec<Edge> = Vec::with_capacity(reader.declared_edges().min(16 * 1024));
-    loop {
-        batch.clear();
-        if reader.next_batch(16 * 1024, &mut batch)? == 0 {
-            break;
-        }
-        for e in &batch {
-            g.push_edge_unchecked(e.u, e.v, e.w);
-        }
-    }
-    Ok(g)
+    drain_batches(reader.n(), reader.declared_edges(), |max, out| {
+        reader.next_batch(max, out)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -314,7 +310,7 @@ const BIN_WRITE_BLOCK_EDGES: usize = 16 * 1024;
 /// A streaming writer of the binary edge format.
 ///
 /// The header is written eagerly; edges are appended in validated batches and chunked
-/// into blocks of at most [`BIN_WRITE_BLOCK_EDGES`]. [`BinEdgeWriter::finish`] writes
+/// into blocks of at most 16 Ki edges. [`BinEdgeWriter::finish`] writes
 /// the zero-count terminator block and cross-checks the written count against the
 /// declared `m`, so a file that round-trips through [`BinEdgeReader`] is guaranteed
 /// internally consistent.
@@ -581,20 +577,9 @@ pub fn write_bin_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<()> {
 /// streaming discipline as [`read_file`].
 pub fn read_bin_file<P: AsRef<Path>>(path: P) -> Result<Graph> {
     let mut reader = BinEdgeReader::open(path)?;
-    let mut g = Graph::with_capacity(
-        reader.n(),
-        reader.declared_edges().min(MAX_TRUSTED_PREALLOC_EDGES),
-    );
-    let mut batch: Vec<Edge> = Vec::with_capacity(reader.declared_edges().min(16 * 1024));
-    loop {
-        batch.clear();
-        if reader.next_batch(16 * 1024, &mut batch)? == 0 {
-            break;
-        }
-        for e in &batch {
-            g.push_edge_unchecked(e.u, e.v, e.w);
-        }
-    }
+    let g = drain_batches(reader.n(), reader.declared_edges(), |max, out| {
+        reader.next_batch(max, out)
+    })?;
     sgs_obs::point!("io.read_bin", n = g.n(), m = g.m());
     Ok(g)
 }

@@ -27,7 +27,7 @@ const DENSE_LIMIT: usize = 600;
 /// Computes the exact effective resistance of every edge of `g`.
 ///
 /// The graph must be connected. Complexity is `O(n³ + m n)` in the dense regime and
-/// `O(m · cg)` above [`DENSE_LIMIT`] vertices.
+/// `O(m · cg)` above `DENSE_LIMIT` (600) vertices.
 pub fn exact_effective_resistances(g: &Graph) -> Vec<f64> {
     assert!(
         sgs_graph::connectivity::is_connected(g),
@@ -144,7 +144,7 @@ pub fn approx_effective_resistances(g: &Graph, jl_factor: f64, seed: u64) -> Vec
 ///
 /// Unlike the `jl_factor` convenience wrapper, `rows` is the *absolute* number of
 /// projection rows (= Laplacian solves): batch callers such as the leverage-aware
-/// sampling strategy in `sgs-core` pick a small fixed row count and a loose CG
+/// sampling policy in `sgs-core` pick a small fixed row count and a loose CG
 /// tolerance, trading per-edge accuracy for speed — the sampled leverage scores only
 /// steer probabilities, they are not a certificate.
 #[derive(Debug, Clone)]
@@ -238,7 +238,7 @@ pub fn approx_effective_resistances_in(
     let zs = &scratch.zs[..k];
     let scale = 1.0 / k as f64;
     // Each estimate is k multiply-adds; batch the per-edge dispatch so the ER
-    // sampling strategy and `resparsify_er` stop paying per-item overhead.
+    // sampling policy and `resparsify_er` stop paying per-item overhead.
     out.par_iter_mut()
         .enumerate()
         .with_min_len(256)

@@ -36,42 +36,33 @@ use sgs_stream::{StreamOutput, StreamStats};
 
 use crate::sdd::GroundedLaplacian;
 
+/// Per-level sparsification accuracy (the paper sets `ε = 1/O(log κ)`; this is a
+/// practical fixed value).
+const LEVEL_EPSILON: f64 = 0.5;
+/// Sparsification factor `ρ` used when a level grows too dense.
+const LEVEL_RHO: f64 = 4.0;
+/// Bundle sizing for the inner `PARALLELSPARSIFY` calls.
+const LEVEL_BUNDLE: BundleSizing = BundleSizing::Fixed(3);
+/// Maximum chain depth.
+const MAX_LEVELS: usize = 25;
+/// Stop recursing once `min(excess_i / degree_i)` exceeds this ratio (strong diagonal
+/// dominance: Jacobi converges geometrically).
+const DOMINANCE_STOP: f64 = 4.0;
+/// Number of Jacobi sweeps used by the base-case solver.
+const BASE_JACOBI_SWEEPS: usize = 12;
+/// Degree above which a level-construction clique is sampled instead of built exactly.
+const CLIQUE_SAMPLE_THRESHOLD: usize = 16;
+
 /// Configuration for building an approximate inverse chain.
 #[derive(Debug, Clone)]
 pub struct ChainConfig {
-    /// Per-level sparsification accuracy (the paper sets `ε = 1/O(log κ)`; the default
-    /// is a practical fixed value which the experiments sweep).
-    pub level_epsilon: f64,
-    /// Sparsification factor `ρ` used when a level grows too dense.
-    pub rho: f64,
-    /// Bundle sizing for the inner `PARALLELSPARSIFY` calls.
-    pub bundle_sizing: BundleSizing,
-    /// Maximum chain depth.
-    pub max_levels: usize,
-    /// Stop recursing once `min(excess_i / degree_i)` exceeds this ratio (strong
-    /// diagonal dominance: Jacobi converges geometrically).
-    pub dominance_stop: f64,
-    /// Number of Jacobi sweeps used by the base-case solver.
-    pub base_jacobi_sweeps: usize,
-    /// Degree above which a level-construction clique is sampled instead of built
-    /// exactly.
-    pub clique_sample_threshold: usize,
     /// Seed for clique sampling and sparsification.
     pub seed: u64,
 }
 
 impl Default for ChainConfig {
     fn default() -> Self {
-        ChainConfig {
-            level_epsilon: 0.5,
-            rho: 4.0,
-            bundle_sizing: BundleSizing::Fixed(3),
-            max_levels: 25,
-            dominance_stop: 4.0,
-            base_jacobi_sweeps: 12,
-            clique_sample_threshold: 16,
-            seed: 0x50D5,
-        }
+        ChainConfig { seed: 0x50D5 }
     }
 }
 
@@ -137,14 +128,14 @@ impl ChainLevel {
 /// Why [`Chain::build`] stopped adding levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChainStop {
-    /// The last level is strongly diagonally dominant (`dominance_stop` reached).
+    /// The last level is strongly diagonally dominant (`DOMINANCE_STOP` reached).
     Dominance,
     /// The next level had this many edges, more than the input system, so it was
     /// dropped and the last level became the base.
     Oversize(usize),
     /// The last level has no edges.
     Empty,
-    /// The chain reached `max_levels`.
+    /// The chain reached `MAX_LEVELS` levels.
     MaxLevels,
 }
 
@@ -168,12 +159,11 @@ impl ChainStop {
     }
 }
 
-/// The approximate inverse chain `{M₁, …, M_d}` plus the parameters needed to apply it.
+/// The approximate inverse chain `{M₁, …, M_d}`.
 #[derive(Debug, Clone)]
 pub struct Chain {
     levels: Vec<ChainLevel>,
     stop: ChainStop,
-    config: ChainConfig,
 }
 
 impl Chain {
@@ -190,10 +180,10 @@ impl Chain {
             if current.graph.m() == 0 {
                 break ChainStop::Empty;
             }
-            if current.dominance() >= config.dominance_stop {
+            if current.dominance() >= DOMINANCE_STOP {
                 break ChainStop::Dominance;
             }
-            if level_idx + 1 >= config.max_levels {
+            if level_idx + 1 >= MAX_LEVELS {
                 break ChainStop::MaxLevels;
             }
             let next = build_next_level(&current, config, level_idx, target_edges);
@@ -218,11 +208,7 @@ impl Chain {
             rejected_m = stop.rejected_m(),
         );
         drop(build_span);
-        Chain {
-            levels,
-            stop,
-            config: config.clone(),
-        }
+        Chain { levels, stop }
     }
 
     /// Why the build stopped adding levels.
@@ -271,7 +257,7 @@ impl Chain {
             .split_first_mut()
             .expect("scratch shallower than chain");
         if level + 1 == self.levels.len() {
-            jacobi_sweeps_in(lvl, b, self.config.base_jacobi_sweeps, out, &mut mine.tmp);
+            jacobi_sweeps_in(lvl, b, BASE_JACOBI_SWEEPS, out, &mut mine.tmp);
             return;
         }
         // x = 1/2 [ D^{-1} b + (I + D^{-1} A) M̃^{-1} (I + A D^{-1}) b ], with the
@@ -437,7 +423,7 @@ fn build_next_level(
             continue;
         }
         let dv = level.diagonal[v];
-        if deg <= config.clique_sample_threshold {
+        if deg <= CLIQUE_SAMPLE_THRESHOLD {
             // Exact clique.
             for i in 0..deg {
                 for j in (i + 1)..deg {
@@ -511,8 +497,8 @@ fn build_next_level(
     // Sparsify the two-hop graph when it exceeds the target size (the Section 4 step:
     // "bring the graph back to its original size" using Theorem 5).
     let graph = if two_hop.m() > target_edges {
-        let cfg = SparsifyConfig::new(config.level_epsilon, config.rho)
-            .with_bundle_sizing(config.bundle_sizing)
+        let cfg = SparsifyConfig::new(LEVEL_EPSILON, LEVEL_RHO)
+            .with_bundle_sizing(LEVEL_BUNDLE)
             .with_seed(config.seed.wrapping_add(0xF00D + level_idx as u64));
         parallel_sparsify(&two_hop, &cfg).sparsifier
     } else {

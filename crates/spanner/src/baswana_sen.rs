@@ -2,7 +2,7 @@
 //!
 //! Reference: S. Baswana and S. Sen, *A simple and linear time randomized algorithm for
 //! computing sparse spanners in weighted graphs*, Random Structures & Algorithms 2007
-//! (reference [1] of the paper). The algorithm computes a `(2k − 1)`-spanner with
+//! (reference \[1\] of the paper). The algorithm computes a `(2k − 1)`-spanner with
 //! `O(k · n^{1 + 1/k})` edges in expectation via `k − 1` rounds of randomized cluster
 //! growing followed by a vertex–cluster joining phase.
 //!
@@ -20,12 +20,12 @@
 //!   view (counting sort), instead of `Vec<Vec<usize>>`. The t-bundle construction
 //!   *compacts* the arrays in place as edges are peeled into components, so the
 //!   structure is built once per bundle, not once per component.
-//! * **Cluster-stamped scratch** ([`RoundScratch`]): the per-vertex grouping of incident
+//! * **Cluster-stamped scratch** (`RoundScratch`): the per-vertex grouping of incident
 //!   edges by neighbouring cluster uses `last_seen`/`best_w`/`best_idx` slots indexed by
 //!   cluster id plus a touched-list for O(degree) cleanup — replacing a per-vertex
 //!   `BTreeMap` allocation. Scratch is threaded through rayon with `map_init`, so each
 //!   worker chunk reuses one instance.
-//! * **Flat decision batches** ([`RoundBatch`]): vertices are processed in contiguous
+//! * **Flat decision batches** (`RoundBatch`): vertices are processed in contiguous
 //!   blocks cut by the density-aware [`BlockPartition`](crate::partition) (edge-load
 //!   balanced, a few blocks per thread, 64-vertex floor) and each block emits compact
 //!   per-vertex records plus shared flat `adds`/`kills` id lists — replacing two

@@ -2,7 +2,28 @@
 
 use sgs_core::{BundleSizing, SamplingPolicy, SparsifyConfig};
 
-use crate::store::{SpillConfig, StorageConfig};
+use crate::store::SpillConfig;
+
+/// Configuration of the ER-weighted final pass run by `StreamSparsifier::finish`.
+///
+/// The pass resamples the finished sparsifier with Spielman–Srivastava `w_e · R_e`
+/// probabilities (`sgs_core::resparsify_er`), spending a third of `ε_total`. It
+/// composes with the tree's schedule exactly like one more level: the tree certifies
+/// `H ≈ G` within `⅔ ε_total`, the pass certifies `H' ≈ H` within `⅓ ε_total`, and
+/// first-order composition gives `H' ≈ G` within `ε_total`.
+pub use sgs_core::ErPassConfig as FinalPassConfig;
+
+/// Geometric ratio `r` of the per-depth ε schedule (see [`StreamConfig`]).
+const LEVEL_RATIO: f64 = 0.5;
+
+/// Fraction of `ε_total` reserved for the final pass when one is configured.
+const FINAL_PASS_EPSILON_FRACTION: f64 = 1.0 / 3.0;
+
+/// Early-stop threshold of every reduction: `PARALLELSPARSIFY` leaves graphs with at
+/// most this many times `n log₂ n` edges untouched. The one-shot default (2.0) would
+/// declare leaf-sized graphs "sparse enough" and stack them uncompressed; a streaming
+/// engine must keep compressing down toward its memory budget.
+const STOP_BELOW_NLOGN_FACTOR: f64 = 0.5;
 
 /// SplitMix64 finalizer (same mix as `sgs_core::sample`): full 64-bit avalanche.
 #[inline]
@@ -29,7 +50,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// nodes is application `j + 1`) runs `PARALLELSPARSIFY` at accuracy
 ///
 /// ```text
-/// ε_j = ε_total · (1 − r) · r^j          (r = level_ratio, default 1/2)
+/// ε_j = ε_total · (1 − r) · r^j          (r = 1/2)
 /// ```
 ///
 /// so a node at depth `d` approximates the union of its raw edges within
@@ -53,8 +74,6 @@ pub struct StreamConfig {
     pub arity: usize,
     /// Sparsification factor `ρ` forwarded to each `PARALLELSPARSIFY` reduction.
     pub rho: f64,
-    /// Geometric ratio `r ∈ (0, 1)` of the per-depth ε schedule (see the type docs).
-    pub level_ratio: f64,
     /// Bundle sizing rule forwarded to every reduction. As everywhere in this repo,
     /// [`BundleSizing::Paper`] gives the provable constants (and swallows practical
     /// graphs whole), the default scaled rule gives practical compression.
@@ -64,110 +83,23 @@ pub struct StreamConfig {
     /// Base RNG seed; every reduction derives its own seed from (depth, index), so
     /// results depend only on the edge stream and this value.
     pub seed: u64,
-    /// Early-stop threshold forwarded to every reduction (`PARALLELSPARSIFY` leaves
-    /// graphs with at most this many times `n log₂ n` edges untouched).
-    pub stop_below_nlogn_factor: f64,
-    /// Sampling strategy of depth-0 (leaf) reductions. Leaves see raw, large batches
-    /// where Laplacian solves are at their most expensive and the uniform coin's
-    /// variance has not compounded yet — uniform is the right default.
-    pub leaf_sampling: SamplingPolicy,
-    /// Sampling strategy of interior (depth ≥ 1, including forced) reductions. Deep
-    /// chains compound uniform-sampling variance multiplicatively; leverage-aware
-    /// sampling here ([`SamplingPolicy::effective_resistance`]) keeps interior nodes
-    /// near the `n log n` floor instead.
+    /// Sampling policy of interior (depth ≥ 1, including forced) reductions. Leaves
+    /// see raw, large batches where Laplacian solves are at their most expensive and
+    /// the uniform coin's variance has not compounded yet, so they always run the
+    /// uniform coin. Deep chains compound uniform-sampling variance multiplicatively;
+    /// leverage-aware sampling here ([`SamplingPolicy::effective_resistance`]) keeps
+    /// interior nodes near the `n log n` floor instead.
     pub interior_sampling: SamplingPolicy,
     /// Optional ER-weighted final pass over the finished sparsifier (see
     /// [`FinalPassConfig`]). `None` (the default) leaves `finish()` byte-identical to
-    /// the tree output; `Some` reserves `epsilon_fraction` of `ε_total` for the pass
-    /// and runs the merge-and-reduce tree at the remaining `(1 − f) · ε_total`.
+    /// the tree output; `Some` reserves a third of `ε_total` for the pass and runs the
+    /// merge-and-reduce tree at the remaining two thirds.
     pub final_pass: Option<FinalPassConfig>,
-    /// Where pending tree nodes live: [`StorageConfig::Memory`] (the default; every
-    /// node resident, byte-identical to the pre-spill engine) or
-    /// [`StorageConfig::Spill`], which bounds the store's resident edge bytes by
-    /// spilling cold deep nodes to disk. Storage placement never affects the output
-    /// (see `crate::store` for the determinism contract).
-    pub storage: StorageConfig,
-}
-
-/// Configuration of the ER-weighted final pass run by `StreamSparsifier::finish`.
-///
-/// The pass resamples the finished sparsifier with Spielman–Srivastava `w_e · R_e`
-/// probabilities (`sgs_core::resparsify_er`), spending `epsilon_fraction · ε_total`
-/// of the stream's accuracy budget. It composes with the tree's schedule exactly like
-/// one more level: the tree certifies `H ≈ G` within `(1 − f) ε_total`, the pass
-/// certifies `H' ≈ H` within `f ε_total`, and first-order composition gives
-/// `H' ≈ G` within `ε_total`.
-#[derive(Debug, Clone)]
-pub struct FinalPassConfig {
-    /// Fraction `f ∈ (0, 1)` of `ε_total` reserved for the pass (default 1/3).
-    pub epsilon_fraction: f64,
-    /// Oversampling constant of the pass's `q = c · n log₂ n / ε²` sample budget.
-    pub oversample: f64,
-    /// When `Some(shrink)`, the pass auto-tunes its budget from the sparsifier it
-    /// actually receives — targeting `m_in / shrink` kept edges — instead of the
-    /// fixed `oversample` constant (see `sgs_core::ErPassConfig::auto_shrink`).
-    pub auto_shrink: Option<f64>,
-    /// JL projection rows (= Laplacian solves) of the resistance estimate.
-    pub jl_dims: usize,
-    /// CG tolerance of each solve.
-    pub cg_tol: f64,
-}
-
-impl FinalPassConfig {
-    /// Practical defaults: a third of the ε budget, oversample 0.25, 8 rows at `1e-4`.
-    pub fn new() -> FinalPassConfig {
-        FinalPassConfig {
-            epsilon_fraction: 1.0 / 3.0,
-            oversample: 0.25,
-            auto_shrink: None,
-            jl_dims: 8,
-            cg_tol: 1e-4,
-        }
-    }
-
-    /// Overrides the ε fraction (must be in `(0, 1)`).
-    pub fn with_epsilon_fraction(mut self, f: f64) -> Self {
-        assert!(f > 0.0 && f < 1.0, "epsilon fraction must be in (0, 1)");
-        self.epsilon_fraction = f;
-        self
-    }
-
-    /// Overrides the oversampling constant (must be positive; switches off
-    /// auto-tuning).
-    pub fn with_oversample(mut self, c: f64) -> Self {
-        assert!(c > 0.0, "oversample must be positive");
-        self.oversample = c;
-        self.auto_shrink = None;
-        self
-    }
-
-    /// Auto-tunes the pass budget from the observed sparsifier size: target
-    /// `m_in / shrink` kept edges instead of the fixed constant.
-    pub fn with_auto_oversample(mut self, shrink: f64) -> Self {
-        assert!(shrink >= 1.0, "shrink must be at least 1");
-        self.auto_shrink = Some(shrink);
-        self
-    }
-
-    /// Overrides the JL dimensions (must be positive).
-    pub fn with_jl_dims(mut self, k: usize) -> Self {
-        assert!(k > 0, "jl_dims must be positive");
-        self.jl_dims = k;
-        self
-    }
-
-    /// Overrides the CG tolerance (must be positive).
-    pub fn with_cg_tol(mut self, tol: f64) -> Self {
-        assert!(tol > 0.0, "cg_tol must be positive");
-        self.cg_tol = tol;
-        self
-    }
-}
-
-impl Default for FinalPassConfig {
-    fn default() -> Self {
-        FinalPassConfig::new()
-    }
+    /// Out-of-core node storage: `None` (the default) keeps every pending tree node
+    /// resident; `Some` bounds the store's resident edge bytes by spilling cold deep
+    /// nodes to disk. Storage placement never affects the output (see `crate::store`
+    /// for the determinism contract).
+    pub spill: Option<SpillConfig>,
 }
 
 impl StreamConfig {
@@ -175,13 +107,10 @@ impl StreamConfig {
     /// with the same practical defaults as [`SparsifyConfig::new`] (scaled bundle,
     /// keep probability 1/4) plus a binary merge tree (`arity = 2`, `r = 1/2`).
     ///
-    /// Two defaults differ deliberately from the one-shot sparsifier: `ρ = 2` — each
+    /// One default differs deliberately from the one-shot sparsifier: `ρ = 2` — each
     /// reduction performs a *single* sampling round, because the tree itself supplies
     /// the repeated halving and extra rounds per reduction would only compound
-    /// sampling error — and `stop_below_nlogn_factor = 0.5`, because a streaming
-    /// engine must keep compressing down toward its memory budget where the one-shot
-    /// default (2.0) would declare leaf-sized graphs "sparse enough" and stack them
-    /// uncompressed.
+    /// sampling error.
     pub fn new(epsilon: f64, budget_edges: usize) -> Self {
         assert!(epsilon > 0.0 && epsilon <= 1.0, "epsilon must be in (0, 1]");
         assert!(budget_edges >= 2, "budget_edges must be at least 2");
@@ -190,15 +119,12 @@ impl StreamConfig {
             budget_edges,
             arity: 2,
             rho: 2.0,
-            level_ratio: 0.5,
             bundle_sizing: BundleSizing::Scaled(0.5),
             keep_probability: 0.25,
             seed: 0xC0FFEE,
-            stop_below_nlogn_factor: 0.5,
-            leaf_sampling: SamplingPolicy::uniform(),
-            interior_sampling: SamplingPolicy::uniform(),
+            interior_sampling: SamplingPolicy::Uniform,
             final_pass: None,
-            storage: StorageConfig::Memory,
+            spill: None,
         }
     }
 
@@ -213,13 +139,6 @@ impl StreamConfig {
     pub fn with_rho(mut self, rho: f64) -> Self {
         assert!(rho >= 1.0, "rho must be at least 1");
         self.rho = rho;
-        self
-    }
-
-    /// Overrides the geometric ε-schedule ratio (must be in `(0, 1)`).
-    pub fn with_level_ratio(mut self, r: f64) -> Self {
-        assert!(r > 0.0 && r < 1.0, "level ratio must be in (0, 1)");
-        self.level_ratio = r;
         self
     }
 
@@ -242,13 +161,7 @@ impl StreamConfig {
         self
     }
 
-    /// Overrides the sampling strategy of depth-0 (leaf) reductions.
-    pub fn with_leaf_sampling(mut self, sampling: SamplingPolicy) -> Self {
-        self.leaf_sampling = sampling;
-        self
-    }
-
-    /// Overrides the sampling strategy of interior (depth ≥ 1) reductions.
+    /// Overrides the sampling policy of interior (depth ≥ 1) reductions.
     pub fn with_interior_sampling(mut self, sampling: SamplingPolicy) -> Self {
         self.interior_sampling = sampling;
         self
@@ -260,17 +173,11 @@ impl StreamConfig {
         self
     }
 
-    /// Overrides the node-storage backend.
-    pub fn with_storage(mut self, storage: StorageConfig) -> Self {
-        self.storage = storage;
-        self
-    }
-
     /// Enables out-of-core node storage (see [`SpillConfig`]): pending tree nodes
     /// beyond the spill budget are written to disk and read back only at reduction
     /// time, with fixed-seed output bitwise identical to in-memory storage.
     pub fn with_spill(mut self, spill: SpillConfig) -> Self {
-        self.storage = StorageConfig::Spill(spill);
+        self.spill = Some(spill);
         self
     }
 
@@ -298,12 +205,19 @@ impl StreamConfig {
         (self.budget_edges / 8).max(1)
     }
 
-    /// The ε fraction reserved for the final pass (0 when no pass is configured).
+    /// The ε reserved for the final pass (0 when no pass is configured).
     pub fn final_pass_epsilon(&self) -> f64 {
-        self.final_pass
-            .as_ref()
-            .map(|fp| self.epsilon * fp.epsilon_fraction)
-            .unwrap_or(0.0)
+        if self.final_pass.is_some() {
+            self.epsilon * FINAL_PASS_EPSILON_FRACTION
+        } else {
+            0.0
+        }
+    }
+
+    /// The seed of the final pass's JL projections and coins, derived from
+    /// [`StreamConfig::seed`].
+    pub fn final_pass_seed(&self) -> u64 {
+        self.seed ^ 0xF1A1_9A55_0000_00ED
     }
 
     /// The ε available to the merge-and-reduce tree: `ε_total` minus the final-pass
@@ -316,7 +230,7 @@ impl StreamConfig {
     /// The ε spent by a reduction at application depth `j` (see the type docs; the
     /// geometric schedule is taken over [`StreamConfig::tree_epsilon`]).
     pub fn level_epsilon(&self, j: usize) -> f64 {
-        let eps = self.tree_epsilon() * (1.0 - self.level_ratio) * self.level_ratio.powi(j as i32);
+        let eps = self.tree_epsilon() * (1.0 - LEVEL_RATIO) * LEVEL_RATIO.powi(j as i32);
         // Very deep (forced) chains would underflow to 0, which SparsifyConfig
         // rejects; clamp to a subnormal-free floor. ε this small is pure accounting.
         eps.max(1e-300)
@@ -324,13 +238,13 @@ impl StreamConfig {
 
     /// The `SparsifyConfig` for reduction number `index` at application depth `j`.
     ///
-    /// Depth 0 gets [`StreamConfig::leaf_sampling`], everything deeper (including
-    /// forced reductions) gets [`StreamConfig::interior_sampling`].
+    /// Depth 0 gets the uniform coin, everything deeper (including forced
+    /// reductions) gets [`StreamConfig::interior_sampling`].
     pub(crate) fn reduction_config(&self, j: usize, index: u64) -> SparsifyConfig {
         let sampling = if j == 0 {
-            self.leaf_sampling.clone()
+            SamplingPolicy::Uniform
         } else {
-            self.interior_sampling.clone()
+            self.interior_sampling
         };
         let mut cfg = SparsifyConfig::new(self.level_epsilon(j).min(1.0), self.rho)
             .with_bundle_sizing(self.bundle_sizing)
@@ -339,7 +253,7 @@ impl StreamConfig {
             .with_seed(splitmix64(
                 splitmix64(self.seed ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ index,
             ));
-        cfg.stop_below_nlogn_factor = self.stop_below_nlogn_factor;
+        cfg.stop_below_nlogn_factor = STOP_BELOW_NLOGN_FACTOR;
         cfg
     }
 }
@@ -357,10 +271,8 @@ mod tests {
             sum > 0.8 - 1e-6,
             "schedule should converge to ε_total: {sum}"
         );
-        // Geometric decay with the configured ratio.
+        // Geometric decay with ratio 1/2.
         assert!((cfg.level_epsilon(1) / cfg.level_epsilon(0) - 0.5).abs() < 1e-12);
-        let custom = StreamConfig::new(0.8, 1000).with_level_ratio(0.25);
-        assert!((custom.level_epsilon(1) / custom.level_epsilon(0) - 0.25).abs() < 1e-12);
         // Deep levels never reach zero (SparsifyConfig would reject it).
         assert!(cfg.level_epsilon(5000) > 0.0);
     }
@@ -400,21 +312,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "level ratio")]
-    fn rejects_bad_level_ratio() {
-        let _ = StreamConfig::new(0.5, 100).with_level_ratio(1.0);
-    }
-
-    #[test]
     fn final_pass_reserves_epsilon_fraction() {
         let plain = StreamConfig::new(0.6, 1000);
         assert_eq!(plain.final_pass_epsilon(), 0.0);
         assert_eq!(plain.tree_epsilon(), 0.6);
 
-        let with_pass = StreamConfig::new(0.6, 1000)
-            .with_final_pass(FinalPassConfig::new().with_epsilon_fraction(0.5));
-        assert!((with_pass.final_pass_epsilon() - 0.3).abs() < 1e-12);
-        assert!((with_pass.tree_epsilon() - 0.3).abs() < 1e-12);
+        let with_pass = StreamConfig::new(0.6, 1000).with_final_pass(FinalPassConfig::new());
+        assert!((with_pass.final_pass_epsilon() - 0.2).abs() < 1e-12);
+        assert!((with_pass.tree_epsilon() - 0.4).abs() < 1e-12);
         // Tree schedule + pass reservation still sums to ε_total.
         let tree_sum: f64 = (0..200).map(|j| with_pass.level_epsilon(j)).sum();
         assert!(tree_sum + with_pass.final_pass_epsilon() <= 0.6 + 1e-9);

@@ -60,14 +60,14 @@ pub mod store;
 pub use config::{FinalPassConfig, StreamConfig};
 pub use sparsifier::{StreamOutput, StreamSparsifier};
 pub use stats::{ErPassStats, LevelStats, SpillLedger, StreamStats};
-pub use store::{EdgeStore, MemStore, NodeHandle, SpillConfig, SpillStore, StorageConfig};
+pub use store::{EdgeStore, MemStore, NodeHandle, SpillConfig, SpillStore};
 
 /// Commonly used items for downstream crates and examples.
 pub mod prelude {
     pub use crate::config::{FinalPassConfig, StreamConfig};
     pub use crate::sparsifier::{StreamOutput, StreamSparsifier};
     pub use crate::stats::{ErPassStats, LevelStats, SpillLedger, StreamStats};
-    pub use crate::store::{EdgeStore, MemStore, SpillConfig, SpillStore, StorageConfig};
+    pub use crate::store::{EdgeStore, MemStore, SpillConfig, SpillStore};
 }
 
 #[cfg(test)]

@@ -3,13 +3,13 @@
 use std::io::BufRead;
 use std::mem;
 
-use sgs_core::{ErPassConfig, SparsifyEngine};
+use sgs_core::SparsifyEngine;
 use sgs_graph::io::EdgeBatchReader;
 use sgs_graph::{ops, Edge, Graph, GraphError, Result};
 
 use crate::config::StreamConfig;
 use crate::stats::{ErPassStats, StreamStats};
-use crate::store::{EdgeStore, NodeHandle, EDGE_BYTES};
+use crate::store::{build_store, EdgeStore, NodeHandle, EDGE_BYTES};
 
 /// Result of a streaming run: the final sparsifier plus the accounting that backs the
 /// memory and accuracy claims.
@@ -86,7 +86,7 @@ impl StreamSparsifier {
     /// Creates a streaming sparsifier over a fixed vertex set `0..n`.
     pub fn new(n: usize, cfg: StreamConfig) -> StreamSparsifier {
         let leaf_capacity = cfg.leaf_capacity();
-        let store = cfg.storage.build();
+        let store = build_store(cfg.spill.as_ref());
         StreamSparsifier {
             cfg,
             n,
@@ -153,7 +153,7 @@ impl StreamSparsifier {
     /// Ingests one batch of edges. The batch is validated up front, so on a
     /// validation error nothing is ingested — the call is failure-atomic and the
     /// sparsifier stays usable. A *storage* failure (spill I/O under
-    /// `StorageConfig::Spill`; impossible with in-memory storage) can strike after
+    /// `StreamConfig::spill`; impossible with in-memory storage) can strike after
     /// part of the batch was applied, in which case the sparsifier is poisoned with
     /// the same contract as [`Self::ingest_iter`]. Batch boundaries are *only* an
     /// ingestion granularity — they never influence the output (leaves fire on
@@ -461,7 +461,7 @@ impl StreamSparsifier {
     /// [`StreamStats::epsilon_spent`] for the realized ledger).
     ///
     /// With in-memory storage (the default) finishing cannot fail; with
-    /// `StorageConfig::Spill` a disk failure panics here — out-of-core callers
+    /// `StreamConfig::spill` a disk failure panics here — out-of-core callers
     /// should prefer [`Self::try_finish`].
     pub fn finish(self) -> StreamOutput {
         self.try_finish()
@@ -518,17 +518,12 @@ impl StreamSparsifier {
         // Spielman–Srivastava probabilities at the reserved fraction of ε_total. The
         // sparsifier at this point is small (≲ budget/2 edges), so the pass's handful
         // of CG solves runs on the cheapest graph the stream ever produces.
-        if let Some(fp) = self.cfg.final_pass.clone() {
-            let pass_eps = self.cfg.final_pass_epsilon().min(1.0);
-            let mut pass_cfg = ErPassConfig::new(pass_eps)
-                .with_oversample(fp.oversample)
-                .with_jl_dims(fp.jl_dims)
-                .with_cg_tol(fp.cg_tol)
-                .with_seed(self.cfg.seed ^ 0xF1A1_9A55_0000_00ED);
-            if let Some(shrink) = fp.auto_shrink {
-                pass_cfg = pass_cfg.with_auto_oversample(shrink);
-            }
-            let out = self.engine.resparsify_er(&sparsifier, &pass_cfg);
+        if let Some(pass_cfg) = &self.cfg.final_pass {
+            let pass_eps = self.cfg.final_pass_epsilon();
+            let seed = self.cfg.final_pass_seed();
+            let out = self
+                .engine
+                .resparsify_er(&sparsifier, pass_cfg, pass_eps, seed);
             self.stats.er_pass = Some(ErPassStats {
                 epsilon: pass_eps,
                 m_in: out.m_in as u64,

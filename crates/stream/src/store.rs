@@ -321,23 +321,12 @@ impl Drop for SpillStore {
     }
 }
 
-/// Storage selection for a [`crate::StreamConfig`].
-#[derive(Debug, Clone, Default)]
-pub enum StorageConfig {
-    /// Every pending node stays in RAM ([`MemStore`]); the pre-trait behavior.
-    #[default]
-    Memory,
-    /// Cold nodes spill to disk ([`SpillStore`]) under the configured byte budget.
-    Spill(SpillConfig),
-}
-
-impl StorageConfig {
-    /// Builds the configured store.
-    pub(crate) fn build(&self) -> Box<dyn EdgeStore> {
-        match self {
-            StorageConfig::Memory => Box::new(MemStore::new()),
-            StorageConfig::Spill(cfg) => Box::new(SpillStore::new(cfg.clone())),
-        }
+/// Builds the store a [`crate::StreamConfig`] asks for: resident without a spill
+/// configuration, spilling to disk with one.
+pub(crate) fn build_store(spill: Option<&SpillConfig>) -> Box<dyn EdgeStore> {
+    match spill {
+        None => Box::new(MemStore::new()),
+        Some(cfg) => Box::new(SpillStore::new(cfg.clone())),
     }
 }
 

@@ -52,7 +52,7 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
 /// One-import surface for examples, tests and downstream users: the graph type and
 /// generators, the one-shot and engine sparsifier entry points with their configs and
-/// sampling strategies, the ER final pass, and the streaming engine.
+/// sampling policy, the ER final pass, and the streaming engine.
 ///
 /// ```
 /// use spectral_sparsify::prelude::*;
@@ -68,12 +68,10 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 pub mod prelude {
     pub use sgs_core::{
         edge_coin, parallel_sample, parallel_sparsify, resparsify_er, BundleSizing, ErPassConfig,
-        ErPassOutput, SampleOutput, SamplingPolicy, SamplingStrategy, SparsifyConfig,
-        SparsifyEngine, SparsifyOutput,
+        ErPassOutput, SampleOutput, SamplingPolicy, SparsifyConfig, SparsifyEngine, SparsifyOutput,
     };
     pub use sgs_graph::{generators, Edge, Graph};
     pub use sgs_stream::{
-        FinalPassConfig, SpillConfig, SpillLedger, StorageConfig, StreamConfig, StreamOutput,
-        StreamSparsifier,
+        FinalPassConfig, SpillConfig, SpillLedger, StreamConfig, StreamOutput, StreamSparsifier,
     };
 }

@@ -27,7 +27,7 @@
 
 use spectral_sparsify::distributed::{distributed_sample, distributed_spanner, DistSpannerConfig};
 use spectral_sparsify::graph::{generators, Graph};
-use spectral_sparsify::sparsify::{BundleSizing, SparsifyConfig};
+use spectral_sparsify::sparsify::{BundleSizing, SamplingPolicy, SparsifyConfig};
 
 /// FNV-1a over the little-endian bytes of each id: the same stable fingerprint
 /// of an ordered id list that `tests/golden_spanner.rs` uses.
@@ -239,18 +239,23 @@ fn distributed_sample_matches_fixtures() {
     assert!(!GOLDEN_SAMPLE.is_empty(), "fixtures not captured");
     for &(name, seed, bundle, m_out, fp, rounds, messages, bits) in GOLDEN_SAMPLE {
         let g = graph(name);
-        let out = distributed_sample(&g, &sample_cfg(seed));
-        assert_eq!(
-            (
-                out.bundle_edges,
-                out.sparsifier.m(),
-                graph_fingerprint(&out.sparsifier),
-                out.metrics.rounds,
-                out.metrics.messages,
-                out.metrics.total_bits,
-            ),
-            (bundle, m_out, fp, rounds, messages, bits),
-            "{name} seed={seed}"
-        );
+        // The CONGEST sampler runs the uniform coin whatever `cfg.sampling` says, so
+        // an effective-resistance policy must reproduce the uniform fixture.
+        let er_cfg = sample_cfg(seed).with_sampling(SamplingPolicy::effective_resistance(4, 1e-3));
+        for (policy, cfg) in [("uniform", sample_cfg(seed)), ("er", er_cfg)] {
+            let out = distributed_sample(&g, &cfg);
+            assert_eq!(
+                (
+                    out.bundle_edges,
+                    out.sparsifier.m(),
+                    graph_fingerprint(&out.sparsifier),
+                    out.metrics.rounds,
+                    out.metrics.messages,
+                    out.metrics.total_bits,
+                ),
+                (bundle, m_out, fp, rounds, messages, bits),
+                "{name} seed={seed} policy={policy}"
+            );
+        }
     }
 }

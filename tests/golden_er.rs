@@ -18,7 +18,9 @@
 //! and document the change in vendor/README.md (as for `golden_stream.rs`).
 
 use spectral_sparsify::graph::{generators, Graph};
-use spectral_sparsify::sparsify::{resparsify_er, BundleSizing, ErPassConfig, SamplingPolicy};
+use spectral_sparsify::sparsify::{
+    parallel_sparsify, resparsify_er, BundleSizing, ErPassConfig, SamplingPolicy, SparsifyConfig,
+};
 use spectral_sparsify::stream::{FinalPassConfig, StreamConfig, StreamOutput, StreamSparsifier};
 
 /// Runs `op` pinned to a pool of `threads` threads.
@@ -60,13 +62,12 @@ fn graph(name: &str) -> Graph {
 
 /// Small JL sketch / loose CG tolerance so the fixtures stay cheap in debug builds;
 /// `oversample = 0.25` keeps the sample budget in the compressing-but-connected
-/// regime on every fixture graph.
-fn pass_config(seed: u64) -> ErPassConfig {
-    ErPassConfig::new(0.5)
+/// regime on every fixture graph. The pass runs at ε = 0.5.
+fn pass_config() -> ErPassConfig {
+    ErPassConfig::new()
         .with_oversample(0.25)
         .with_jl_dims(4)
         .with_cg_tol(1e-3)
-        .with_seed(seed)
 }
 
 /// (graph, seed, m_out, fingerprint, solves, resampled).
@@ -92,7 +93,7 @@ const GOLDEN_ER: &[(&str, u64, usize, u64, usize, bool)] = &[
 fn er_pass_fixtures_match_across_seeds() {
     for &(name, seed, m_out, fp, solves, resampled) in GOLDEN_ER {
         let g = graph(name);
-        let out = resparsify_er(&g, &pass_config(seed));
+        let out = resparsify_er(&g, &pass_config(), 0.5, seed);
         let label = format!("{name}/seed {seed}");
         assert_eq!(out.sparsifier.m(), m_out, "{label}: m_out");
         assert_eq!(fingerprint(&out.sparsifier), fp, "{label}: fingerprint");
@@ -109,13 +110,46 @@ fn er_pass_fixtures_are_parallelism_mode_independent() {
     // sequential by construction.
     for &(name, seed, m_out, fp, ..) in &GOLDEN_ER[..4] {
         let g = graph(name);
-        let out = on_pool(1, || resparsify_er(&g, &pass_config(seed)));
+        let out = on_pool(1, || resparsify_er(&g, &pass_config(), 0.5, seed));
         assert_eq!(out.sparsifier.m(), m_out, "{name}/seed {seed} 1 thread");
         assert_eq!(
             fingerprint(&out.sparsifier),
             fp,
             "{name}/seed {seed} 1 thread"
         );
+    }
+}
+
+/// `PARALLELSPARSIFY` with the leverage-weighted off-bundle coin: two rounds at ε = 0.5
+/// over a 2-bundle, 4 JL rows at CG tolerance `1e-3`.
+fn er_sparsify_config(seed: u64) -> SparsifyConfig {
+    SparsifyConfig::new(0.5, 4.0)
+        .with_bundle_sizing(BundleSizing::Fixed(2))
+        .with_sampling(SamplingPolicy::effective_resistance(4, 1e-3))
+        .with_seed(seed)
+}
+
+/// (graph, seed, m_out, fingerprint, rounds_executed) of `parallel_sparsify` under
+/// [`er_sparsify_config`]: pins the ER sampler's probabilities, coin and reweighting
+/// bit for bit.
+const GOLDEN_ER_SPARSIFY: &[(&str, u64, usize, u64, usize)] = &[
+    ("er300", 1, 3608, 0x327b82c66958184f, 1),
+    ("er300", 2, 3436, 0x0afcc287310dd593, 1),
+    ("er250", 1, 3337, 0x79d646e61fc7e9fd, 1),
+    ("er250", 2, 3468, 0x6cf5621cd56b1e73, 1),
+    ("complete80", 1, 628, 0x132145e029767ce7, 2),
+    ("complete80", 2, 829, 0x58c329fbfed7e637, 2),
+];
+
+#[test]
+fn er_sampling_fixtures_match_across_seeds() {
+    for &(name, seed, m_out, fp, rounds) in GOLDEN_ER_SPARSIFY {
+        let g = graph(name);
+        let out = parallel_sparsify(&g, &er_sparsify_config(seed));
+        let label = format!("{name}/seed {seed}");
+        assert_eq!(out.sparsifier.m(), m_out, "{label}: m_out");
+        assert_eq!(fingerprint(&out.sparsifier), fp, "{label}: fingerprint");
+        assert_eq!(out.rounds_executed, rounds, "{label}: rounds");
     }
 }
 
@@ -194,13 +228,25 @@ fn print_current_fixtures() {
     for name in ["er300", "er250", "pa400", "complete80"] {
         let g = graph(name);
         for seed in 1u64..=3 {
-            let out = resparsify_er(&g, &pass_config(seed));
+            let out = resparsify_er(&g, &pass_config(), 0.5, seed);
             println!(
                 "    (\"{name}\", {seed}, {}, {:#018x}, {}, {}),",
                 out.sparsifier.m(),
                 fingerprint(&out.sparsifier),
                 out.solves,
                 out.resampled,
+            );
+        }
+    }
+    for name in ["er300", "er250", "complete80"] {
+        let g = graph(name);
+        for seed in 1u64..=2 {
+            let out = parallel_sparsify(&g, &er_sparsify_config(seed));
+            println!(
+                "    (\"{name}\", {seed}, {}, {:#018x}, {}),",
+                out.sparsifier.m(),
+                fingerprint(&out.sparsifier),
+                out.rounds_executed,
             );
         }
     }

@@ -243,6 +243,11 @@ fn er2000_forced_merge_and_er_final_pass_are_pinned() {
     let er = stream(cfg_er);
     assert_eq!(er.sparsifier.m(), 6663, "m_out_er");
     assert_eq!(
+        fingerprint(&er.sparsifier),
+        0x1cf197bfb38fa3e6,
+        "fingerprint_er"
+    );
+    assert_eq!(
         er.stats.epsilon_spent().to_bits(),
         0.7490234375f64.to_bits(),
         "epsilon_spent_er {}",

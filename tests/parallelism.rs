@@ -154,13 +154,12 @@ fn er_strategy_sparsifier_is_byte_identical_across_thread_counts() {
 #[test]
 fn er_final_pass_is_byte_identical_across_thread_counts() {
     let g = generators::erdos_renyi(300, 0.3, 1.0, 21);
-    let cfg = ErPassConfig::new(0.5)
+    let cfg = ErPassConfig::new()
         .with_oversample(0.25)
         .with_jl_dims(4)
-        .with_cg_tol(1e-3)
-        .with_seed(11);
-    let a = on_pool(1, || resparsify_er(&g, &cfg));
-    let b = on_pool(4, || resparsify_er(&g, &cfg));
+        .with_cg_tol(1e-3);
+    let a = on_pool(1, || resparsify_er(&g, &cfg, 0.5, 11));
+    let b = on_pool(4, || resparsify_er(&g, &cfg, 0.5, 11));
     assert!(a.resampled && b.resampled);
     assert_eq!(a.solves, b.solves);
     assert_eq!(a.sparsifier.edges(), b.sparsifier.edges());
