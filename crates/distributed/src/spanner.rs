@@ -23,11 +23,13 @@
 //! The protocol state mirrors the shared-memory engine of `sgs_spanner::baswana_sen`:
 //!
 //! * The per-vertex "alive incident edges" `BTreeMap` is gone. Active edges live in a
-//!   flat edge view plus a [`ViewCsr`] incidence — the same structure (literally the
-//!   same type) the shared-memory engine uses — and aliveness is two bitmaps, one per
-//!   endpoint. (Per-endpoint, not per-edge: the two sides of an edge can disagree for
-//!   the tail of an iteration, and the duplicate `Kill` traffic this produces is part
-//!   of the pinned communication metrics.)
+//!   [`ViewCsr`] incidence — the same structure (literally the same type) the
+//!   shared-memory engine uses, whose slots carry each neighbour and weight — plus
+//!   the `u32` original id per edge, and aliveness is one bitmap over half-edges, one
+//!   flag per endpoint (`half_edge`). (Per-endpoint, not per-edge: the two sides of
+//!   an edge can disagree for the tail of an iteration, and the duplicate `Kill`
+//!   traffic this produces is part of the pinned communication metrics.) The protocol
+//!   never retires slots, so its rows keep ascending view order.
 //! * The per-vertex "neighbor info" `BTreeMap` is gone. What a vertex broadcast in the
 //!   last exchange is mirrored in two flat arrays (`reported_center` /
 //!   `reported_sampled`); a vertex only ever consults entries of *adjacent* vertices,
@@ -50,7 +52,7 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 use sgs_graph::{EdgeId, Graph, NodeId};
-use sgs_spanner::baswana_sen::{EdgeView, ViewCsr};
+use sgs_spanner::baswana_sen::{Slot, ViewCsr};
 use sgs_spanner::AtomicFlags;
 
 use crate::faults::{FaultPlan, ReliabilityConfig, ReliableNet};
@@ -246,8 +248,8 @@ impl Net {
 /// instead of acting on stale state.
 ///
 /// Every lookup names the edge the way its call site already has it: `other` is the
-/// far endpoint of view edge `idx` and `half` is [`half_edge`]`(idx, v is the edge's
-/// first endpoint)`, the near endpoint being `v`.
+/// far endpoint of view edge `idx` and `half` is [`half_edge`]`(idx, v, other)`, the
+/// near endpoint being `v`.
 trait NbrInfo: Copy + Sync {
     /// `other`'s cluster center as known to `v` ([`NONE32`] = unclustered or unknown).
     fn center(&self, other: NodeId, half: usize) -> u32;
@@ -257,11 +259,12 @@ trait NbrInfo: Copy + Sync {
     fn known(&self, other: NodeId, half: usize) -> bool;
 }
 
-/// The half-edge of view edge `idx` seen from its first endpoint (`from_a`) or its
-/// second: the key of [`FaultView::slots`].
+/// The half-edge of view edge `idx` at its endpoint `v`, whose far endpoint is
+/// `other`: `2·idx` at the lower-numbered endpoint, `2·idx + 1` at the higher. Keys
+/// the per-endpoint aliveness flags and [`FaultView::slots`].
 #[inline]
-fn half_edge(idx: usize, from_a: bool) -> usize {
-    2 * idx + usize::from(!from_a)
+fn half_edge(idx: usize, v: NodeId, other: NodeId) -> usize {
+    2 * idx + usize::from(v > other)
 }
 
 /// Reliable-delivery knowledge: the global broadcast mirrors.
@@ -321,8 +324,8 @@ impl NbrInfo for RecvInfo<'_> {
 #[derive(Debug)]
 struct FaultView {
     /// Per view half-edge ([`half_edge`]), the link slot holding the near endpoint's
-    /// knowledge of the far one: the slot of `a -> b` for half `2·idx`, of `b -> a`
-    /// for `2·idx + 1`. Resolved once, when the view is built.
+    /// knowledge of the far one: the slot of `v -> u` for the half of `v` on edge
+    /// `{v, u}`. Resolved once, when the view is built.
     slots: Vec<u32>,
     /// Received payloads per link slot.
     c: Vec<u32>,
@@ -331,15 +334,21 @@ struct FaultView {
 }
 
 impl FaultView {
-    fn new(net: &Net, view: &[EdgeView]) -> FaultView {
+    fn new(net: &Net, csr: &ViewCsr, m: usize) -> FaultView {
         let rev = net.rev_links();
-        let mut slots = Vec::with_capacity(2 * view.len());
-        for &(_, a, b, _) in view {
-            let ab = net
-                .link_index(a, b)
-                .expect("view edge is not a network link");
-            slots.push(ab as u32);
-            slots.push(rev[ab]);
+        let mut slots = vec![NONE32; 2 * m];
+        for v in 0..csr.n() {
+            for s in csr.row(v) {
+                let u = s.nbr as usize;
+                if v < u {
+                    let vu = net
+                        .link_index(v, u)
+                        .expect("view edge is not a network link");
+                    let idx = s.idx as usize;
+                    slots[half_edge(idx, v, u)] = vu as u32;
+                    slots[half_edge(idx, u, v)] = rev[vu];
+                }
+            }
         }
         let links = rev.len();
         FaultView {
@@ -391,21 +400,12 @@ struct ClusterScratch {
     last_seen: Vec<u32>,
     best_w: Vec<f64>,
     best_idx: Vec<u32>,
+    /// The far endpoint of the group's best edge.
+    best_nbr: Vec<u32>,
     /// The adjacent cluster's sampled flag, stored once when the group is created
     /// (every member reports the same flag).
     grp_sampled: Vec<bool>,
     touched: Vec<u32>,
-}
-
-/// Shared read-only context of one grouping sweep: the edge view plus the
-/// per-endpoint aliveness bitmaps and the neighbor-knowledge source (the global
-/// mirrors in the clean protocol, the received-message view in fault mode).
-#[derive(Clone, Copy)]
-struct RowCtx<'a, I> {
-    view: &'a [EdgeView],
-    alive_a: &'a [bool],
-    alive_b: &'a [bool],
-    info: I,
 }
 
 impl ClusterScratch {
@@ -415,32 +415,36 @@ impl ClusterScratch {
             last_seen: vec![0; n],
             best_w: vec![0.0; n],
             best_idx: vec![0; n],
+            best_nbr: vec![0; n],
             grp_sampled: vec![false; n],
             touched: Vec::new(),
         }
     }
 
-    /// Groups `v`'s own-side alive edges by the neighbor's reported cluster into the
-    /// stamped slots + touched list: per group the lightest edge (first-seen on ties,
-    /// i.e. lowest edge id) and the cluster's sampled flag. Both the Phase C decision
-    /// sweep and the final joining sweep run exactly this grouping.
-    fn group_row<I: NbrInfo>(&mut self, v: NodeId, c_v: u32, row: &[u32], ctx: &RowCtx<'_, I>) {
+    /// Groups `v`'s own-side alive edges (per the half-edge flags `alive`) by the
+    /// neighbor's cluster as known through `info` into the stamped slots + touched
+    /// list: per group the lightest edge (first-seen on ties, i.e. lowest edge id,
+    /// since protocol rows stay ascending), its far endpoint and the cluster's sampled
+    /// flag. Both the Phase C decision sweep and the final joining sweep run exactly
+    /// this grouping.
+    fn group_row<I: NbrInfo>(
+        &mut self,
+        v: NodeId,
+        c_v: u32,
+        row: &[Slot],
+        alive: &[bool],
+        info: I,
+    ) {
         self.stamp += 1;
         let stamp = self.stamp;
         self.touched.clear();
-        for &idx32 in row {
-            let idx = idx32 as usize;
-            let (_, a, b, w) = ctx.view[idx];
-            let (own_alive, other) = if a == v {
-                (ctx.alive_a[idx], b)
-            } else {
-                (ctx.alive_b[idx], a)
-            };
-            if !own_alive {
+        for s in row {
+            let (idx32, other, w) = (s.idx, s.nbr as usize, s.w);
+            let half = half_edge(idx32 as usize, v, other);
+            if !alive[half] {
                 continue;
             }
-            let half = half_edge(idx, a == v);
-            let c_o = ctx.info.center(other, half);
+            let c_o = info.center(other, half);
             if c_o == NONE32 || c_o == c_v {
                 // Neighbor is unclustered, unheard-from (fault mode), or shares the
                 // cluster; intra-cluster edges retire in the local sweep.
@@ -451,18 +455,19 @@ impl ClusterScratch {
                 self.last_seen[c] = stamp;
                 self.best_w[c] = w;
                 self.best_idx[c] = idx32;
-                self.grp_sampled[c] = ctx.info.sampled(other, half);
+                self.best_nbr[c] = s.nbr;
+                self.grp_sampled[c] = info.sampled(other, half);
                 self.touched.push(c_o);
             } else if w < self.best_w[c] {
                 self.best_w[c] = w;
                 self.best_idx[c] = idx32;
+                self.best_nbr[c] = s.nbr;
             }
         }
     }
 }
 
-/// Compact Phase C outcome of one vertex; the add/kill view-index lists live in the
-/// owning [`PhaseCBatch`]'s flat buffers.
+/// Compact Phase C outcome of one vertex.
 #[derive(Debug, Clone, Copy)]
 struct PhaseCDecision {
     v: u32,
@@ -470,12 +475,10 @@ struct PhaseCDecision {
     new_center: u32,
     /// New parent (the endpoint behind the joining edge), or [`NONE32`].
     new_parent: u32,
-    add_len: u32,
-    kill_len: u32,
 }
 
-/// Phase C decisions of one vertex block: per-vertex records plus flat add/kill
-/// view-index lists (segments in record order).
+/// Phase C decisions of one vertex block: per-vertex records plus the flat lists of
+/// added view indices and killed half-edges ([`half_edge`]).
 #[derive(Debug, Default)]
 struct PhaseCBatch {
     verts: Vec<PhaseCDecision>,
@@ -500,8 +503,9 @@ struct Protocol {
     fault_view: Option<FaultView>,
     rng: ChaCha8Rng,
     sample_prob: f64,
-    /// The active edge view (original ids, ascending) and its flat incidence.
-    view: Vec<EdgeView>,
+    /// The original id of each active edge (ascending; the view order) and their
+    /// flat incidence.
+    ids: Vec<u32>,
     csr: ViewCsr,
     /// Global edge id → view index (or [`NONE32`]), for `Kill` receipt.
     idx_of: Vec<u32>,
@@ -510,10 +514,9 @@ struct Protocol {
     /// child leaves for another cluster — the resulting extra flag messages are part
     /// of the protocol's (pinned) communication footprint, exactly as before.
     children: Vec<Vec<NodeId>>,
-    /// Own-side aliveness of `view[idx]`: `alive_a` is endpoint `view[idx].1`'s side,
-    /// `alive_b` endpoint `view[idx].2`'s.
-    alive_a: Vec<bool>,
-    alive_b: Vec<bool>,
+    /// Own-side aliveness per half-edge ([`half_edge`]): each flag is read and
+    /// written only by its near endpoint.
+    alive: Vec<bool>,
     in_spanner: Vec<bool>,
     /// What each vertex broadcast in the most recent exchange ([`NONE32`] when it did
     /// not broadcast): the simulator-global mirror of the `ClusterInfo` payloads.
@@ -532,19 +535,22 @@ impl Protocol {
         let mut ids: Vec<EdgeId> = active.to_vec();
         ids.sort_unstable();
         ids.dedup();
-        let view: Vec<EdgeView> = ids
-            .iter()
-            .map(|&id| {
+        let csr = ViewCsr::build(
+            n,
+            ids.iter().map(|&id| {
                 let e = g.edge(id);
-                (id, e.u, e.v, e.w)
-            })
-            .collect();
-        let csr = ViewCsr::build(n, &view);
+                (e.u, e.v, e.w)
+            }),
+        );
         let mut idx_of = vec![NONE32; g.m()];
-        for (idx, &(id, _, _, _)) in view.iter().enumerate() {
+        for (idx, &id) in ids.iter().enumerate() {
             idx_of[id] = idx as u32;
         }
-        let m_view = view.len();
+        let ids: Vec<u32> = ids
+            .into_iter()
+            .map(|id| u32::try_from(id).expect("edge id exceeds u32"))
+            .collect();
+        let m_view = ids.len();
         let net = if let Some(rc) = &cfg.reliability {
             Net::Ft(Box::new(ReliableNet::new(
                 g,
@@ -554,7 +560,7 @@ impl Protocol {
         } else {
             Net::Raw(Box::new(SyncNetwork::with_faults(g, cfg.faults.clone())))
         };
-        let fault_view = cfg.fault_mode().then(|| FaultView::new(&net, &view));
+        let fault_view = cfg.fault_mode().then(|| FaultView::new(&net, &csr, m_view));
         Protocol {
             n,
             k,
@@ -562,7 +568,7 @@ impl Protocol {
             fault_view,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             sample_prob: (n as f64).powf(-1.0 / k as f64),
-            view,
+            ids,
             csr,
             idx_of,
             states: (0..n)
@@ -574,8 +580,7 @@ impl Protocol {
                 })
                 .collect(),
             children: vec![Vec::new(); n],
-            alive_a: vec![true; m_view],
-            alive_b: vec![true; m_view],
+            alive: vec![true; 2 * m_view],
             in_spanner: vec![false; m_view],
             reported_center: vec![NONE32; n],
             reported_sampled: vec![false; n],
@@ -595,10 +600,10 @@ impl Protocol {
     /// The original ids of the edges selected so far, sorted.
     fn selected_edge_ids(&self) -> Vec<EdgeId> {
         let mut edge_ids: Vec<EdgeId> = self
-            .view
+            .ids
             .iter()
             .zip(&self.in_spanner)
-            .filter_map(|(&(id, _, _, _), &inb)| if inb { Some(id) } else { None })
+            .filter_map(|(&id, &inb)| inb.then_some(id as EdgeId))
             .collect();
         edge_ids.sort_unstable();
         edge_ids
@@ -715,12 +720,11 @@ impl Protocol {
         let Protocol {
             net,
             n,
-            view,
+            ids,
             csr,
             states,
             children,
-            alive_a,
-            alive_b,
+            alive,
             in_spanner,
             reported_center,
             reported_sampled,
@@ -730,12 +734,11 @@ impl Protocol {
         let sw = SweepState {
             net,
             n: *n,
-            view,
+            ids,
             csr,
             states,
             children,
-            alive_a,
-            alive_b,
+            alive,
             in_spanner,
         };
         match fault_view {
@@ -759,9 +762,7 @@ impl Protocol {
     fn process_kills_and_children(&mut self) {
         let net = &self.net;
         let idx_of = &self.idx_of;
-        let view = &self.view;
-        let alive_a = AtomicFlags::new(&mut self.alive_a);
-        let alive_b = AtomicFlags::new(&mut self.alive_b);
+        let alive = AtomicFlags::new(&mut self.alive);
         self.children
             .par_iter_mut()
             .enumerate()
@@ -771,12 +772,8 @@ impl Protocol {
                         SpannerMsg::Kill { edge } => {
                             let idx = idx_of[edge];
                             debug_assert_ne!(idx, NONE32, "Kill for an edge outside the view");
-                            let (_, a, _, _) = view[idx as usize];
-                            if a == v {
-                                alive_a.set(idx as usize, false);
-                            } else {
-                                alive_b.set(idx as usize, false);
-                            }
+                            // The sender is the edge's other endpoint.
+                            alive.set(half_edge(idx as usize, v, from), false);
                         }
                         SpannerMsg::Child => children.push(from),
                         _ => {}
@@ -787,26 +784,24 @@ impl Protocol {
 
     /// Intra-cluster edges retire locally (no message needed: both endpoints can see
     /// the shared center from the latest exchange — in fault mode only if the
-    /// exchange actually arrived). Each endpoint drops its own side; the per-edge
-    /// flag writes commute, so the sweeps run in parallel.
+    /// exchange actually arrived). Each endpoint drops its own side; the per-side
+    /// flag writes are disjoint, so the sweep runs in parallel over vertices.
     fn retain_intra_cluster(&mut self) {
         let Protocol {
             states,
-            view,
-            alive_a,
-            alive_b,
+            csr,
+            alive,
             reported_center,
             reported_sampled,
             fault_view,
             ..
         } = self;
         match fault_view {
-            Some(fv) => retain_intra_cluster_impl(states, view, alive_a, alive_b, RecvInfo(fv)),
+            Some(fv) => retain_intra_cluster_impl(states, csr, alive, RecvInfo(fv)),
             None => retain_intra_cluster_impl(
                 states,
-                view,
-                alive_a,
-                alive_b,
+                csr,
+                alive,
                 MirrorInfo {
                     rep_c: reported_center,
                     rep_s: reported_sampled,
@@ -825,12 +820,11 @@ impl Protocol {
         let Protocol {
             net,
             n,
-            view,
+            ids,
             csr,
             states,
             children,
-            alive_a,
-            alive_b,
+            alive,
             in_spanner,
             reported_center,
             reported_sampled,
@@ -840,12 +834,11 @@ impl Protocol {
         let sw = SweepState {
             net,
             n: *n,
-            view,
+            ids,
             csr,
             states,
             children,
-            alive_a,
-            alive_b,
+            alive,
             in_spanner,
         };
         match fault_view {
@@ -869,12 +862,11 @@ impl Protocol {
 struct SweepState<'a> {
     net: &'a mut Net,
     n: usize,
-    view: &'a [EdgeView],
+    ids: &'a [u32],
     csr: &'a ViewCsr,
     states: &'a mut Vec<VertState>,
     children: &'a mut Vec<Vec<NodeId>>,
-    alive_a: &'a mut Vec<bool>,
-    alive_b: &'a mut Vec<bool>,
+    alive: &'a mut Vec<bool>,
     in_spanner: &'a mut Vec<bool>,
 }
 
@@ -887,23 +879,29 @@ fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
     let SweepState {
         net,
         n,
-        view,
+        ids,
         csr,
         states,
         children,
-        alive_a,
-        alive_b,
+        alive,
         in_spanner,
     } = sw;
     let batches: Vec<PhaseCBatch> = {
         let states: &[VertState] = states;
-        let alive_a: &[bool] = alive_a;
-        let alive_b: &[bool] = alive_b;
-        let ctx = RowCtx {
-            view,
-            alive_a,
-            alive_b,
-            info,
+        let alive: &[bool] = alive;
+        // Retires `v`'s side of the edge in slot `s` (half-edge `half`): stages the
+        // flag write and sends the far endpoint a `Kill`.
+        let kill = |batch: &mut PhaseCBatch,
+                    out: &mut VertexOutbox<'_, SpannerMsg>,
+                    s: &Slot,
+                    half: usize| {
+            batch.kills.push(half as u32);
+            out.send(
+                s.nbr as usize,
+                SpannerMsg::Kill {
+                    edge: ids[s.idx as usize] as EdgeId,
+                },
+            );
         };
         net.par_step(
             || ClusterScratch::new(n),
@@ -917,10 +915,8 @@ fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
                 let row = csr.row(v);
 
                 // Pass 1: the shared stamped grouping sweep.
-                sc.group_row(v, c_v, row, &ctx);
+                sc.group_row(v, c_v, row, alive, info);
 
-                let adds_before = batch.adds.len();
-                let kills_before = batch.kills.len();
                 let new_center;
                 let new_parent;
                 if sc.touched.is_empty() {
@@ -930,16 +926,11 @@ fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
                     // alive — the neighbor may be mid-join on the other side).
                     new_center = NONE32;
                     new_parent = NONE32;
-                    for &idx32 in row {
-                        let idx = idx32 as usize;
-                        let (_, a, b, _) = view[idx];
-                        let (own_alive, other) = if a == v {
-                            (alive_a[idx], b)
-                        } else {
-                            (alive_b[idx], a)
-                        };
-                        if own_alive && info.known(other, half_edge(idx, a == v)) {
-                            batch.kills.push(idx32);
+                    for s in row {
+                        let other = s.nbr as usize;
+                        let half = half_edge(s.idx as usize, v, other);
+                        if alive[half] && info.known(other, half) {
+                            kill(batch, out, s, half);
                         }
                     }
                 } else {
@@ -965,71 +956,51 @@ fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
                             // known), and leave.
                             new_center = NONE32;
                             new_parent = NONE32;
-                            for &idx32 in row {
-                                let idx = idx32 as usize;
-                                let (_, a, b, _) = view[idx];
-                                let (own_alive, other) = if a == v {
-                                    (alive_a[idx], b)
-                                } else {
-                                    (alive_b[idx], a)
-                                };
-                                let half = half_edge(idx, a == v);
-                                if !own_alive || !info.known(other, half) {
+                            for s in row {
+                                let other = s.nbr as usize;
+                                let half = half_edge(s.idx as usize, v, other);
+                                if !alive[half] || !info.known(other, half) {
                                     continue;
                                 }
                                 let c_o = info.center(other, half);
-                                if c_o != NONE32 && c_o != c_v && sc.best_idx[c_o as usize] == idx32
+                                if c_o != NONE32 && c_o != c_v && sc.best_idx[c_o as usize] == s.idx
                                 {
-                                    batch.adds.push(idx32);
+                                    batch.adds.push(s.idx);
                                 }
-                                batch.kills.push(idx32);
+                                kill(batch, out, s, half);
                             }
                         }
                         Some((w_star, c_star)) => {
                             // Join the sampled cluster through its lightest edge; also
                             // keep the lightest edge into every strictly lighter
                             // neighbor cluster.
-                            let best_idx = sc.best_idx[c_star as usize];
-                            let (_, a, b, _) = view[best_idx as usize];
-                            let p = if a == v { b } else { a };
                             new_center = c_star;
-                            new_parent = p as u32;
-                            batch.adds.push(best_idx);
-                            for &idx32 in row {
-                                let idx = idx32 as usize;
-                                let (_, a, b, _) = view[idx];
-                                let (own_alive, other) = if a == v {
-                                    (alive_a[idx], b)
-                                } else {
-                                    (alive_b[idx], a)
-                                };
-                                if !own_alive {
+                            new_parent = sc.best_nbr[c_star as usize];
+                            batch.adds.push(sc.best_idx[c_star as usize]);
+                            for s in row {
+                                let other = s.nbr as usize;
+                                let half = half_edge(s.idx as usize, v, other);
+                                if !alive[half] {
                                     continue;
                                 }
-                                let c_o = info.center(other, half_edge(idx, a == v));
+                                let c_o = info.center(other, half);
                                 if c_o == NONE32 || c_o == c_v {
                                     continue;
                                 }
                                 if c_o == c_star {
-                                    batch.kills.push(idx32);
+                                    kill(batch, out, s, half);
                                 } else if sc.best_w[c_o as usize] < w_star {
-                                    if sc.best_idx[c_o as usize] == idx32 {
-                                        batch.adds.push(idx32);
+                                    if sc.best_idx[c_o as usize] == s.idx {
+                                        batch.adds.push(s.idx);
                                     }
-                                    batch.kills.push(idx32);
+                                    kill(batch, out, s, half);
                                 }
                             }
                         }
                     }
                 }
 
-                // Notifications: one Kill per retired own-side edge, one Child to the
-                // new parent.
-                for &idx32 in &batch.kills[kills_before..] {
-                    let (id, a, b, _) = view[idx32 as usize];
-                    let other = if a == v { b } else { a };
-                    out.send(other, SpannerMsg::Kill { edge: id });
-                }
+                // One Child to the new parent, after the vertex's Kills.
                 if new_parent != NONE32 {
                     out.send(new_parent as usize, SpannerMsg::Child);
                 }
@@ -1037,8 +1008,6 @@ fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
                     v: v as u32,
                     new_center,
                     new_parent,
-                    add_len: (batch.adds.len() - adds_before) as u32,
-                    kill_len: (batch.kills.len() - kills_before) as u32,
                 });
             },
         )
@@ -1046,32 +1015,18 @@ fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
 
     // Two-phase commit, parallel half: the edge-proportional flag writes. They are
     // conflict-free — `in_spanner` adds only ever store `true`, and a vertex kills
-    // only its *own* side of an edge (`alive_a` for endpoint `a`, `alive_b` for
-    // `b`), each side owned by exactly one vertex — so the final masks are the
-    // same for every commit order and fixed-seed runs stay bitwise identical
-    // across thread counts.
+    // only its *own* half-edges, each owned by exactly one vertex — so the final
+    // masks are the same for every commit order and fixed-seed runs stay bitwise
+    // identical across thread counts.
     {
         let in_spanner = AtomicFlags::new(in_spanner);
-        let alive_a = AtomicFlags::new(alive_a);
-        let alive_b = AtomicFlags::new(alive_b);
+        let alive = AtomicFlags::new(alive);
         batches.par_iter().for_each(|batch| {
-            let mut adds_pos = 0usize;
-            let mut kills_pos = 0usize;
-            for dec in &batch.verts {
-                let v = dec.v as usize;
-                for &idx in &batch.adds[adds_pos..adds_pos + dec.add_len as usize] {
-                    in_spanner.set(idx as usize, true);
-                }
-                adds_pos += dec.add_len as usize;
-                for &idx in &batch.kills[kills_pos..kills_pos + dec.kill_len as usize] {
-                    let (_, a, _, _) = view[idx as usize];
-                    if a == v {
-                        alive_a.set(idx as usize, false);
-                    } else {
-                        alive_b.set(idx as usize, false);
-                    }
-                }
-                kills_pos += dec.kill_len as usize;
+            for &idx in &batch.adds {
+                in_spanner.set(idx as usize, true);
+            }
+            for &half in &batch.kills {
+                alive.set(half as usize, false);
             }
         });
     }
@@ -1091,38 +1046,29 @@ fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
     net.advance_round();
 }
 
-/// The intra-cluster retirement sweep, generic over the neighbor-knowledge source.
+/// The intra-cluster retirement sweep, generic over the neighbor-knowledge source:
+/// every clustered vertex drops its own side of each edge whose far endpoint it knows
+/// to share its cluster.
 fn retain_intra_cluster_impl<I: NbrInfo>(
     states: &[VertState],
-    view: &[EdgeView],
-    alive_a: &mut [bool],
-    alive_b: &mut [bool],
+    csr: &ViewCsr,
+    alive: &mut [bool],
     info: I,
 ) {
-    alive_a
-        .par_iter_mut()
-        .zip(view.par_iter())
-        .enumerate()
-        .for_each(|(idx, (alive, &(_, a, b, _)))| {
-            if *alive {
-                let c = states[a].center;
-                if c != NONE32 && info.center(b, half_edge(idx, true)) == c {
-                    *alive = false;
-                }
+    let alive = AtomicFlags::new(alive);
+    (0..states.len()).into_par_iter().for_each(|v| {
+        let c = states[v].center;
+        if c == NONE32 {
+            return;
+        }
+        for s in csr.row(v) {
+            let other = s.nbr as usize;
+            let half = half_edge(s.idx as usize, v, other);
+            if alive.get(half) && info.center(other, half) == c {
+                alive.set(half, false);
             }
-        });
-    alive_b
-        .par_iter_mut()
-        .zip(view.par_iter())
-        .enumerate()
-        .for_each(|(idx, (alive, &(_, a, b, _)))| {
-            if *alive {
-                let c = states[b].center;
-                if c != NONE32 && info.center(a, half_edge(idx, false)) == c {
-                    *alive = false;
-                }
-            }
-        });
+        }
+    });
 }
 
 /// The final joining sweep, generic over the neighbor-knowledge source. With
@@ -1133,34 +1079,23 @@ fn finale_impl<I: NbrInfo>(sw: SweepState<'_>, info: I, conservative: bool) {
     let SweepState {
         net,
         n,
-        view,
         csr,
         states,
-        alive_a,
-        alive_b,
+        alive,
         in_spanner,
         ..
     } = sw;
     let states: &[VertState] = states;
-    let alive_a: &[bool] = alive_a;
-    let alive_b: &[bool] = alive_b;
-    let batches: Vec<JoinBatch> = {
-        let ctx = RowCtx {
-            view,
-            alive_a,
-            alive_b,
-            info,
-        };
-        net.par_step(
-            || ClusterScratch::new(n),
-            |sc, batch: &mut JoinBatch, v, _inbox, _out| {
-                sc.group_row(v, states[v].center, csr.row(v), &ctx);
-                for &c in &sc.touched {
-                    batch.adds.push(sc.best_idx[c as usize]);
-                }
-            },
-        )
-    };
+    let alive: &[bool] = alive;
+    let batches: Vec<JoinBatch> = net.par_step(
+        || ClusterScratch::new(n),
+        |sc, batch: &mut JoinBatch, v, _inbox, _out| {
+            sc.group_row(v, states[v].center, csr.row(v), alive, info);
+            for &c in &sc.touched {
+                batch.adds.push(sc.best_idx[c as usize]);
+            }
+        },
+    );
     // Same-value (`true`) writes commute, so the joining adds commit in parallel.
     {
         let in_spanner = AtomicFlags::new(in_spanner);
@@ -1171,16 +1106,17 @@ fn finale_impl<I: NbrInfo>(sw: SweepState<'_>, info: I, conservative: bool) {
         });
     }
     if conservative {
-        for (idx, &(_, a, b, _)) in view.iter().enumerate() {
-            let (ha, hb) = (half_edge(idx, true), half_edge(idx, false));
-            let keep_a = alive_a[idx]
-                && (!info.known(b, ha)
-                    || (states[a].center == NONE32 && info.center(b, ha) == NONE32));
-            let keep_b = alive_b[idx]
-                && (!info.known(a, hb)
-                    || (states[b].center == NONE32 && info.center(a, hb) == NONE32));
-            if keep_a || keep_b {
-                in_spanner[idx] = true;
+        for (v, st) in states.iter().enumerate() {
+            let unclustered = st.center == NONE32;
+            for s in csr.row(v) {
+                let other = s.nbr as usize;
+                let half = half_edge(s.idx as usize, v, other);
+                if alive[half]
+                    && (!info.known(other, half)
+                        || (unclustered && info.center(other, half) == NONE32))
+                {
+                    in_spanner[s.idx as usize] = true;
+                }
             }
         }
     }

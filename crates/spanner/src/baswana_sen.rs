@@ -16,10 +16,23 @@
 //!
 //! The implementation is built for zero per-vertex heap traffic:
 //!
-//! * **Flat CSR incidence** ([`ViewCsr`]): `offsets` + `indices` arrays built once per
-//!   view (counting sort), instead of `Vec<Vec<usize>>`. The t-bundle construction
-//!   *compacts* the arrays in place as edges are peeled into components, so the
-//!   structure is built once per bundle, not once per component.
+//! * **Slot rows** ([`ViewCsr`]): one `offsets` array plus one [`Slot`] array,
+//!   `{ nbr: u32, idx: u32, w: f64 }` (16 bytes) per incidence, built once per view
+//!   (counting sort), so a row walk reads neighbour and weight in sequence and never
+//!   loads the edge itself. The engine keeps only the `u32` original id per view edge
+//!   beside it. The t-bundle construction *compacts* the rows in place as edges are
+//!   peeled into components, so the structure is built once per bundle, not once per
+//!   component.
+//! * **Live prefix**: each vertex's row keeps the slots of its still-alive edges in a
+//!   prefix of length `live[v]`. The decide passes, the join and the defensive kill
+//!   walk only that prefix, with no per-edge aliveness test. After each commit a
+//!   block-parallel *retire pass* (the `spanner.sweep` span) swap-removes from every
+//!   prefix the slots whose edge was killed or whose endpoints now share a cluster;
+//!   both tests are symmetric, so an edge leaves its two rows together. A round thus
+//!   costs about the number of live edges, not the number of edges.
+//! * **Explicit tie-break**: swap-removal leaves rows unordered, so grouping picks,
+//!   among equal weights, the *lowest view index* — exactly what the ascending rows of
+//!   a fresh build gave by first-seen order.
 //! * **Cluster-stamped scratch** (`RoundScratch`): the per-vertex grouping of incident
 //!   edges by neighbouring cluster uses `last_seen`/`best_w`/`best_idx` slots indexed by
 //!   cluster id plus a touched-list for O(degree) cleanup — replacing a per-vertex
@@ -36,17 +49,19 @@
 //!   order-invariant: every edge a vertex *adds* it also *kills* (both branches of
 //!   `process_block`), so `in_spanner` is a plain union; `center_next` slots are
 //!   written by exactly one vertex each; and the defensive kill of an unclustered
-//!   vertex's leftover edges depends only on round-start state on any edge that is not
-//!   already batch-killed. The final masks after the commit are therefore identical
-//!   under any interleaving — the CRCW "common write" model of Corollary 2.
+//!   vertex's leftover edges depends only on round-start state (its live prefix and
+//!   the round-start clustering). The final masks after the commit are therefore
+//!   identical under any interleaving — the CRCW "common write" model of Corollary 2.
 //!
 //! The outputs (edge ids, round count, and the `work` counter) are byte-for-byte
-//! identical to the original `BTreeMap`-based implementation; `tests/golden_spanner.rs`
-//! pins that equivalence against pre-rewrite fixtures, and `tests/parallelism.rs` pins
-//! it across pool widths. Each phase runs inside an `sgs-obs` span
-//! (`spanner.decide` / `apply` / `sweep` / `join`), so a traced run shows where the
-//! wall clock went and the scaling experiments can prove the apply phase is no longer
-//! a serial section.
+//! identical to the original `BTreeMap`-based implementation — `work` still counts the
+//! full row of each decided or joined vertex and one examination per alive edge in
+//! the sweep; `tests/golden_spanner.rs` pins that equivalence against pre-rewrite
+//! fixtures, and `tests/parallelism.rs` pins it across pool widths. Each phase runs
+//! inside an `sgs-obs` span (`spanner.decide` / `apply` / `sweep` / `join`, plus
+//! `spanner.view` for the CSR build and `spanner.peel` for the bundle compaction), so a
+//! traced run shows where the wall clock went and the scaling experiments can prove
+//! the apply phase is no longer a serial section.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -112,8 +127,8 @@ impl SpannerResult {
     }
 }
 
-/// A lightweight edge view: `(original id, u, v, w)`. The bundle construction feeds
-/// progressively smaller views into the same spanner code without copying graphs.
+/// A lightweight edge view: `(original id, u, v, w)`, the input of
+/// [`baswana_sen_on_view`] and [`SpannerEngine::new`].
 pub type EdgeView = (EdgeId, NodeId, NodeId, f64);
 
 /// Sentinel for "no cluster" in the flat center array (`Option<NodeId>` without the
@@ -126,73 +141,110 @@ const NO_CLUSTER: u32 = u32::MAX;
 // outputs cannot, because the decision records depend only on round-start state and
 // the commit is order-invariant (module docs above).
 
-/// Flat CSR incidence over an edge view: `indices[offsets[v]..offsets[v+1]]` are the
-/// view indices of the edges incident to vertex `v`, in ascending order.
+/// One incidence of a [`ViewCsr`] row: the neighbour across the edge, the edge's view
+/// index and its weight, so a row walk never loads the edge itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Slot {
+    /// The other endpoint of the edge.
+    pub nbr: u32,
+    /// The edge's index in the view the CSR was built over.
+    pub idx: u32,
+    /// The edge's weight.
+    pub w: f64,
+}
+
+/// Flat CSR incidence over an edge view: `slots[offsets[v]..offsets[v+1]]` are the
+/// edges incident to vertex `v`, one [`Slot`] per incidence.
 ///
-/// Edge indices are `u32`; views are capped at `u32::MAX / 2` edges (the `indices`
-/// array stores every edge twice), which `build` asserts.
+/// Edge indices are `u32`; views are capped at `u32::MAX / 2` edges (every edge has
+/// two slots), which `build` asserts. Views carry no self-loops (the [`Graph`]
+/// invariant), so every slot's `nbr` differs from its row's vertex.
 #[derive(Debug, Clone, Default)]
 pub struct ViewCsr {
     offsets: Vec<u32>,
-    indices: Vec<u32>,
+    slots: Vec<Slot>,
     /// Scratch for the counting-sort write cursors, kept so [`ViewCsr::rebuild`] is
     /// allocation-free in steady state (batch engines rebuild the same CSR per batch).
     cursor: Vec<u32>,
 }
 
 impl ViewCsr {
-    /// Builds the incidence structure with a two-pass counting sort.
-    pub fn build(n: usize, view: &[EdgeView]) -> ViewCsr {
+    /// Builds the incidence structure with a two-pass counting sort over the view's
+    /// `(u, v, w)` edges; an edge's view index is its position in `edges`.
+    pub fn build<I>(n: usize, edges: I) -> ViewCsr
+    where
+        I: IntoIterator<Item = (NodeId, NodeId, f64)>,
+        I::IntoIter: Clone,
+    {
         let mut csr = ViewCsr::default();
-        csr.rebuild(n, view);
+        csr.rebuild(n, edges);
         csr
     }
 
     /// Rebuilds the incidence structure in place over a new view, reusing the existing
-    /// `offsets`/`indices`/`cursor` allocations. Semantically identical to
+    /// `offsets`/`slots`/`cursor` allocations. Semantically identical to
     /// [`ViewCsr::build`]; the re-entrant sparsify engine calls this once per batch
     /// instead of allocating three fresh vectors.
-    pub fn rebuild(&mut self, n: usize, view: &[EdgeView]) {
-        assert!(
-            view.len() <= (u32::MAX / 2) as usize,
-            "edge view too large for u32 CSR indices"
-        );
+    pub fn rebuild<I>(&mut self, n: usize, edges: I)
+    where
+        I: IntoIterator<Item = (NodeId, NodeId, f64)>,
+        I::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
         self.offsets.clear();
         self.offsets.resize(n + 1, 0);
-        for &(_, u, v, _) in view {
+        let mut m = 0usize;
+        for (u, v, _) in edges.clone() {
+            debug_assert_ne!(u, v, "self-loop in an edge view");
             self.offsets[u + 1] += 1;
             self.offsets[v + 1] += 1;
+            m += 1;
         }
+        assert!(
+            m <= (u32::MAX / 2) as usize,
+            "edge view too large for u32 CSR indices"
+        );
         for i in 0..n {
             self.offsets[i + 1] += self.offsets[i];
         }
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.offsets[..n]);
-        self.indices.clear();
-        self.indices.resize(2 * view.len(), 0);
-        for (idx, &(_, u, v, _)) in view.iter().enumerate() {
-            self.indices[self.cursor[u] as usize] = idx as u32;
+        self.slots.clear();
+        self.slots.resize(2 * m, Slot::default());
+        for (idx, (u, v, w)) in edges.enumerate() {
+            let idx = idx as u32;
+            self.slots[self.cursor[u] as usize] = Slot {
+                nbr: v as u32,
+                idx,
+                w,
+            };
             self.cursor[u] += 1;
-            self.indices[self.cursor[v] as usize] = idx as u32;
+            self.slots[self.cursor[v] as usize] = Slot {
+                nbr: u as u32,
+                idx,
+                w,
+            };
             self.cursor[v] += 1;
         }
     }
 
-    /// The incident edge indices of `v` (ascending).
+    /// The incident edges of `v`. A fresh build lists them by ascending view index;
+    /// a spanner run reorders rows (its retire pass swap-removes dead slots), so
+    /// callers that run the spanner must not rely on the order.
     #[inline]
-    pub fn row(&self, v: NodeId) -> &[u32] {
-        &self.indices[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    pub fn row(&self, v: NodeId) -> &[Slot] {
+        &self.slots[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Number of vertices.
     pub fn n(&self) -> usize {
-        self.offsets.len() - 1
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Removes every edge for which `remap[idx] == u32::MAX` and renumbers the
-    /// survivors, compacting `offsets`/`indices` in place with a single left-to-right
-    /// sweep (the write cursor never passes the read cursor). Per-row ascending order
-    /// is preserved because `remap` is monotone on the survivors.
+    /// survivors, compacting `offsets`/`slots` in place with a single left-to-right
+    /// sweep (the write cursor never passes the read cursor). Each row keeps the order
+    /// its survivors had.
     fn compact(&mut self, remap: &[u32]) {
         let n = self.n();
         let mut cursor = 0usize;
@@ -201,16 +253,20 @@ impl ViewCsr {
             let row_end = self.offsets[v + 1] as usize;
             self.offsets[v] = cursor as u32;
             for i in row_start..row_end {
-                let new_idx = remap[self.indices[i] as usize];
+                let slot = self.slots[i];
+                let new_idx = remap[slot.idx as usize];
                 if new_idx != u32::MAX {
-                    self.indices[cursor] = new_idx;
+                    self.slots[cursor] = Slot {
+                        idx: new_idx,
+                        ..slot
+                    };
                     cursor += 1;
                 }
             }
             row_start = row_end;
         }
         self.offsets[n] = cursor as u32;
-        self.indices.truncate(cursor);
+        self.slots.truncate(cursor);
     }
 }
 
@@ -235,6 +291,34 @@ impl RoundScratch {
             best_w: vec![0.0; n],
             best_idx: vec![0; n],
             touched: Vec::new(),
+        }
+    }
+
+    /// Groups the live slots `row` of a vertex in cluster `c_v` by the neighbour's
+    /// cluster: per adjacent foreign cluster the lightest edge, the lowest view index
+    /// among equal weights (rows are unordered, so the tie-break is explicit).
+    fn group(&mut self, row: &[Slot], c_v: u32, center: &[u32]) {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        self.touched.clear();
+        for s in row {
+            let c_other = center[s.nbr as usize];
+            if c_other == NO_CLUSTER || c_other == c_v {
+                // In the rounds no live slot leads to an unclustered neighbour or into
+                // v's own cluster (those edges were killed or retired); in the joining
+                // phase an unclustered v still holds edges to unclustered neighbours.
+                continue;
+            }
+            let c = c_other as usize;
+            if self.last_seen[c] != stamp {
+                self.last_seen[c] = stamp;
+                self.best_w[c] = s.w;
+                self.best_idx[c] = s.idx;
+                self.touched.push(c_other);
+            } else if s.w < self.best_w[c] || (s.w == self.best_w[c] && s.idx < self.best_idx[c]) {
+                self.best_w[c] = s.w;
+                self.best_idx[c] = s.idx;
+            }
         }
     }
 }
@@ -267,6 +351,12 @@ struct RoundBatch {
 struct EngineState {
     center: Vec<u32>,
     center_next: Vec<u32>,
+    /// Per vertex, the length of the live prefix of its CSR row: the slots of the
+    /// edges still alive at the start of the round.
+    live: Vec<u32>,
+    /// Per edge, cleared when a decision kills it; the retire pass then drops its
+    /// slots. Edges retired as intra-cluster keep their flag: no live prefix holds
+    /// them any more, so it is never read again.
     alive: Vec<bool>,
     in_spanner: Vec<bool>,
     sampled: Vec<bool>,
@@ -275,11 +365,15 @@ struct EngineState {
 }
 
 impl EngineState {
-    fn reset(&mut self, n: usize, m: usize) {
+    fn reset(&mut self, csr: &ViewCsr, m: usize) {
+        let n = csr.n();
         self.center.clear();
         self.center.extend(0..n as u32);
         self.center_next.clear();
         self.center_next.resize(n, NO_CLUSTER);
+        self.live.clear();
+        self.live
+            .extend(csr.offsets.windows(2).map(|pair| pair[1] - pair[0]));
         self.alive.clear();
         self.alive.resize(m, true);
         self.in_spanner.clear();
@@ -291,42 +385,14 @@ impl EngineState {
 
 /// Computes a Baswana–Sen spanner of `g`.
 pub fn baswana_sen_spanner(g: &Graph, cfg: &SpannerConfig) -> SpannerResult {
-    let view: Vec<EdgeView> = g
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(id, e)| (id, e.u, e.v, e.w))
-        .collect();
-    baswana_sen_on_view(g.n(), &view, cfg)
+    SpannerEngine::from_graph(g).spanner(cfg)
 }
 
 /// Computes a Baswana–Sen spanner over an explicit edge view on `n` vertices.
 ///
 /// Returns original edge ids (the first component of each view entry).
 pub fn baswana_sen_on_view(n: usize, view: &[EdgeView], cfg: &SpannerConfig) -> SpannerResult {
-    if let Some(result) = trivial_spanner(n, view, cfg) {
-        return result;
-    }
-    let csr = ViewCsr::build(n, view);
-    let mut state = EngineState::default();
-    run_spanner(n, view, &csr, cfg, &mut state)
-}
-
-/// The trivial cases (stretch-1 spanner / empty input): keep everything.
-fn trivial_spanner(n: usize, view: &[EdgeView], cfg: &SpannerConfig) -> Option<SpannerResult> {
-    let m = view.len();
-    let k = resolve_k(n, cfg);
-    if n <= 2 || k <= 1 || m == 0 {
-        let mut ids: Vec<EdgeId> = view.iter().map(|&(id, _, _, _)| id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        return Some(SpannerResult {
-            edge_ids: ids,
-            rounds: 0,
-            work: m as u64,
-        });
-    }
-    None
+    SpannerEngine::new(n, view).spanner(cfg)
 }
 
 fn resolve_k(n: usize, cfg: &SpannerConfig) -> usize {
@@ -337,18 +403,17 @@ fn resolve_k(n: usize, cfg: &SpannerConfig) -> usize {
 
 /// Computes the clustering-round decisions for one vertex block.
 ///
-/// Two passes over each vertex's CSR row: the first accumulates per-neighbour-cluster
-/// `(min weight, first best index)` stats in the stamped scratch slots, the second
-/// emits the add/kill ids into the batch's flat buffers. The `work` counter counts one
-/// examination per incident edge of each decided vertex (first pass only), exactly
-/// matching the historical `BTreeMap` implementation.
-#[allow(clippy::too_many_arguments)]
+/// Two passes over the live prefix of each vertex's CSR row: the first groups the
+/// edges by neighbouring cluster ([`RoundScratch::group`]: per cluster the minimum
+/// weight, ties to the lowest view index), the second emits the add/kill ids into the
+/// batch's flat buffers. The `work` counter counts one examination per incident edge
+/// of each decided vertex, live or dead — the full row — exactly matching the
+/// historical `BTreeMap` implementation.
 fn process_block(
     verts: std::ops::Range<usize>,
-    view: &[EdgeView],
     csr: &ViewCsr,
+    live: &[u32],
     center: &[u32],
-    alive: &[bool],
     sampled: &[bool],
     scratch: &mut RoundScratch,
 ) -> RoundBatch {
@@ -359,37 +424,12 @@ fn process_block(
             // Unclustered vertices are settled; sampled clusters carry over unchanged.
             continue;
         }
-        let row = csr.row(v);
-        batch.work += row.len() as u64;
+        let full = csr.row(v);
+        batch.work += full.len() as u64;
+        let row = &full[..live[v] as usize];
 
-        // Pass 1: group alive inter-cluster edges by the other endpoint's cluster.
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
-        scratch.touched.clear();
-        for &idx32 in row {
-            let idx = idx32 as usize;
-            if !alive[idx] {
-                continue;
-            }
-            let (_, a, b, w) = view[idx];
-            let other = if a == v { b } else { a };
-            let c_other = center[other];
-            if c_other == NO_CLUSTER || c_other == c_v {
-                // Unclustered neighbours hold no alive edges; intra-cluster edges are
-                // removed lazily by the sweep below.
-                continue;
-            }
-            let c = c_other as usize;
-            if scratch.last_seen[c] != stamp {
-                scratch.last_seen[c] = stamp;
-                scratch.best_w[c] = w;
-                scratch.best_idx[c] = idx32;
-                scratch.touched.push(c_other);
-            } else if w < scratch.best_w[c] {
-                scratch.best_w[c] = w;
-                scratch.best_idx[c] = idx32;
-            }
-        }
+        // Pass 1: group live inter-cluster edges by the other endpoint's cluster.
+        scratch.group(row, c_v, center);
 
         if scratch.touched.is_empty() {
             batch.verts.push(VertDecision {
@@ -425,21 +465,15 @@ fn process_block(
             None => {
                 // No sampled neighbor cluster: keep one lightest edge per adjacent
                 // cluster and discard the rest; v leaves the clustering.
-                for &idx32 in row {
-                    let idx = idx32 as usize;
-                    if !alive[idx] {
-                        continue;
-                    }
-                    let (_, a, b, _) = view[idx];
-                    let other = if a == v { b } else { a };
-                    let c_other = center[other];
+                for s in row {
+                    let c_other = center[s.nbr as usize];
                     if c_other == NO_CLUSTER || c_other == c_v {
                         continue;
                     }
-                    if scratch.best_idx[c_other as usize] == idx32 {
-                        batch.adds.push(idx32);
+                    if scratch.best_idx[c_other as usize] == s.idx {
+                        batch.adds.push(s.idx);
                     }
-                    batch.kills.push(idx32);
+                    batch.kills.push(s.idx);
                 }
                 (NO_CLUSTER, true)
             }
@@ -447,24 +481,18 @@ fn process_block(
                 // Join the sampled cluster through its lightest edge; also keep the
                 // lightest edge into every strictly lighter neighbour cluster.
                 batch.adds.push(scratch.best_idx[c_star as usize]);
-                for &idx32 in row {
-                    let idx = idx32 as usize;
-                    if !alive[idx] {
-                        continue;
-                    }
-                    let (_, a, b, _) = view[idx];
-                    let other = if a == v { b } else { a };
-                    let c_other = center[other];
+                for s in row {
+                    let c_other = center[s.nbr as usize];
                     if c_other == NO_CLUSTER || c_other == c_v {
                         continue;
                     }
                     if c_other == c_star {
-                        batch.kills.push(idx32);
+                        batch.kills.push(s.idx);
                     } else if scratch.best_w[c_other as usize] < w_star {
-                        if scratch.best_idx[c_other as usize] == idx32 {
-                            batch.adds.push(idx32);
+                        if scratch.best_idx[c_other as usize] == s.idx {
+                            batch.adds.push(s.idx);
                         }
-                        batch.kills.push(idx32);
+                        batch.kills.push(s.idx);
                     }
                 }
                 (c_star, false)
@@ -481,46 +509,20 @@ fn process_block(
     batch
 }
 
-/// Computes the joining-phase adds for one vertex block: the lightest alive edge into
+/// Computes the joining-phase adds for one vertex block: the lightest live edge into
 /// every adjacent foreign cluster (add-only, so no per-vertex records are needed).
 fn join_block(
     verts: std::ops::Range<usize>,
-    view: &[EdgeView],
     csr: &ViewCsr,
+    live: &[u32],
     center: &[u32],
-    alive: &[bool],
     scratch: &mut RoundScratch,
 ) -> RoundBatch {
     let mut batch = RoundBatch::default();
     for v in verts {
-        let row = csr.row(v);
-        batch.work += row.len() as u64;
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
-        scratch.touched.clear();
-        let c_v = center[v];
-        for &idx32 in row {
-            let idx = idx32 as usize;
-            if !alive[idx] {
-                continue;
-            }
-            let (_, a, b, w) = view[idx];
-            let other = if a == v { b } else { a };
-            let c_other = center[other];
-            if c_other == NO_CLUSTER || c_other == c_v {
-                continue;
-            }
-            let c = c_other as usize;
-            if scratch.last_seen[c] != stamp {
-                scratch.last_seen[c] = stamp;
-                scratch.best_w[c] = w;
-                scratch.best_idx[c] = idx32;
-                scratch.touched.push(c_other);
-            } else if w < scratch.best_w[c] {
-                scratch.best_w[c] = w;
-                scratch.best_idx[c] = idx32;
-            }
-        }
+        let full = csr.row(v);
+        batch.work += full.len() as u64;
+        scratch.group(&full[..live[v] as usize], center[v], center);
         for &c in &scratch.touched {
             batch.adds.push(scratch.best_idx[c as usize]);
         }
@@ -533,17 +535,15 @@ fn join_block(
 /// Safe — and *final-state identical* — under any interleaving with other batches:
 ///
 /// * `in_spanner` stores are a plain union of the batch add lists;
-/// * `alive` stores only ever flip `true → false` within a commit;
+/// * `alive` stores only ever flip `true → false`;
 /// * `center_next[v]` is written solely by the batch that owns vertex `v`;
-/// * the defensive kill of an unclustered vertex's leftovers reads the *round-start*
-///   `center` array, and its transient `alive`/`in_spanner` reads can only change its
-///   decision on edges some batch kills anyway (every added edge is also killed by
-///   the adding vertex, so a skipped defensive kill is always covered by a batch
-///   kill).
+/// * the defensive kill of an unclustered vertex's leftovers reads only round-start
+///   state (its live prefix and the `center` array).
+#[allow(clippy::too_many_arguments)]
 fn apply_batch(
     batch: &RoundBatch,
-    view: &[EdgeView],
     csr: &ViewCsr,
+    live: &[u32],
     center: &[u32],
     alive: AtomicFlags<'_>,
     in_spanner: AtomicFlags<'_>,
@@ -563,17 +563,13 @@ fn apply_batch(
         let v = dec.v as usize;
         if dec.became_unclustered {
             center_next.set(v, NO_CLUSTER);
-            // Any still-alive incident edge of an unclustered vertex is dead weight;
-            // they were all either added or killed above, but parallel edges from the
-            // same group may linger — kill them defensively.
-            for &idx32 in csr.row(v) {
-                let idx = idx32 as usize;
-                if alive.get(idx) && !in_spanner.get(idx) {
-                    let (_, a, b, _) = view[idx];
-                    let other = if a == v { b } else { a };
-                    if center[other] != NO_CLUSTER {
-                        alive.set(idx, false);
-                    }
+            // Any still-alive incident edge of an unclustered vertex into a cluster is
+            // dead weight; they were all either added or killed above, but parallel
+            // edges from the same group may linger — kill them defensively. An edge
+            // some batch adds is also killed by it, so no spanner test is needed.
+            for s in &csr.row(v)[..live[v] as usize] {
+                if center[s.nbr as usize] != NO_CLUSTER {
+                    alive.set(s.idx as usize, false);
                 }
             }
         } else if dec.new_center != NO_CLUSTER {
@@ -582,19 +578,60 @@ fn apply_batch(
     }
 }
 
-/// Runs the full construction over a prepared CSR view. `state` buffers are reset here
-/// and may be reused across calls (the t-bundle engine does).
+/// The retire pass over one block's rows, `slots` being the block's contiguous slot
+/// range starting at CSR position `base` and `live` its vertices' prefix lengths.
+///
+/// Swap-removes from each live prefix every slot whose edge a decision killed or whose
+/// endpoints now share a cluster. Both tests are symmetric, so the two slots of an edge
+/// leave their rows together. Returns one examination per edge still alive after the
+/// commit, counted at its lower endpoint.
+fn retire_block(
+    verts: std::ops::Range<usize>,
+    offsets: &[u32],
+    base: usize,
+    slots: &mut [Slot],
+    live: &mut [u32],
+    center: &[u32],
+    alive: &[bool],
+) -> u64 {
+    let mut work = 0u64;
+    for (v, len) in verts.zip(live.iter_mut()) {
+        let start = offsets[v] as usize - base;
+        let row = &mut slots[start..start + *len as usize];
+        let c_v = center[v];
+        let mut end = row.len();
+        let mut i = 0usize;
+        while i < end {
+            let s = row[i];
+            if alive[s.idx as usize] {
+                work += u64::from((v as u32) < s.nbr);
+                if c_v == NO_CLUSTER || center[s.nbr as usize] != c_v {
+                    i += 1;
+                    continue;
+                }
+            }
+            end -= 1;
+            row.swap(i, end);
+        }
+        *len = end as u32;
+    }
+    work
+}
+
+/// Runs the full construction over a prepared CSR of an `m`-edge view and returns
+/// `(rounds, work)`; the selected edges are left in `state.in_spanner`. `state` buffers
+/// are reset here and may be reused across calls (the t-bundle engine does). The run
+/// reorders the CSR rows but keeps every slot.
 fn run_spanner(
-    n: usize,
-    view: &[EdgeView],
-    csr: &ViewCsr,
+    csr: &mut ViewCsr,
+    m: usize,
     cfg: &SpannerConfig,
     state: &mut EngineState,
-) -> SpannerResult {
-    let m = view.len();
+) -> (usize, u64) {
+    let n = csr.n();
     let k = resolve_k(n, cfg);
     debug_assert!(n > 2 && k > 1 && m > 0, "trivial cases handled by caller");
-    state.reset(n, m);
+    state.reset(csr, m);
 
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let sample_prob = (n as f64).powf(-1.0 / k as f64);
@@ -613,15 +650,14 @@ fn run_spanner(
             *s = rng.gen::<f64>() < sample_prob;
         }
 
-        let (center, alive, sampled) = (&state.center, &state.alive, &state.sampled);
+        let (center, live, sampled) = (&state.center, &state.live, &state.sampled);
         let decide_span = sgs_obs::span!("spanner.decide", round = rounds);
+        let csr_ref: &ViewCsr = csr;
         let batches: Vec<RoundBatch> = (0..n_blocks)
             .into_par_iter()
             .map_init(
                 || RoundScratch::new(n),
-                |scratch, b| {
-                    process_block(part.block(b), view, csr, center, alive, sampled, scratch)
-                },
+                |scratch, b| process_block(part.block(b), csr_ref, live, center, sampled, scratch),
             )
             .collect();
         drop(decide_span);
@@ -635,9 +671,9 @@ fn run_spanner(
             let alive = AtomicFlags::new(&mut state.alive);
             let in_spanner = AtomicFlags::new(&mut state.in_spanner);
             let center_next = AtomicIds::new(&mut state.center_next);
-            let center = &state.center;
+            let (center, live) = (&state.center, &state.live);
             batches.par_iter().for_each(|batch| {
-                apply_batch(batch, view, csr, center, alive, in_spanner, center_next)
+                apply_batch(batch, csr_ref, live, center, alive, in_spanner, center_next)
             });
         }
         for batch in &batches {
@@ -646,25 +682,29 @@ fn run_spanner(
         drop(apply_span);
         std::mem::swap(&mut state.center, &mut state.center_next);
 
-        // Remove intra-cluster edges of the new clustering. The per-edge flag writes
-        // commute, so this sweep runs in parallel; the u64 work tally is combined in
-        // chunk order and stays deterministic.
+        // Retire the slots of killed and intra-cluster edges, block by block: each
+        // block owns its vertices' contiguous slot range and prefix lengths. The u64
+        // work tally is an order-independent sum.
         let sweep_span = sgs_obs::span!("spanner.sweep", round = rounds);
-        let center = &state.center;
-        total_work += state
-            .alive
-            .par_iter_mut()
-            .zip(view.par_iter())
-            .map(|(a, &(_, u, v, _))| {
-                if *a {
-                    let cu = center[u];
-                    if cu != NO_CLUSTER && cu == center[v] {
-                        *a = false;
-                    }
-                    1
-                } else {
-                    0
-                }
+        let ViewCsr { offsets, slots, .. } = &mut *csr;
+        let (center, alive) = (&state.center, &state.alive);
+        let mut blocks = Vec::with_capacity(n_blocks);
+        let (mut slots_rest, mut live_rest) = (&mut slots[..], &mut state.live[..]);
+        for b in 0..n_blocks {
+            let verts = part.block(b);
+            let base = offsets[verts.start] as usize;
+            let slot_len = offsets[verts.end] as usize - base;
+            let (block_slots, tail) = std::mem::take(&mut slots_rest).split_at_mut(slot_len);
+            slots_rest = tail;
+            let (block_live, tail) = std::mem::take(&mut live_rest).split_at_mut(verts.len());
+            live_rest = tail;
+            blocks.push((verts, base, block_slots, block_live));
+        }
+        let offsets: &[u32] = offsets;
+        total_work += blocks
+            .into_par_iter()
+            .map(|(verts, base, slots, live)| {
+                retire_block(verts, offsets, base, slots, live, center, alive)
             })
             .sum::<u64>();
         drop(sweep_span);
@@ -674,12 +714,12 @@ fn run_spanner(
     // Phase 2: vertex–cluster joining on the final clustering.
     rounds += 1;
     let join_span = sgs_obs::span!("spanner.join", round = rounds);
-    let (center, alive) = (&state.center, &state.alive);
+    let (csr, center, live) = (&*csr, &state.center, &state.live);
     let join_batches: Vec<RoundBatch> = (0..n_blocks)
         .into_par_iter()
         .map_init(
             || RoundScratch::new(n),
-            |scratch, b| join_block(part.block(b), view, csr, center, alive, scratch),
+            |scratch, b| join_block(part.block(b), csr, live, center, scratch),
         )
         .collect();
     // Join adds are a plain union, so the commit parallelises the same way.
@@ -695,54 +735,36 @@ fn run_spanner(
         total_work += batch.work;
     }
     drop(join_span);
-
-    let mut edge_ids: Vec<EdgeId> = view
-        .iter()
-        .enumerate()
-        .filter_map(|(idx, &(id, _, _, _))| {
-            if state.in_spanner[idx] {
-                Some(id)
-            } else {
-                None
-            }
-        })
-        .collect();
-    edge_ids.sort_unstable();
-    edge_ids.dedup();
-    sgs_obs::point!(
-        "spanner.run",
-        rounds = rounds,
-        work = total_work,
-        edges = edge_ids.len(),
-    );
-    SpannerResult {
-        edge_ids,
-        rounds,
-        work: total_work,
-    }
+    (rounds, total_work)
 }
 
 /// A reusable spanner engine over a shrinking edge view.
 ///
 /// The t-bundle construction peels `t` spanners off the same graph; this engine builds
-/// the flat CSR incidence **once** and compacts it (and the view) in place after each
-/// component, instead of rebuilding `remaining` + incidence per component. The
-/// per-run masks and center arrays are owned by the engine and reused across runs.
+/// the flat CSR incidence **once** and compacts it (and the view's id list) in place
+/// after each component, instead of rebuilding `remaining` + incidence per component.
+/// The CSR slots carry each edge's endpoints and weight, so the engine keeps only the
+/// original `u32` id per view edge. The per-run masks and center arrays are owned by
+/// the engine and reused across runs.
 #[derive(Debug)]
 pub struct SpannerEngine {
-    n: usize,
-    view: Vec<EdgeView>,
+    /// Original id of each view edge, in view order.
+    ids: Vec<u32>,
     csr: ViewCsr,
     state: EngineState,
 }
 
 impl SpannerEngine {
-    /// Builds an engine over an explicit view.
-    pub fn new(n: usize, view: Vec<EdgeView>) -> SpannerEngine {
-        let csr = ViewCsr::build(n, &view);
+    /// Builds an engine over an explicit view on `n` vertices; original ids must fit
+    /// in `u32`.
+    pub fn new(n: usize, view: &[EdgeView]) -> SpannerEngine {
+        let ids = view
+            .iter()
+            .map(|&(id, ..)| u32::try_from(id).expect("edge id exceeds u32"))
+            .collect();
+        let csr = ViewCsr::build(n, view.iter().map(|&(_, u, v, w)| (u, v, w)));
         SpannerEngine {
-            n,
-            view,
+            ids,
             csr,
             state: EngineState::default(),
         }
@@ -759,28 +781,24 @@ impl SpannerEngine {
     /// [`SpannerEngine::reset_from_graph`] for reuse across many graphs.
     pub fn empty() -> SpannerEngine {
         SpannerEngine {
-            n: 0,
-            view: Vec::new(),
+            ids: Vec::new(),
             csr: ViewCsr::default(),
             state: EngineState::default(),
         }
     }
 
-    /// Re-targets the engine at `g`, reusing every internal allocation (view, CSR
-    /// offsets/indices, per-run masks). After this call the engine is in exactly the
+    /// Re-targets the engine at `g`, reusing every internal allocation (id list, CSR
+    /// offsets/slots, per-run masks). After this call the engine is in exactly the
     /// state [`SpannerEngine::from_graph`] would produce — batch pipelines
     /// (`sgs-stream`) call this once per batch so steady-state sparsification performs
     /// no `O(m)` engine allocations.
     pub fn reset_from_graph(&mut self, g: &Graph) {
-        self.n = g.n();
-        self.view.clear();
-        self.view.extend(
-            g.edges()
-                .iter()
-                .enumerate()
-                .map(|(id, e)| (id, e.u, e.v, e.w)),
-        );
-        self.csr.rebuild(self.n, &self.view);
+        let _span = sgs_obs::span!("spanner.view", m = g.m());
+        let m = u32::try_from(g.m()).expect("edge id exceeds u32");
+        self.ids.clear();
+        self.ids.extend(0..m);
+        self.csr
+            .rebuild(g.n(), g.edges().iter().map(|e| (e.u, e.v, e.w)));
         // Stale in_spanner state from a previous run must not leak into a `peel` on the
         // new view; `spanner`/`run_spanner` resize it, but clear defensively.
         self.state.in_spanner.clear();
@@ -788,34 +806,62 @@ impl SpannerEngine {
 
     /// Number of edges currently in the view.
     pub fn m(&self) -> usize {
-        self.view.len()
+        self.ids.len()
     }
 
     /// True when no edges remain.
     pub fn is_empty(&self) -> bool {
-        self.view.is_empty()
-    }
-
-    /// The current edge view (ids are original input ids).
-    pub fn view(&self) -> &[EdgeView] {
-        &self.view
+        self.ids.is_empty()
     }
 
     /// Runs one Baswana–Sen construction over the current view.
     pub fn spanner(&mut self, cfg: &SpannerConfig) -> SpannerResult {
-        if let Some(result) = trivial_spanner(self.n, &self.view, cfg) {
-            // Mark everything in-spanner so `peel_spanner_edges` drains the view.
+        let (n, m) = (self.csr.n(), self.ids.len());
+        if n <= 2 || resolve_k(n, cfg) <= 1 || m == 0 {
+            // The trivial cases (stretch-1 spanner / empty input) keep everything; mark
+            // it all in-spanner so `peel_spanner_edges` drains the view.
             self.state.in_spanner.clear();
-            self.state.in_spanner.resize(self.view.len(), true);
-            return result;
+            self.state.in_spanner.resize(m, true);
+            return SpannerResult {
+                edge_ids: self.selected_ids(),
+                rounds: 0,
+                work: m as u64,
+            };
         }
-        run_spanner(self.n, &self.view, &self.csr, cfg, &mut self.state)
+        let (rounds, work) = run_spanner(&mut self.csr, m, cfg, &mut self.state);
+        let edge_ids = self.selected_ids();
+        sgs_obs::point!(
+            "spanner.run",
+            rounds = rounds,
+            work = work,
+            edges = edge_ids.len(),
+        );
+        SpannerResult {
+            edge_ids,
+            rounds,
+            work,
+        }
+    }
+
+    /// The original ids of the edges the last run selected, sorted and deduplicated.
+    fn selected_ids(&self) -> Vec<EdgeId> {
+        let mut edge_ids: Vec<EdgeId> = self
+            .ids
+            .iter()
+            .zip(&self.state.in_spanner)
+            .filter_map(|(&id, &taken)| taken.then_some(id as EdgeId))
+            .collect();
+        edge_ids.sort_unstable();
+        edge_ids.dedup();
+        edge_ids
     }
 
     /// Removes the edges selected by the most recent [`SpannerEngine::spanner`] call
-    /// from the view, compacting the view and the CSR incidence in place.
+    /// from the view, compacting the id list and the CSR rows (live and dead slots
+    /// alike) in place. Row order does not matter to the next run, so none is restored.
     pub fn peel_spanner_edges(&mut self) {
-        let m = self.view.len();
+        let _span = sgs_obs::span!("spanner.peel", m = self.ids.len());
+        let m = self.ids.len();
         debug_assert_eq!(self.state.in_spanner.len(), m, "peel before any run");
         let remap = &mut self.state.remap;
         remap.clear();
@@ -827,16 +873,16 @@ impl SpannerEngine {
                 kept += 1;
             }
         }
-        // Compact the view in place (retain preserves order, matching a rebuild).
+        // Compact the id list in place (retain preserves order, matching a rebuild).
         let in_spanner = &self.state.in_spanner;
         let mut idx = 0usize;
-        self.view.retain(|_| {
+        self.ids.retain(|_| {
             let keep = !in_spanner[idx];
             idx += 1;
             keep
         });
         self.csr.compact(remap);
-        debug_assert_eq!(self.view.len(), kept as usize);
+        debug_assert_eq!(self.ids.len(), kept as usize);
     }
 }
 
@@ -971,20 +1017,51 @@ mod tests {
         assert!(s <= 2.0 * (40f64).log2().ceil() + 1.0);
     }
 
-    #[test]
-    fn csr_build_matches_nested_incidence() {
-        let g = generators::erdos_renyi(60, 0.2, 1.0, 3);
-        let view: Vec<EdgeView> = g
-            .edges()
+    fn view_of(g: &Graph) -> Vec<EdgeView> {
+        g.edges()
             .iter()
             .enumerate()
             .map(|(id, e)| (id, e.u, e.v, e.w))
-            .collect();
-        let csr = ViewCsr::build(g.n(), &view);
-        let mut nested: Vec<Vec<u32>> = vec![Vec::new(); g.n()];
-        for (idx, &(_, u, v, _)) in view.iter().enumerate() {
-            nested[u].push(idx as u32);
-            nested[v].push(idx as u32);
+            .collect()
+    }
+
+    fn build(n: usize, view: &[EdgeView]) -> ViewCsr {
+        ViewCsr::build(n, view.iter().map(|&(_, u, v, w)| (u, v, w)))
+    }
+
+    /// Each row's slots sorted by view index: rows compared up to per-row order.
+    fn sorted_rows(csr: &ViewCsr) -> Vec<Vec<(u32, u32, u64)>> {
+        (0..csr.n())
+            .map(|v| {
+                let mut row: Vec<_> = csr
+                    .row(v)
+                    .iter()
+                    .map(|s| (s.idx, s.nbr, s.w.to_bits()))
+                    .collect();
+                row.sort_unstable();
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn csr_build_matches_nested_incidence() {
+        let g = generators::erdos_renyi(60, 0.2, 1.0, 3);
+        let view = view_of(&g);
+        let csr = build(g.n(), &view);
+        let mut nested: Vec<Vec<Slot>> = vec![Vec::new(); g.n()];
+        for (idx, &(_, u, v, w)) in view.iter().enumerate() {
+            let idx = idx as u32;
+            nested[u].push(Slot {
+                nbr: v as u32,
+                idx,
+                w,
+            });
+            nested[v].push(Slot {
+                nbr: u as u32,
+                idx,
+                w,
+            });
         }
         assert_eq!(csr.n(), g.n());
         for (v, row) in nested.iter().enumerate() {
@@ -995,13 +1072,8 @@ mod tests {
     #[test]
     fn csr_compact_equals_rebuild_from_compacted_view() {
         let g = generators::erdos_renyi(80, 0.25, 1.0, 9);
-        let view: Vec<EdgeView> = g
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(id, e)| (id, e.u, e.v, e.w))
-            .collect();
-        let mut csr = ViewCsr::build(g.n(), &view);
+        let view = view_of(&g);
+        let mut csr = build(g.n(), &view);
         // Kill every third edge, remap the survivors.
         let mut remap = vec![u32::MAX; view.len()];
         let mut kept_view = Vec::new();
@@ -1014,9 +1086,90 @@ mod tests {
             }
         }
         csr.compact(&remap);
-        let rebuilt = ViewCsr::build(g.n(), &kept_view);
+        let rebuilt = build(g.n(), &kept_view);
         assert_eq!(csr.offsets, rebuilt.offsets);
-        assert_eq!(csr.indices, rebuilt.indices);
+        assert_eq!(csr.slots, rebuilt.slots);
+    }
+
+    /// Runs the engine loop directly on `csr`, returning (edge ids, rounds, work).
+    fn run_on(
+        csr: &mut ViewCsr,
+        view: &[EdgeView],
+        cfg: &SpannerConfig,
+    ) -> (Vec<EdgeId>, usize, u64) {
+        let mut state = EngineState::default();
+        let (rounds, work) = run_spanner(csr, view.len(), cfg, &mut state);
+        let ids = view
+            .iter()
+            .zip(&state.in_spanner)
+            .filter_map(|(&(id, ..), &taken)| taken.then_some(id))
+            .collect();
+        (ids, rounds, work)
+    }
+
+    #[test]
+    fn row_order_does_not_change_the_spanner() {
+        // The lowest-index tie-break makes unordered rows safe: a weighted graph with
+        // three weight classes ties often, but not always.
+        let base = generators::erdos_renyi(150, 0.2, 1.0, 4);
+        let edges: Vec<_> = base
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(id, e)| (e.u, e.v, 1.0 + (id % 3) as f64))
+            .collect();
+        let g = Graph::from_tuples(base.n(), edges).unwrap();
+        let view = view_of(&g);
+        for seed in [1u64, 2, 3] {
+            for cfg in [
+                SpannerConfig::with_seed(seed),
+                SpannerConfig::with_seed(seed).with_k(3),
+            ] {
+                let expected = run_on(&mut build(g.n(), &view), &view, &cfg);
+                let reference = baswana_sen_spanner(&g, &cfg);
+                assert_eq!(
+                    (&expected.0, expected.1, expected.2),
+                    (&reference.edge_ids, reference.rounds, reference.work)
+                );
+                for shuffle in 0..2 {
+                    let mut csr = build(g.n(), &view);
+                    for v in 0..g.n() {
+                        let (lo, hi) = (csr.offsets[v] as usize, csr.offsets[v + 1] as usize);
+                        let row = &mut csr.slots[lo..hi];
+                        if shuffle == 0 {
+                            row.reverse();
+                        } else {
+                            row.rotate_left(row.len() / 2);
+                        }
+                    }
+                    assert_eq!(run_on(&mut csr, &view, &cfg), expected, "seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compact_after_a_run_equals_rebuild_up_to_row_order() {
+        let g = generators::erdos_renyi_weighted(120, 0.3, 0.1, 10.0, 8);
+        let view = view_of(&g);
+        let mut engine = SpannerEngine::new(g.n(), &view);
+        engine.spanner(&SpannerConfig::with_seed(6));
+        let before = engine.csr.clone();
+        engine.peel_spanner_edges();
+        let kept_view: Vec<EdgeView> = view
+            .iter()
+            .zip(&engine.state.in_spanner)
+            .filter_map(|(&e, &taken)| (!taken).then_some(e))
+            .collect();
+        let rebuilt = build(g.n(), &kept_view);
+        assert!(
+            (0..g.n()).any(|v| before.row(v).windows(2).any(|p| p[0].idx > p[1].idx)),
+            "the run should leave some row unordered"
+        );
+        assert_eq!(engine.csr.offsets, rebuilt.offsets);
+        assert_eq!(sorted_rows(&engine.csr), sorted_rows(&rebuilt));
+        let ids: Vec<u32> = kept_view.iter().map(|&(id, ..)| id as u32).collect();
+        assert_eq!(engine.ids, ids);
     }
 
     #[test]
@@ -1030,12 +1183,7 @@ mod tests {
         engine.peel_spanner_edges();
         let second = engine.spanner(&cfg);
 
-        let view: Vec<EdgeView> = g
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(id, e)| (id, e.u, e.v, e.w))
-            .collect();
+        let view = view_of(&g);
         let first_ref = baswana_sen_on_view(g.n(), &view, &cfg);
         assert_eq!(first.edge_ids, first_ref.edge_ids);
         let in_first: std::collections::HashSet<usize> =

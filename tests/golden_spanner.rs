@@ -18,7 +18,9 @@
 //! and document the change in vendor/README.md.
 
 use spectral_sparsify::graph::{generators, Graph};
-use spectral_sparsify::spanner::{baswana_sen_spanner, t_bundle, BundleConfig, SpannerConfig};
+use spectral_sparsify::spanner::{
+    baswana_sen_spanner, t_bundle, BundleConfig, BundleResult, SpannerConfig,
+};
 
 /// Runs `op` pinned to a pool of `threads` threads.
 fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
@@ -49,6 +51,18 @@ fn graph(name: &str) -> Graph {
         "pa400" => generators::preferential_attachment(400, 5, 1.0, 11),
         "grid20" => generators::grid2d(20, 20, 1.0),
         "complete80" => generators::complete(80, 1.0),
+        "er300w" => generators::erdos_renyi_weighted(300, 0.15, 0.1, 10.0, 42),
+        "er300mod3" => {
+            // er300 with three weight classes, so many but not all weights tie.
+            let g = generators::erdos_renyi(300, 0.15, 1.0, 42);
+            let edges: Vec<_> = g
+                .edges()
+                .iter()
+                .enumerate()
+                .map(|(id, e)| (e.u, e.v, 1.0 + (id % 3) as f64))
+                .collect();
+            Graph::from_tuples(g.n(), edges).expect("reweighted er300")
+        }
         other => panic!("unknown fixture graph {other}"),
     }
 }
@@ -157,8 +171,64 @@ const GOLDEN_BUNDLE: &[BundleFixture] = &[
     ),
 ];
 
+/// Weighted families: every table above has unit weights, which pins full ties but
+/// not weights that tie only in part. (graph, seed, edge_count, fnv1a(edge_ids),
+/// rounds, work) with the default `k`, on a 1-thread and a 4-thread pool.
+const GOLDEN_WEIGHTED_DEFAULT_K: &[(&str, u64, usize, u64, usize, u64)] = &[];
+
+/// (graph, seed, bundle_size, fnv1a(sorted in-bundle ids), work, component sizes) for
+/// `BundleConfig::new(3).with_seed(seed)` on the weighted families, on a 1-thread and
+/// a 4-thread pool.
+const GOLDEN_WEIGHTED_BUNDLE: &[BundleFixture] = &[
+    (
+        "er300w",
+        1,
+        5971,
+        0xed885f0109ef608c,
+        193407,
+        &[2013, 2248, 1710],
+    ),
+    (
+        "er300w",
+        2,
+        5884,
+        0x8bc831c605b8afc8,
+        211823,
+        &[1983, 2257, 1644],
+    ),
+    (
+        "er300mod3",
+        1,
+        4104,
+        0xd11a13a36ae9524b,
+        212949,
+        &[1699, 1257, 1148],
+    ),
+    (
+        "er300mod3",
+        2,
+        4247,
+        0x2c81edb461e78469,
+        235297,
+        &[1631, 1398, 1218],
+    ),
+];
+
 const FIXTURE_GRAPHS: &[&str] = &["er300", "er250", "pa400", "grid20", "complete80"];
 const FIXTURE_SEEDS: &[u64] = &[1, 2, 3, 4, 5];
+const WEIGHTED_GRAPHS: &[&str] = &["er300w", "er300mod3"];
+const WEIGHTED_SEEDS: &[u64] = &[1, 2];
+
+/// The in-bundle ids of `b` in ascending order, and its component sizes.
+fn bundle_ids(b: &BundleResult) -> (Vec<usize>, Vec<usize>) {
+    let ids = b
+        .in_bundle
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &x)| if x { Some(i) } else { None })
+        .collect();
+    (ids, b.components.iter().map(Vec::len).collect())
+}
 
 /// Regenerates the fixture tables in source form (see the module docs for the exact
 /// invocation). Ignored by default: running it never fails, it only prints.
@@ -206,6 +276,34 @@ fn print_current_fixtures() {
             let comp_lens: Vec<usize> = b.components.iter().map(Vec::len).collect();
             println!(
                 "    (\"{name}\", {t}, {}, {:#018x}, {}, &{comp_lens:?}),",
+                b.bundle_size,
+                fnv1a(&ids),
+                b.work
+            );
+        }
+    }
+    println!("];\nconst GOLDEN_WEIGHTED_DEFAULT_K: ... = &[");
+    for &name in WEIGHTED_GRAPHS {
+        let g = graph(name);
+        for &seed in WEIGHTED_SEEDS {
+            let r = baswana_sen_spanner(&g, &SpannerConfig::with_seed(seed));
+            println!(
+                "    (\"{name}\", {seed}, {}, {:#018x}, {}, {}),",
+                r.edge_ids.len(),
+                fnv1a(&r.edge_ids),
+                r.rounds,
+                r.work
+            );
+        }
+    }
+    println!("];\nconst GOLDEN_WEIGHTED_BUNDLE: &[BundleFixture] = &[");
+    for &name in WEIGHTED_GRAPHS {
+        let g = graph(name);
+        for &seed in WEIGHTED_SEEDS {
+            let b = t_bundle(&g, &BundleConfig::new(3).with_seed(seed));
+            let (ids, comp_lens) = bundle_ids(&b);
+            println!(
+                "    (\"{name}\", {seed}, {}, {:#018x}, {}, &{comp_lens:?}),",
                 b.bundle_size,
                 fnv1a(&ids),
                 b.work
@@ -263,5 +361,40 @@ fn bundle_matches_pre_rewrite_fixtures() {
             (size, hash, work, comps),
             "{name} t={t}"
         );
+    }
+}
+
+#[test]
+fn weighted_spanner_fixtures_hold_on_one_and_four_threads() {
+    for &(name, seed, len, hash, rounds, work) in GOLDEN_WEIGHTED_DEFAULT_K {
+        let g = graph(name);
+        for threads in [1, 4] {
+            let r = on_pool(threads, || {
+                baswana_sen_spanner(&g, &SpannerConfig::with_seed(seed))
+            });
+            assert_eq!(
+                (r.edge_ids.len(), fnv1a(&r.edge_ids), r.rounds, r.work),
+                (len, hash, rounds, work),
+                "{name} seed={seed} threads={threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn weighted_bundle_fixtures_hold_on_one_and_four_threads() {
+    for &(name, seed, size, hash, work, comps) in GOLDEN_WEIGHTED_BUNDLE {
+        let g = graph(name);
+        for threads in [1, 4] {
+            let b = on_pool(threads, || {
+                t_bundle(&g, &BundleConfig::new(3).with_seed(seed as u64))
+            });
+            let (ids, comp_lens) = bundle_ids(&b);
+            assert_eq!(
+                (b.bundle_size, fnv1a(&ids), b.work, comp_lens.as_slice()),
+                (size, hash, work, comps),
+                "{name} seed={seed} threads={threads}"
+            );
+        }
     }
 }

@@ -114,6 +114,8 @@ fn span_counts_are_identical_across_thread_widths() {
         "spanner.apply",
         "spanner.sweep",
         "spanner.join",
+        "spanner.view",
+        "spanner.peel",
         "sample.coins",
     ] {
         assert!(
