@@ -27,6 +27,7 @@
 
 use spectral_sparsify::distributed::{distributed_sample, distributed_spanner, DistSpannerConfig};
 use spectral_sparsify::graph::{generators, Graph};
+use spectral_sparsify::spanner::{baswana_sen_spanner, SpannerConfig};
 use spectral_sparsify::sparsify::{BundleSizing, SamplingPolicy, SparsifyConfig};
 
 /// FNV-1a over the little-endian bytes of each id: the same stable fingerprint
@@ -66,12 +67,41 @@ fn graph(name: &str) -> Graph {
         "pa150" => generators::preferential_attachment(150, 4, 1.0, 11),
         "grid12" => generators::grid2d(12, 12, 1.0),
         "complete40" => generators::complete(40, 1.0),
+        // The weighted families of `tests/golden_spanner.rs`.
+        "er300w" => generators::erdos_renyi_weighted(300, 0.15, 0.1, 10.0, 42),
+        "er300mod3" => {
+            // er300 with three weight classes, so many but not all weights tie.
+            let g = generators::erdos_renyi(300, 0.15, 1.0, 42);
+            let edges: Vec<_> = g
+                .edges()
+                .iter()
+                .enumerate()
+                .map(|(id, e)| (e.u, e.v, 1.0 + (id % 3) as f64))
+                .collect();
+            Graph::from_tuples(g.n(), edges).expect("reweighted er300")
+        }
         other => panic!("unknown fixture graph {other}"),
     }
 }
 
 const FIXTURE_GRAPHS: &[&str] = &["er120", "pa150", "grid12", "complete40"];
 const FIXTURE_SEEDS: &[u64] = &[1, 2, 3];
+/// Weighted spanner rows: every grouping of the unit-weight families is an all-ties
+/// case, so only these pin strict weight comparisons and partial ties.
+const WEIGHTED_GRAPHS: &[&str] = &["er300w", "er300mod3"];
+const WEIGHTED_SEEDS: &[u64] = &[1, 2];
+
+/// The spanner fixture rows: every unit-weight family at every seed, then the
+/// weighted families at their seeds.
+fn spanner_rows() -> impl Iterator<Item = (&'static str, u64)> {
+    let unit = FIXTURE_GRAPHS
+        .iter()
+        .flat_map(|&name| FIXTURE_SEEDS.iter().map(move |&seed| (name, seed)));
+    let weighted = WEIGHTED_GRAPHS
+        .iter()
+        .flat_map(|&name| WEIGHTED_SEEDS.iter().map(move |&seed| (name, seed)));
+    unit.chain(weighted)
+}
 
 /// (graph, seed, edge_count, fnv1a(edge_ids), rounds, messages, total_bits,
 /// max_message_bits) for `distributed_spanner` with the default `k`.
@@ -115,6 +145,46 @@ const GOLDEN_SPANNER: &[SpannerFixture] = &[
         26,
         10252,
         323226,
+        33,
+    ),
+    (
+        "er300w",
+        1,
+        2006,
+        0xa20ab31f2f6784f4,
+        53,
+        136310,
+        4203955,
+        33,
+    ),
+    (
+        "er300w",
+        2,
+        1993,
+        0x449e9ca02e7cf541,
+        53,
+        138078,
+        4257763,
+        33,
+    ),
+    (
+        "er300mod3",
+        1,
+        1735,
+        0xd5f4d9d61cf166d2,
+        53,
+        132407,
+        4076866,
+        33,
+    ),
+    (
+        "er300mod3",
+        2,
+        1751,
+        0xca0e60e77226f71e,
+        53,
+        131405,
+        4037269,
         33,
     ),
 ];
@@ -179,20 +249,18 @@ fn sample_cfg(seed: u64) -> SparsifyConfig {
 #[ignore = "fixture regeneration helper, run with --ignored --nocapture"]
 fn print_current_fixtures() {
     println!("const GOLDEN_SPANNER: &[SpannerFixture] = &[");
-    for &name in FIXTURE_GRAPHS {
+    for (name, seed) in spanner_rows() {
         let g = graph(name);
-        for &seed in FIXTURE_SEEDS {
-            let r = distributed_spanner(&g, &DistSpannerConfig::with_seed(seed));
-            println!(
-                "    (\"{name}\", {seed}, {}, {:#018x}, {}, {}, {}, {}),",
-                r.edge_ids.len(),
-                fnv1a(&r.edge_ids),
-                r.metrics.rounds,
-                r.metrics.messages,
-                r.metrics.total_bits,
-                r.metrics.max_message_bits,
-            );
-        }
+        let r = distributed_spanner(&g, &DistSpannerConfig::with_seed(seed));
+        println!(
+            "    (\"{name}\", {seed}, {}, {:#018x}, {}, {}, {}, {}),",
+            r.edge_ids.len(),
+            fnv1a(&r.edge_ids),
+            r.metrics.rounds,
+            r.metrics.messages,
+            r.metrics.total_bits,
+            r.metrics.max_message_bits,
+        );
     }
     println!("];\nconst GOLDEN_SAMPLE: &[SampleFixture] = &[");
     for &name in FIXTURE_GRAPHS {
@@ -215,7 +283,8 @@ fn print_current_fixtures() {
 
 #[test]
 fn distributed_spanner_matches_pre_rewrite_fixtures() {
-    assert!(!GOLDEN_SPANNER.is_empty(), "fixtures not captured");
+    let pinned: Vec<(&str, u64)> = GOLDEN_SPANNER.iter().map(|r| (r.0, r.1)).collect();
+    assert_eq!(pinned, spanner_rows().collect::<Vec<_>>(), "fixture rows");
     for &(name, seed, len, hash, rounds, messages, bits, max_bits) in GOLDEN_SPANNER {
         let g = graph(name);
         let r = distributed_spanner(&g, &DistSpannerConfig::with_seed(seed));
@@ -256,6 +325,28 @@ fn distributed_sample_matches_fixtures() {
                 (bundle, m_out, fp, rounds, messages, bits),
                 "{name} seed={seed} policy={policy}"
             );
+        }
+    }
+}
+
+/// A clean CONGEST run at `k = 2` selects exactly the shared-memory engine's edges.
+///
+/// Both engines run one clustering round and the join on the same slot rows, with the
+/// same sampling stream and the same decision rule. Default `k` is left out on
+/// purpose: the protocol retires an intra-cluster edge by comparing a vertex's new
+/// center with the neighbour's center from the last exchange, not with the
+/// neighbour's new center. An edge whose endpoints join the same cluster in the same
+/// round therefore stays live, and if a later round moves them into different
+/// clusters the protocol can still select it, while the shared-memory engine has
+/// retired it. With one round there is no later round.
+#[test]
+fn clean_congest_spanner_matches_shared_memory_at_k2() {
+    for name in FIXTURE_GRAPHS.iter().chain(WEIGHTED_GRAPHS) {
+        let g = graph(name);
+        for seed in [1u64, 2, 3] {
+            let congest = distributed_spanner(&g, &DistSpannerConfig::with_seed(seed).with_k(2));
+            let shared = baswana_sen_spanner(&g, &SpannerConfig::with_seed(seed).with_k(2));
+            assert_eq!(congest.edge_ids, shared.edge_ids, "{name} seed={seed}");
         }
     }
 }
