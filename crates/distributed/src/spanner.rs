@@ -18,34 +18,35 @@
 //! Total: `O(log² n)` rounds, `O(m log n)` messages of `O(log n)` bits — the bounds of
 //! Theorem 2, which experiment E2 measures.
 //!
-//! # Engine design (allocation-free hot path)
+//! # One kernel, two lookups
 //!
-//! The protocol state mirrors the shared-memory engine of `sgs_spanner::baswana_sen`:
+//! Both engines run the round kernel of `sgs_spanner::round` over the same [`ViewCsr`]
+//! slot rows: one grouping with the explicit lowest-view-index tie-break, one decision
+//! rule, one join and one live-prefix retire pass. Only the kernel's `SlotLookup`
+//! differs. Here it reads what the last `ClusterInfo` exchange told each vertex, and
+//! aliveness is per *half-edge* (`half_edge`), one flag per endpoint: each endpoint
+//! kills its own side and tells the other with a `Kill`.
 //!
-//! * The per-vertex "alive incident edges" `BTreeMap` is gone. Active edges live in a
-//!   [`ViewCsr`] incidence — the same structure (literally the same type) the
-//!   shared-memory engine uses, whose slots carry each neighbour and weight — plus
-//!   the `u32` original id per edge, and aliveness is one bitmap over half-edges, one
-//!   flag per endpoint (`half_edge`). (Per-endpoint, not per-edge: the two sides of
-//!   an edge can disagree for the tail of an iteration, and the duplicate `Kill`
-//!   traffic this produces is part of the pinned communication metrics.) The protocol
-//!   never retires slots, so its rows keep ascending view order.
-//! * The per-vertex "neighbor info" `BTreeMap` is gone. What a vertex broadcast in the
-//!   last exchange is mirrored in two flat arrays (`reported_center` /
-//!   `reported_sampled`); a vertex only ever consults entries of *adjacent* vertices,
-//!   which is exactly the set of `ClusterInfo` messages it received, so the mirror is
-//!   observationally identical to the per-vertex map (and the messages themselves
-//!   still travel through the simulator and are billed).
-//! * Per-round vertex execution runs through [`SyncNetwork::par_step`] under rayon,
-//!   over density-aware `BlockPartition` blocks: decision sweeps use the
-//!   cluster-stamped scratch pattern and emit flat per-block add/kill batches. The
-//!   batches are committed by a parallel conflict-free flag pass (spanner adds only
-//!   ever store `true`, and each vertex retires only its *own* side of an edge, so
-//!   every mask slot sees writes of a single value) plus a small sequential per-vertex
-//!   state sweep — fixed-seed runs stay bitwise identical across thread counts.
+//! * On a clean network, `MirrorInfo` reads a mirror of the exchanged payloads. Every
+//!   neighbour is known, so the mirror is exactly what each vertex received (the
+//!   messages still travel through the simulator and are billed).
+//! * Under faults or reliable delivery, `RecvInfo` reads the payloads that actually
+//!   arrived, per directed link, with a freshness bit. A lost broadcast reads as
+//!   "unknown", and the decision leaves that edge alive.
 //!
-//! The rewrite changes *nothing* observable: `tests/golden_distributed.rs` pins edge
-//! ids and full `NetworkMetrics` captured from the pre-rewrite implementation.
+//! The lookup also holds the one behavioural difference between the engines. The
+//! retire pass compares a vertex's *new* center with the neighbour's center from the
+//! last exchange, which predates the round's decisions. So an edge whose endpoints
+//! join the same cluster in the same round is not retired, and the two sides of an
+//! edge can disagree for a while. The duplicate `Kill` traffic this produces is part
+//! of the pinned communication metrics. It also means that at `k ≥ 3` the engines can
+//! select different edges; at `k = 2` they agree exactly.
+//!
+//! The decision sink sends each `Kill` as it is staged, so every vertex sends its
+//! Kills in slot order and then its `Child`. Vertex programs run through
+//! [`SyncNetwork::par_step`] over density-aware blocks and the batches commit through
+//! conflict-free flag writes, so fixed-seed runs are bitwise identical across thread
+//! counts. `tests/golden_distributed.rs` pins edge ids and full `NetworkMetrics`.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -53,7 +54,8 @@ use rayon::prelude::*;
 
 use sgs_graph::{EdgeId, Graph, NodeId};
 use sgs_spanner::baswana_sen::{Slot, ViewCsr};
-use sgs_spanner::AtomicFlags;
+use sgs_spanner::round::{self, GroupScratch, RoundBatch, RoundSink, SlotLookup};
+use sgs_spanner::{resolve_k, AtomicFlags, BlockPartition, NO_CLUSTER};
 
 use crate::faults::{FaultPlan, ReliabilityConfig, ReliableNet};
 use crate::network::{Envelope, MessageSize, NetworkMetrics, SyncNetwork, VertexOutbox};
@@ -165,9 +167,6 @@ pub struct DistSpannerResult {
     pub metrics: NetworkMetrics,
 }
 
-/// Sentinel for "no cluster" / "no parent" in the flat state arrays.
-const NONE32: u32 = u32::MAX;
-
 /// The protocol's transport: the raw simulator (possibly with faults installed) or
 /// the reliable ack/retransmit layer on top of it. Both expose the same vertex-program
 /// surface, so the protocol phases are transport-agnostic.
@@ -238,27 +237,6 @@ impl Net {
     }
 }
 
-/// What a vertex knows about a neighbor's last `ClusterInfo` broadcast.
-///
-/// The clean protocol reads the simulator-global `reported_*` mirrors — valid only
-/// because delivery is guaranteed ([`MirrorInfo`], `known` ≡ true, compiled to the
-/// exact pre-fault loads). Under faults, knowledge is whatever actually *arrived*
-/// ([`RecvInfo`]): per-directed-link payloads with a freshness bit, so a lost
-/// broadcast reads as "unknown" and the decision sweeps degrade conservatively
-/// instead of acting on stale state.
-///
-/// Every lookup names the edge the way its call site already has it: `other` is the
-/// far endpoint of view edge `idx` and `half` is [`half_edge`]`(idx, v, other)`, the
-/// near endpoint being `v`.
-trait NbrInfo: Copy + Sync {
-    /// `other`'s cluster center as known to `v` ([`NONE32`] = unclustered or unknown).
-    fn center(&self, other: NodeId, half: usize) -> u32;
-    /// `other`'s sampled flag as known to `v` (false when unknown).
-    fn sampled(&self, other: NodeId, half: usize) -> bool;
-    /// Whether `v` actually holds fresh info about `other` from the last exchange.
-    fn known(&self, other: NodeId, half: usize) -> bool;
-}
-
 /// The half-edge of view edge `idx` at its endpoint `v`, whose far endpoint is
 /// `other`: `2·idx` at the lower-numbered endpoint, `2·idx + 1` at the higher. Keys
 /// the per-endpoint aliveness flags and [`FaultView::slots`].
@@ -267,60 +245,96 @@ fn half_edge(idx: usize, v: NodeId, other: NodeId) -> usize {
     2 * idx + usize::from(v > other)
 }
 
-/// Reliable-delivery knowledge: the global broadcast mirrors.
-#[derive(Clone, Copy)]
-struct MirrorInfo<'a> {
-    rep_c: &'a [u32],
-    rep_s: &'a [bool],
+/// The half-edge of `v`'s slot `s`.
+#[inline]
+fn half_of(v: NodeId, s: &Slot) -> usize {
+    half_edge(s.idx as usize, v, s.nbr as usize)
 }
 
-impl NbrInfo for MirrorInfo<'_> {
-    #[inline]
-    fn center(&self, other: NodeId, _half: usize) -> u32 {
-        self.rep_c[other]
-    }
-
-    #[inline]
-    fn sampled(&self, other: NodeId, _half: usize) -> bool {
-        self.rep_s[other]
-    }
-
-    #[inline]
-    fn known(&self, _other: NodeId, _half: usize) -> bool {
-        true
-    }
+/// What the vertices know of their neighbours after a `ClusterInfo` exchange: the
+/// clean-network [`Mirror`] or the fault-mode [`FaultView`]. The protocol is generic
+/// over it, so each mode compiles to its own code path.
+trait Knowledge: Sized {
+    /// The kernel's view of this knowledge, with the half-edge aliveness flags.
+    type Lookup<'a>: SlotLookup
+    where
+        Self: 'a;
+    /// Whether unclustered vertices broadcast too. Under faults a missing message may
+    /// have been lost, so silence cannot mean "unclustered".
+    const FAULT_MODE: bool;
+    fn new(net: &Net, csr: &ViewCsr, m: usize) -> Self;
+    /// Takes in the exchange that has just been delivered.
+    fn record(&mut self, net: &Net, states: &[VertState]);
+    fn lookup<'a>(&'a self, alive: &'a [bool]) -> Self::Lookup<'a>;
 }
 
-/// Received-message knowledge for fault mode, backed by a [`FaultView`].
-#[derive(Clone, Copy)]
-struct RecvInfo<'a>(&'a FaultView);
+/// Clean-network knowledge: what each vertex broadcast in the last exchange
+/// ([`NO_CLUSTER`] when it did not broadcast). Delivery is guaranteed, so this global
+/// mirror is exactly what every neighbour received.
+#[derive(Debug)]
+struct Mirror {
+    center: Vec<u32>,
+    sampled: Vec<bool>,
+}
 
-impl NbrInfo for RecvInfo<'_> {
-    #[inline]
-    fn center(&self, _other: NodeId, half: usize) -> u32 {
-        let s = self.0.slots[half] as usize;
-        if self.0.fresh[s] {
-            self.0.c[s]
-        } else {
-            NONE32
+impl Knowledge for Mirror {
+    type Lookup<'a> = MirrorInfo<'a>;
+    const FAULT_MODE: bool = false;
+
+    fn new(_net: &Net, csr: &ViewCsr, _m: usize) -> Mirror {
+        Mirror {
+            center: vec![NO_CLUSTER; csr.n()],
+            sampled: vec![false; csr.n()],
         }
     }
 
+    fn record(&mut self, _net: &Net, states: &[VertState]) {
+        for (v, st) in states.iter().enumerate() {
+            self.center[v] = st.center;
+            self.sampled[v] = st.sampled;
+        }
+    }
+
+    fn lookup<'a>(&'a self, alive: &'a [bool]) -> MirrorInfo<'a> {
+        MirrorInfo {
+            mirror: self,
+            alive,
+        }
+    }
+}
+
+/// The kernel lookup over a [`Mirror`]: every neighbour is known.
+#[derive(Clone, Copy)]
+struct MirrorInfo<'a> {
+    mirror: &'a Mirror,
+    alive: &'a [bool],
+}
+
+impl SlotLookup for MirrorInfo<'_> {
     #[inline]
-    fn sampled(&self, _other: NodeId, half: usize) -> bool {
-        let s = self.0.slots[half] as usize;
-        self.0.fresh[s] && self.0.s[s]
+    fn center(&self, _v: NodeId, s: &Slot) -> u32 {
+        self.mirror.center[s.nbr as usize]
     }
 
     #[inline]
-    fn known(&self, _other: NodeId, half: usize) -> bool {
-        self.0.fresh[self.0.slots[half] as usize]
+    fn sampled(&self, _v: NodeId, s: &Slot) -> bool {
+        self.mirror.sampled[s.nbr as usize]
+    }
+
+    #[inline]
+    fn known(&self, _v: NodeId, _s: &Slot) -> bool {
+        true
+    }
+
+    #[inline]
+    fn alive(&self, v: NodeId, s: &Slot) -> bool {
+        self.alive[half_of(v, s)]
     }
 }
 
 /// Fault-mode neighbor knowledge: for every directed link `v -> u`, the last
 /// `ClusterInfo` payload `u` sent that actually reached `v`, with a per-exchange
-/// freshness bit. Refreshed from the inboxes after every Phase B exchange.
+/// freshness bit. Refreshed from the inboxes after every exchange.
 #[derive(Debug)]
 struct FaultView {
     /// Per view half-edge ([`half_edge`]), the link slot holding the near endpoint's
@@ -333,10 +347,13 @@ struct FaultView {
     fresh: Vec<bool>,
 }
 
-impl FaultView {
+impl Knowledge for FaultView {
+    type Lookup<'a> = RecvInfo<'a>;
+    const FAULT_MODE: bool = true;
+
     fn new(net: &Net, csr: &ViewCsr, m: usize) -> FaultView {
         let rev = net.rev_links();
-        let mut slots = vec![NONE32; 2 * m];
+        let mut slots = vec![u32::MAX; 2 * m];
         for v in 0..csr.n() {
             for s in csr.row(v) {
                 let u = s.nbr as usize;
@@ -353,38 +370,103 @@ impl FaultView {
         let links = rev.len();
         FaultView {
             slots,
-            c: vec![NONE32; links],
+            c: vec![NO_CLUSTER; links],
             s: vec![false; links],
             fresh: vec![false; links],
         }
     }
 
-    /// Replaces the view with what the latest exchange actually delivered: a
-    /// `ClusterInfo` from `u` arriving at `v` on link `u -> v` is `v`'s knowledge
-    /// of `u`, stored at the reverse slot `v -> u`.
-    fn refresh(&mut self, net: &Net, n: usize) {
+    /// Replaces the view with what the exchange actually delivered: a `ClusterInfo`
+    /// from `u` arriving at `v` on link `u -> v` is `v`'s knowledge of `u`, stored at
+    /// the reverse slot `v -> u`.
+    fn record(&mut self, net: &Net, states: &[VertState]) {
         self.fresh.fill(false);
         let rev = net.rev_links();
-        for v in 0..n {
+        for v in 0..states.len() {
             for ((_, msg), &link) in net.inbox(v).iter().zip(net.inbox_links(v)) {
                 if let SpannerMsg::ClusterInfo { center, sampled } = *msg {
                     let slot = rev[link as usize] as usize;
-                    self.c[slot] = center.map_or(NONE32, |c| c as u32);
+                    self.c[slot] = center.map_or(NO_CLUSTER, |c| c as u32);
                     self.s[slot] = sampled;
                     self.fresh[slot] = true;
                 }
             }
         }
     }
+
+    fn lookup<'a>(&'a self, alive: &'a [bool]) -> RecvInfo<'a> {
+        RecvInfo { view: self, alive }
+    }
 }
 
-/// Flat per-vertex protocol state. The old per-vertex `BTreeMap`s (alive edges,
-/// neighbor info) live in the [`Protocol`]'s global flat arrays instead.
+/// The kernel lookup over a [`FaultView`]: a neighbour whose last broadcast did not
+/// arrive is unknown, unclustered and unsampled.
+#[derive(Clone, Copy)]
+struct RecvInfo<'a> {
+    view: &'a FaultView,
+    alive: &'a [bool],
+}
+
+impl SlotLookup for RecvInfo<'_> {
+    #[inline]
+    fn center(&self, v: NodeId, s: &Slot) -> u32 {
+        let slot = self.view.slots[half_of(v, s)] as usize;
+        if self.view.fresh[slot] {
+            self.view.c[slot]
+        } else {
+            NO_CLUSTER
+        }
+    }
+
+    #[inline]
+    fn sampled(&self, v: NodeId, s: &Slot) -> bool {
+        let slot = self.view.slots[half_of(v, s)] as usize;
+        self.view.fresh[slot] && self.view.s[slot]
+    }
+
+    #[inline]
+    fn known(&self, v: NodeId, s: &Slot) -> bool {
+        self.view.fresh[self.view.slots[half_of(v, s)] as usize]
+    }
+
+    #[inline]
+    fn alive(&self, v: NodeId, s: &Slot) -> bool {
+        self.alive[half_of(v, s)]
+    }
+}
+
+/// The protocol's decision sink: a kill clears the vertex's own half-edge and sends
+/// the far endpoint a `Kill` at once, so Kills leave in slot order.
+struct KillSender<'a, 'b> {
+    batch: &'a mut RoundBatch,
+    out: &'a mut VertexOutbox<'b, SpannerMsg>,
+    ids: &'a [u32],
+}
+
+impl RoundSink for KillSender<'_, '_> {
+    #[inline]
+    fn add(&mut self, idx: u32) {
+        self.batch.adds.push(idx);
+    }
+
+    #[inline]
+    fn kill(&mut self, v: NodeId, s: &Slot) {
+        self.batch.kills.push(half_of(v, s) as u32);
+        self.out.send(
+            s.nbr as usize,
+            SpannerMsg::Kill {
+                edge: self.ids[s.idx as usize] as EdgeId,
+            },
+        );
+    }
+}
+
+/// Flat per-vertex protocol state.
 #[derive(Debug, Clone, Copy)]
 struct VertState {
-    /// Cluster center, or [`NONE32`] once the vertex leaves the clustering.
+    /// Cluster center, or [`NO_CLUSTER`] once the vertex leaves the clustering.
     center: u32,
-    /// Parent in the cluster tree, or [`NONE32`].
+    /// Parent in the cluster tree, or [`NO_CLUSTER`].
     parent: u32,
     /// This iteration's cluster flag, as known to the vertex.
     sampled: bool,
@@ -392,149 +474,44 @@ struct VertState {
     knows_flag: bool,
 }
 
-/// Per-worker scratch for the decision sweeps: cluster-stamped slots plus a
-/// touched-list, giving O(degree) grouping with O(degree) cleanup and zero per-vertex
-/// allocation (the shared-memory engine's `RoundScratch` pattern).
-struct ClusterScratch {
-    stamp: u32,
-    last_seen: Vec<u32>,
-    best_w: Vec<f64>,
-    best_idx: Vec<u32>,
-    /// The far endpoint of the group's best edge.
-    best_nbr: Vec<u32>,
-    /// The adjacent cluster's sampled flag, stored once when the group is created
-    /// (every member reports the same flag).
-    grp_sampled: Vec<bool>,
-    touched: Vec<u32>,
-}
-
-impl ClusterScratch {
-    fn new(n: usize) -> ClusterScratch {
-        ClusterScratch {
-            stamp: 0,
-            last_seen: vec![0; n],
-            best_w: vec![0.0; n],
-            best_idx: vec![0; n],
-            best_nbr: vec![0; n],
-            grp_sampled: vec![false; n],
-            touched: Vec::new(),
-        }
-    }
-
-    /// Groups `v`'s own-side alive edges (per the half-edge flags `alive`) by the
-    /// neighbor's cluster as known through `info` into the stamped slots + touched
-    /// list: per group the lightest edge (first-seen on ties, i.e. lowest edge id,
-    /// since protocol rows stay ascending), its far endpoint and the cluster's sampled
-    /// flag. Both the Phase C decision sweep and the final joining sweep run exactly
-    /// this grouping.
-    fn group_row<I: NbrInfo>(
-        &mut self,
-        v: NodeId,
-        c_v: u32,
-        row: &[Slot],
-        alive: &[bool],
-        info: I,
-    ) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.touched.clear();
-        for s in row {
-            let (idx32, other, w) = (s.idx, s.nbr as usize, s.w);
-            let half = half_edge(idx32 as usize, v, other);
-            if !alive[half] {
-                continue;
-            }
-            let c_o = info.center(other, half);
-            if c_o == NONE32 || c_o == c_v {
-                // Neighbor is unclustered, unheard-from (fault mode), or shares the
-                // cluster; intra-cluster edges retire in the local sweep.
-                continue;
-            }
-            let c = c_o as usize;
-            if self.last_seen[c] != stamp {
-                self.last_seen[c] = stamp;
-                self.best_w[c] = w;
-                self.best_idx[c] = idx32;
-                self.best_nbr[c] = s.nbr;
-                self.grp_sampled[c] = info.sampled(other, half);
-                self.touched.push(c_o);
-            } else if w < self.best_w[c] {
-                self.best_w[c] = w;
-                self.best_idx[c] = idx32;
-                self.best_nbr[c] = s.nbr;
-            }
-        }
-    }
-}
-
-/// Compact Phase C outcome of one vertex.
-#[derive(Debug, Clone, Copy)]
-struct PhaseCDecision {
-    v: u32,
-    /// New cluster center, or [`NONE32`] when the vertex leaves the clustering.
-    new_center: u32,
-    /// New parent (the endpoint behind the joining edge), or [`NONE32`].
-    new_parent: u32,
-}
-
-/// Phase C decisions of one vertex block: per-vertex records plus the flat lists of
-/// added view indices and killed half-edges ([`half_edge`]).
-#[derive(Debug, Default)]
-struct PhaseCBatch {
-    verts: Vec<PhaseCDecision>,
-    adds: Vec<u32>,
-    kills: Vec<u32>,
-}
-
-/// Joining-phase adds of one vertex block.
-#[derive(Debug, Default)]
-struct JoinBatch {
-    adds: Vec<u32>,
-}
-
 /// The full protocol state of one `distributed_spanner_on_edges` run.
-struct Protocol {
+struct Protocol<K> {
     n: usize,
     k: usize,
     net: Net,
-    /// Per-link received neighbor knowledge; `Some` exactly in fault mode (faults
-    /// installed and/or the reliable layer enabled), where the global mirrors below
-    /// would assume delivery that may not have happened.
-    fault_view: Option<FaultView>,
+    /// What the vertices know of their neighbours from the latest exchange.
+    know: K,
     rng: ChaCha8Rng,
     sample_prob: f64,
     /// The original id of each active edge (ascending; the view order) and their
     /// flat incidence.
     ids: Vec<u32>,
     csr: ViewCsr,
-    /// Global edge id → view index (or [`NONE32`]), for `Kill` receipt.
+    /// Per vertex, the length of the live prefix of its row: the slots whose own
+    /// half-edge is alive and not yet retired.
+    live: Vec<u32>,
+    /// Vertex blocks for the retire pass.
+    part: BlockPartition,
+    /// Global edge id → view index (or `u32::MAX`), for `Kill` receipt.
     idx_of: Vec<u32>,
     states: Vec<VertState>,
     /// Cluster-tree children, fed by `Child` messages. Entries can go stale when a
     /// child leaves for another cluster — the resulting extra flag messages are part
     /// of the protocol's (pinned) communication footprint, exactly as before.
     children: Vec<Vec<NodeId>>,
-    /// Own-side aliveness per half-edge ([`half_edge`]): each flag is read and
-    /// written only by its near endpoint.
+    /// Own-side aliveness per half-edge ([`half_edge`]): each flag is cleared by its
+    /// near endpoint's decision or by a `Kill` from the far endpoint.
     alive: Vec<bool>,
     in_spanner: Vec<bool>,
-    /// What each vertex broadcast in the most recent exchange ([`NONE32`] when it did
-    /// not broadcast): the simulator-global mirror of the `ClusterInfo` payloads.
-    reported_center: Vec<u32>,
-    reported_sampled: Vec<bool>,
     /// This iteration's center coin flips (index = vertex id).
     coins: Vec<bool>,
 }
 
-impl Protocol {
-    fn new(g: &Graph, active: &[EdgeId], cfg: &DistSpannerConfig) -> Protocol {
+impl<K: Knowledge> Protocol<K> {
+    /// A protocol over the active edges `ids`, sorted and deduplicated.
+    fn new(g: &Graph, ids: &[EdgeId], cfg: &DistSpannerConfig) -> Protocol<K> {
         let n = g.n();
-        let k = resolve_k(n, cfg);
-        // Normalise the active set (the old per-vertex BTreeMaps sorted and
-        // deduplicated implicitly).
-        let mut ids: Vec<EdgeId> = active.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
+        let k = resolve_k(n, cfg.k);
         let csr = ViewCsr::build(
             n,
             ids.iter().map(|&id| {
@@ -542,13 +519,13 @@ impl Protocol {
                 (e.u, e.v, e.w)
             }),
         );
-        let mut idx_of = vec![NONE32; g.m()];
+        let mut idx_of = vec![u32::MAX; g.m()];
         for (idx, &id) in ids.iter().enumerate() {
             idx_of[id] = idx as u32;
         }
         let ids: Vec<u32> = ids
-            .into_iter()
-            .map(|id| u32::try_from(id).expect("edge id exceeds u32"))
+            .iter()
+            .map(|&id| u32::try_from(id).expect("edge id exceeds u32"))
             .collect();
         let m_view = ids.len();
         let net = if let Some(rc) = &cfg.reliability {
@@ -560,21 +537,25 @@ impl Protocol {
         } else {
             Net::Raw(Box::new(SyncNetwork::with_faults(g, cfg.faults.clone())))
         };
-        let fault_view = cfg.fault_mode().then(|| FaultView::new(&net, &csr, m_view));
+        let know = K::new(&net, &csr, m_view);
+        let live = (0..n).map(|v| csr.row(v).len() as u32).collect();
+        let part = BlockPartition::adaptive(n, rayon::current_num_threads(), |v| csr.row(v).len());
         Protocol {
             n,
             k,
             net,
-            fault_view,
+            know,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             sample_prob: (n as f64).powf(-1.0 / k as f64),
             ids,
             csr,
+            live,
+            part,
             idx_of,
             states: (0..n)
                 .map(|v| VertState {
                     center: v as u32,
-                    parent: NONE32,
+                    parent: NO_CLUSTER,
                     sampled: false,
                     knows_flag: false,
                 })
@@ -582,42 +563,38 @@ impl Protocol {
             children: vec![Vec::new(); n],
             alive: vec![true; 2 * m_view],
             in_spanner: vec![false; m_view],
-            reported_center: vec![NONE32; n],
-            reported_sampled: vec![false; n],
             coins: Vec::with_capacity(n),
         }
     }
 
-    /// Runs the whole protocol and returns the selected original edge ids, sorted.
-    fn run(&mut self) -> Vec<EdgeId> {
+    /// Runs the whole protocol and returns the selected original edge ids, sorted,
+    /// with the run's communication metrics.
+    fn run(mut self) -> (Vec<EdgeId>, NetworkMetrics) {
         for it in 1..self.k {
             self.iteration(it);
         }
         self.finale();
-        self.selected_edge_ids()
+        (self.selected_edge_ids(), self.net.metrics().clone())
     }
 
-    /// The original ids of the edges selected so far, sorted.
+    /// The original ids of the edges selected so far, ascending (the view order).
     fn selected_edge_ids(&self) -> Vec<EdgeId> {
-        let mut edge_ids: Vec<EdgeId> = self
-            .ids
+        self.ids
             .iter()
             .zip(&self.in_spanner)
             .filter_map(|(&id, &inb)| inb.then_some(id as EdgeId))
-            .collect();
-        edge_ids.sort_unstable();
-        edge_ids
+            .collect()
     }
 
     /// One clustering iteration: sampling propagation (Phase A), neighbor exchange
-    /// (Phase B), local decisions + notifications (Phase C), then the local
-    /// intra-cluster cleanup. Costs `it + 2` simulator rounds.
+    /// (Phase B), local decisions + notifications (Phase C), then the retire pass.
+    /// Costs `it + 2` simulator rounds.
     fn iteration(&mut self, it: usize) {
         self.phase_a(it);
         self.phase_b();
         self.phase_c();
         self.process_kills_and_children();
-        self.retain_intra_cluster();
+        self.retire();
     }
 
     /// Phase A: centers flip this iteration's coin; flags travel one hop per round
@@ -674,86 +651,73 @@ impl Protocol {
         }
     }
 
-    /// Phase B: the neighbor exchange. In the clean protocol every *clustered* vertex
-    /// broadcasts its cluster info and the payloads are mirrored into the
-    /// `reported_*` arrays ("no message" reliably means "unclustered"). In fault mode
-    /// that inference is unsound — a missing message may simply have been lost — so
-    /// *every* vertex broadcasts (unclustered ones with `center: None`) and each
-    /// vertex's knowledge is rebuilt from what actually reached it
-    /// ([`FaultView::refresh`]).
+    /// Phase B: the neighbor exchange. On a clean network only clustered vertices
+    /// broadcast ("no message" reliably means "unclustered"); in fault mode every
+    /// vertex does. The knowledge source then takes in what was delivered.
     fn phase_b(&mut self) {
-        let fault_mode = self.fault_view.is_some();
-        if !fault_mode {
-            for (v, st) in self.states.iter().enumerate() {
-                self.reported_center[v] = st.center;
-                self.reported_sampled[v] = st.sampled;
-            }
-        }
         let states = &self.states;
         self.net.par_step(
             || (),
             |_, _: &mut (), v, _inbox, out: &mut VertexOutbox<'_, SpannerMsg>| {
                 let st = &states[v];
-                if fault_mode || st.center != NONE32 {
+                if K::FAULT_MODE || st.center != NO_CLUSTER {
                     out.broadcast(SpannerMsg::ClusterInfo {
-                        center: (st.center != NONE32).then_some(st.center as usize),
+                        center: (st.center != NO_CLUSTER).then_some(st.center as usize),
                         sampled: st.sampled,
                     });
                 }
             },
         );
         self.net.advance_round();
-        let Protocol {
-            net, fault_view, n, ..
-        } = self;
-        if let Some(fv) = fault_view {
-            fv.refresh(net, *n);
-        }
+        self.know.record(&self.net, &self.states);
     }
 
-    /// Phase C: vertices in unsampled clusters decide (two stamped-scratch passes over
-    /// their incidence row), stage `Kill` / `Child` notifications, and the flat
-    /// decision batches are committed by a parallel conflict-free flag pass plus a
-    /// small sequential per-vertex state sweep. Dispatches on the neighbor-knowledge
-    /// source; the generic body is [`phase_c_impl`].
+    /// Phase C: every vertex in an unsampled cluster runs the kernel's decision over
+    /// its live prefix, sending its `Kill`s as they are staged and then one `Child` to
+    /// its new parent. The batches commit through conflict-free flag writes (adds only
+    /// store `true`; each half-edge is killed only by its owner), then a sequential
+    /// sweep writes the decided vertices' state.
     fn phase_c(&mut self) {
-        let Protocol {
-            net,
-            n,
-            ids,
-            csr,
-            states,
-            children,
-            alive,
-            in_spanner,
-            reported_center,
-            reported_sampled,
-            fault_view,
-            ..
-        } = self;
-        let sw = SweepState {
-            net,
-            n: *n,
-            ids,
-            csr,
-            states,
-            children,
-            alive,
-            in_spanner,
-        };
-        match fault_view {
-            Some(fv) => phase_c_impl(sw, RecvInfo(fv)),
-            None => phase_c_impl(
-                sw,
-                MirrorInfo {
-                    rep_c: reported_center,
-                    rep_s: reported_sampled,
-                },
-            ),
+        let n = self.n;
+        let info = self.know.lookup(&self.alive);
+        let (states, csr, live, ids) = (&self.states, &self.csr, &self.live, &self.ids);
+        let batches: Vec<RoundBatch> = self.net.par_step(
+            || GroupScratch::new(n),
+            |scratch, batch: &mut RoundBatch, v, _inbox, out| {
+                let st = &states[v];
+                if st.center == NO_CLUSTER || st.sampled {
+                    // Unclustered vertices are settled; sampled clusters carry over.
+                    return;
+                }
+                let row = &csr.row(v)[..live[v] as usize];
+                let mut sink = KillSender {
+                    batch: &mut *batch,
+                    out: &mut *out,
+                    ids,
+                };
+                let joined = round::decide(v, st.center, row, info, scratch, &mut sink);
+                let (center, parent) = joined.map_or((NO_CLUSTER, NO_CLUSTER), |(c, s)| (c, s.nbr));
+                if parent != NO_CLUSTER {
+                    out.send(parent as usize, SpannerMsg::Child);
+                }
+                batch.verts.push(round::Decision {
+                    v: v as u32,
+                    center,
+                    parent,
+                });
+            },
+        );
+        round::commit(&batches, &mut self.in_spanner, &mut self.alive);
+        for dec in batches.iter().flat_map(|batch| &batch.verts) {
+            let v = dec.v as usize;
+            self.states[v].center = dec.center;
+            self.states[v].parent = dec.parent;
+            self.children[v].clear();
         }
+        self.net.advance_round();
     }
 
-    /// Delivers the Phase C notifications: `Kill` retires the receiver's side of the
+    /// Delivers the Phase C notifications: `Kill` clears the receiver's side of the
     /// edge, `Child` extends the receiver's cluster-tree children (inboxes are sorted
     /// by sender, so the children order is reproducible). Runs in parallel over
     /// vertices: a `Kill` only flips the *receiver's* side of the edge (disjoint per
@@ -771,7 +735,7 @@ impl Protocol {
                     match msg {
                         SpannerMsg::Kill { edge } => {
                             let idx = idx_of[edge];
-                            debug_assert_ne!(idx, NONE32, "Kill for an edge outside the view");
+                            debug_assert_ne!(idx, u32::MAX, "Kill for an edge outside the view");
                             // The sender is the edge's other endpoint.
                             alive.set(half_edge(idx as usize, v, from), false);
                         }
@@ -782,375 +746,78 @@ impl Protocol {
             });
     }
 
-    /// Intra-cluster edges retire locally (no message needed: both endpoints can see
-    /// the shared center from the latest exchange — in fault mode only if the
-    /// exchange actually arrived). Each endpoint drops its own side; the per-side
-    /// flag writes are disjoint, so the sweep runs in parallel over vertices.
-    fn retain_intra_cluster(&mut self) {
-        let Protocol {
-            states,
-            csr,
-            alive,
-            reported_center,
-            reported_sampled,
-            fault_view,
-            ..
-        } = self;
-        match fault_view {
-            Some(fv) => retain_intra_cluster_impl(states, csr, alive, RecvInfo(fv)),
-            None => retain_intra_cluster_impl(
-                states,
-                csr,
-                alive,
-                MirrorInfo {
-                    rep_c: reported_center,
-                    rep_s: reported_sampled,
-                },
-            ),
-        }
+    /// The kernel's retire pass: each vertex drops from its live prefix the killed
+    /// half-edges and the edges whose far endpoint, as of the latest exchange, is in
+    /// the vertex's new cluster. No message is needed; each side retires its own.
+    fn retire(&mut self) {
+        let info = self.know.lookup(&self.alive);
+        let states = &self.states;
+        round::retire(
+            &mut self.csr,
+            &mut self.live,
+            &self.part,
+            |v| states[v].center,
+            info,
+        );
     }
 
     /// Phase 2: final vertex–cluster joining — one more exchange, then every vertex
-    /// keeps the lightest still-alive edge into each adjacent foreign cluster. In
-    /// fault mode an extra conservative pass keeps every still-alive edge whose
-    /// endpoint knowledge is missing or mutually unclustered, so lost exchanges can
-    /// only make the spanner *larger*, never disconnect the surviving computation.
+    /// keeps the lightest live edge into each adjacent foreign cluster. In fault mode
+    /// every live edge whose far endpoint is unheard-from, or where both sides ended
+    /// up unclustered (a pairing the clean protocol never leaves alive), is kept as
+    /// well, so lost exchanges only make the spanner *larger*.
     fn finale(&mut self) {
         self.phase_b();
-        let Protocol {
-            net,
-            n,
-            ids,
-            csr,
-            states,
-            children,
-            alive,
-            in_spanner,
-            reported_center,
-            reported_sampled,
-            fault_view,
-            ..
-        } = self;
-        let sw = SweepState {
-            net,
-            n: *n,
-            ids,
-            csr,
-            states,
-            children,
-            alive,
-            in_spanner,
-        };
-        match fault_view {
-            Some(fv) => finale_impl(sw, RecvInfo(fv), true),
-            None => finale_impl(
-                sw,
-                MirrorInfo {
-                    rep_c: reported_center,
-                    rep_s: reported_sampled,
-                },
-                false,
-            ),
-        }
-    }
-}
-
-/// Disjoint mutable borrows of the protocol state shared by the generic decision
-/// sweeps ([`phase_c_impl`], [`finale_impl`]) — destructured out of [`Protocol`] so
-/// the neighbor-knowledge source (which borrows other `Protocol` fields) can be
-/// passed alongside.
-struct SweepState<'a> {
-    net: &'a mut Net,
-    n: usize,
-    ids: &'a [u32],
-    csr: &'a ViewCsr,
-    states: &'a mut Vec<VertState>,
-    children: &'a mut Vec<Vec<NodeId>>,
-    alive: &'a mut Vec<bool>,
-    in_spanner: &'a mut Vec<bool>,
-}
-
-/// The Phase C body, generic over the neighbor-knowledge source. With [`MirrorInfo`]
-/// (`known` ≡ true) this compiles to exactly the pre-fault decision logic; with
-/// [`RecvInfo`] every kill is gated on *fresh* knowledge of the neighbor, so a lost
-/// broadcast degrades to "leave the edge alive" (a possibly larger spanner), never to
-/// acting on stale state.
-fn phase_c_impl<I: NbrInfo>(sw: SweepState<'_>, info: I) {
-    let SweepState {
-        net,
-        n,
-        ids,
-        csr,
-        states,
-        children,
-        alive,
-        in_spanner,
-    } = sw;
-    let batches: Vec<PhaseCBatch> = {
-        let states: &[VertState] = states;
-        let alive: &[bool] = alive;
-        // Retires `v`'s side of the edge in slot `s` (half-edge `half`): stages the
-        // flag write and sends the far endpoint a `Kill`.
-        let kill = |batch: &mut PhaseCBatch,
-                    out: &mut VertexOutbox<'_, SpannerMsg>,
-                    s: &Slot,
-                    half: usize| {
-            batch.kills.push(half as u32);
-            out.send(
-                s.nbr as usize,
-                SpannerMsg::Kill {
-                    edge: ids[s.idx as usize] as EdgeId,
-                },
-            );
-        };
-        net.par_step(
-            || ClusterScratch::new(n),
-            |sc, batch: &mut PhaseCBatch, v, _inbox, out| {
-                let st = &states[v];
-                let c_v = st.center;
-                if c_v == NONE32 || st.sampled {
-                    // Unclustered vertices are settled; sampled clusters carry over.
-                    return;
-                }
-                let row = csr.row(v);
-
-                // Pass 1: the shared stamped grouping sweep.
-                sc.group_row(v, c_v, row, alive, info);
-
-                let new_center;
-                let new_parent;
-                if sc.touched.is_empty() {
-                    // No clustered foreign neighbor: the vertex leaves the clustering
-                    // and every still-alive own-side edge with *known* neighbor state
-                    // leaves the protocol (without fresh knowledge the edge stays
-                    // alive — the neighbor may be mid-join on the other side).
-                    new_center = NONE32;
-                    new_parent = NONE32;
-                    for s in row {
-                        let other = s.nbr as usize;
-                        let half = half_edge(s.idx as usize, v, other);
-                        if alive[half] && info.known(other, half) {
-                            kill(batch, out, s, half);
-                        }
-                    }
-                } else {
-                    // Lightest edge into a *sampled* adjacent cluster, ties broken by
-                    // cluster id so the choice is grouping-order independent.
-                    let mut best: Option<(f64, u32)> = None;
-                    for &c in &sc.touched {
-                        if sc.grp_sampled[c as usize] {
-                            let w = sc.best_w[c as usize];
-                            let better = match best {
-                                None => true,
-                                Some((w0, c0)) => w < w0 || (w == w0 && c < c0),
-                            };
-                            if better {
-                                best = Some((w, c));
-                            }
-                        }
-                    }
-                    match best {
-                        None => {
-                            // No sampled cluster adjacent: keep one lightest edge per
-                            // adjacent cluster, discard everything else (that is
-                            // known), and leave.
-                            new_center = NONE32;
-                            new_parent = NONE32;
-                            for s in row {
-                                let other = s.nbr as usize;
-                                let half = half_edge(s.idx as usize, v, other);
-                                if !alive[half] || !info.known(other, half) {
-                                    continue;
-                                }
-                                let c_o = info.center(other, half);
-                                if c_o != NONE32 && c_o != c_v && sc.best_idx[c_o as usize] == s.idx
-                                {
-                                    batch.adds.push(s.idx);
-                                }
-                                kill(batch, out, s, half);
-                            }
-                        }
-                        Some((w_star, c_star)) => {
-                            // Join the sampled cluster through its lightest edge; also
-                            // keep the lightest edge into every strictly lighter
-                            // neighbor cluster.
-                            new_center = c_star;
-                            new_parent = sc.best_nbr[c_star as usize];
-                            batch.adds.push(sc.best_idx[c_star as usize]);
-                            for s in row {
-                                let other = s.nbr as usize;
-                                let half = half_edge(s.idx as usize, v, other);
-                                if !alive[half] {
-                                    continue;
-                                }
-                                let c_o = info.center(other, half);
-                                if c_o == NONE32 || c_o == c_v {
-                                    continue;
-                                }
-                                if c_o == c_star {
-                                    kill(batch, out, s, half);
-                                } else if sc.best_w[c_o as usize] < w_star {
-                                    if sc.best_idx[c_o as usize] == s.idx {
-                                        batch.adds.push(s.idx);
-                                    }
-                                    kill(batch, out, s, half);
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // One Child to the new parent, after the vertex's Kills.
-                if new_parent != NONE32 {
-                    out.send(new_parent as usize, SpannerMsg::Child);
-                }
-                batch.verts.push(PhaseCDecision {
-                    v: v as u32,
-                    new_center,
-                    new_parent,
-                });
+        let n = self.n;
+        let info = self.know.lookup(&self.alive);
+        let (states, csr, live) = (&self.states, &self.csr, &self.live);
+        let batches: Vec<RoundBatch> = self.net.par_step(
+            || GroupScratch::new(n),
+            |scratch, batch: &mut RoundBatch, v, _inbox, _out| {
+                let row = &csr.row(v)[..live[v] as usize];
+                round::join(v, states[v].center, row, info, scratch, &mut batch.adds);
             },
-        )
-    };
-
-    // Two-phase commit, parallel half: the edge-proportional flag writes. They are
-    // conflict-free — `in_spanner` adds only ever store `true`, and a vertex kills
-    // only its *own* half-edges, each owned by exactly one vertex — so the final
-    // masks are the same for every commit order and fixed-seed runs stay bitwise
-    // identical across thread counts.
-    {
-        let in_spanner = AtomicFlags::new(in_spanner);
-        let alive = AtomicFlags::new(alive);
-        batches.par_iter().for_each(|batch| {
-            for &idx in &batch.adds {
-                in_spanner.set(idx as usize, true);
-            }
-            for &half in &batch.kills {
-                alive.set(half as usize, false);
-            }
-        });
-    }
-    // Sequential half: the per-vertex state writes, O(decided vertices) per
-    // iteration (each vertex appears in exactly one batch).
-    for batch in &batches {
-        for dec in &batch.verts {
-            let v = dec.v as usize;
-            // Leaving the clustering and re-clustering are the same writes: the
-            // decision's center/parent are NONE32 for a vertex that left.
-            let st = &mut states[v];
-            st.center = dec.new_center;
-            st.parent = dec.new_parent;
-            children[v].clear();
-        }
-    }
-    net.advance_round();
-}
-
-/// The intra-cluster retirement sweep, generic over the neighbor-knowledge source:
-/// every clustered vertex drops its own side of each edge whose far endpoint it knows
-/// to share its cluster.
-fn retain_intra_cluster_impl<I: NbrInfo>(
-    states: &[VertState],
-    csr: &ViewCsr,
-    alive: &mut [bool],
-    info: I,
-) {
-    let alive = AtomicFlags::new(alive);
-    (0..states.len()).into_par_iter().for_each(|v| {
-        let c = states[v].center;
-        if c == NONE32 {
-            return;
-        }
-        for s in csr.row(v) {
-            let other = s.nbr as usize;
-            let half = half_edge(s.idx as usize, v, other);
-            if alive.get(half) && info.center(other, half) == c {
-                alive.set(half, false);
-            }
-        }
-    });
-}
-
-/// The final joining sweep, generic over the neighbor-knowledge source. With
-/// `conservative` set (fault mode), every still-alive own-side edge whose neighbor
-/// is unheard-from — or where both sides ended up unclustered, a pairing the clean
-/// protocol can never leave alive — is kept as well.
-fn finale_impl<I: NbrInfo>(sw: SweepState<'_>, info: I, conservative: bool) {
-    let SweepState {
-        net,
-        n,
-        csr,
-        states,
-        alive,
-        in_spanner,
-        ..
-    } = sw;
-    let states: &[VertState] = states;
-    let alive: &[bool] = alive;
-    let batches: Vec<JoinBatch> = net.par_step(
-        || ClusterScratch::new(n),
-        |sc, batch: &mut JoinBatch, v, _inbox, _out| {
-            sc.group_row(v, states[v].center, csr.row(v), alive, info);
-            for &c in &sc.touched {
-                batch.adds.push(sc.best_idx[c as usize]);
-            }
-        },
-    );
-    // Same-value (`true`) writes commute, so the joining adds commit in parallel.
-    {
-        let in_spanner = AtomicFlags::new(in_spanner);
-        batches.par_iter().for_each(|batch| {
-            for &idx in &batch.adds {
-                in_spanner.set(idx as usize, true);
-            }
-        });
-    }
-    if conservative {
-        for (v, st) in states.iter().enumerate() {
-            let unclustered = st.center == NONE32;
-            for s in csr.row(v) {
-                let other = s.nbr as usize;
-                let half = half_edge(s.idx as usize, v, other);
-                if alive[half]
-                    && (!info.known(other, half)
-                        || (unclustered && info.center(other, half) == NONE32))
-                {
-                    in_spanner[s.idx as usize] = true;
+        );
+        if K::FAULT_MODE {
+            for (v, st) in states.iter().enumerate() {
+                let unclustered = st.center == NO_CLUSTER;
+                for s in &csr.row(v)[..live[v] as usize] {
+                    if !info.known(v, s) || (unclustered && info.center(v, s) == NO_CLUSTER) {
+                        self.in_spanner[s.idx as usize] = true;
+                    }
                 }
             }
         }
+        round::commit(&batches, &mut self.in_spanner, &mut self.alive);
     }
-}
-
-fn resolve_k(n: usize, cfg: &DistSpannerConfig) -> usize {
-    cfg.k
-        .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize)
-        .max(1)
 }
 
 /// Runs the distributed Baswana–Sen spanner on the communication graph `g`, restricted
-/// to the edges listed in `active` (global edge ids). Passing all edge ids computes a
-/// spanner of `g` itself; the bundle construction passes residual edge sets.
+/// to the edges listed in `active` (global edge ids, in any order, duplicates allowed).
+/// Passing all edge ids computes a spanner of `g` itself; the bundle construction
+/// passes residual edge sets. The returned ids are sorted and deduplicated.
 pub fn distributed_spanner_on_edges(
     g: &Graph,
     active: &[EdgeId],
     cfg: &DistSpannerConfig,
 ) -> DistSpannerResult {
     let _span = sgs_obs::span!("congest.spanner", edges = active.len());
+    let mut ids = active.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
     let n = g.n();
-    let k = resolve_k(n, cfg);
-    if n <= 2 || k <= 1 || active.is_empty() {
+    if n <= 2 || resolve_k(n, cfg.k) <= 1 || ids.is_empty() {
         return DistSpannerResult {
-            edge_ids: active.to_vec(),
+            edge_ids: ids,
             metrics: NetworkMetrics::default(),
         };
     }
-    let mut proto = Protocol::new(g, active, cfg);
-    let edge_ids = proto.run();
-    DistSpannerResult {
-        edge_ids,
-        metrics: proto.net.metrics().clone(),
-    }
+    let (edge_ids, metrics) = if cfg.fault_mode() {
+        Protocol::<FaultView>::new(g, &ids, cfg).run()
+    } else {
+        Protocol::<Mirror>::new(g, &ids, cfg).run()
+    };
+    DistSpannerResult { edge_ids, metrics }
 }
 
 /// Runs the distributed Baswana–Sen spanner on all edges of `g`.
@@ -1243,16 +910,21 @@ mod tests {
     #[test]
     fn unsorted_active_set_is_normalised() {
         // The old per-vertex BTreeMaps sorted the active ids implicitly; the flat view
-        // must behave identically when the caller passes an arbitrary order.
+        // must behave identically when the caller passes an arbitrary order. At
+        // k = 1 the trivial path returns the whole active set, normalised the same way.
         let g = generators::erdos_renyi(60, 0.3, 1.0, 5);
-        let cfg = DistSpannerConfig::with_seed(2);
         let sorted: Vec<EdgeId> = (0..g.m()).collect();
         let mut shuffled: Vec<EdgeId> = sorted.iter().rev().copied().collect();
         shuffled.extend_from_slice(&sorted[..10]); // duplicates too
-        let a = distributed_spanner_on_edges(&g, &sorted, &cfg);
-        let b = distributed_spanner_on_edges(&g, &shuffled, &cfg);
-        assert_eq!(a.edge_ids, b.edge_ids);
-        assert_eq!(a.metrics, b.metrics);
+        for cfg in [
+            DistSpannerConfig::with_seed(2),
+            DistSpannerConfig::with_seed(2).with_k(1),
+        ] {
+            let a = distributed_spanner_on_edges(&g, &sorted, &cfg);
+            let b = distributed_spanner_on_edges(&g, &shuffled, &cfg);
+            assert_eq!(a.edge_ids, b.edge_ids, "k = {:?}", cfg.k);
+            assert_eq!(a.metrics, b.metrics, "k = {:?}", cfg.k);
+        }
     }
 
     #[test]
@@ -1293,14 +965,14 @@ mod tests {
         let active: Vec<EdgeId> = (0..g.m()).collect();
 
         let run = |poison: bool| -> (Vec<EdgeId>, NetworkMetrics) {
-            let mut proto = Protocol::new(&g, &active, &cfg);
+            let mut proto = Protocol::<Mirror>::new(&g, &active, &cfg);
             proto.iteration(1);
             for children in proto.children.iter_mut() {
                 children.clear(); // sever every cluster tree: propagation now misses
             }
             if poison {
                 for (v, st) in proto.states.iter_mut().enumerate() {
-                    if st.center != NONE32 && st.center != v as u32 {
+                    if st.center != NO_CLUSTER && st.center != v as u32 {
                         st.sampled = true; // the stale flag the reset must erase
                     }
                 }

@@ -1,20 +1,19 @@
-//! Shared atomic views over flag and id arrays for parallel decision commits.
+//! A shared atomic view over flag arrays for parallel decision commits.
 //!
 //! The spanner engines commit per-vertex decision batches by flipping flags in shared
-//! `Vec<bool>` masks (`alive`, `in_spanner`) and writing per-vertex slots in a
-//! `Vec<u32>` (`center_next`). Those writes are *conflict-free* in the sense that any
-//! two concurrent writes to the same slot store the same value (flags only ever move
-//! one way within a commit, and each `u32` slot is owned by exactly one vertex) — but
-//! Rust's aliasing rules still forbid touching a `&mut [bool]` from two threads.
-//! These wrappers reinterpret the exclusive borrow as a slice of relaxed atomics for
-//! the duration of the commit, which is exactly the synchronization-free CRCW
-//! ("common" write rule) model the paper's PRAM adaptation assumes.
+//! `Vec<bool>` masks (`alive`, `in_spanner`). Those writes are *conflict-free* in the
+//! sense that any two concurrent writes to the same slot store the same value (flags
+//! only ever move one way within a commit) — but Rust's aliasing rules still forbid
+//! touching a `&mut [bool]` from two threads. [`AtomicFlags`] reinterprets the
+//! exclusive borrow as a slice of relaxed atomics for the duration of the commit,
+//! which is exactly the synchronization-free CRCW ("common" write rule) model the
+//! paper's PRAM adaptation assumes.
 //!
 //! All accesses are `Relaxed`: the commit is bracketed by rayon's fork/join, which
 //! publishes every store to the joining thread, and no load inside the commit is used
 //! to establish ordering between threads.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A shared view over a `&mut [bool]`, writable from many threads at once.
 #[derive(Clone, Copy)]
@@ -44,26 +43,6 @@ impl<'a> AtomicFlags<'a> {
     }
 }
 
-/// A shared view over a `&mut [u32]`, writable from many threads at once.
-#[derive(Clone, Copy)]
-pub struct AtomicIds<'a>(&'a [AtomicU32]);
-
-impl<'a> AtomicIds<'a> {
-    /// Reinterprets an exclusive u32 slice as shared atomic slots.
-    pub fn new(ids: &'a mut [u32]) -> AtomicIds<'a> {
-        // SAFETY: `AtomicU32` has the same in-memory representation as `u32` (per the
-        // std docs), and the exclusive borrow rules out non-atomic aliasing.
-        let ptr = ids.as_mut_ptr() as *const AtomicU32;
-        AtomicIds(unsafe { std::slice::from_raw_parts(ptr, ids.len()) })
-    }
-
-    /// Writes slot `i`.
-    #[inline]
-    pub fn set(&self, i: usize, value: u32) {
-        self.0[i].store(value, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,20 +62,6 @@ mod tests {
         }
         for (i, &f) in flags.iter().enumerate() {
             assert_eq!(f, i % 2 == 0);
-        }
-    }
-
-    #[test]
-    fn disjoint_id_writes_land() {
-        let mut ids = vec![u32::MAX; 512];
-        {
-            let view = AtomicIds::new(&mut ids);
-            (0..512usize).into_par_iter().for_each(|i| {
-                view.set(i, i as u32);
-            });
-        }
-        for (i, &x) in ids.iter().enumerate() {
-            assert_eq!(x, i as u32);
         }
     }
 }

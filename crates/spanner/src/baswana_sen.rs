@@ -14,7 +14,11 @@
 //!
 //! # Engine design (allocation-free hot path)
 //!
-//! The implementation is built for zero per-vertex heap traffic:
+//! The round logic (grouping, the decision rule, the join and the retire pass) is the
+//! kernel in [`crate::round`], which the CONGEST protocol of `sgs-distributed` runs
+//! too; the two engines differ only in the kernel's `SlotLookup`. This engine's lookup
+//! reads the round-state arrays: the centers, the sampled flags and one `alive` flag
+//! per edge. Around the kernel:
 //!
 //! * **Slot rows** ([`ViewCsr`]): one `offsets` array plus one [`Slot`] array,
 //!   `{ nbr: u32, idx: u32, w: f64 }` (16 bytes) per incidence, built once per view
@@ -24,34 +28,24 @@
 //!   peeled into components, so the structure is built once per bundle, not once per
 //!   component.
 //! * **Live prefix**: each vertex's row keeps the slots of its still-alive edges in a
-//!   prefix of length `live[v]`. The decide passes, the join and the defensive kill
-//!   walk only that prefix, with no per-edge aliveness test. After each commit a
-//!   block-parallel *retire pass* (the `spanner.sweep` span) swap-removes from every
-//!   prefix the slots whose edge was killed or whose endpoints now share a cluster;
-//!   both tests are symmetric, so an edge leaves its two rows together. A round thus
-//!   costs about the number of live edges, not the number of edges.
-//! * **Explicit tie-break**: swap-removal leaves rows unordered, so grouping picks,
-//!   among equal weights, the *lowest view index* — exactly what the ascending rows of
-//!   a fresh build gave by first-seen order.
-//! * **Cluster-stamped scratch** (`RoundScratch`): the per-vertex grouping of incident
-//!   edges by neighbouring cluster uses `last_seen`/`best_w`/`best_idx` slots indexed by
-//!   cluster id plus a touched-list for O(degree) cleanup — replacing a per-vertex
-//!   `BTreeMap` allocation. Scratch is threaded through rayon with `map_init`, so each
-//!   worker chunk reuses one instance.
-//! * **Flat decision batches** (`RoundBatch`): vertices are processed in contiguous
-//!   blocks cut by the density-aware [`BlockPartition`](crate::partition) (edge-load
-//!   balanced, a few blocks per thread, 64-vertex floor) and each block emits compact
-//!   per-vertex records plus shared flat `adds`/`kills` id lists — replacing two
-//!   `Vec`s per vertex per round.
-//! * **Parallel two-phase commit**: decision batches are committed through shared
-//!   relaxed-atomic views ([`crate::atomic`]) instead of a sequential sweep. This is
-//!   safe — and bit-identical to the sequential order — because the commit is
-//!   order-invariant: every edge a vertex *adds* it also *kills* (both branches of
-//!   `process_block`), so `in_spanner` is a plain union; `center_next` slots are
-//!   written by exactly one vertex each; and the defensive kill of an unclustered
-//!   vertex's leftover edges depends only on round-start state (its live prefix and
-//!   the round-start clustering). The final masks after the commit are therefore
-//!   identical under any interleaving — the CRCW "common write" model of Corollary 2.
+//!   prefix of length `live[v]`. The decide pass and the join walk only that prefix,
+//!   with no per-edge aliveness test. After each commit the kernel's block-parallel
+//!   *retire pass* (the `spanner.sweep` span) swap-removes from every prefix the slots
+//!   whose edge was killed or whose endpoints now share a cluster; both tests are
+//!   symmetric, so an edge leaves its two rows together. A round thus costs about the
+//!   number of live edges, not the number of edges. Swap-removal leaves rows
+//!   unordered, so grouping breaks weight ties explicitly by lowest view index.
+//! * **Flat decision batches**: vertices are processed in contiguous blocks cut by
+//!   the density-aware [`BlockPartition`](crate::partition) (edge-load balanced, a few
+//!   blocks per thread, 64-vertex floor), each with one cluster-stamped grouping
+//!   scratch per worker, and each block emits compact per-vertex records plus flat
+//!   add and kill id lists.
+//! * **Parallel commit**: every decision reads round-start state only, and its writes
+//!   are order-invariant — adds only set `in_spanner`, kills only clear `alive`, and
+//!   each decided vertex writes only its own center. The flag writes therefore run
+//!   concurrently through relaxed-atomic views ([`crate::atomic`]), and the final state
+//!   is identical under any interleaving — the CRCW "common write" model of
+//!   Corollary 2.
 //!
 //! The outputs (edge ids, round count, and the `work` counter) are byte-for-byte
 //! identical to the original `BTreeMap`-based implementation — `work` still counts the
@@ -69,8 +63,8 @@ use rayon::prelude::*;
 
 use sgs_graph::{EdgeId, Graph, NodeId};
 
-use crate::atomic::{AtomicFlags, AtomicIds};
 use crate::partition::BlockPartition;
+use crate::round::{self, resolve_k, Decision, GroupScratch, RoundBatch, SlotLookup, NO_CLUSTER};
 
 /// Configuration for the Baswana–Sen construction.
 #[derive(Debug, Clone)]
@@ -131,16 +125,6 @@ impl SpannerResult {
 /// [`baswana_sen_on_view`] and [`SpannerEngine::new`].
 pub type EdgeView = (EdgeId, NodeId, NodeId, f64);
 
-/// Sentinel for "no cluster" in the flat center array (`Option<NodeId>` without the
-/// branch/space overhead).
-const NO_CLUSTER: u32 = u32::MAX;
-
-// Decision batching distributes vertices to workers in contiguous blocks cut by the
-// density-aware `BlockPartition` (see `crate::partition`): edge-load balanced, a few
-// blocks per thread, 64-vertex floor. The partition may vary with the pool width —
-// outputs cannot, because the decision records depend only on round-start state and
-// the commit is order-invariant (module docs above).
-
 /// One incidence of a [`ViewCsr`] row: the neighbour across the edge, the edge's view
 /// index and its weight, so a row walk never loads the edge itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -161,8 +145,8 @@ pub struct Slot {
 /// invariant), so every slot's `nbr` differs from its row's vertex.
 #[derive(Debug, Clone, Default)]
 pub struct ViewCsr {
-    offsets: Vec<u32>,
-    slots: Vec<Slot>,
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) slots: Vec<Slot>,
     /// Scratch for the counting-sort write cursors, kept so [`ViewCsr::rebuild`] is
     /// allocation-free in steady state (batch engines rebuild the same CSR per batch).
     cursor: Vec<u32>,
@@ -270,87 +254,11 @@ impl ViewCsr {
     }
 }
 
-/// Per-worker scratch for one clustering/joining pass: cluster-stamped slots plus a
-/// touched-list, giving O(degree) grouping with O(degree) cleanup and zero per-vertex
-/// allocation. One instance per rayon worker chunk via `map_init`.
-struct RoundScratch {
-    /// Stamp of the vertex currently being processed; `last_seen[c] == stamp` marks
-    /// cluster `c`'s slots as live for this vertex.
-    stamp: u32,
-    last_seen: Vec<u32>,
-    best_w: Vec<f64>,
-    best_idx: Vec<u32>,
-    touched: Vec<u32>,
-}
-
-impl RoundScratch {
-    fn new(n: usize) -> RoundScratch {
-        RoundScratch {
-            stamp: 0,
-            last_seen: vec![0; n],
-            best_w: vec![0.0; n],
-            best_idx: vec![0; n],
-            touched: Vec::new(),
-        }
-    }
-
-    /// Groups the live slots `row` of a vertex in cluster `c_v` by the neighbour's
-    /// cluster: per adjacent foreign cluster the lightest edge, the lowest view index
-    /// among equal weights (rows are unordered, so the tie-break is explicit).
-    fn group(&mut self, row: &[Slot], c_v: u32, center: &[u32]) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.touched.clear();
-        for s in row {
-            let c_other = center[s.nbr as usize];
-            if c_other == NO_CLUSTER || c_other == c_v {
-                // In the rounds no live slot leads to an unclustered neighbour or into
-                // v's own cluster (those edges were killed or retired); in the joining
-                // phase an unclustered v still holds edges to unclustered neighbours.
-                continue;
-            }
-            let c = c_other as usize;
-            if self.last_seen[c] != stamp {
-                self.last_seen[c] = stamp;
-                self.best_w[c] = s.w;
-                self.best_idx[c] = s.idx;
-                self.touched.push(c_other);
-            } else if s.w < self.best_w[c] || (s.w == self.best_w[c] && s.idx < self.best_idx[c]) {
-                self.best_w[c] = s.w;
-                self.best_idx[c] = s.idx;
-            }
-        }
-    }
-}
-
-/// Compact per-vertex outcome of one clustering round; the add/kill edge ids live in
-/// the owning [`RoundBatch`]'s flat buffers.
-#[derive(Debug, Clone, Copy)]
-struct VertDecision {
-    v: u32,
-    /// New cluster center, or [`NO_CLUSTER`] when unchanged / leaving the clustering.
-    new_center: u32,
-    became_unclustered: bool,
-    add_len: u32,
-    kill_len: u32,
-}
-
-/// Decisions of one vertex block: per-vertex records plus flat add/kill edge-id lists
-/// (segments in record order), replacing two `Vec`s per vertex per round.
-#[derive(Debug, Default)]
-struct RoundBatch {
-    verts: Vec<VertDecision>,
-    adds: Vec<u32>,
-    kills: Vec<u32>,
-    work: u64,
-}
-
 /// Reusable per-run state; the t-bundle engine keeps one instance alive across
 /// components so the masks and center arrays are allocated once per bundle.
 #[derive(Debug, Default)]
 struct EngineState {
     center: Vec<u32>,
-    center_next: Vec<u32>,
     /// Per vertex, the length of the live prefix of its CSR row: the slots of the
     /// edges still alive at the start of the round.
     live: Vec<u32>,
@@ -369,8 +277,6 @@ impl EngineState {
         let n = csr.n();
         self.center.clear();
         self.center.extend(0..n as u32);
-        self.center_next.clear();
-        self.center_next.resize(n, NO_CLUSTER);
         self.live.clear();
         self.live
             .extend(csr.offsets.windows(2).map(|pair| pair[1] - pair[0]));
@@ -380,6 +286,36 @@ impl EngineState {
         self.in_spanner.resize(m, false);
         self.sampled.clear();
         self.sampled.resize(n, false);
+    }
+}
+
+/// The shared-memory [`SlotLookup`]: the round-state arrays, one alive flag per edge.
+#[derive(Clone, Copy)]
+struct Arrays<'a> {
+    center: &'a [u32],
+    sampled: &'a [bool],
+    alive: &'a [bool],
+}
+
+impl SlotLookup for Arrays<'_> {
+    #[inline]
+    fn center(&self, _v: NodeId, s: &Slot) -> u32 {
+        self.center[s.nbr as usize]
+    }
+
+    #[inline]
+    fn sampled(&self, _v: NodeId, s: &Slot) -> bool {
+        self.sampled[self.center[s.nbr as usize] as usize]
+    }
+
+    #[inline]
+    fn known(&self, _v: NodeId, _s: &Slot) -> bool {
+        true
+    }
+
+    #[inline]
+    fn alive(&self, _v: NodeId, s: &Slot) -> bool {
+        self.alive[s.idx as usize]
     }
 }
 
@@ -395,233 +331,13 @@ pub fn baswana_sen_on_view(n: usize, view: &[EdgeView], cfg: &SpannerConfig) -> 
     SpannerEngine::new(n, view).spanner(cfg)
 }
 
-fn resolve_k(n: usize, cfg: &SpannerConfig) -> usize {
-    cfg.k
-        .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize)
-        .max(1)
-}
-
-/// Computes the clustering-round decisions for one vertex block.
-///
-/// Two passes over the live prefix of each vertex's CSR row: the first groups the
-/// edges by neighbouring cluster ([`RoundScratch::group`]: per cluster the minimum
-/// weight, ties to the lowest view index), the second emits the add/kill ids into the
-/// batch's flat buffers. The `work` counter counts one examination per incident edge
-/// of each decided vertex, live or dead — the full row — exactly matching the
-/// historical `BTreeMap` implementation.
-fn process_block(
-    verts: std::ops::Range<usize>,
-    csr: &ViewCsr,
-    live: &[u32],
-    center: &[u32],
-    sampled: &[bool],
-    scratch: &mut RoundScratch,
-) -> RoundBatch {
-    let mut batch = RoundBatch::default();
-    for v in verts {
-        let c_v = center[v];
-        if c_v == NO_CLUSTER || sampled[c_v as usize] {
-            // Unclustered vertices are settled; sampled clusters carry over unchanged.
-            continue;
-        }
-        let full = csr.row(v);
-        batch.work += full.len() as u64;
-        let row = &full[..live[v] as usize];
-
-        // Pass 1: group live inter-cluster edges by the other endpoint's cluster.
-        scratch.group(row, c_v, center);
-
-        if scratch.touched.is_empty() {
-            batch.verts.push(VertDecision {
-                v: v as u32,
-                new_center: NO_CLUSTER,
-                became_unclustered: true,
-                add_len: 0,
-                kill_len: 0,
-            });
-            continue;
-        }
-
-        // Lightest edge into a *sampled* adjacent cluster, if any. Ties are broken by
-        // cluster id so the choice is deterministic regardless of grouping order.
-        let mut best_sampled: Option<(f64, u32)> = None;
-        for &c in &scratch.touched {
-            if sampled[c as usize] {
-                let w = scratch.best_w[c as usize];
-                let better = match best_sampled {
-                    None => true,
-                    Some((w0, c0)) => w < w0 || (w == w0 && c < c0),
-                };
-                if better {
-                    best_sampled = Some((w, c));
-                }
-            }
-        }
-
-        // Pass 2: emit add/kill ids into the flat buffers.
-        let adds_before = batch.adds.len();
-        let kills_before = batch.kills.len();
-        let (new_center, became_unclustered) = match best_sampled {
-            None => {
-                // No sampled neighbor cluster: keep one lightest edge per adjacent
-                // cluster and discard the rest; v leaves the clustering.
-                for s in row {
-                    let c_other = center[s.nbr as usize];
-                    if c_other == NO_CLUSTER || c_other == c_v {
-                        continue;
-                    }
-                    if scratch.best_idx[c_other as usize] == s.idx {
-                        batch.adds.push(s.idx);
-                    }
-                    batch.kills.push(s.idx);
-                }
-                (NO_CLUSTER, true)
-            }
-            Some((w_star, c_star)) => {
-                // Join the sampled cluster through its lightest edge; also keep the
-                // lightest edge into every strictly lighter neighbour cluster.
-                batch.adds.push(scratch.best_idx[c_star as usize]);
-                for s in row {
-                    let c_other = center[s.nbr as usize];
-                    if c_other == NO_CLUSTER || c_other == c_v {
-                        continue;
-                    }
-                    if c_other == c_star {
-                        batch.kills.push(s.idx);
-                    } else if scratch.best_w[c_other as usize] < w_star {
-                        if scratch.best_idx[c_other as usize] == s.idx {
-                            batch.adds.push(s.idx);
-                        }
-                        batch.kills.push(s.idx);
-                    }
-                }
-                (c_star, false)
-            }
-        };
-        batch.verts.push(VertDecision {
-            v: v as u32,
-            new_center,
-            became_unclustered,
-            add_len: (batch.adds.len() - adds_before) as u32,
-            kill_len: (batch.kills.len() - kills_before) as u32,
-        });
-    }
-    batch
-}
-
-/// Computes the joining-phase adds for one vertex block: the lightest live edge into
-/// every adjacent foreign cluster (add-only, so no per-vertex records are needed).
-fn join_block(
-    verts: std::ops::Range<usize>,
-    csr: &ViewCsr,
-    live: &[u32],
-    center: &[u32],
-    scratch: &mut RoundScratch,
-) -> RoundBatch {
-    let mut batch = RoundBatch::default();
-    for v in verts {
-        let full = csr.row(v);
-        batch.work += full.len() as u64;
-        scratch.group(&full[..live[v] as usize], center[v], center);
-        for &c in &scratch.touched {
-            batch.adds.push(scratch.best_idx[c as usize]);
-        }
-    }
-    batch
-}
-
-/// Commits one decision batch through shared atomic views.
-///
-/// Safe — and *final-state identical* — under any interleaving with other batches:
-///
-/// * `in_spanner` stores are a plain union of the batch add lists;
-/// * `alive` stores only ever flip `true → false`;
-/// * `center_next[v]` is written solely by the batch that owns vertex `v`;
-/// * the defensive kill of an unclustered vertex's leftovers reads only round-start
-///   state (its live prefix and the `center` array).
-#[allow(clippy::too_many_arguments)]
-fn apply_batch(
-    batch: &RoundBatch,
-    csr: &ViewCsr,
-    live: &[u32],
-    center: &[u32],
-    alive: AtomicFlags<'_>,
-    in_spanner: AtomicFlags<'_>,
-    center_next: AtomicIds<'_>,
-) {
-    let mut adds_pos = 0usize;
-    let mut kills_pos = 0usize;
-    for dec in &batch.verts {
-        for &idx in &batch.adds[adds_pos..adds_pos + dec.add_len as usize] {
-            in_spanner.set(idx as usize, true);
-        }
-        adds_pos += dec.add_len as usize;
-        for &idx in &batch.kills[kills_pos..kills_pos + dec.kill_len as usize] {
-            alive.set(idx as usize, false);
-        }
-        kills_pos += dec.kill_len as usize;
-        let v = dec.v as usize;
-        if dec.became_unclustered {
-            center_next.set(v, NO_CLUSTER);
-            // Any still-alive incident edge of an unclustered vertex into a cluster is
-            // dead weight; they were all either added or killed above, but parallel
-            // edges from the same group may linger — kill them defensively. An edge
-            // some batch adds is also killed by it, so no spanner test is needed.
-            for s in &csr.row(v)[..live[v] as usize] {
-                if center[s.nbr as usize] != NO_CLUSTER {
-                    alive.set(s.idx as usize, false);
-                }
-            }
-        } else if dec.new_center != NO_CLUSTER {
-            center_next.set(v, dec.new_center);
-        }
-    }
-}
-
-/// The retire pass over one block's rows, `slots` being the block's contiguous slot
-/// range starting at CSR position `base` and `live` its vertices' prefix lengths.
-///
-/// Swap-removes from each live prefix every slot whose edge a decision killed or whose
-/// endpoints now share a cluster. Both tests are symmetric, so the two slots of an edge
-/// leave their rows together. Returns one examination per edge still alive after the
-/// commit, counted at its lower endpoint.
-fn retire_block(
-    verts: std::ops::Range<usize>,
-    offsets: &[u32],
-    base: usize,
-    slots: &mut [Slot],
-    live: &mut [u32],
-    center: &[u32],
-    alive: &[bool],
-) -> u64 {
-    let mut work = 0u64;
-    for (v, len) in verts.zip(live.iter_mut()) {
-        let start = offsets[v] as usize - base;
-        let row = &mut slots[start..start + *len as usize];
-        let c_v = center[v];
-        let mut end = row.len();
-        let mut i = 0usize;
-        while i < end {
-            let s = row[i];
-            if alive[s.idx as usize] {
-                work += u64::from((v as u32) < s.nbr);
-                if c_v == NO_CLUSTER || center[s.nbr as usize] != c_v {
-                    i += 1;
-                    continue;
-                }
-            }
-            end -= 1;
-            row.swap(i, end);
-        }
-        *len = end as u32;
-    }
-    work
-}
-
 /// Runs the full construction over a prepared CSR of an `m`-edge view and returns
 /// `(rounds, work)`; the selected edges are left in `state.in_spanner`. `state` buffers
 /// are reset here and may be reused across calls (the t-bundle engine does). The run
 /// reorders the CSR rows but keeps every slot.
+///
+/// `work` counts the full row of every decided or joined vertex, live slots or not,
+/// plus one examination per alive edge in each retire pass.
 fn run_spanner(
     csr: &mut ViewCsr,
     m: usize,
@@ -629,7 +345,7 @@ fn run_spanner(
     state: &mut EngineState,
 ) -> (usize, u64) {
     let n = csr.n();
-    let k = resolve_k(n, cfg);
+    let k = resolve_k(n, cfg.k);
     debug_assert!(n > 2 && k > 1 && m > 0, "trivial cases handled by caller");
     state.reset(csr, m);
 
@@ -638,7 +354,6 @@ fn run_spanner(
     // Density-aware blocks (degree-load balanced, 64-vertex floor). The partition may
     // depend on the pool width; outputs cannot (see module docs).
     let part = BlockPartition::adaptive(n, rayon::current_num_threads(), |v| csr.row(v).len());
-    let n_blocks = part.len();
     let mut total_work = 0u64;
     let mut rounds = 0usize;
 
@@ -650,63 +365,61 @@ fn run_spanner(
             *s = rng.gen::<f64>() < sample_prob;
         }
 
-        let (center, live, sampled) = (&state.center, &state.live, &state.sampled);
         let decide_span = sgs_obs::span!("spanner.decide", round = rounds);
-        let csr_ref: &ViewCsr = csr;
-        let batches: Vec<RoundBatch> = (0..n_blocks)
+        let look = Arrays {
+            center: &state.center,
+            sampled: &state.sampled,
+            alive: &state.alive,
+        };
+        let (csr_ref, live): (&ViewCsr, &[u32]) = (csr, &state.live);
+        let batches: Vec<RoundBatch> = (0..part.len())
             .into_par_iter()
             .map_init(
-                || RoundScratch::new(n),
-                |scratch, b| process_block(part.block(b), csr_ref, live, center, sampled, scratch),
+                || GroupScratch::new(n),
+                |scratch, b| {
+                    let mut batch = RoundBatch::default();
+                    for v in part.block(b) {
+                        let c_v = look.center[v];
+                        if c_v == NO_CLUSTER || look.sampled[c_v as usize] {
+                            // Unclustered vertices are settled; sampled clusters carry
+                            // over unchanged.
+                            continue;
+                        }
+                        let full = csr_ref.row(v);
+                        batch.work += full.len() as u64;
+                        let row = &full[..live[v] as usize];
+                        let joined = round::decide(v, c_v, row, look, scratch, &mut batch);
+                        batch.verts.push(Decision {
+                            v: v as u32,
+                            center: joined.map_or(NO_CLUSTER, |(c, _)| c),
+                            parent: NO_CLUSTER,
+                        });
+                    }
+                    batch
+                },
             )
             .collect();
         drop(decide_span);
 
-        // Commit the decisions. The commit is order-invariant (see `apply_batch`), so
-        // every batch runs concurrently through shared atomic views and still lands
-        // bit-identical to a sequential block-order walk.
+        // Commit the decisions: every decision read round-start state only, so the
+        // flag writes run concurrently and the centers can be overwritten in place.
         let apply_span = sgs_obs::span!("spanner.apply", round = rounds);
-        state.center_next.copy_from_slice(&state.center);
-        {
-            let alive = AtomicFlags::new(&mut state.alive);
-            let in_spanner = AtomicFlags::new(&mut state.in_spanner);
-            let center_next = AtomicIds::new(&mut state.center_next);
-            let (center, live) = (&state.center, &state.live);
-            batches.par_iter().for_each(|batch| {
-                apply_batch(batch, csr_ref, live, center, alive, in_spanner, center_next)
-            });
-        }
+        round::commit(&batches, &mut state.in_spanner, &mut state.alive);
         for batch in &batches {
             total_work += batch.work;
+            for dec in &batch.verts {
+                state.center[dec.v as usize] = dec.center;
+            }
         }
         drop(apply_span);
-        std::mem::swap(&mut state.center, &mut state.center_next);
 
-        // Retire the slots of killed and intra-cluster edges, block by block: each
-        // block owns its vertices' contiguous slot range and prefix lengths. The u64
-        // work tally is an order-independent sum.
         let sweep_span = sgs_obs::span!("spanner.sweep", round = rounds);
-        let ViewCsr { offsets, slots, .. } = &mut *csr;
-        let (center, alive) = (&state.center, &state.alive);
-        let mut blocks = Vec::with_capacity(n_blocks);
-        let (mut slots_rest, mut live_rest) = (&mut slots[..], &mut state.live[..]);
-        for b in 0..n_blocks {
-            let verts = part.block(b);
-            let base = offsets[verts.start] as usize;
-            let slot_len = offsets[verts.end] as usize - base;
-            let (block_slots, tail) = std::mem::take(&mut slots_rest).split_at_mut(slot_len);
-            slots_rest = tail;
-            let (block_live, tail) = std::mem::take(&mut live_rest).split_at_mut(verts.len());
-            live_rest = tail;
-            blocks.push((verts, base, block_slots, block_live));
-        }
-        let offsets: &[u32] = offsets;
-        total_work += blocks
-            .into_par_iter()
-            .map(|(verts, base, slots, live)| {
-                retire_block(verts, offsets, base, slots, live, center, alive)
-            })
-            .sum::<u64>();
+        let look = Arrays {
+            center: &state.center,
+            sampled: &state.sampled,
+            alive: &state.alive,
+        };
+        total_work += round::retire(csr, &mut state.live, &part, |v| look.center[v], look);
         drop(sweep_span);
         sgs_obs::point!("spanner.round", round = rounds, work = total_work);
     }
@@ -714,26 +427,30 @@ fn run_spanner(
     // Phase 2: vertex–cluster joining on the final clustering.
     rounds += 1;
     let join_span = sgs_obs::span!("spanner.join", round = rounds);
-    let (csr, center, live) = (&*csr, &state.center, &state.live);
-    let join_batches: Vec<RoundBatch> = (0..n_blocks)
+    let look = Arrays {
+        center: &state.center,
+        sampled: &state.sampled,
+        alive: &state.alive,
+    };
+    let (csr, live) = (&*csr, &state.live);
+    let batches: Vec<RoundBatch> = (0..part.len())
         .into_par_iter()
         .map_init(
-            || RoundScratch::new(n),
-            |scratch, b| join_block(part.block(b), csr, live, center, scratch),
+            || GroupScratch::new(n),
+            |scratch, b| {
+                let mut batch = RoundBatch::default();
+                for v in part.block(b) {
+                    let full = csr.row(v);
+                    batch.work += full.len() as u64;
+                    let row = &full[..live[v] as usize];
+                    round::join(v, look.center[v], row, look, scratch, &mut batch.adds);
+                }
+                batch
+            },
         )
         .collect();
-    // Join adds are a plain union, so the commit parallelises the same way.
-    {
-        let in_spanner = AtomicFlags::new(&mut state.in_spanner);
-        join_batches.par_iter().for_each(|batch| {
-            for &idx in &batch.adds {
-                in_spanner.set(idx as usize, true);
-            }
-        });
-    }
-    for batch in &join_batches {
-        total_work += batch.work;
-    }
+    round::commit(&batches, &mut state.in_spanner, &mut state.alive);
+    total_work += batches.iter().map(|batch| batch.work).sum::<u64>();
     drop(join_span);
     (rounds, total_work)
 }
@@ -817,7 +534,7 @@ impl SpannerEngine {
     /// Runs one Baswana–Sen construction over the current view.
     pub fn spanner(&mut self, cfg: &SpannerConfig) -> SpannerResult {
         let (n, m) = (self.csr.n(), self.ids.len());
-        if n <= 2 || resolve_k(n, cfg) <= 1 || m == 0 {
+        if n <= 2 || resolve_k(n, cfg.k) <= 1 || m == 0 {
             // The trivial cases (stretch-1 spanner / empty input) keep everything; mark
             // it all in-spanner so `peel_spanner_edges` drains the view.
             self.state.in_spanner.clear();

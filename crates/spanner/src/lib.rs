@@ -10,8 +10,11 @@
 //! * [`bundle`] — t-bundle spanners (Definition 1): `H = H₁ + … + H_t` where `H_i` is a
 //!   spanner of `G − Σ_{j<i} H_j`. The bundle certifies the effective-resistance upper
 //!   bound of Lemma 1, which experiments E3 validates directly.
+//! * [`round`] — the Baswana–Sen round kernel (grouping, decision rule, join and
+//!   retire pass) that both this crate's engine and the CONGEST protocol of
+//!   `sgs-distributed` run.
 //! * [`partition`] — density-aware vertex blocks for the parallel sweeps.
-//! * [`atomic`] — atomic views over flag and id arrays for conflict-free commits.
+//! * [`atomic`] — an atomic view over flag arrays for conflict-free commits.
 //!
 //! All constructions return *edge ids into the input graph*, so downstream code (the
 //! sampler of Algorithm 1) can cheaply partition the input into "bundle" and
@@ -24,14 +27,16 @@ pub mod atomic;
 pub mod baswana_sen;
 pub mod bundle;
 pub mod partition;
+pub mod round;
 
-pub use atomic::{AtomicFlags, AtomicIds};
+pub use atomic::AtomicFlags;
 pub use baswana_sen::{
     baswana_sen_on_view, baswana_sen_spanner, EdgeView, SpannerConfig, SpannerEngine,
     SpannerResult, ViewCsr,
 };
 pub use bundle::{t_bundle, t_bundle_on_engine, BundleConfig, BundleResult};
 pub use partition::BlockPartition;
+pub use round::{resolve_k, NO_CLUSTER};
 
 /// Default stretch target `2 ⌈log₂ n⌉` used when the caller does not override `k`.
 ///

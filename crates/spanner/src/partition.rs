@@ -20,7 +20,7 @@
 //!
 //! * the spanner's decision phase emits per-vertex records whose content depends only
 //!   on round-start state, and its commit is order-invariant (see
-//!   `baswana_sen::apply_batch`), so the final masks and the `work` tally are
+//!   [`crate::round::commit`]), so the final masks and the `work` tally are
 //!   identical under any block boundaries;
 //! * the CONGEST `par_step` concatenates staged messages in block order — blocks are
 //!   ascending contiguous ranges, so the staging order is the global vertex order for

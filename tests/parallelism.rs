@@ -76,7 +76,7 @@ fn parallel_apply_is_identical_across_thread_counts_on_skewed_degrees() {
     // graph gives the density-aware `BlockPartition` maximally uneven cuts (hub
     // blocks at the 64-vertex floor, tail blocks huge), so at every width the
     // decision batches are committed by a different set of workers in a different
-    // interleaving — and the order-invariance argument of `apply_batch` is what
+    // interleaving — and the order-invariance argument of `round::commit` is what
     // keeps edge ids AND the work tally bitwise equal to the 1-thread walk.
     let g = generators::preferential_attachment(600, 4, 1.0, 35);
     let cfg = SpannerConfig::with_seed(11);
