@@ -297,7 +297,8 @@ impl Knowledge for Mirror {
 
     fn lookup<'a>(&'a self, alive: &'a [bool]) -> MirrorInfo<'a> {
         MirrorInfo {
-            mirror: self,
+            center: &self.center,
+            sampled: &self.sampled,
             alive,
         }
     }
@@ -306,19 +307,20 @@ impl Knowledge for Mirror {
 /// The kernel lookup over a [`Mirror`]: every neighbour is known.
 #[derive(Clone, Copy)]
 struct MirrorInfo<'a> {
-    mirror: &'a Mirror,
+    center: &'a [u32],
+    sampled: &'a [bool],
     alive: &'a [bool],
 }
 
 impl SlotLookup for MirrorInfo<'_> {
     #[inline]
     fn center(&self, _v: NodeId, s: &Slot) -> u32 {
-        self.mirror.center[s.nbr as usize]
+        self.center[s.nbr as usize]
     }
 
     #[inline]
     fn sampled(&self, _v: NodeId, s: &Slot) -> bool {
-        self.mirror.sampled[s.nbr as usize]
+        self.sampled[s.nbr as usize]
     }
 
     #[inline]
