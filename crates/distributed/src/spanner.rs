@@ -410,6 +410,8 @@ struct RecvInfo<'a> {
 }
 
 impl SlotLookup for RecvInfo<'_> {
+    const UNIFORM_SAMPLED: bool = false;
+
     #[inline]
     fn center(&self, v: NodeId, s: &Slot) -> u32 {
         let slot = self.view.slots[half_of(v, s)] as usize;

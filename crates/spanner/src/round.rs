@@ -47,6 +47,11 @@ pub fn resolve_k(n: usize, k: Option<usize>) -> usize {
 
 /// What a vertex `v` knows about the far side of one of its slots.
 pub trait SlotLookup: Copy + Sync {
+    /// Whether every member of a cluster reports the same sampled flag. When members
+    /// can disagree (under faults, a member that missed the flag propagation reports
+    /// "not sampled"), grouping reads the flag at the group's lowest view index, so the
+    /// answer does not depend on row order.
+    const UNIFORM_SAMPLED: bool = true;
     /// The neighbour's cluster center, or [`NO_CLUSTER`] when it is unclustered or
     /// unknown.
     fn center(&self, v: NodeId, s: &Slot) -> u32;
@@ -106,26 +111,20 @@ impl RoundSink for RoundBatch {
     }
 }
 
-/// One adjacent cluster's group: the best slot into it so far, the stamp of the vertex
-/// that last touched it, and the cluster's sampled flag as reported over the group's
-/// lowest view index `low`. Members can disagree on the flag only under faults (a
-/// member that missed the flag propagation reports "not sampled"); reading it at the
-/// lowest index keeps the answer independent of row order.
-#[derive(Debug, Clone, Copy, Default)]
-struct Group {
-    best: Slot,
-    stamp: u32,
-    low: u32,
-    sampled: bool,
-}
-
-/// Per-worker grouping scratch: one `Group` record per cluster id plus the list of
-/// clusters the current vertex touched. `group.stamp == stamp` marks a group as the
-/// current vertex's, so nothing is cleared between vertices.
+/// Per-worker grouping scratch, indexed by cluster id, plus the list of clusters the
+/// current vertex touched. `stamps[c] == stamp` marks cluster `c`'s group as the
+/// current vertex's, so nothing is cleared between vertices. The per-slot test reads
+/// only `stamps` and the group's best slot; `low` and `sampled` are written once per
+/// group unless the lookup's members can disagree on the sampled flag.
 #[derive(Debug)]
 pub struct GroupScratch {
     stamp: u32,
-    groups: Vec<Group>,
+    stamps: Vec<u32>,
+    /// The group's best slot: the lightest, the lowest view index among equal weights.
+    best: Vec<Slot>,
+    /// The group's lowest view index and the sampled flag reported over it.
+    low: Vec<u32>,
+    sampled: Vec<bool>,
     touched: Vec<u32>,
 }
 
@@ -134,7 +133,10 @@ impl GroupScratch {
     pub fn new(n: usize) -> GroupScratch {
         GroupScratch {
             stamp: 0,
-            groups: vec![Group::default(); n],
+            stamps: vec![0; n],
+            best: vec![Slot::default(); n],
+            low: vec![0; n],
+            sampled: vec![false; n],
             touched: Vec::new(),
         }
     }
@@ -150,23 +152,22 @@ impl GroupScratch {
             if c == NO_CLUSTER || c == c_v {
                 continue;
             }
-            let g = &mut self.groups[c as usize];
-            if g.stamp != stamp {
-                *g = Group {
-                    best: *s,
-                    stamp,
-                    low: s.idx,
-                    sampled: lookup.sampled(v, s),
-                };
+            let g = c as usize;
+            if self.stamps[g] != stamp {
+                self.stamps[g] = stamp;
+                self.best[g] = *s;
+                self.low[g] = s.idx;
+                self.sampled[g] = lookup.sampled(v, s);
                 self.touched.push(c);
                 continue;
             }
-            if s.w < g.best.w || (s.w == g.best.w && s.idx < g.best.idx) {
-                g.best = *s;
+            let best = &mut self.best[g];
+            if s.w < best.w || (s.w == best.w && s.idx < best.idx) {
+                *best = *s;
             }
-            if s.idx < g.low {
-                g.low = s.idx;
-                g.sampled = lookup.sampled(v, s);
+            if !L::UNIFORM_SAMPLED && s.idx < self.low[g] {
+                self.low[g] = s.idx;
+                self.sampled[g] = lookup.sampled(v, s);
             }
         }
     }
@@ -186,19 +187,19 @@ pub fn decide<L: SlotLookup, S: RoundSink>(
     sink: &mut S,
 ) -> Option<(u32, Slot)> {
     scratch.group(v, c_v, row, lookup);
-    let groups = &scratch.groups;
+    let best = &scratch.best;
     let mut star: Option<(u32, Slot)> = None;
     for &c in &scratch.touched {
-        let g = &groups[c as usize];
-        if !g.sampled {
+        if !scratch.sampled[c as usize] {
             continue;
         }
+        let b = best[c as usize];
         let better = match star {
             None => true,
-            Some((c0, best)) => g.best.w < best.w || (g.best.w == best.w && c < c0),
+            Some((c0, s0)) => b.w < s0.w || (b.w == s0.w && c < c0),
         };
         if better {
-            star = Some((c, g.best));
+            star = Some((c, b));
         }
     }
     match star {
@@ -208,7 +209,7 @@ pub fn decide<L: SlotLookup, S: RoundSink>(
                     continue;
                 }
                 let c = lookup.center(v, s);
-                if c != NO_CLUSTER && c != c_v && groups[c as usize].best.idx == s.idx {
+                if c != NO_CLUSTER && c != c_v && best[c as usize].idx == s.idx {
                     sink.add(s.idx);
                 }
                 sink.kill(v, s);
@@ -221,11 +222,11 @@ pub fn decide<L: SlotLookup, S: RoundSink>(
                 if c == NO_CLUSTER || c == c_v {
                     continue;
                 }
-                let best = groups[c as usize].best;
+                let b = best[c as usize];
                 if c == c_star {
                     sink.kill(v, s);
-                } else if best.w < join.w {
-                    if best.idx == s.idx {
+                } else if b.w < join.w {
+                    if b.idx == s.idx {
                         sink.add(s.idx);
                     }
                     sink.kill(v, s);
@@ -247,8 +248,8 @@ pub fn join<L: SlotLookup>(
     adds: &mut Vec<u32>,
 ) {
     scratch.group(v, c_v, row, lookup);
-    let groups = &scratch.groups;
-    adds.extend(scratch.touched.iter().map(|&c| groups[c as usize].best.idx));
+    let best = &scratch.best;
+    adds.extend(scratch.touched.iter().map(|&c| best[c as usize].idx));
 }
 
 /// Commits a round's batches in parallel: every add sets its `in_spanner` flag and
