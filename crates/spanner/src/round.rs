@@ -114,8 +114,8 @@ impl RoundSink for RoundBatch {
 /// Per-worker grouping scratch, indexed by cluster id, plus the list of clusters the
 /// current vertex touched. `stamps[c] == stamp` marks cluster `c`'s group as the
 /// current vertex's, so nothing is cleared between vertices. The per-slot test reads
-/// only `stamps` and the group's best slot; `low` and `sampled` are written once per
-/// group unless the lookup's members can disagree on the sampled flag.
+/// only `stamps` and the group's best slot; `low` is kept only when the lookup's
+/// cluster members can disagree on the sampled flag.
 #[derive(Debug)]
 pub struct GroupScratch {
     stamp: u32,
@@ -156,7 +156,9 @@ impl GroupScratch {
             if self.stamps[g] != stamp {
                 self.stamps[g] = stamp;
                 self.best[g] = *s;
-                self.low[g] = s.idx;
+                if !L::UNIFORM_SAMPLED {
+                    self.low[g] = s.idx;
+                }
                 self.sampled[g] = lookup.sampled(v, s);
                 self.touched.push(c);
                 continue;
@@ -303,24 +305,34 @@ pub fn retire<L: SlotLookup>(
             for (v, len) in verts.zip(live.iter_mut()) {
                 let start = offsets[v] as usize - base;
                 let row = &mut slots[start..start + *len as usize];
-                let c_v = center(v);
-                let mut end = row.len();
-                let mut i = 0usize;
-                while i < end {
-                    let s = row[i];
-                    if lookup.alive(v, &s) {
-                        work += u64::from((v as u32) < s.nbr);
-                        if c_v == NO_CLUSTER || lookup.center(v, &s) != c_v {
-                            i += 1;
-                            continue;
-                        }
-                    }
-                    end -= 1;
-                    row.swap(i, end);
-                }
-                *len = end as u32;
+                let (kept, alive) = retire_row(v, center(v), row, lookup);
+                *len = kept;
+                work += alive;
             }
             work
         })
         .sum()
+}
+
+/// Swap-removes from `v`'s live prefix `row` the slots that are dead or lead into its
+/// cluster `c_v`. Returns the new prefix length and the alive slots whose far
+/// endpoint is above `v`.
+#[inline]
+fn retire_row<L: SlotLookup>(v: NodeId, c_v: u32, row: &mut [Slot], lookup: L) -> (u32, u64) {
+    let mut work = 0u64;
+    let mut end = row.len();
+    let mut i = 0usize;
+    while i < end {
+        let s = row[i];
+        if lookup.alive(v, &s) {
+            work += u64::from((v as u32) < s.nbr);
+            if c_v == NO_CLUSTER || lookup.center(v, &s) != c_v {
+                i += 1;
+                continue;
+            }
+        }
+        end -= 1;
+        row.swap(i, end);
+    }
+    (end as u32, work)
 }
