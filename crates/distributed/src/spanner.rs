@@ -513,7 +513,7 @@ struct Protocol<K> {
 
 impl<K: Knowledge> Protocol<K> {
     /// A protocol over the active edges `ids`, sorted and deduplicated.
-    fn new(g: &Graph, ids: &[EdgeId], cfg: &DistSpannerConfig) -> Protocol<K> {
+    fn new(g: &Graph, ids: Vec<EdgeId>, cfg: &DistSpannerConfig) -> Protocol<K> {
         let n = g.n();
         let k = resolve_k(n, cfg.k);
         let csr = ViewCsr::build(
@@ -528,8 +528,8 @@ impl<K: Knowledge> Protocol<K> {
             idx_of[id] = idx as u32;
         }
         let ids: Vec<u32> = ids
-            .iter()
-            .map(|&id| u32::try_from(id).expect("edge id exceeds u32"))
+            .into_iter()
+            .map(|id| u32::try_from(id).expect("edge id exceeds u32"))
             .collect();
         let m_view = ids.len();
         let net = if let Some(rc) = &cfg.reliability {
@@ -817,9 +817,9 @@ pub fn distributed_spanner_on_edges(
         };
     }
     let (edge_ids, metrics) = if cfg.fault_mode() {
-        Protocol::<FaultView>::new(g, &ids, cfg).run()
+        Protocol::<FaultView>::new(g, ids, cfg).run()
     } else {
-        Protocol::<Mirror>::new(g, &ids, cfg).run()
+        Protocol::<Mirror>::new(g, ids, cfg).run()
     };
     DistSpannerResult { edge_ids, metrics }
 }
@@ -969,7 +969,7 @@ mod tests {
         let active: Vec<EdgeId> = (0..g.m()).collect();
 
         let run = |poison: bool| -> (Vec<EdgeId>, NetworkMetrics) {
-            let mut proto = Protocol::<Mirror>::new(&g, &active, &cfg);
+            let mut proto = Protocol::<Mirror>::new(&g, active.clone(), &cfg);
             proto.iteration(1);
             for children in proto.children.iter_mut() {
                 children.clear(); // sever every cluster tree: propagation now misses
