@@ -11,7 +11,7 @@
 //! (`rounds`, `messages`, overhead ratios vs the loss-free baseline, plus the
 //! fault/recovery counters).
 //!
-//! Run with: `cargo run --release -p sgs-bench --bin exp_faults [--json]
+//! Run with: `cargo run --release -p sgs-bench --bin exp_faults
 //! [--loss 0,0.05,0.10] [--json-out PATH]`
 
 use sgs_bench::{print_table, Cli, Row, Workload};
@@ -60,7 +60,7 @@ fn main() {
     let cli = Cli::parse();
     let seed = cli.seed(3);
     let losses = loss_rates(&cli);
-    let workload = Workload::ErdosRenyi { n: 400, deg: 16 };
+    let workload = Workload { n: 400, deg: 16 };
     let g = workload.build(9);
     println!(
         "fault sweep input: {} (n = {}, m = {})",

@@ -28,7 +28,7 @@
 //! * `--batch-edges E` — ingestion batch size (default 65536; informational).
 //! * `--threads 1,4` — pool widths to sweep (default `1,4`).
 //! * `--seed S` — configuration seed (default 9; the stream keeps its own seed).
-//! * `--json` / `--json-out PATH` — as in every experiment binary.
+//! * `--json-out PATH` — write the rows as a JSON file.
 //! * `--trace-out PATH` / `--report-out PATH` — record the run through `sgs-obs`
 //!   (spill evictions, read-backs, chain levels, PCG iterations) and write a Chrome
 //!   trace / append a `RunReport` JSONL line. Tracing changes no output.

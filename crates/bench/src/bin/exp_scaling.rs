@@ -16,7 +16,6 @@
 //!   append `dist_sample_ms` / `dist_spanner_ms` wall-clock plus the communication
 //!   columns `dist_rounds` / `dist_messages` / `dist_bits` (which must be identical
 //!   across rows: the simulator's accounting is deterministic per seed).
-//! * `--json` — append the rows as JSON to stdout (as in every experiment binary).
 //! * `--json-out PATH` — write the rows as a JSON file (for CI artifacts).
 //! * `--trace-out PATH` / `--report-out PATH` — record the run through `sgs-obs` and
 //!   write a Chrome `trace_event` JSON / append a `RunReport` JSONL line. Tracing
@@ -61,7 +60,7 @@ fn main() {
     let distributed = cli.has("--distributed");
     let seed = cli.seed(5);
 
-    let workload = Workload::ErdosRenyi { n, deg };
+    let workload = Workload { n, deg };
     let g = workload.build(51);
     println!("graph: n = {}, m = {}", g.n(), g.m());
 

@@ -32,7 +32,7 @@
 //!   constant, JL sketch dimensions, and CG tolerance (defaults 0.02 / 8 / 1e-4).
 //! * `--verify` — also certify the spectral bounds of the final sparsifier against
 //!   the full graph (adds a few seconds of CG-powered power iteration).
-//! * `--json` / `--json-out PATH` — as in every experiment binary. The deterministic
+//! * `--json-out PATH` — write the rows as a JSON file. The deterministic
 //!   columns of the 2000/60, 8-batch, 30k-budget configuration (`m_out`,
 //!   `peak_resident_edges`, `m_out_er`, the ε ledgers) are pinned exactly by
 //!   `tests/golden_stream.rs`.
@@ -53,7 +53,7 @@ fn main() {
     let thread_counts = cli.threads(&[1, 2, 4]);
     let verify = cli.has("--verify");
 
-    let workload = Workload::ErdosRenyi { n, deg };
+    let workload = Workload { n, deg };
     let g = workload.build(51);
     let m = g.m();
     let budget = cli.usize_flag("--budget-edges", m / 4);

@@ -1,12 +1,14 @@
 //! # sgs-bench
 //!
-//! Shared infrastructure for the experiment binaries (`src/bin/exp_*.rs`), which print
-//! the paper's experiment tables. The repository benchmark is `perfbench/`.
+//! Shared infrastructure for the experiment binaries (`src/bin/exp_*.rs`). Each one
+//! is run by a CI job; the paper's quantitative claims are asserted by tests, and the
+//! repository benchmark is `perfbench/`.
 //!
 //! Each experiment binary prints a table of rows (one per workload or parameter
-//! setting) and optionally dumps the same rows as JSON (pass `--json`). With
-//! `--trace-out` or `--report-out` the run is recorded through `sgs-obs`, and the
-//! run report is built from the recorded events plus the table rows.
+//! setting) and writes the same rows as JSON with `--json-out PATH`. In `exp_scaling`,
+//! `exp_stream` and `exp_outofcore`, `--trace-out` or `--report-out` records the run
+//! through `sgs-obs`, and the run report is built from the recorded events plus the
+//! table rows.
 
 #![warn(missing_docs)]
 
@@ -15,79 +17,26 @@ use serde::Serialize;
 use sgs_graph::{generators, Graph};
 use sgs_obs::{RunReport, Section};
 
-/// The standard workload suite used across experiments.
-///
-/// The families mirror the workloads the paper's introduction motivates: dense random
-/// graphs (the sparsification target), expander-like random regular graphs (where
-/// uniform sampling is already competitive), structured grids / image-affinity graphs
-/// (the SDD-solver workload of Remark 1), heavy-tailed preferential-attachment graphs,
-/// and barbells (adversarial for uniform sampling).
+/// The Erdős–Rényi workload the experiment binaries run: `G(n, p)` with `p` chosen so
+/// the expected average degree is `deg`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// Erdős–Rényi `G(n, p)` with expected average degree `deg`.
-    ErdosRenyi {
-        /// Number of vertices.
-        n: usize,
-        /// Target average degree.
-        deg: usize,
-    },
-    /// Random `d`-regular graph.
-    RandomRegular {
-        /// Number of vertices.
-        n: usize,
-        /// Degree.
-        d: usize,
-    },
-    /// Two-dimensional grid.
-    Grid {
-        /// Side length (the graph has `side²` vertices).
-        side: usize,
-    },
-    /// Synthetic image-affinity grid.
-    ImageGrid {
-        /// Side length.
-        side: usize,
-    },
-    /// Preferential-attachment graph with `k` edges per new vertex.
-    Preferential {
-        /// Number of vertices.
-        n: usize,
-        /// Edges added per vertex.
-        k: usize,
-    },
-    /// Barbell: two cliques of size `k` joined by one unit-weight edge.
-    Barbell {
-        /// Clique size.
-        k: usize,
-    },
+pub struct Workload {
+    /// Number of vertices.
+    pub n: usize,
+    /// Target average degree.
+    pub deg: usize,
 }
 
 impl Workload {
     /// Short label used in tables.
     pub fn label(&self) -> String {
-        match self {
-            Workload::ErdosRenyi { n, deg } => format!("er(n={n},deg={deg})"),
-            Workload::RandomRegular { n, d } => format!("reg(n={n},d={d})"),
-            Workload::Grid { side } => format!("grid({side}x{side})"),
-            Workload::ImageGrid { side } => format!("image({side}x{side})"),
-            Workload::Preferential { n, k } => format!("pa(n={n},k={k})"),
-            Workload::Barbell { k } => format!("barbell(k={k})"),
-        }
+        format!("er(n={},deg={})", self.n, self.deg)
     }
 
     /// Materialises the workload graph with a fixed seed.
     pub fn build(&self, seed: u64) -> Graph {
-        match *self {
-            Workload::ErdosRenyi { n, deg } => {
-                let p = (deg as f64 / (n as f64 - 1.0)).min(1.0);
-                generators::erdos_renyi(n, p, 1.0, seed)
-            }
-            Workload::RandomRegular { n, d } => generators::random_regular(n, d, 1.0, seed),
-            Workload::Grid { side } => generators::grid2d(side, side, 1.0),
-            Workload::ImageGrid { side } => generators::image_affinity_grid(side, side, 50.0, seed),
-            Workload::Preferential { n, k } => generators::preferential_attachment(n, k, 1.0, seed),
-            Workload::Barbell { k } => generators::barbell(k, 1, 1.0, 1.0),
-        }
+        let p = (self.deg as f64 / (self.n as f64 - 1.0)).min(1.0);
+        generators::erdos_renyi(self.n, p, 1.0, seed)
     }
 }
 
@@ -116,8 +65,8 @@ impl Row {
     }
 }
 
-/// Prints a table of rows with aligned columns, followed by optional JSON output when
-/// the process was invoked with `--json`.
+/// Prints a table of rows with aligned columns (`--json-out` writes the same rows as
+/// JSON, see [`Cli::write_json_out`]).
 pub fn print_table(title: &str, rows: &[Row]) {
     println!("\n== {title} ==");
     if rows.is_empty() {
@@ -142,12 +91,6 @@ pub fn print_table(title: &str, rows: &[Row]) {
         }
         println!();
     }
-    if std::env::args().any(|a| a == "--json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(rows).expect("serializable rows")
-        );
-    }
 }
 
 /// Measures the wall-clock time of a closure in milliseconds, returning the result too.
@@ -158,7 +101,7 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Parsed command line shared by every experiment binary, so that the common flags
-/// (`--seed`, `--threads`, `--json`, `--json-out PATH`, `--trace-out PATH`,
+/// (`--seed`, `--threads`, `--json-out PATH`, `--trace-out PATH`,
 /// `--report-out PATH`) carry the same spelling and semantics everywhere instead of
 /// each binary re-implementing its own `flag_value` helper.
 #[derive(Debug, Clone)]
@@ -314,20 +257,11 @@ mod tests {
 
     #[test]
     fn workloads_build_nonempty_graphs() {
-        let workloads = [
-            Workload::ErdosRenyi { n: 100, deg: 10 },
-            Workload::RandomRegular { n: 100, d: 6 },
-            Workload::Grid { side: 10 },
-            Workload::ImageGrid { side: 10 },
-            Workload::Preferential { n: 100, k: 3 },
-            Workload::Barbell { k: 10 },
-        ];
-        for w in workloads {
-            let g = w.build(3);
-            assert!(g.n() > 0, "{}", w.label());
-            assert!(g.m() > 0, "{}", w.label());
-            assert!(!w.label().is_empty());
-        }
+        let w = Workload { n: 100, deg: 10 };
+        let g = w.build(3);
+        assert_eq!(g.n(), 100);
+        assert!(g.m() > 0);
+        assert_eq!(w.label(), "er(n=100,deg=10)");
     }
 
     #[test]
@@ -355,8 +289,34 @@ mod tests {
         assert_eq!(cli.threads(&[1, 2]), vec![1, 2, 4]);
         assert!((cli.f64_flag("--keep", 0.5) - 0.25).abs() < 1e-12);
         assert!(cli.has("--verify"));
-        assert!(!cli.has("--json"));
+        assert!(!cli.has("--distributed"));
         assert!(cli.value("--json-out").is_none());
+    }
+
+    /// Every experiment binary must be run by a CI job: a binary nothing runs prints
+    /// claims nothing checks. A claim worth keeping belongs in a test.
+    #[test]
+    fn every_experiment_binary_is_run_by_ci() {
+        let manifest = include_str!("../Cargo.toml");
+        let workflow = include_str!("../../../.github/workflows/ci.yml");
+        let bins: Vec<&str> = manifest
+            .split("[[bin]]")
+            .skip(1)
+            .filter_map(|section| {
+                let line = section
+                    .lines()
+                    .find(|l| l.trim_start().starts_with("name"))?;
+                line.split('"').nth(1)
+            })
+            .collect();
+        assert!(!bins.is_empty(), "no [[bin]] entries found");
+        let words: Vec<&str> = workflow.split_whitespace().collect();
+        let unrun: Vec<&str> = bins
+            .iter()
+            .copied()
+            .filter(|bin| !words.windows(2).any(|w| w == ["--bin", *bin]))
+            .collect();
+        assert!(unrun.is_empty(), "binaries no CI job runs: {unrun:?}");
     }
 
     #[test]

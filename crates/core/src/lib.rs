@@ -8,11 +8,6 @@
 //! * [`sparsify`] — `PARALLELSPARSIFY` (Algorithm 2): iterate `PARALLELSAMPLE`
 //!   `⌈log ρ⌉` times with per-round parameter `ε / ⌈log ρ⌉` to cut the edge count by a
 //!   factor of `ρ` while staying a `(1 ± ε)` spectral approximation (Theorem 5).
-//! * [`baselines`] — comparison algorithms: Spielman–Srivastava effective-resistance
-//!   sampling, plain uniform sampling, and a spanner-plus-oversampling scheme in the
-//!   spirit of Kapralov–Panigrahi.
-//! * [`lst`] — the Remark 2 extension where spanning trees replace spanners inside the
-//!   bundle.
 //! * [`engine`] — a re-entrant [`SparsifyEngine`] that reuses the spanner engine's
 //!   `O(m)` scratch across calls, for batch pipelines (the `sgs-stream` merge-and-reduce
 //!   tree) that sparsify many graphs in sequence.
@@ -42,11 +37,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod baselines;
 pub mod config;
 pub mod engine;
 pub mod leverage;
-pub mod lst;
 pub mod sample;
 pub mod sparsify;
 pub mod stats;
@@ -62,13 +55,9 @@ pub use verify::{verify_sparsifier, VerificationReport};
 
 /// Commonly used items for downstream crates and examples.
 pub mod prelude {
-    pub use crate::baselines::{
-        effective_resistance_sparsify, spanner_oversampling_sparsify, uniform_sparsify,
-    };
     pub use crate::config::{BundleSizing, SparsifyConfig};
     pub use crate::engine::SparsifyEngine;
     pub use crate::leverage::{resparsify_er, ErPassConfig, ErPassOutput, SamplingPolicy};
-    pub use crate::lst::tree_bundle_sparsify;
     pub use crate::sample::{parallel_sample, SampleOutput};
     pub use crate::sparsify::{parallel_sparsify, SparsifyOutput};
     pub use crate::stats::WorkStats;

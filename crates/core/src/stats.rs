@@ -3,8 +3,9 @@
 //! The paper's parallel claims are stated in the CRCW PRAM model (work and depth). On a
 //! shared-memory machine we report *operation counts* — edges examined by the spanner
 //! construction plus edges touched by the sampling pass — as the work proxy, and the
-//! number of outer rounds as the depth proxy. Experiments E5 and E6 check that these
-//! counters scale like the bounds of Theorem 5.
+//! number of outer rounds as the depth proxy. `tests/theorems.rs` checks the round
+//! count against Theorem 5, and `exp_scaling` shows the work is thread-count
+//! independent.
 
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};

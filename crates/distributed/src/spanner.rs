@@ -16,7 +16,7 @@
 //!   (`Kill` / `Child` messages).
 //!
 //! Total: `O(log² n)` rounds, `O(m log n)` messages of `O(log n)` bits — the bounds of
-//! Theorem 2, which experiment E2 measures.
+//! Theorem 2, which `round_and_message_bounds_match_theorem_2` asserts.
 //!
 //! # One kernel, two lookups
 //!

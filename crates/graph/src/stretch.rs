@@ -6,7 +6,7 @@
 //!
 //! A `(2 log n)`-spanner is exactly a subgraph `H` with `st_H(e) ≤ 2 log n` for every
 //! edge of `G`, which is what Theorems 1 and 2 guarantee and what these functions verify
-//! empirically (experiment E1).
+//! empirically (`tests/theorems.rs`).
 
 use rayon::prelude::*;
 

@@ -697,8 +697,8 @@ mod tests {
 
     #[test]
     fn chain_has_bounded_depth_and_size() {
-        // A small random graph, then the E8b families: sparse and dense random
-        // graphs, a grid, a power law. No admitted level is larger than the input.
+        // A small random graph, then sparse and dense random graphs, a grid and a
+        // power law. No admitted level is larger than the input.
         let families = [
             generators::erdos_renyi(300, 0.1, 1.0, 3),
             generators::erdos_renyi(1000, 20.0 / 999.0, 1.0, 31),

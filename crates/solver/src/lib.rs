@@ -15,7 +15,7 @@
 //!   `(D − A)⁻¹ = ½ [D⁻¹ + (I + D⁻¹A)(D − A D⁻¹ A)⁻¹(I + A D⁻¹)]`.
 //! * [`solve`] — the user-facing [`solve::SddSolver`]: preconditioned conjugate gradient
 //!   on the original system with the chain as preconditioner, plus reference solvers
-//!   (plain CG, Jacobi-PCG) for the comparison experiments (E8).
+//!   (plain CG, Jacobi-PCG) whose iteration counts the tests compare against the chain's.
 //!
 //! The solver also plugs into the out-of-core streaming pipeline:
 //! [`chain::Chain::build_from_stream`] / [`solve::SddSolver::for_stream`] ground and

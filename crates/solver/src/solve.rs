@@ -2,8 +2,8 @@
 //!
 //! [`SddSolver`] builds an approximate inverse chain once and then answers solves with
 //! preconditioned conjugate gradient, using the chain as the preconditioner. Reference
-//! methods (plain CG, Jacobi-preconditioned CG) are provided for the experiments that
-//! compare iteration counts and work as the condition number grows (experiment E8).
+//! methods (plain CG, Jacobi-preconditioned CG) are provided for comparing iteration
+//! counts and work as the condition number grows; the unit tests pin those counts.
 
 use sgs_graph::Graph;
 use sgs_linalg::cg::{cg_solve, pcg_solve, CgConfig, JacobiPreconditioner};
@@ -315,6 +315,28 @@ mod tests {
             chain.iterations,
             plain.iterations
         );
+        // The path keeps a recursive chain, which solves it in one iteration.
+        assert_eq!(chain.iterations, 1, "path chain-PCG iterations");
+
+        // Image-affinity grids: the iteration counts README quotes, pinned against
+        // Jacobi-PCG. These systems stay below the parallel dot-product threshold, so
+        // the counts do not depend on the pool width.
+        for (side, chain_iters, jacobi_iters) in [(16, 28, 99), (32, 55, 196), (48, 83, 297)] {
+            let g = generators::image_affinity_grid(side, side, 80.0, 7);
+            let solver = SddSolver::for_laplacian(g, SolverConfig::default());
+            let n = solver.system().n();
+            let mut b = vec![0.0; n];
+            b[0] = 1.0;
+            b[n - 1] = -1.0;
+            let chain = solver.solve_with(&b, SolverMethod::ChainPcg);
+            let jacobi = solver.solve_with(&b, SolverMethod::JacobiPcg);
+            assert!(chain.converged && jacobi.converged, "image {side}x{side}");
+            assert_eq!(
+                (chain.iterations, jacobi.iterations),
+                (chain_iters, jacobi_iters),
+                "image {side}x{side}: (chain, jacobi) iterations"
+            );
+        }
     }
 
     #[test]

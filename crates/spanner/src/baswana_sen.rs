@@ -109,8 +109,8 @@ pub struct SpannerResult {
     pub edge_ids: Vec<EdgeId>,
     /// Number of clustering rounds executed (`k − 1` plus the joining phase).
     pub rounds: usize,
-    /// Work counter: total number of edge examinations across all rounds. Experiment E1
-    /// compares this against the `O(m log n)` bound of Theorem 1.
+    /// Work counter: total number of edge examinations across all rounds, bounded by
+    /// `O(m log n)` (Theorem 1; asserted in `tests/theorems.rs`).
     pub work: u64,
 }
 

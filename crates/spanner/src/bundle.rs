@@ -55,8 +55,8 @@ pub struct BundleResult {
     pub in_bundle: Vec<bool>,
     /// Total number of edges in the bundle.
     pub bundle_size: usize,
-    /// Accumulated spanner work (edge examinations) across components; experiment E3
-    /// compares this against the `O(t · m log n)` bound of Corollary 2.
+    /// Accumulated spanner work (edge examinations) across components, bounded by
+    /// `O(t · m log n)` (Corollary 2).
     pub work: u64,
 }
 

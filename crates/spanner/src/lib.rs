@@ -9,7 +9,7 @@
 //!   CRCW PRAM adaptation of Corollary 2; a 1-thread pool is the sequential run.
 //! * [`bundle`] — t-bundle spanners (Definition 1): `H = H₁ + … + H_t` where `H_i` is a
 //!   spanner of `G − Σ_{j<i} H_j`. The bundle certifies the effective-resistance upper
-//!   bound of Lemma 1, which experiments E3 validates directly.
+//!   bound of Lemma 1, which `tests/theorems.rs` checks against exact resistances.
 //! * [`round`] — the Baswana–Sen round kernel (grouping, decision rule, join and
 //!   retire pass) that both this crate's engine and the CONGEST protocol of
 //!   `sgs-distributed` run.

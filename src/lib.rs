@@ -10,7 +10,8 @@
 //! * [`linalg`] — sparse matrices, CG/PCG, Lanczos, effective resistances
 //!   ([`sgs_linalg`]).
 //! * [`spanner`] — Baswana–Sen spanners and t-bundle spanners ([`sgs_spanner`]).
-//! * [`sparsify`] — PARALLELSAMPLE / PARALLELSPARSIFY and baselines ([`sgs_core`]).
+//! * [`sparsify`] — PARALLELSAMPLE / PARALLELSPARSIFY and the ER-weighted final pass
+//!   ([`sgs_core`]).
 //! * [`stream`] — the bounded-memory semi-streaming sparsifier (merge-and-reduce over
 //!   edge batches, [`sgs_stream`]), including the out-of-core [`stream::SpillStore`]
 //!   that pages cold merge-tree nodes to disk under a resident-byte budget.

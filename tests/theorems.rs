@@ -1,12 +1,15 @@
-//! Integration tests that check the paper's quantitative statements directly (small
-//! instances of the experiments the `exp_*` binaries in `crates/bench` run).
+//! Integration tests that check the paper's quantitative statements directly, on small
+//! instances and deterministic quantities: sizes, stretch, leverage, rounds and
+//! connectivity.
 
 use spectral_sparsify::graph::{connectivity::is_connected, generators, stretch};
 use spectral_sparsify::linalg::resistance::exact_effective_resistances;
 use spectral_sparsify::spanner::{
     baswana_sen_spanner, default_stretch_bound, t_bundle, BundleConfig, SpannerConfig,
 };
-use spectral_sparsify::sparsify::{parallel_sample, BundleSizing, SparsifyConfig};
+use spectral_sparsify::sparsify::{
+    parallel_sample, parallel_sparsify, sample_uniform, BundleSizing, SparsifyConfig,
+};
 
 /// Theorem 1 (shape): the Baswana–Sen spanner has O(n log n) edges and stretch at most
 /// 2 log n across several graph families.
@@ -125,7 +128,7 @@ fn theorem_5_rho_sweep_shape() {
         let cfg = SparsifyConfig::new(0.75, rho)
             .with_bundle_sizing(BundleSizing::Fixed(3))
             .with_seed(31);
-        let out = spectral_sparsify::sparsify::parallel_sparsify(&g, &cfg);
+        let out = parallel_sparsify(&g, &cfg);
         assert!(out.rounds_executed <= rho.log2().ceil() as usize);
         assert!(
             out.sparsifier.m() <= last_m,
@@ -136,4 +139,32 @@ fn theorem_5_rho_sweep_shape() {
     }
     // The most aggressive setting must have removed a large fraction of a dense graph.
     assert!(last_m < g.m() / 3);
+}
+
+/// The bundle is what makes the sampling safe (Theorem 4 context): on a barbell the
+/// bridge is in every spanner, so `PARALLELSPARSIFY` always keeps it, while uniform
+/// sampling at the same keep rate drops it and disconnects the graph on most seeds.
+#[test]
+fn bundle_keeps_the_barbell_bridge_that_uniform_sampling_drops() {
+    let g = generators::barbell(60, 1, 1.0, 1.0);
+    let none_verbatim = vec![false; g.m()];
+    let mut uniform_disconnected = 0;
+    for seed in 0..20 {
+        let cfg = SparsifyConfig::new(0.5, 4.0)
+            .with_bundle_sizing(BundleSizing::Fixed(4))
+            .with_seed(seed);
+        let ours = parallel_sparsify(&g, &cfg);
+        assert!(
+            is_connected(&ours.sparsifier),
+            "seed {seed}: parallel_sparsify disconnected the barbell"
+        );
+        let p = ours.sparsifier.m() as f64 / g.m() as f64;
+        if !is_connected(&sample_uniform(&g, &none_verbatim, p, seed)) {
+            uniform_disconnected += 1;
+        }
+    }
+    assert!(
+        uniform_disconnected >= 10,
+        "uniform sampling at matched size disconnected only {uniform_disconnected}/20 seeds"
+    );
 }
