@@ -8,8 +8,10 @@
 //!   drop/duplication/bounded-delay probabilities, scheduled per-link failure windows,
 //!   and vertex crash–restart windows (omission model: a crashed vertex neither
 //!   executes, sends, nor receives during its window, but keeps its local state).
-//! * `FaultLayer` — the transport hook applied inside
-//!   [`SyncNetwork::advance_round`]'s delivery sort. Every fault coin is keyed
+//! * `FaultLayer` — the transport hook every transport round runs before anything is
+//!   delivered: it turns the staged buffer into the round's surviving frames, in
+//!   delivery order. [`SyncNetwork::advance_round`] then sorts them by recipient
+//!   into inboxes; [`ReliableNet`] reads them in that order. Every fault coin is keyed
 //!   splitmix64-style on `(round, from, to, seq)` — the same counter-mix discipline as
 //!   `sgs_core::edge_coin` — so outcomes depend only on the message's position in the
 //!   traffic stream, never on scheduling: fixed-seed runs are bitwise identical across
@@ -23,19 +25,24 @@
 //!   transport sub-rounds as needed to either deliver or abandon every staged
 //!   message, so a protocol built on top sees a lossless (if slower) network until
 //!   the retry budget is exhausted. Retransmits, acks, drops, and suppressed
-//!   duplicates are ledgered as [`NetworkMetrics`] columns. The bookkeeping is
+//!   duplicates are ledgered as [`NetworkMetrics`] columns. Each sub-round consumes
+//!   the transport's surviving frames in delivery order, with no inbox, no recipient
+//!   sort and no gather: only the logical inbox handed to the protocol at the end of
+//!   the round is sorted by recipient. The bookkeeping is
 //!   slot-addressed, with no hash map: each data frame of a logical round owns one
 //!   pending entry that stays in place until the round ends; a `(link, seq)` lookup
 //!   walks a per-link chain from `head[link]` (usually one hop); acks travel on the
 //!   reverse link `rev[link]`; the timeout sweep walks a live-index list compacted in
 //!   order; a `delivered` flag on the entry suppresses duplicates; and round end
 //!   resets only the links that carried data. Each logical round is one
-//!   `congest.reliable_round` span whose end records its `subrounds`.
+//!   `congest.reliable_round` span whose end records its `subrounds`, and each
+//!   sub-round one `congest.round` point emitted after the reliable ledger update.
 
 use sgs_graph::{Graph, NodeId};
 
 use crate::network::{
-    sort_by_recipient, Envelope, MessageSize, NetworkMetrics, Staged, SyncNetwork, VertexOutbox,
+    round_point, sort_by_recipient, Envelope, MessageSize, NetworkMetrics, Staged, SyncNetwork,
+    VertexOutbox,
 };
 
 /// splitmix64 finalizer — the same mixer behind `sgs_core::edge_coin`.
@@ -258,8 +265,6 @@ pub(crate) struct FaultLayer<M> {
     /// Held-back messages: `(due_round, from, link, msg)`, in injection order.
     delayed: Vec<(u64, u32, u32, M)>,
     delayed_scratch: Vec<(u64, u32, u32, M)>,
-    /// Reusable effective-delivery buffer returned by `apply`.
-    eff: Vec<Staged<M>>,
 }
 
 impl<M: Clone> FaultLayer<M> {
@@ -269,7 +274,6 @@ impl<M: Clone> FaultLayer<M> {
             link_seq: vec![0; links],
             delayed: Vec::new(),
             delayed_scratch: Vec::new(),
-            eff: Vec::new(),
         }
     }
 
@@ -281,23 +285,19 @@ impl<M: Clone> FaultLayer<M> {
         !self.delayed.is_empty()
     }
 
-    /// Returns the effective-delivery scratch buffer after the caller is done with it.
-    pub(crate) fn restore_scratch(&mut self, eff: Vec<Staged<M>>) {
-        self.eff = eff;
-    }
-
     /// Runs every staged message (and newly-due delayed message) through the plan for
-    /// delivery at `round`, returning the list that actually gets delivered.
-    /// `nbr_ids` is the network's flat adjacency: link `l` leads to `nbr_ids[l]`.
+    /// delivery at `round`, draining `staged` and appending the frames that actually
+    /// get delivered to `frames`, in delivery order. A duplicate sits right after its
+    /// original. `nbr_ids` is the network's flat adjacency: link `l` leads to
+    /// `nbr_ids[l]`.
     pub(crate) fn apply(
         &mut self,
         round: u64,
         staged: &mut Vec<Staged<M>>,
         metrics: &mut NetworkMetrics,
         nbr_ids: &[u32],
-    ) -> Vec<Staged<M>> {
-        let mut eff = std::mem::take(&mut self.eff);
-        eff.clear();
+        frames: &mut Vec<Staged<M>>,
+    ) {
         // Due delayed messages deliver first, in injection order. Their coins were
         // consumed when first staged; only the structural checks re-apply (the link
         // or recipient may have gone down while the message was in flight).
@@ -310,7 +310,7 @@ impl<M: Clone> FaultLayer<M> {
                 if self.plan.link_failed(from, to, round) || self.plan.is_down(to as usize, round) {
                     metrics.dropped += 1;
                 } else {
-                    eff.push((from, link, msg));
+                    frames.push((from, link, msg));
                 }
             } else {
                 keep.push((due, from, link, msg));
@@ -350,11 +350,10 @@ impl<M: Clone> FaultLayer<M> {
             }
             if plan.dup_prob > 0.0 && unit(keyed_bits(dup_key, from, to, seq)) < plan.dup_prob {
                 metrics.duplicated += 1;
-                eff.push((from, link, msg.clone()));
+                frames.push((from, link, msg.clone()));
             }
-            eff.push((from, link, msg));
+            frames.push((from, link, msg));
         }
-        eff
     }
 }
 
@@ -494,8 +493,8 @@ pub struct ReliableNet<M> {
     live: Vec<u32>,
     /// Logical deliveries accumulated this round: `(from, link, msg)`.
     acc: Vec<Staged<M>>,
-    /// Ack emissions queued during an inbox sweep: `(acker, reverse link, seq)`.
-    ack_queue: Vec<(u32, u32, u32)>,
+    /// The frames of the current transport sub-round, in delivery order.
+    frames: Vec<Staged<Reliable<M>>>,
     /// Logical inbox CSR presented to the protocol, with each delivery's link.
     inbox_offsets: Vec<u32>,
     inbox_buf: Vec<Envelope<M>>,
@@ -522,7 +521,7 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
             state: Vec::new(),
             live: Vec::new(),
             acc: Vec::new(),
-            ack_queue: Vec::new(),
+            frames: Vec::new(),
             inbox_offsets: vec![0; n + 1],
             inbox_buf: Vec::new(),
             inbox_links: Vec::new(),
@@ -568,30 +567,6 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
         B: Send + Default,
         F: Fn(&mut T, &mut B, NodeId, &[Envelope<M>], &mut VertexOutbox<'_, M>) + Sync,
     {
-        let start = self.net.staged_len();
-        let payloads = {
-            let ReliableNet {
-                net,
-                inbox_offsets,
-                inbox_buf,
-                ..
-            } = self;
-            let inbox_offsets = &*inbox_offsets;
-            let inbox_buf = &*inbox_buf;
-            net.par_step(
-                || (scratch(), Vec::<Staged<M>>::new()),
-                |(sc, local), payload, v, _raw_inbox, out| {
-                    local.clear();
-                    let lb = &inbox_buf[inbox_offsets[v] as usize..inbox_offsets[v + 1] as usize];
-                    step(sc, payload, v, lb, &mut out.over(local));
-                    for (_from, link, m) in local.drain(..) {
-                        // Sequence numbers are stamped after the sweep, in staging
-                        // order, so they are deterministic in the thread count.
-                        out.send_on_link(link, Reliable::Data { seq: 0, msg: m });
-                    }
-                },
-            )
-        };
         let ReliableNet {
             net,
             next_seq,
@@ -600,29 +575,56 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
             chain,
             state,
             live,
+            inbox_offsets,
+            inbox_buf,
             ..
         } = self;
-        for (from, link, frame) in net.staged_from(start) {
-            if let Reliable::Data { seq, msg } = frame {
-                let l = *link as usize;
-                *seq = next_seq[l];
-                next_seq[l] = next_seq[l].wrapping_add(1);
+        // The transport runs the sweep but stages nothing itself: each block's
+        // protocol emissions come back beside its payload, in vertex order.
+        let blocks = {
+            let inbox_offsets = &*inbox_offsets;
+            let inbox_buf = &*inbox_buf;
+            net.par_step(
+                scratch,
+                |sc, (payload, sends): &mut (B, Vec<Staged<M>>), v, _raw_inbox, out| {
+                    let lb = &inbox_buf[inbox_offsets[v] as usize..inbox_offsets[v + 1] as usize];
+                    step(sc, payload, v, lb, &mut out.over(sends));
+                },
+            )
+        };
+        // Sequence numbers are stamped here, in staging order, so they are
+        // deterministic in the thread count.
+        let mut payloads = Vec::with_capacity(blocks.len());
+        for (payload, sends) in blocks {
+            for (from, link, msg) in sends {
+                let l = link as usize;
+                let seq = next_seq[l];
+                next_seq[l] = seq.wrapping_add(1);
                 let i = pending.len() as u32;
-                pending.push(Pending {
-                    from: *from,
-                    link: *link,
-                    msg: msg.clone(),
-                    sent_sub: 0,
-                    retries: 0,
-                });
                 chain.push(ChainLink {
-                    seq: *seq,
+                    seq,
                     next_on_link: head[l],
                 });
                 state.push(0);
                 head[l] = i;
                 live.push(i);
+                net.send_on_link(
+                    from,
+                    link,
+                    Reliable::Data {
+                        seq,
+                        msg: msg.clone(),
+                    },
+                );
+                pending.push(Pending {
+                    from,
+                    link,
+                    msg,
+                    sent_sub: 0,
+                    retries: 0,
+                });
             }
+            payloads.push(payload);
         }
         payloads
     }
@@ -631,15 +633,21 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
     /// timeouts, retransmissions) until every staged message has been delivered and
     /// acked, or abandoned after the retry budget, and nothing is left in flight.
     /// Afterwards [`ReliableNet::inbox`] holds each vertex's deduplicated logical
-    /// deliveries, sorted by `(recipient, sender)` arrival order.
+    /// deliveries in arrival order: by the sub-round in which a message first
+    /// arrived, then by its place in that sub-round's frames. On a loss-free
+    /// transport every message arrives in the first sub-round, so each inbox is
+    /// sorted by sender.
     pub fn advance_round(&mut self) {
         let span = sgs_obs::span!("congest.reliable_round");
         let mut sub: u32 = 0;
+        let mut frames = std::mem::take(&mut self.frames);
         loop {
-            self.net.advance_round();
+            let before = sgs_obs::enabled().then(|| self.net.metrics_mut().clone());
+            self.net.transmit(&mut frames);
             sub += 1;
             let mut dup_sup = 0u64;
             let mut acks_seen = 0u64;
+            let (mut bits, mut max_bits) = (0u64, 0usize);
             let ReliableNet {
                 net,
                 cfg,
@@ -649,35 +657,35 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
                 state,
                 live,
                 acc,
-                ack_queue,
                 ..
             } = self;
-            let rev = net.rev_links();
-            for v in 0..net.n() {
-                for (&(from, ref frame), &link) in net.inbox(v).iter().zip(net.inbox_links(v)) {
-                    match frame {
-                        Reliable::Data { seq, msg } => {
-                            let st = &mut state[find_pending(head, chain, link, *seq)];
-                            if *st & DELIVERED != 0 {
-                                dup_sup += 1;
-                            } else {
-                                *st |= DELIVERED;
-                                acc.push((from as u32, link, msg.clone()));
-                            }
-                            // Always (re-)ack: the previous ack may have been lost.
-                            ack_queue.push((v as u32, rev[link as usize], *seq));
+            // Consume and bill the frames in delivery order. Acks are staged in
+            // the order of the data frames they answer, link by link, and per-link
+            // order is all the fault layer's coin counters see. `acc` is sorted by
+            // recipient, stably, only when the round is sealed.
+            for &(from, link, ref frame) in frames.iter() {
+                let b = frame.size_bits();
+                bits += b as u64;
+                max_bits = max_bits.max(b);
+                match frame {
+                    Reliable::Data { seq, msg } => {
+                        let st = &mut state[find_pending(head, chain, link, *seq)];
+                        if *st & DELIVERED != 0 {
+                            dup_sup += 1;
+                        } else {
+                            *st |= DELIVERED;
+                            acc.push((from, link, msg.clone()));
                         }
-                        Reliable::Ack { seq } => {
-                            acks_seen += 1;
-                            state[find_pending(head, chain, rev[link as usize], *seq)] |= SETTLED;
-                        }
+                        // Always (re-)ack: the previous ack may have been lost.
+                        net.send_back(link, Reliable::Ack { seq: *seq });
+                    }
+                    Reliable::Ack { seq } => {
+                        acks_seen += 1;
+                        let back = net.rev_links()[link as usize];
+                        state[find_pending(head, chain, back, *seq)] |= SETTLED;
                     }
                 }
             }
-            for &(acker, link, seq) in ack_queue.iter() {
-                net.send_on_link(acker, link, Reliable::Ack { seq });
-            }
-            ack_queue.clear();
             // Timeout sweep over the unsettled entries, in staging order: retransmit
             // overdue messages, abandon exhausted ones, and drop settled ones from
             // the worklist.
@@ -716,14 +724,20 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
             }
             live.truncate(kept);
             let m = net.metrics_mut();
+            m.bill(frames.len(), bits, max_bits);
             m.dup_suppressed += dup_sup;
             m.acks += acks_seen;
             m.retransmits += retransmits;
             m.abandoned += abandoned;
+            if let Some(before) = before {
+                round_point(&before, m);
+            }
             if live.is_empty() && !net.in_flight() {
                 break;
             }
         }
+        frames.clear();
+        self.frames = frames;
         span.end_with(&[("subrounds", sgs_obs::FieldValue::from(sub))]);
         // Seal the logical round: reset the links that carried data and expose the
         // accumulated deliveries as the logical inbox CSR (stable sort by recipient).
@@ -1053,6 +1067,104 @@ mod tests {
         let m = net.metrics();
         assert_eq!(m.abandoned, 3);
         assert_eq!(m.retransmits, 3 * budget as u64);
+    }
+
+    /// Every vertex of `complete(6)` sends three `Ping`s to each neighbour in each of
+    /// two logical rounds, under loss, duplication and delay. The payload encodes
+    /// `(round, from, to, copy)` as decimal digits. A logical inbox lists each
+    /// delivery by the sub-round it first arrived in, then by its position in that
+    /// sub-round's traffic, so this pins the order in which the reliable layer
+    /// consumes frames, as well as every ack, retransmission and fault coin.
+    #[test]
+    fn reliable_net_inbox_order_and_metrics_are_pinned_where_frames_share_a_link() {
+        let g = generators::complete(6, 1.0);
+        let plan = FaultPlan::iid_loss(0x3F, 0.3)
+            .with_duplication(0.2)
+            .with_delay(0.2, 3);
+        let mut net: ReliableNet<Ping> = ReliableNet::new(&g, plan, ReliabilityConfig::default());
+        let mut inboxes: Vec<Vec<u64>> = Vec::new();
+        for round in 1..=2u64 {
+            net.par_step(
+                || (),
+                |_, _: &mut (), v, _inbox, out| {
+                    for to in (0..6).filter(|&to| to != v) {
+                        for copy in 0..3 {
+                            out.send(
+                                to,
+                                Ping(1000 * round + 100 * v as u64 + 10 * to as u64 + copy),
+                            );
+                        }
+                    }
+                },
+            );
+            net.advance_round();
+            inboxes.extend((0..6).map(|v| net.inbox(v).iter().map(|(_, p)| p.0).collect()));
+        }
+        let pinned: [&[u64]; 12] = [
+            &[
+                1101, 1102, 1302, 1400, 1402, 1502, 1200, 1201, 1100, 1202, 1401, 1500, 1501, 1300,
+                1301,
+            ],
+            &[
+                1010, 1012, 1210, 1211, 1310, 1312, 1410, 1511, 1411, 1311, 1412, 1212, 1510, 1011,
+                1512,
+            ],
+            &[
+                1022, 1120, 1121, 1320, 1421, 1322, 1521, 1122, 1522, 1021, 1321, 1420, 1422, 1520,
+                1020,
+            ],
+            &[
+                1030, 1031, 1032, 1130, 1131, 1531, 1532, 1530, 1230, 1430, 1132, 1231, 1232, 1431,
+                1432,
+            ],
+            &[
+                1140, 1142, 1240, 1242, 1341, 1342, 1042, 1041, 1340, 1540, 1542, 1241, 1040, 1541,
+                1141,
+            ],
+            &[
+                1050, 1150, 1152, 1250, 1352, 1051, 1251, 1451, 1452, 1151, 1252, 1350, 1351, 1052,
+                1450,
+            ],
+            &[
+                2101, 2200, 2201, 2300, 2302, 2400, 2402, 2500, 2502, 2301, 2100, 2202, 2401, 2501,
+            ],
+            &[
+                2010, 2011, 2210, 2311, 2412, 2511, 2212, 2012, 2310, 2312, 2410, 2510, 2512, 2411,
+                2211,
+            ],
+            &[
+                2020, 2021, 2022, 2320, 2321, 2420, 2421, 2520, 2521, 2522, 2121, 2120, 2122, 2322,
+                2422,
+            ],
+            &[
+                2030, 2130, 2132, 2232, 2430, 2431, 2530, 2531, 2532, 2432, 2032, 2031, 2131, 2231,
+            ],
+            &[
+                2040, 2042, 2140, 2141, 2142, 2241, 2341, 2541, 2542, 2540, 2242, 2240, 2342, 2340,
+                2041,
+            ],
+            &[
+                2050, 2250, 2251, 2350, 2351, 2451, 2051, 2151, 2152, 2252, 2450, 2052, 2150, 2452,
+                2352,
+            ],
+        ];
+        for (i, (got, want)) in inboxes.iter().zip(pinned).enumerate() {
+            assert_eq!(got, want, "logical round {}, vertex {}", 1 + i / 6, i % 6);
+        }
+        let want = NetworkMetrics {
+            rounds: 124,
+            messages: 566,
+            total_bits: 37760,
+            max_message_bits: 96,
+            dropped: 198,
+            duplicated: 79,
+            delayed: 108,
+            retransmits: 198,
+            acks: 259,
+            dup_suppressed: 129,
+            abandoned: 7,
+        };
+        assert_eq!(net.metrics(), &want);
     }
 
     #[test]

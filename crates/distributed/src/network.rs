@@ -15,18 +15,27 @@
 //!   buffer; no per-vertex queue is touched. `link` is the message's *link slot*: the
 //!   position of the recipient in the sender's row of the flat adjacency, so the
 //!   recipient is `nbr_ids[link]` and the record is no larger than `(from, to, msg)`.
+//! * **Transmission** (`SyncNetwork::transmit`): a round first runs the staged
+//!   buffer through the fault layer, if one is installed, and leaves the surviving
+//!   frames in one buffer in *delivery order*: due delayed frames first, then the
+//!   staged ones in staging order, each duplicate right after its original.
+//!   Without a fault layer the staged buffer is the frame buffer.
 //! * **Delivery** ([`SyncNetwork::advance_round`]): one stable counting sort by
-//!   recipient turns the staged buffer into the next round's inbox CSR — per-vertex
-//!   offset ranges over one flat message array. Communication metrics are counted
-//!   here, *at delivery*: a message staged but never advanced is a protocol bug, not
-//!   traffic, and [`SyncNetwork::metrics`] debug-asserts that nothing is left staged.
+//!   recipient turns those frames into the next round's inbox CSR — per-vertex
+//!   offset ranges over one flat message array. The reliable layer
+//!   ([`ReliableNet`](crate::ReliableNet)) skips this step: it consumes the frames
+//!   of each sub-round in delivery order and builds one logical inbox per round
+//!   from what it accepted. Communication metrics are counted *at delivery*, by
+//!   whichever of the two consumes the frames: a message staged but never
+//!   transmitted is a protocol bug, not traffic, and [`SyncNetwork::metrics`]
+//!   debug-asserts that nothing is left staged.
 //! * **Topology**: a sorted flat adjacency (CSR of neighbor ids) replaces per-vertex
 //!   hash sets. [`SyncNetwork::send`]'s neighbor check is the one binary search a
 //!   message ever pays: the position it finds is the link slot that travels with the
 //!   message, and `broadcast` gets it for free. Every per-link structure downstream
 //!   (fault coins, the delay queue, reliable-delivery state) is indexed by that slot.
 //!   With faults or reliable delivery installed the network also records each
-//!   delivered frame's link and a reverse-link table `rev[l]` (the slot of the
+//!   inbox message's link and a reverse-link table `rev[l]` (the slot of the
 //!   opposite direction, built in O(m) without a search), so replies and per-link
 //!   knowledge need no lookup either; the clean path builds neither.
 //! * **Vertex programs** ([`SyncNetwork::par_step`]): one round of per-vertex execution
@@ -102,6 +111,15 @@ impl NetworkMetrics {
         self.dup_suppressed += other.dup_suppressed;
         self.abandoned += other.abandoned;
     }
+
+    /// Bills delivered traffic: `count` messages of `bits` bits in all, the largest
+    /// of them `max_bits` bits.
+    #[inline]
+    pub(crate) fn bill(&mut self, count: usize, bits: u64, max_bits: usize) {
+        self.messages += count as u64;
+        self.total_bits += bits;
+        self.max_message_bits = self.max_message_bits.max(max_bits);
+    }
 }
 
 /// An inbox entry: the sender and the message.
@@ -124,6 +142,8 @@ pub struct SyncNetwork<M> {
     nbr_ids: Vec<u32>,
     /// Messages staged for the next delivery, in emission order: `(from, link, msg)`.
     staged: Vec<Staged<M>>,
+    /// Spare buffer for the frames [`SyncNetwork::advance_round`] delivers.
+    frames: Vec<Staged<M>>,
     /// Reverse-link table, built only when link tracking is on (faults or reliable
     /// delivery installed): `rev[l]` is the slot of the opposite direction of link
     /// `l`. Empty on the clean path.
@@ -176,6 +196,7 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
             nbr_offsets,
             nbr_ids,
             staged: Vec::new(),
+            frames: Vec::new(),
             rev: Vec::new(),
             inbox_offsets: vec![0; n + 1],
             inbox_buf: Vec::new(),
@@ -277,27 +298,15 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
     }
 
     /// True while messages are still staged or held back in the fault layer's delay
-    /// queue — i.e. another `advance_round` could deliver something.
+    /// queue — i.e. another transport round could deliver something.
     pub(crate) fn in_flight(&self) -> bool {
         !self.staged.is_empty() || self.faults.as_ref().is_some_and(|fl| fl.has_delayed())
     }
 
-    /// Mutable metrics access for the reliable-delivery layer's ledger columns.
+    /// Mutable metrics access for the reliable-delivery layer, which bills the frames
+    /// it consumes and keeps its own ledger columns.
     pub(crate) fn metrics_mut(&mut self) -> &mut NetworkMetrics {
         &mut self.metrics
-    }
-
-    /// Number of records currently staged.
-    #[inline]
-    pub(crate) fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// The records staged from position `start` on, in staging order, for in-place
-    /// rewrites (the reliable layer stamps sequence numbers here, after a `par_step`
-    /// sweep and before `advance_round`).
-    pub(crate) fn staged_from(&mut self, start: usize) -> &mut [Staged<M>] {
-        &mut self.staged[start..]
     }
 
     /// Stages `msg` from `from` on link `link` (a slot of `from`'s row, found earlier).
@@ -308,6 +317,14 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
             "link {link} is not in the row of vertex {from}"
         );
         self.staged.push((from, link, msg));
+    }
+
+    /// Stages `msg` back along link `link`: from the link's recipient, on the reverse
+    /// link (link tracking must be on).
+    #[inline]
+    pub(crate) fn send_back(&mut self, link: u32, msg: M) {
+        let l = link as usize;
+        self.staged.push((self.nbr_ids[l], self.rev[l], msg));
     }
 
     /// The neighbors of `v` in the communication topology, ascending.
@@ -336,67 +353,60 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
 
     /// Ends the round: all staged messages become next round's inboxes.
     ///
-    /// Delivery is a stable counting sort by recipient over the staging buffer, so
-    /// each inbox preserves the staging order among its messages; combined with the
-    /// sender-ordered staging of [`SyncNetwork::par_step`] this yields inboxes sorted
-    /// by `(recipient, sender)`. Metrics are counted here — at delivery, not at send —
-    /// so only traffic that actually reaches a vertex is billed.
+    /// The frames that survive the fault layer (all of them without one) are
+    /// delivered by a stable counting sort by recipient, so each inbox preserves
+    /// the delivery order among its messages; combined with the sender-ordered
+    /// staging of [`SyncNetwork::par_step`] this yields inboxes sorted by
+    /// `(recipient, sender)`. Metrics are counted here, at delivery, so only
+    /// traffic that actually reaches a vertex is billed.
     pub fn advance_round(&mut self) {
         // Snapshot the ledger so the per-round trace event can carry deltas
         // (messages/bits/fault columns for *this* round, not running totals).
         let before = sgs_obs::enabled().then(|| self.metrics.clone());
-        self.metrics.rounds += 1;
-        if self.faults.is_some() {
-            // Fault path: run every staged (and newly-due delayed) message through the
-            // plan's coins, then deliver the survivors through the same stable sort.
-            let round = self.metrics.rounds as u64;
-            let mut eff = {
-                let Self {
-                    faults,
-                    staged,
-                    nbr_ids,
-                    metrics,
-                    ..
-                } = self;
-                let fl = faults.as_mut().expect("checked above");
-                fl.apply(round, staged, metrics, nbr_ids)
-            };
-            self.deliver(&eff);
-            eff.clear();
-            self.faults
-                .as_mut()
-                .expect("checked above")
-                .restore_scratch(eff);
-        } else {
-            let staged = std::mem::take(&mut self.staged);
-            self.deliver(&staged);
-            self.staged = staged;
-            self.staged.clear();
-        }
+        let mut frames = std::mem::take(&mut self.frames);
+        self.transmit(&mut frames);
+        self.deliver(&frames);
+        // Stage the next round in the buffer just read, which is the warmer one;
+        // without a fault layer that is the one buffer the round started with.
+        frames.clear();
+        self.frames = std::mem::replace(&mut self.staged, frames);
         if let Some(before) = before {
-            sgs_obs::point!(
-                "congest.round",
-                round = self.metrics.rounds,
-                messages = self.metrics.messages - before.messages,
-                bits = self.metrics.total_bits - before.total_bits,
-                max_message_bits = self.metrics.max_message_bits,
-                dropped = self.metrics.dropped - before.dropped,
-                duplicated = self.metrics.duplicated - before.duplicated,
-                delayed = self.metrics.delayed - before.delayed,
-                retransmits = self.metrics.retransmits - before.retransmits,
-                acks = self.metrics.acks - before.acks,
-                dup_suppressed = self.metrics.dup_suppressed - before.dup_suppressed,
-                abandoned = self.metrics.abandoned - before.abandoned,
-            );
+            round_point(&before, &self.metrics);
         }
     }
 
-    /// Stable counting sort of `records` by recipient into the inbox CSR, billing
-    /// metrics per delivered message (and recording each frame's link when link
-    /// tracking is on).
-    fn deliver(&mut self, records: &[Staged<M>]) {
+    /// One transport step with no inbox: bumps the round, runs every staged (and
+    /// newly due delayed) message through the fault layer, and leaves the survivors
+    /// in `frames` in delivery order, with nothing staged. Without a fault plan every
+    /// staged message survives and the two buffers just trade places.
+    ///
+    /// The caller consumes `frames` and bills them ([`NetworkMetrics::bill`]) in the
+    /// same pass: the frames of a large round outgrow the cache, so a billing pass
+    /// of its own would read them all once more.
+    pub(crate) fn transmit(&mut self, frames: &mut Vec<Staged<M>>) {
+        self.metrics.rounds += 1;
+        frames.clear();
+        match &mut self.faults {
+            Some(fl) => {
+                let round = self.metrics.rounds as u64;
+                fl.apply(
+                    round,
+                    &mut self.staged,
+                    &mut self.metrics,
+                    &self.nbr_ids,
+                    frames,
+                );
+            }
+            None => std::mem::swap(&mut self.staged, frames),
+        }
+    }
+
+    /// Stable counting sort of `frames` by recipient into the inbox CSR, billing
+    /// metrics per delivered message and recording each frame's link when link
+    /// tracking is on.
+    fn deliver(&mut self, frames: &[Staged<M>]) {
         sort_by_recipient(
-            records,
+            frames,
             &self.nbr_ids,
             &mut self.inbox_offsets,
             &mut self.cursor,
@@ -409,19 +419,20 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
         // heap-owning message type would prefer a move-based delivery.
         let track = !self.rev.is_empty();
         self.inbox_buf.clear();
-        self.inbox_buf.reserve(records.len());
+        self.inbox_buf.reserve(frames.len());
         self.inbox_links.clear();
+        let (mut bits, mut max_bits) = (0u64, 0usize);
         for &i in &self.perm {
-            let (from, link, ref msg) = records[i as usize];
-            let bits = msg.size_bits();
-            self.metrics.messages += 1;
-            self.metrics.total_bits += bits as u64;
-            self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
+            let (from, link, ref msg) = frames[i as usize];
+            let b = msg.size_bits();
+            bits += b as u64;
+            max_bits = max_bits.max(b);
             self.inbox_buf.push((from as usize, msg.clone()));
             if track {
                 self.inbox_links.push(link);
             }
         }
+        self.metrics.bill(frames.len(), bits, max_bits);
     }
 
     /// Messages delivered to `v` at the start of the current round.
@@ -532,6 +543,26 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
     }
 }
 
+/// Emits the `congest.round` trace point for the transport round that took the
+/// ledger from `before` to `now`: per-round deltas, except `max_message_bits`, which
+/// is the running maximum.
+pub(crate) fn round_point(before: &NetworkMetrics, now: &NetworkMetrics) {
+    sgs_obs::point!(
+        "congest.round",
+        round = now.rounds,
+        messages = now.messages - before.messages,
+        bits = now.total_bits - before.total_bits,
+        max_message_bits = now.max_message_bits,
+        dropped = now.dropped - before.dropped,
+        duplicated = now.duplicated - before.duplicated,
+        delayed = now.delayed - before.delayed,
+        retransmits = now.retransmits - before.retransmits,
+        acks = now.acks - before.acks,
+        dup_suppressed = now.dup_suppressed - before.dup_suppressed,
+        abandoned = now.abandoned - before.abandoned,
+    );
+}
+
 /// Stable counting sort of staged records by recipient (`nbr_ids[link]`): fills the
 /// inbox CSR row starts `offsets` (one per vertex plus the end) and `perm`, where
 /// `perm[j]` is the index of the record placed at position `j`. `cursor` is scratch.
@@ -574,8 +605,8 @@ pub struct VertexOutbox<'a, M> {
 
 impl<'a, M> VertexOutbox<'a, M> {
     /// An outbox for the same vertex over an externally owned staging buffer — used
-    /// by the reliable-delivery layer to present a protocol-typed outbox while the
-    /// real transport stages wrapped messages underneath.
+    /// by the reliable-delivery layer to collect a sweep's protocol-typed emissions,
+    /// which it stamps and stages on the transport itself afterwards.
     pub(crate) fn over<'b, N>(&self, buf: &'b mut Vec<Staged<N>>) -> VertexOutbox<'b, N>
     where
         'a: 'b,
@@ -586,12 +617,6 @@ impl<'a, M> VertexOutbox<'a, M> {
             neighbors: self.neighbors,
             buf,
         }
-    }
-
-    /// Stages `msg` on a link slot this outbox's vertex already resolved.
-    #[inline]
-    pub(crate) fn send_on_link(&mut self, link: u32, msg: M) {
-        self.buf.push((self.from, link, msg));
     }
 
     /// Queues a message from the current vertex to its neighbor `to`.

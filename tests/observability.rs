@@ -163,6 +163,57 @@ fn congest_spans_cover_sampling_spanner_runs_and_reliable_rounds() {
     );
 }
 
+/// Each transport round of the reliable layer emits one `congest.round` point after
+/// the reliable ledger is updated, so the per-round deltas add up to the run's
+/// `NetworkMetrics`, the reliable columns (acks, retransmits, suppressed duplicates,
+/// abandoned frames) included.
+#[test]
+fn congest_round_points_add_up_to_the_reliable_run_metrics() {
+    let _guard = lock();
+    let g = generators::erdos_renyi(120, 0.2, 1.0, 42);
+    let cfg = SparsifyConfig::new(0.75, 4.0)
+        .with_bundle_sizing(BundleSizing::Fixed(2))
+        .with_seed(3);
+    let faults = FaultConfig {
+        plan: FaultPlan::iid_loss(9, 0.1),
+        reliability: Some(ReliabilityConfig::default()),
+    };
+    let (out, events) = record(|| distributed_sample_with_faults(&g, &cfg, &faults));
+    let points: Vec<&obs::Event> = events
+        .iter()
+        .filter(|e| e.name == "congest.round" && e.kind == EventKind::Point)
+        .collect();
+    let column = |key: &str| -> Vec<u64> {
+        points
+            .iter()
+            .map(|e| match e.fields.iter().find(|(k, _)| *k == key) {
+                Some((_, obs::FieldValue::U64(x))) => *x,
+                other => panic!("congest.round point without {key}: {other:?}"),
+            })
+            .collect()
+    };
+    let sum = |key: &str| column(key).iter().sum::<u64>();
+    let m = &out.metrics;
+    assert_eq!(points.len(), m.rounds, "one point per transport round");
+    assert_eq!(sum("messages"), m.messages);
+    assert_eq!(sum("bits"), m.total_bits);
+    assert_eq!(
+        column("max_message_bits").into_iter().max(),
+        Some(m.max_message_bits as u64)
+    );
+    assert_eq!(sum("dropped"), m.dropped);
+    assert_eq!(sum("duplicated"), m.duplicated);
+    assert_eq!(sum("delayed"), m.delayed);
+    assert_eq!(sum("retransmits"), m.retransmits);
+    assert_eq!(sum("acks"), m.acks);
+    assert_eq!(sum("dup_suppressed"), m.dup_suppressed);
+    assert_eq!(sum("abandoned"), m.abandoned);
+    assert!(
+        m.acks > 0 && m.retransmits > 0 && m.dup_suppressed > 0 && m.abandoned > 0,
+        "the run exercises every reliable column: {m:?}"
+    );
+}
+
 #[test]
 fn run_report_from_events_carries_spans_and_ledgers() {
     let _guard = lock();
