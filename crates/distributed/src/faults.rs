@@ -1070,18 +1070,15 @@ mod tests {
     }
 
     /// Every vertex of `complete(6)` sends three `Ping`s to each neighbour in each of
-    /// two logical rounds, under loss, duplication and delay. The payload encodes
-    /// `(round, from, to, copy)` as decimal digits. A logical inbox lists each
-    /// delivery by the sub-round it first arrived in, then by its position in that
-    /// sub-round's traffic, so this pins the order in which the reliable layer
-    /// consumes frames, as well as every ack, retransmission and fault coin.
-    #[test]
-    fn reliable_net_inbox_order_and_metrics_are_pinned_where_frames_share_a_link() {
+    /// two logical rounds over `ReliableNet` with `cfg`, under loss, duplication and
+    /// delay. The payload encodes `(round, from, to, copy)` as decimal digits. Returns
+    /// the 12 logical inboxes (round-major) and the run's metrics.
+    fn shared_link_traffic(cfg: ReliabilityConfig) -> (Vec<Vec<u64>>, NetworkMetrics) {
         let g = generators::complete(6, 1.0);
         let plan = FaultPlan::iid_loss(0x3F, 0.3)
             .with_duplication(0.2)
             .with_delay(0.2, 3);
-        let mut net: ReliableNet<Ping> = ReliableNet::new(&g, plan, ReliabilityConfig::default());
+        let mut net: ReliableNet<Ping> = ReliableNet::new(&g, plan, cfg);
         let mut inboxes: Vec<Vec<u64>> = Vec::new();
         for round in 1..=2u64 {
             net.par_step(
@@ -1100,6 +1097,16 @@ mod tests {
             net.advance_round();
             inboxes.extend((0..6).map(|v| net.inbox(v).iter().map(|(_, p)| p.0).collect()));
         }
+        (inboxes, net.metrics().clone())
+    }
+
+    /// [`shared_link_traffic`] at the default reliability. A logical inbox lists each
+    /// delivery by the sub-round it first arrived in, then by its position in that
+    /// sub-round's traffic, so this pins the order in which the reliable layer
+    /// consumes frames, as well as every ack, retransmission and fault coin.
+    #[test]
+    fn reliable_net_inbox_order_and_metrics_are_pinned_where_frames_share_a_link() {
+        let (inboxes, metrics) = shared_link_traffic(ReliabilityConfig::default());
         let pinned: [&[u64]; 12] = [
             &[
                 1101, 1102, 1302, 1400, 1402, 1502, 1200, 1201, 1100, 1202, 1401, 1500, 1501, 1300,
@@ -1164,7 +1171,65 @@ mod tests {
             dup_suppressed: 129,
             abandoned: 7,
         };
-        assert_eq!(net.metrics(), &want);
+        assert_eq!(metrics, want);
+    }
+
+    /// FNV-1a over the inboxes in order, with a separator after each inbox.
+    fn inbox_fingerprint(inboxes: &[Vec<u64>]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for inbox in inboxes {
+            for &x in inbox.iter().chain(&[u64::MAX]) {
+                h = (h ^ x).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// [`shared_link_traffic`] at `timeout_rounds` 3 and 4, with backoff on and off:
+    /// the settings where some sub-rounds have nothing due, so the timeout sweep can
+    /// be skipped. Pins the logical inboxes in order (by fingerprint) and the full
+    /// metrics, whose `rounds` moves if the end of a logical round comes a sub-round
+    /// early or late.
+    #[test]
+    fn reliable_net_end_of_round_is_pinned_at_long_timeouts() {
+        #[rustfmt::skip]
+        let pinned: [(u32, bool, u64, [u64; 11]); 4] = [
+            // (timeout, backoff, inbox fingerprint, [rounds, messages, total_bits,
+            //  max_message_bits, dropped, duplicated, delayed, retransmits, acks,
+            //  dup_suppressed, abandoned])
+            (3, true, 0xEFF2_4F57_A74D_2861, [186, 557, 37792, 96, 221, 88, 104, 198, 245, 132, 6]),
+            (3, false, 0x306D_D069_654A_C15A, [34, 570, 38656, 96, 246, 84, 104, 233, 251, 140, 14]),
+            (4, true, 0xDC36_600D_6922_2ADB, [248, 558, 37248, 96, 191, 88, 107, 178, 255, 123, 4]),
+            (4, false, 0x1671_6A46_8261_19AD, [42, 540, 37248, 96, 242, 70, 100, 220, 228, 132, 12]),
+        ];
+        for (timeout_rounds, backoff, fingerprint, m) in pinned {
+            let cfg = ReliabilityConfig {
+                timeout_rounds,
+                backoff,
+                ..ReliabilityConfig::default()
+            };
+            let (inboxes, metrics) = shared_link_traffic(cfg);
+            let want = NetworkMetrics {
+                rounds: m[0] as usize,
+                messages: m[1],
+                total_bits: m[2],
+                max_message_bits: m[3] as usize,
+                dropped: m[4],
+                duplicated: m[5],
+                delayed: m[6],
+                retransmits: m[7],
+                acks: m[8],
+                dup_suppressed: m[9],
+                abandoned: m[10],
+            };
+            let ctx = format!("timeout {timeout_rounds}, backoff {backoff}");
+            assert_eq!(
+                inbox_fingerprint(&inboxes),
+                fingerprint,
+                "{ctx}: inboxes {inboxes:?}"
+            );
+            assert_eq!(metrics, want, "{ctx}");
+        }
     }
 
     #[test]
