@@ -33,10 +33,13 @@
 //!   pending entry that stays in place until the round ends; a `(link, seq)` lookup
 //!   walks a per-link chain from `head[link]` (usually one hop); acks travel on the
 //!   reverse link `rev[link]`; the timeout sweep walks a live-index list compacted in
-//!   order; a `delivered` flag on the entry suppresses duplicates; and round end
-//!   resets only the links that carried data. Each logical round is one
-//!   `congest.reliable_round` span whose end records its `subrounds`, and each
-//!   sub-round one `congest.round` point emitted after the reliable ledger update.
+//!   order, and only in sub-rounds where some entry can be due, while a running
+//!   unsettled count decides when the round ends; a `delivered` flag on the entry
+//!   suppresses duplicates; and round end resets only the links that carried data.
+//!   A pending entry does not store its sender, which is `nbr_ids[rev[link]]`. Each
+//!   logical round is one `congest.reliable_round` span whose end records its
+//!   `subrounds`, and each sub-round one `congest.round` point emitted after the
+//!   reliable ledger update.
 
 use sgs_graph::{Graph, NodeId};
 
@@ -260,8 +263,9 @@ pub(crate) struct FaultLayer<M> {
     plan: FaultPlan,
     /// Per-directed-link message counters — the `seq` half of the coin key. Every
     /// staged message consumes one position whatever its fate, so one message's
-    /// outcome never shifts another's coins.
-    link_seq: Vec<u64>,
+    /// outcome never shifts another's coins. A `u32` keys the same coin as the `u64`
+    /// `seq` of [`fault_bits`] until a single link carries 2³² messages.
+    link_seq: Vec<u32>,
     /// Held-back messages: `(due_round, from, link, msg)`, in injection order.
     delayed: Vec<(u64, u32, u32, M)>,
     delayed_scratch: Vec<(u64, u32, u32, M)>,
@@ -326,7 +330,8 @@ impl<M: Clone> FaultLayer<M> {
         for (from, link, msg) in staged.drain(..) {
             let to = nbr_ids[link as usize];
             let seq = self.link_seq[link as usize];
-            self.link_seq[link as usize] += 1;
+            self.link_seq[link as usize] = seq.wrapping_add(1);
+            let seq = u64::from(seq);
             // Scheduled omissions: sender down at send time (the previous round),
             // recipient down at delivery time, or the link itself out.
             if plan.link_failed(from, to, round)
@@ -374,6 +379,19 @@ pub struct ReliabilityConfig {
     pub max_subrounds: u32,
 }
 
+impl ReliabilityConfig {
+    /// Sub-rounds to wait for an ack after a message's `retries`-th retransmission
+    /// (its first transmission at 0): `timeout_rounds`, doubled per retry with
+    /// `backoff`.
+    fn timeout(&self, retries: u32) -> u32 {
+        if self.backoff {
+            self.timeout_rounds.saturating_mul(1u32 << retries.min(16))
+        } else {
+            self.timeout_rounds
+        }
+    }
+}
+
 impl Default for ReliabilityConfig {
     fn default() -> Self {
         ReliabilityConfig {
@@ -416,17 +434,18 @@ impl<M: MessageSize> MessageSize for Reliable<M> {
 const NO_ENTRY: u32 = u32::MAX;
 
 /// One data frame staged in the current logical round: what a retransmission needs.
-/// Entries stay in place until the round ends, so an index into
+/// The sender is not stored: it is the far end of the reverse link,
+/// `nbr_ids[rev[link]]`. Entries stay in place until the round ends, so an index into
 /// `ReliableNet::pending` is stable for the whole round; the entry's lookup key and
 /// flags live in the parallel `ReliableNet::chain` and `ReliableNet::state` arrays,
 /// which every frame arrival touches and which are kept small for it.
 #[derive(Debug)]
 struct Pending<M> {
-    from: u32,
     link: u32,
     msg: M,
-    /// Sub-round of the most recent (re)transmission.
-    sent_sub: u32,
+    /// The sub-round at which the entry times out: its latest (re)transmission plus
+    /// the timeout for its retry count (saturating).
+    due: u32,
     retries: u32,
 }
 
@@ -488,8 +507,9 @@ pub struct ReliableNet<M> {
     pending: Vec<Pending<M>>,
     chain: Vec<ChainLink>,
     state: Vec<u8>,
-    /// Indices of unsettled `pending` entries in staging order: the timeout sweep's
-    /// worklist, compacted in place.
+    /// Indices of `pending` entries in staging order that were unsettled at the last
+    /// timeout sweep: the sweep's worklist, compacted in place and cleared when the
+    /// round is sealed.
     live: Vec<u32>,
     /// Logical deliveries accumulated this round: `(from, link, msg)`.
     acc: Vec<Staged<M>>,
@@ -569,6 +589,7 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
     {
         let ReliableNet {
             net,
+            cfg,
             next_seq,
             head,
             pending,
@@ -617,10 +638,9 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
                     },
                 );
                 pending.push(Pending {
-                    from,
                     link,
                     msg,
-                    sent_sub: 0,
+                    due: cfg.timeout(0),
                     retries: 0,
                 });
             }
@@ -641,6 +661,12 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
         let span = sgs_obs::span!("congest.reliable_round");
         let mut sub: u32 = 0;
         let mut frames = std::mem::take(&mut self.frames);
+        // Every entry was staged by `par_step` this round, unsettled and due at the
+        // first timeout. The sweep runs only once some entry can be due, and the loop
+        // ends on the running count of unsettled entries, not on `live`, which is
+        // compacted only by the sweep.
+        let mut unsettled = self.pending.len();
+        let mut next_due = self.cfg.timeout(0);
         loop {
             let before = sgs_obs::enabled().then(|| self.net.metrics_mut().clone());
             self.net.transmit(&mut frames);
@@ -682,47 +708,53 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
                     Reliable::Ack { seq } => {
                         acks_seen += 1;
                         let back = net.rev_links()[link as usize];
-                        state[find_pending(head, chain, back, *seq)] |= SETTLED;
+                        let st = &mut state[find_pending(head, chain, back, *seq)];
+                        if *st & SETTLED == 0 {
+                            *st |= SETTLED;
+                            unsettled -= 1;
+                        }
                     }
                 }
             }
             // Timeout sweep over the unsettled entries, in staging order: retransmit
             // overdue messages, abandon exhausted ones, and drop settled ones from
-            // the worklist.
+            // the worklist. A sub-round where no entry can be due skips it, since it
+            // would only compact the worklist.
             let cap_hit = sub >= cfg.max_subrounds;
             let mut retransmits = 0u64;
             let mut abandoned = 0u64;
-            let mut kept = 0;
-            for j in 0..live.len() {
-                let i = live[j];
-                if state[i as usize] & SETTLED != 0 {
-                    continue;
-                }
-                let p = &mut pending[i as usize];
-                let threshold = if cfg.backoff {
-                    cfg.timeout_rounds.saturating_mul(1u32 << p.retries.min(16))
-                } else {
-                    cfg.timeout_rounds
-                };
-                if cap_hit || sub.saturating_sub(p.sent_sub) >= threshold {
-                    if cap_hit || p.retries >= cfg.retry_budget {
-                        abandoned += 1;
-                        state[i as usize] |= SETTLED;
+            if cap_hit || sub >= next_due {
+                next_due = u32::MAX;
+                let mut kept = 0;
+                for j in 0..live.len() {
+                    let i = live[j];
+                    if state[i as usize] & SETTLED != 0 {
                         continue;
                     }
-                    retransmits += 1;
-                    p.retries += 1;
-                    p.sent_sub = sub;
-                    let frame = Reliable::Data {
-                        seq: chain[i as usize].seq,
-                        msg: p.msg.clone(),
-                    };
-                    net.send_on_link(p.from, p.link, frame);
+                    let p = &mut pending[i as usize];
+                    if cap_hit || sub >= p.due {
+                        if cap_hit || p.retries >= cfg.retry_budget {
+                            abandoned += 1;
+                            state[i as usize] |= SETTLED;
+                            continue;
+                        }
+                        retransmits += 1;
+                        p.retries += 1;
+                        p.due = sub.saturating_add(cfg.timeout(p.retries));
+                        let frame = Reliable::Data {
+                            seq: chain[i as usize].seq,
+                            msg: p.msg.clone(),
+                        };
+                        let from = net.link_targets()[net.rev_links()[p.link as usize] as usize];
+                        net.send_on_link(from, p.link, frame);
+                    }
+                    next_due = next_due.min(p.due);
+                    live[kept] = i;
+                    kept += 1;
                 }
-                live[kept] = i;
-                kept += 1;
+                live.truncate(kept);
+                unsettled -= abandoned as usize;
             }
-            live.truncate(kept);
             let m = net.metrics_mut();
             m.bill(frames.len(), bits, max_bits);
             m.dup_suppressed += dup_sup;
@@ -732,7 +764,7 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
             if let Some(before) = before {
                 round_point(&before, m);
             }
-            if live.is_empty() && !net.in_flight() {
+            if unsettled == 0 && !net.in_flight() {
                 break;
             }
         }
@@ -747,6 +779,7 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
         self.pending.clear();
         self.chain.clear();
         self.state.clear();
+        self.live.clear();
         sort_by_recipient(
             &self.acc,
             self.net.link_targets(),
@@ -758,7 +791,7 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
         self.inbox_links.clear();
         for &i in &self.perm {
             let (from, link, ref msg) = self.acc[i as usize];
-            self.inbox_buf.push((from as usize, msg.clone()));
+            self.inbox_buf.push((from, msg.clone()));
             self.inbox_links.push(link);
         }
         self.acc.clear();
@@ -969,7 +1002,7 @@ mod tests {
         );
         net.advance_round();
         for v in 0..6 {
-            let mut senders: Vec<usize> = net.inbox(v).iter().map(|&(f, _)| f).collect();
+            let mut senders: Vec<usize> = net.inbox(v).iter().map(|&(f, _)| f as usize).collect();
             senders.sort_unstable();
             let expect: Vec<usize> = (0..6).filter(|&u| u != v).collect();
             assert_eq!(senders, expect, "vertex {v} missing logical deliveries");

@@ -15,6 +15,12 @@
 //!   buffer; no per-vertex queue is touched. `link` is the message's *link slot*: the
 //!   position of the recipient in the sender's row of the flat adjacency, so the
 //!   recipient is `nbr_ids[link]` and the record is no larger than `(from, to, msg)`.
+//! * **Record widths**: every id the simulator stores is a `u32`, and the spanner's
+//!   [`SpannerMsg`](crate::spanner::SpannerMsg) is 8 bytes. A staged record is then
+//!   16 bytes, a reliable frame (`Staged<Reliable<SpannerMsg>>`) 20 bytes and an
+//!   inbox [`Envelope`] `(from, msg)` 12 bytes, for messages billed at 1–33 bits
+//!   (32 more for the reliable layer's sequence number).
+//!   `congest_records_keep_their_compact_layout` pins these widths.
 //! * **Transmission** (`SyncNetwork::transmit`): a round first runs the staged
 //!   buffer through the fault layer, if one is installed, and leaves the surviving
 //!   frames in one buffer in *delivery order*: due delayed frames first, then the
@@ -122,8 +128,10 @@ impl NetworkMetrics {
     }
 }
 
-/// An inbox entry: the sender and the message.
-pub type Envelope<M> = (NodeId, M);
+/// An inbox entry: the sender and the message. The sender is a `u32`, like every
+/// vertex id the simulator stores, so with a [`SpannerMsg`](crate::spanner::SpannerMsg)
+/// an entry is 12 bytes; cast it where a [`NodeId`] is needed.
+pub type Envelope<M> = (u32, M);
 
 /// A staged message record: `(from, link, msg)`, where `link` is the recipient's slot
 /// in the sender's row of the flat adjacency (the recipient is `nbr_ids[link]`).
@@ -427,7 +435,7 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
             let b = msg.size_bits();
             bits += b as u64;
             max_bits = max_bits.max(b);
-            self.inbox_buf.push((from as usize, msg.clone()));
+            self.inbox_buf.push((from, msg.clone()));
             if track {
                 self.inbox_links.push(link);
             }
@@ -741,7 +749,7 @@ mod tests {
         );
         net.advance_round();
         for v in 0..5 {
-            let senders: Vec<NodeId> = net.inbox(v).iter().map(|&(from, _)| from).collect();
+            let senders: Vec<u32> = net.inbox(v).iter().map(|&(from, _)| from).collect();
             let mut sorted = senders.clone();
             sorted.sort_unstable();
             assert_eq!(senders, sorted, "inbox of {v} not sorted by sender");

@@ -61,6 +61,9 @@ use crate::faults::{FaultPlan, ReliabilityConfig, ReliableNet};
 use crate::network::{Envelope, MessageSize, NetworkMetrics, SyncNetwork, VertexOutbox};
 
 /// Messages exchanged by the distributed spanner protocol.
+///
+/// Ids travel as `u32`, so a message is 8 bytes in memory: a clean staged record is 16
+/// bytes and a reliable frame 20 (`congest_records_keep_their_compact_layout`).
 #[derive(Debug, Clone, Copy)]
 pub enum SpannerMsg {
     /// Propagated down a cluster tree: "our cluster's sampled flag for this iteration".
@@ -70,15 +73,15 @@ pub enum SpannerMsg {
     },
     /// Neighbor exchange: "my cluster id and its sampled flag".
     ClusterInfo {
-        /// Cluster center id of the sender (or `None` if unclustered).
-        center: Option<NodeId>,
+        /// Cluster center id of the sender, or [`NO_CLUSTER`] if unclustered.
+        center: u32,
         /// Whether the sender's cluster is sampled this iteration.
         sampled: bool,
     },
     /// "The edge with this id is no longer under consideration."
     Kill {
-        /// Global edge id being retired.
-        edge: EdgeId,
+        /// Global edge id being retired (view edge ids are checked to fit in `u32`).
+        edge: u32,
     },
     /// "You are my parent in the cluster tree."
     Child,
@@ -388,7 +391,7 @@ impl Knowledge for FaultView {
             for ((_, msg), &link) in net.inbox(v).iter().zip(net.inbox_links(v)) {
                 if let SpannerMsg::ClusterInfo { center, sampled } = *msg {
                     let slot = rev[link as usize] as usize;
-                    self.c[slot] = center.map_or(NO_CLUSTER, |c| c as u32);
+                    self.c[slot] = center;
                     self.s[slot] = sampled;
                     self.fresh[slot] = true;
                 }
@@ -459,7 +462,7 @@ impl RoundSink for KillSender<'_, '_> {
         self.out.send(
             s.nbr as usize,
             SpannerMsg::Kill {
-                edge: self.ids[s.idx as usize] as EdgeId,
+                edge: self.ids[s.idx as usize],
             },
         );
     }
@@ -645,7 +648,7 @@ impl<K: Knowledge> Protocol<K> {
             self.states.par_iter_mut().enumerate().for_each(|(v, st)| {
                 for &(from, ref msg) in net.inbox(v) {
                     if let SpannerMsg::SampledFlag { sampled } = *msg {
-                        if st.parent == from as u32 && !st.knows_flag {
+                        if st.parent == from && !st.knows_flag {
                             st.sampled = sampled;
                             st.knows_flag = true;
                         }
@@ -666,7 +669,7 @@ impl<K: Knowledge> Protocol<K> {
                 let st = &states[v];
                 if K::FAULT_MODE || st.center != NO_CLUSTER {
                     out.broadcast(SpannerMsg::ClusterInfo {
-                        center: (st.center != NO_CLUSTER).then_some(st.center as usize),
+                        center: st.center,
                         sampled: st.sampled,
                     });
                 }
@@ -738,12 +741,12 @@ impl<K: Knowledge> Protocol<K> {
                 for &(from, msg) in net.inbox(v) {
                     match msg {
                         SpannerMsg::Kill { edge } => {
-                            let idx = idx_of[edge];
+                            let idx = idx_of[edge as usize];
                             debug_assert_ne!(idx, u32::MAX, "Kill for an edge outside the view");
                             // The sender is the edge's other endpoint.
-                            alive.set(half_edge(idx as usize, v, from), false);
+                            alive.set(half_edge(idx as usize, v, from as usize), false);
                         }
-                        SpannerMsg::Child => children.push(from),
+                        SpannerMsg::Child => children.push(from as usize),
                         _ => {}
                     }
                 }
@@ -929,6 +932,19 @@ mod tests {
             assert_eq!(a.edge_ids, b.edge_ids, "k = {:?}", cfg.k);
             assert_eq!(a.metrics, b.metrics, "k = {:?}", cfg.k);
         }
+    }
+
+    /// Every CONGEST buffer holds one of these records per message, so their width
+    /// is the simulator's memory per message in flight.
+    #[test]
+    fn congest_records_keep_their_compact_layout() {
+        use crate::faults::Reliable;
+        use crate::network::Staged;
+        use std::mem::size_of;
+        assert!(size_of::<SpannerMsg>() <= 8);
+        assert!(size_of::<Staged<SpannerMsg>>() <= 16);
+        assert!(size_of::<Staged<Reliable<SpannerMsg>>>() <= 20);
+        assert!(size_of::<Envelope<SpannerMsg>>() <= 12);
     }
 
     #[test]

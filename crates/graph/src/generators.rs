@@ -150,10 +150,11 @@ pub fn erdos_renyi(n: usize, p: f64, w: f64, seed: u64) -> Graph {
         return Graph::new(n);
     }
     // Geometric skipping: iterate over the implicit lexicographic edge ordering and jump
-    // ahead by Geometric(p) each time, giving O(m) work instead of O(n²).
+    // ahead by Geometric(p) each time, giving O(n + m) work instead of O(n²).
     let total = n * (n - 1) / 2;
     let log1mp = (1.0 - p).ln();
     let mut idx: i64 = -1;
+    let mut pairs = PairCursor::new(n);
     loop {
         let r: f64 = rng.gen_range(f64::EPSILON..1.0);
         let skip = (r.ln() / log1mp).floor() as i64 + 1;
@@ -161,10 +162,41 @@ pub fn erdos_renyi(n: usize, p: f64, w: f64, seed: u64) -> Graph {
         if idx as usize >= total {
             break;
         }
-        let (u, v) = unrank_edge(idx as usize, n);
+        let (u, v) = pairs.seek(idx as usize);
         g.push_edge_unchecked(u, v, w);
     }
     g
+}
+
+/// Walks the lexicographic order of the unordered pairs `(u, v)`, `u < v < n`, for
+/// non-decreasing indices: row `u` holds the `n − 1 − u` pairs from index
+/// `row_start`. Each call moves forward from the last row found, so a whole pass
+/// costs O(n) row steps in all.
+struct PairCursor {
+    u: usize,
+    row_start: usize,
+    row: usize,
+}
+
+impl PairCursor {
+    fn new(n: usize) -> Self {
+        PairCursor {
+            u: 0,
+            row_start: 0,
+            row: n - 1,
+        }
+    }
+
+    /// The pair at index `idx`, which must be at least the previous call's index.
+    #[inline]
+    fn seek(&mut self, idx: usize) -> (usize, usize) {
+        while idx - self.row_start >= self.row {
+            self.row_start += self.row;
+            self.u += 1;
+            self.row -= 1;
+        }
+        (self.u, self.u + 1 + idx - self.row_start)
+    }
 }
 
 /// Erdős–Rényi graph with weights drawn uniformly from `[w_lo, w_hi]`.
@@ -177,19 +209,6 @@ pub fn erdos_renyi_weighted(n: usize, p: f64, w_lo: f64, w_hi: f64, seed: u64) -
         g.push_edge_unchecked(e.u, e.v, rng.gen_range(w_lo..=w_hi));
     }
     g
-}
-
-/// Maps an index in `0 .. n(n−1)/2` to the corresponding unordered pair `(u, v)` with
-/// `u < v`, in lexicographic order.
-fn unrank_edge(mut idx: usize, n: usize) -> (usize, usize) {
-    let mut u = 0usize;
-    let mut row = n - 1;
-    while idx >= row {
-        idx -= row;
-        u += 1;
-        row -= 1;
-    }
-    (u, u + 1 + idx)
 }
 
 /// Random `d`-regular-ish multigraph via the configuration model (self-loops discarded,
@@ -538,6 +557,20 @@ mod tests {
         }
     }
 
+    /// Maps an index in `0 .. n(n−1)/2` to the corresponding unordered pair `(u, v)`
+    /// with `u < v`, in lexicographic order, walking the rows from 0: the oracle for
+    /// [`PairCursor`].
+    fn unrank_edge(mut idx: usize, n: usize) -> (usize, usize) {
+        let mut u = 0usize;
+        let mut row = n - 1;
+        while idx >= row {
+            idx -= row;
+            u += 1;
+            row -= 1;
+        }
+        (u, u + 1 + idx)
+    }
+
     #[test]
     fn unrank_edge_covers_all_pairs() {
         let n = 7;
@@ -548,6 +581,23 @@ mod tests {
             assert!(seen.insert((u, v)));
         }
         assert_eq!(seen.len(), n * (n - 1) / 2);
+    }
+
+    #[test]
+    fn pair_cursor_matches_unrank_edge() {
+        for n in [2, 3, 4, 17, 64] {
+            let total = n * (n - 1) / 2;
+            for stride in 1..=n {
+                let mut pairs = PairCursor::new(n);
+                for idx in (0..total).step_by(stride) {
+                    assert_eq!(
+                        pairs.seek(idx),
+                        unrank_edge(idx, n),
+                        "n {n}, stride {stride}, index {idx}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
