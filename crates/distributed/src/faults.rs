@@ -1222,23 +1222,31 @@ mod tests {
     /// the settings where some sub-rounds have nothing due, so the timeout sweep can
     /// be skipped. Pins the logical inboxes in order (by fingerprint) and the full
     /// metrics, whose `rounds` moves if the end of a logical round comes a sub-round
-    /// early or late.
+    /// early or late. At the default retry budget of 4 each logical round here ends
+    /// when a sweep abandons its last entry; at 16 rounds also end on an ack, in a
+    /// sub-round whose sweep may be skipped, so only those rows would catch an exit
+    /// test that waits for the sweep to empty `live`.
     #[test]
     fn reliable_net_end_of_round_is_pinned_at_long_timeouts() {
         #[rustfmt::skip]
-        let pinned: [(u32, bool, u64, [u64; 11]); 4] = [
-            // (timeout, backoff, inbox fingerprint, [rounds, messages, total_bits,
-            //  max_message_bits, dropped, duplicated, delayed, retransmits, acks,
-            //  dup_suppressed, abandoned])
-            (3, true, 0xEFF2_4F57_A74D_2861, [186, 557, 37792, 96, 221, 88, 104, 198, 245, 132, 6]),
-            (3, false, 0x306D_D069_654A_C15A, [34, 570, 38656, 96, 246, 84, 104, 233, 251, 140, 14]),
-            (4, true, 0xDC36_600D_6922_2ADB, [248, 558, 37248, 96, 191, 88, 107, 178, 255, 123, 4]),
-            (4, false, 0x1671_6A46_8261_19AD, [42, 540, 37248, 96, 242, 70, 100, 220, 228, 132, 12]),
+        let pinned: [(u32, bool, u32, u64, [u64; 11]); 8] = [
+            // (timeout, backoff, retry budget, inbox fingerprint, [rounds, messages,
+            //  total_bits, max_message_bits, dropped, duplicated, delayed,
+            //  retransmits, acks, dup_suppressed, abandoned])
+            (3, true, 4, 0xEFF2_4F57_A74D_2861, [186, 557, 37792, 96, 221, 88, 104, 198, 245, 132, 6]),
+            (3, false, 4, 0x306D_D069_654A_C15A, [34, 570, 38656, 96, 246, 84, 104, 233, 251, 140, 14]),
+            (4, true, 4, 0xDC36_600D_6922_2ADB, [248, 558, 37248, 96, 191, 88, 107, 178, 255, 123, 4]),
+            (4, false, 4, 0x1671_6A46_8261_19AD, [42, 540, 37248, 96, 242, 70, 100, 220, 228, 132, 12]),
+            (3, true, 16, 0x5453_BC0C_485A_750F, [610, 554, 37440, 96, 217, 82, 110, 201, 246, 128, 1]),
+            (3, false, 16, 0xC83A_1527_D56F_C397, [58, 581, 38752, 96, 230, 87, 106, 229, 266, 135, 0]),
+            (4, true, 16, 0x39A3_2F5A_A5A1_DFB7, [767, 547, 37216, 96, 220, 78, 112, 201, 239, 128, 1]),
+            (4, false, 16, 0xFAE4_FC41_3212_9E09, [72, 557, 37472, 96, 213, 82, 105, 201, 250, 127, 0]),
         ];
-        for (timeout_rounds, backoff, fingerprint, m) in pinned {
+        for (timeout_rounds, backoff, retry_budget, fingerprint, m) in pinned {
             let cfg = ReliabilityConfig {
                 timeout_rounds,
                 backoff,
+                retry_budget,
                 ..ReliabilityConfig::default()
             };
             let (inboxes, metrics) = shared_link_traffic(cfg);
@@ -1255,7 +1263,7 @@ mod tests {
                 dup_suppressed: m[9],
                 abandoned: m[10],
             };
-            let ctx = format!("timeout {timeout_rounds}, backoff {backoff}");
+            let ctx = format!("timeout {timeout_rounds}, backoff {backoff}, budget {retry_budget}");
             assert_eq!(
                 inbox_fingerprint(&inboxes),
                 fingerprint,
