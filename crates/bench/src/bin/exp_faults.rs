@@ -9,7 +9,9 @@
 //!
 //! Columns report output quality (`m_out`, `max_stretch`, `connected`) and cost
 //! (`rounds`, `messages`, overhead ratios vs the loss-free baseline, plus the
-//! fault/recovery counters).
+//! fault/recovery counters). The binary **asserts** that the input is connected and
+//! that every row's spanner is too, after printing the tables, so a disconnected
+//! output fails the run.
 //!
 //! Run with: `cargo run --release -p sgs-bench --bin exp_faults
 //! [--loss 0,0.05,0.10] [--json-out PATH]`
@@ -62,6 +64,10 @@ fn main() {
     let losses = loss_rates(&cli);
     let workload = Workload { n: 400, deg: 16 };
     let g = workload.build(9);
+    assert!(
+        connectivity::is_connected(&g),
+        "the fault sweep input must be connected"
+    );
     println!(
         "fault sweep input: {} (n = {}, m = {})",
         workload.label(),
@@ -70,6 +76,7 @@ fn main() {
     );
 
     let mut all_rows = Vec::new();
+    let mut disconnected = Vec::new();
     for ft in [false, true] {
         let transport = if ft { "ft" } else { "raw" };
         // Loss-free baseline for overhead ratios (per transport: the reliable layer
@@ -78,8 +85,12 @@ fn main() {
         let mut rows = Vec::new();
         for &loss in &losses {
             let (m_out, s, connected, metrics) = run(&g, seed, loss, ft);
+            let label = format!("loss={loss:.2} {transport}");
+            if !connected {
+                disconnected.push(label.clone());
+            }
             rows.push(
-                Row::new(format!("loss={loss:.2} {transport}"))
+                Row::new(label)
                     .push("m_out", m_out as f64)
                     .push("max_stretch", s)
                     .push("connected", if connected { 1.0 } else { 0.0 })
@@ -104,4 +115,8 @@ fn main() {
     }
 
     cli.write_json_out(&all_rows);
+    assert!(
+        disconnected.is_empty(),
+        "disconnected spanner output: {disconnected:?}"
+    );
 }

@@ -5,10 +5,10 @@
 //! repository benchmark is `perfbench/`.
 //!
 //! Each experiment binary prints a table of rows (one per workload or parameter
-//! setting) and writes the same rows as JSON with `--json-out PATH`. In `exp_scaling`,
-//! `exp_stream` and `exp_outofcore`, `--trace-out` or `--report-out` records the run
-//! through `sgs-obs`, and the run report is built from the recorded events plus the
-//! table rows.
+//! setting) and writes the same rows as JSON with `--json-out PATH`. In `exp_scaling`
+//! and `exp_stream`, `--trace-out` or `--report-out` records the run through
+//! `sgs-obs`, and the run report is built from the recorded events plus the table
+//! rows.
 
 #![warn(missing_docs)]
 

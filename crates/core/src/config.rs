@@ -117,6 +117,12 @@ impl SparsifyConfig {
     pub fn per_round_epsilon(&self) -> f64 {
         self.epsilon / self.rounds() as f64
     }
+
+    /// Early-stop edge count `⌈stop_below_nlogn_factor · n log₂ n⌉` on `n` vertices:
+    /// `PARALLELSPARSIFY` runs no further round on a graph this sparse.
+    pub fn stop_threshold(&self, n: usize) -> usize {
+        (self.stop_below_nlogn_factor * n as f64 * (n.max(2) as f64).log2()).ceil() as usize
+    }
 }
 
 #[cfg(test)]

@@ -16,26 +16,13 @@
 
 use rayon::prelude::*;
 
-use sgs_graph::{Edge, Graph};
+use sgs_graph::{splitmix64, Edge, Graph};
 use sgs_spanner::{t_bundle_on_engine, BundleConfig, SpannerConfig};
 
 use crate::config::SparsifyConfig;
 use crate::engine::SparsifyEngine;
 use crate::leverage::{leverage_probabilities, OffBudget, SamplingPolicy};
 use crate::stats::WorkStats;
-
-/// SplitMix64 finalizer: one add-and-mix round with full 64-bit avalanche
-/// (Steele et al., *Fast splittable pseudorandom number generators*, OOPSLA 2014).
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^= z >> 27;
-    z = z.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    z
-}
 
 /// Counter-based per-edge coin: a uniform draw in `[0, 1)` from a splitmix64 mix of
 /// seed and id.

@@ -63,9 +63,7 @@ pub(crate) fn sparsify_on_engine(
 ) -> SparsifyOutput {
     let rounds = cfg.rounds();
     let per_round_epsilon = cfg.per_round_epsilon();
-    let n = g.n();
-    let stop_threshold =
-        (cfg.stop_below_nlogn_factor * n as f64 * (n.max(2) as f64).log2()).ceil() as usize;
+    let stop_threshold = cfg.stop_threshold(g.n());
 
     // `current` stays borrowed from the input until the first round produces an owned
     // graph — the input is only cloned when no round executes (the output must own its

@@ -17,7 +17,8 @@
 //!   traffic stream, never on scheduling: fixed-seed runs are bitwise identical across
 //!   thread counts, and [`FaultPlan::none()`] leaves the byte stream and
 //!   [`NetworkMetrics`] untouched. Staged records carry their link slot, so the
-//!   per-link `seq` counter and the delay queue need no lookup.
+//!   per-link `seq` counter and the delay queue need no lookup; a delayed record
+//!   keeps only `(due, link, msg)` and recovers its sender as `nbr_ids[rev[link]]`.
 //! * [`ReliableNet`] — a reliable-delivery protocol layered over the faulty transport:
 //!   per-directed-link sequence numbers, positive acks, round-based
 //!   timeout/retransmit with exponential backoff and a bounded retry budget, and
@@ -41,21 +42,12 @@
 //!   `subrounds`, and each sub-round one `congest.round` point emitted after the
 //!   reliable ledger update.
 
-use sgs_graph::{Graph, NodeId};
+use sgs_graph::{splitmix64, Graph, NodeId};
 
 use crate::network::{
     round_point, sort_by_recipient, Envelope, MessageSize, NetworkMetrics, Staged, SyncNetwork,
     VertexOutbox,
 };
-
-/// splitmix64 finalizer — the same mixer behind `sgs_core::edge_coin`.
-#[inline]
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Raw 64 deterministic bits for the fault coin keyed on `(round, from, to, seq)`.
 ///
@@ -266,10 +258,16 @@ pub(crate) struct FaultLayer<M> {
     /// outcome never shifts another's coins. A `u32` keys the same coin as the `u64`
     /// `seq` of [`fault_bits`] until a single link carries 2³² messages.
     link_seq: Vec<u32>,
-    /// Held-back messages: `(due_round, from, link, msg)`, in injection order.
-    delayed: Vec<(u64, u32, u32, M)>,
-    delayed_scratch: Vec<(u64, u32, u32, M)>,
+    /// Held-back messages, in injection order.
+    delayed: Vec<Delayed<M>>,
+    delayed_scratch: Vec<Delayed<M>>,
 }
+
+/// A held-back message: `(due_round, link, msg)`. The sender is not stored: it is
+/// `nbr_ids[rev[link]]`, and a fault layer is only installed with link tracking on.
+/// A due round past `u32::MAX` saturates there, like the reliable layer's `u32`
+/// sub-round counters.
+pub(crate) type Delayed<M> = (u32, u32, M);
 
 impl<M: Clone> FaultLayer<M> {
     pub(crate) fn new(plan: FaultPlan, links: usize) -> Self {
@@ -293,13 +291,14 @@ impl<M: Clone> FaultLayer<M> {
     /// delivery at `round`, draining `staged` and appending the frames that actually
     /// get delivered to `frames`, in delivery order. A duplicate sits right after its
     /// original. `nbr_ids` is the network's flat adjacency: link `l` leads to
-    /// `nbr_ids[l]`.
+    /// `nbr_ids[l]`, and `rev[l]` is the slot of its opposite direction.
     pub(crate) fn apply(
         &mut self,
         round: u64,
         staged: &mut Vec<Staged<M>>,
         metrics: &mut NetworkMetrics,
         nbr_ids: &[u32],
+        rev: &[u32],
         frames: &mut Vec<Staged<M>>,
     ) {
         // Due delayed messages deliver first, in injection order. Their coins were
@@ -308,16 +307,17 @@ impl<M: Clone> FaultLayer<M> {
         let mut delayed = std::mem::take(&mut self.delayed);
         let mut keep = std::mem::take(&mut self.delayed_scratch);
         keep.clear();
-        for (due, from, link, msg) in delayed.drain(..) {
-            if due <= round {
+        for (due, link, msg) in delayed.drain(..) {
+            if u64::from(due) <= round {
                 let to = nbr_ids[link as usize];
+                let from = nbr_ids[rev[link as usize] as usize];
                 if self.plan.link_failed(from, to, round) || self.plan.is_down(to as usize, round) {
                     metrics.dropped += 1;
                 } else {
                     frames.push((from, link, msg));
                 }
             } else {
-                keep.push((due, from, link, msg));
+                keep.push((due, link, msg));
             }
         }
         self.delayed_scratch = delayed;
@@ -350,7 +350,8 @@ impl<M: Clone> FaultLayer<M> {
                 let span = plan.max_delay.max(1) as u64;
                 let extra = 1 + keyed_bits(delay_mag_key, from, to, seq) % span;
                 metrics.delayed += 1;
-                self.delayed.push((round + extra, from, link, msg));
+                let due = u32::try_from(round + extra).unwrap_or(u32::MAX);
+                self.delayed.push((due, link, msg));
                 continue;
             }
             if plan.dup_prob > 0.0 && unit(keyed_bits(dup_key, from, to, seq)) < plan.dup_prob {

@@ -266,16 +266,6 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
         self.metrics.rounds as u64
     }
 
-    /// Whether `v` is inside a crash window of the installed fault plan at the
-    /// current round (always `false` without faults).
-    #[inline]
-    pub fn is_down(&self, v: NodeId) -> bool {
-        match &self.faults {
-            Some(fl) => fl.plan().is_down(v, self.round()),
-            None => false,
-        }
-    }
-
     /// Directed-link index of the edge `from -> to` in the flat adjacency: the slot
     /// of `to` inside `from`'s sorted neighbor row, or `None` for a non-edge. This is
     /// the one search behind a send; everything downstream carries the slot.
@@ -402,6 +392,7 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
                     &mut self.staged,
                     &mut self.metrics,
                     &self.nbr_ids,
+                    &self.rev,
                     frames,
                 );
             }

@@ -938,12 +938,13 @@ mod tests {
     /// is the simulator's memory per message in flight.
     #[test]
     fn congest_records_keep_their_compact_layout() {
-        use crate::faults::Reliable;
+        use crate::faults::{Delayed, Reliable};
         use crate::network::Staged;
         use std::mem::size_of;
         assert!(size_of::<SpannerMsg>() <= 8);
         assert!(size_of::<Staged<SpannerMsg>>() <= 16);
         assert!(size_of::<Staged<Reliable<SpannerMsg>>>() <= 20);
+        assert!(size_of::<Delayed<Reliable<SpannerMsg>>>() <= 20);
         assert!(size_of::<Envelope<SpannerMsg>>() <= 12);
     }
 

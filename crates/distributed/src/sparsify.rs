@@ -123,9 +123,7 @@ pub fn distributed_sparsify_with_faults(
 ) -> DistSparsifyResult {
     let rounds = cfg.rounds();
     let per_round_eps = cfg.per_round_epsilon();
-    let n = g.n();
-    let stop_threshold =
-        (cfg.stop_below_nlogn_factor * n as f64 * (n.max(2) as f64).log2()).ceil() as usize;
+    let stop_threshold = cfg.stop_threshold(g.n());
 
     let mut current = g.clone();
     let mut metrics = NetworkMetrics::default();

@@ -431,8 +431,13 @@ pub fn streaming_edges(n: usize, total_edges: usize, seed: u64) -> StreamingEdge
     }
 }
 
-/// splitmix64: a statistically strong 64-bit mixer with no carried state.
-fn splitmix64(x: u64) -> u64 {
+/// SplitMix64 finalizer: one add-and-mix round with full 64-bit avalanche and no
+/// carried state (Steele et al., *Fast splittable pseudorandom number generators*,
+/// OOPSLA 2014). Every counter-based coin in the workspace mixes through it: this
+/// generator, `sgs_core::edge_coin`, the streaming engine's reduction seeds and the
+/// CONGEST fault coins.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -44,6 +44,7 @@ pub mod traversal;
 pub use builder::GraphBuilder;
 pub use csr::Adjacency;
 pub use error::{GraphError, Result};
+pub use generators::splitmix64;
 pub use graph::{Edge, EdgeId, Graph, NodeId};
 
 /// Commonly used items, for glob-import convenience in downstream crates.

@@ -103,14 +103,6 @@ impl ChainLevel {
         }
     }
 
-    /// Full operator application: overwrites `y` with `(D − A) x = L x + excess .* x`.
-    pub fn apply_in(&self, x: &[f64], y: &mut [f64]) {
-        self.graph.laplacian_apply_into(x, y);
-        for ((yi, xi), ei) in y.iter_mut().zip(x).zip(&self.excess) {
-            *yi += ei * xi;
-        }
-    }
-
     /// Ratio `min_v excess_v / degree_v` (∞ when the graph has no edges); the dominance
     /// measure that terminates the chain.
     fn dominance(&self) -> f64 {

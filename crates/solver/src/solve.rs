@@ -388,6 +388,10 @@ mod tests {
         }
         let (solver, stream_stats) = SddSolver::for_stream(s.finish(), SolverConfig::default());
         assert!(stream_stats.edges_ingested == g.m() as u64);
+        assert!(
+            stream_stats.spill.spilled_nodes > 0,
+            "the stream must spill"
+        );
         let n = solver.system().n();
         let mut b = vec![0.0; n];
         b[3] = 1.0;

@@ -1,6 +1,7 @@
 //! Configuration of the semi-streaming sparsifier.
 
 use sgs_core::{BundleSizing, SamplingPolicy, SparsifyConfig};
+use sgs_graph::splitmix64;
 
 use crate::store::SpillConfig;
 
@@ -24,18 +25,6 @@ const FINAL_PASS_EPSILON_FRACTION: f64 = 1.0 / 3.0;
 /// declare leaf-sized graphs "sparse enough" and stack them uncompressed; a streaming
 /// engine must keep compressing down toward its memory budget.
 const STOP_BELOW_NLOGN_FACTOR: f64 = 0.5;
-
-/// SplitMix64 finalizer (same mix as `sgs_core::sample`): full 64-bit avalanche.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^= z >> 27;
-    z = z.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    z
-}
 
 /// Configuration of a [`crate::StreamSparsifier`].
 ///

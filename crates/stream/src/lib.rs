@@ -19,14 +19,13 @@
 //! Fixed-seed output is bitwise identical across rayon thread counts **and** across
 //! batch boundaries (leaves fire on stream position, not on `ingest` call shape).
 //!
-//! Node storage is pluggable ([`store::EdgeStore`]): by default every pending
-//! sparsifier stays resident ([`store::MemStore`]); [`StreamConfig::with_spill`]
-//! switches to [`store::SpillStore`], which bounds the store's resident edge bytes
-//! by writing cold deep tree nodes to disk in `sgs_graph::io`'s bit-exact binary
-//! format and reading them back only at reduction time. Spill placement is a pure
-//! function of stream position, so fixed-seed output stays bitwise identical across
-//! storage backends too — only the [`SpillLedger`] columns of [`StreamStats`]
-//! differ.
+//! Pending sparsifiers live in one node store, [`store::SpillStore`]. By default it
+//! keeps every node resident; [`StreamConfig::with_spill`] gives it a byte budget,
+//! which it holds by writing cold deep tree nodes to disk in `sgs_graph::io`'s
+//! bit-exact binary format and reading them back only at reduction time. Spill
+//! placement is a pure function of stream position, so fixed-seed output stays
+//! bitwise identical with and without a spill budget too — only the
+//! [`SpillLedger`] columns of [`StreamStats`] differ.
 //!
 //! ```
 //! use sgs_graph::generators;
@@ -60,19 +59,20 @@ pub mod store;
 pub use config::{FinalPassConfig, StreamConfig};
 pub use sparsifier::{StreamOutput, StreamSparsifier};
 pub use stats::{ErPassStats, LevelStats, SpillLedger, StreamStats};
-pub use store::{EdgeStore, MemStore, NodeHandle, SpillConfig, SpillStore};
+pub use store::{NodeHandle, SpillConfig, SpillStore};
 
 /// Commonly used items for downstream crates and examples.
 pub mod prelude {
     pub use crate::config::{FinalPassConfig, StreamConfig};
     pub use crate::sparsifier::{StreamOutput, StreamSparsifier};
     pub use crate::stats::{ErPassStats, LevelStats, SpillLedger, StreamStats};
-    pub use crate::store::{EdgeStore, MemStore, SpillConfig, SpillStore};
+    pub use crate::store::{SpillConfig, SpillStore};
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::EDGE_BYTES;
     use sgs_core::{parallel_sparsify, BundleSizing};
     use sgs_graph::io::EdgeBatchReader;
     use sgs_graph::{generators, Edge, Graph};
@@ -430,7 +430,8 @@ mod tests {
         // union itself and no storage policy can lower it — the ledger columns
         // still hold there, but the RAM-win assertion below would not.
         let g = generators::erdos_renyi(300, 0.4, 1.0, 29);
-        let base = StreamConfig::new(0.75, g.m() / 2)
+        let (budget, store_budget) = (g.m() / 2, g.m() / 24);
+        let base = StreamConfig::new(0.75, budget)
             .with_bundle_sizing(BundleSizing::Fixed(2))
             .with_seed(7);
         let mem_out = stream_in_batches(&g, &base, 16);
@@ -442,7 +443,7 @@ mod tests {
         // spilling.
         let spill = base
             .clone()
-            .with_spill(SpillConfig::new(g.m() / 24 * crate::store::EDGE_BYTES));
+            .with_spill(SpillConfig::new(store_budget * EDGE_BYTES));
         let spill_out = stream_in_batches(&g, &spill, 16);
         assert_eq!(mem_out.sparsifier.edges(), spill_out.sparsifier.edges());
         assert!(
@@ -455,11 +456,18 @@ mod tests {
         assert!(ledger.spilled_nodes > 0, "spilling must actually happen");
         assert!(ledger.readback_nodes <= ledger.spilled_nodes);
         assert_eq!(mem_out.stats.spill, SpillLedger::default());
-        // The whole point: spilling lowers the RAM high-water mark.
+        // The whole point: spilling lowers the RAM high-water mark below an RSS
+        // gate — half the tree budget plus three store budgets — that the
+        // unbudgeted run exceeds, so resident-only execution cannot meet it.
+        let gate = (budget / 2 + 3 * store_budget) * EDGE_BYTES;
         assert!(
-            spill_out.stats.peak_resident_bytes < mem_out.stats.peak_resident_bytes,
-            "spill peak {} vs mem peak {}",
-            spill_out.stats.peak_resident_bytes,
+            spill_out.stats.peak_resident_bytes <= gate,
+            "spill peak {} busts the RSS gate {gate}",
+            spill_out.stats.peak_resident_bytes
+        );
+        assert!(
+            gate < mem_out.stats.peak_resident_bytes,
+            "RSS gate {gate} is vacuous: the unbudgeted peak {} fits it",
             mem_out.stats.peak_resident_bytes
         );
     }

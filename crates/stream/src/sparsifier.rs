@@ -9,7 +9,7 @@ use sgs_graph::{ops, Edge, Graph, GraphError, Result};
 
 use crate::config::StreamConfig;
 use crate::stats::{ErPassStats, StreamStats};
-use crate::store::{build_store, EdgeStore, NodeHandle, EDGE_BYTES};
+use crate::store::{NodeHandle, SpillStore, EDGE_BYTES};
 
 /// Result of a streaming run: the final sparsifier plus the accounting that backs the
 /// memory and accuracy claims.
@@ -65,9 +65,9 @@ pub struct StreamSparsifier {
     /// `levels[j]` holds handles to pending sparsifiers of application depth `j`
     /// (oldest first). The graphs themselves live in `store`.
     levels: Vec<Vec<NodeHandle>>,
-    /// Where pending sparsifiers live: all in RAM (`MemStore`, the default) or
-    /// partially spilled to disk (`SpillStore`). Placement never affects the output.
-    store: Box<dyn EdgeStore>,
+    /// Where pending sparsifiers live: all in RAM without `StreamConfig::spill`,
+    /// partially spilled to disk with it. Placement never affects the output.
+    store: SpillStore,
     /// Total edges across all pending sparsifiers (`levels`), maintained
     /// incrementally — the *logical* census, regardless of where the edges live.
     resident_nodes: usize,
@@ -86,7 +86,7 @@ impl StreamSparsifier {
     /// Creates a streaming sparsifier over a fixed vertex set `0..n`.
     pub fn new(n: usize, cfg: StreamConfig) -> StreamSparsifier {
         let leaf_capacity = cfg.leaf_capacity();
-        let store = build_store(cfg.spill.as_ref());
+        let store = SpillStore::new(cfg.spill.clone());
         StreamSparsifier {
             cfg,
             n,
@@ -152,12 +152,11 @@ impl StreamSparsifier {
 
     /// Ingests one batch of edges. The batch is validated up front, so on a
     /// validation error nothing is ingested — the call is failure-atomic and the
-    /// sparsifier stays usable. A *storage* failure (spill I/O under
-    /// `StreamConfig::spill`; impossible with in-memory storage) can strike after
-    /// part of the batch was applied, in which case the sparsifier is poisoned with
-    /// the same contract as [`Self::ingest_iter`]. Batch boundaries are *only* an
-    /// ingestion granularity — they never influence the output (leaves fire on
-    /// stream position).
+    /// sparsifier stays usable. A *storage* failure (spill I/O, possible only under
+    /// `StreamConfig::spill`) can strike after part of the batch was applied, in
+    /// which case the sparsifier is poisoned with the same contract as
+    /// [`Self::ingest_iter`]. Batch boundaries are *only* an ingestion granularity —
+    /// they never influence the output (leaves fire on stream position).
     pub fn ingest_batch(&mut self, edges: &[Edge]) -> Result<()> {
         self.check_poisoned()?;
         for e in edges {
@@ -460,12 +459,11 @@ impl StreamSparsifier {
     /// within the configured `ε_total` (see `StreamConfig` for the schedule math, and
     /// [`StreamStats::epsilon_spent`] for the realized ledger).
     ///
-    /// With in-memory storage (the default) finishing cannot fail; with
-    /// `StreamConfig::spill` a disk failure panics here — out-of-core callers
-    /// should prefer [`Self::try_finish`].
+    /// Without `StreamConfig::spill` finishing cannot fail; with it a disk failure
+    /// panics here — out-of-core callers should prefer [`Self::try_finish`].
     pub fn finish(self) -> StreamOutput {
         self.try_finish()
-            .expect("storage failure while finishing (use try_finish for spill stores)")
+            .expect("storage failure while finishing (use try_finish with a spill budget)")
     }
 
     /// [`Self::finish`], surfacing storage failures as errors instead of panicking.

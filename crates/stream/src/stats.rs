@@ -41,13 +41,13 @@ pub struct ErPassStats {
     pub resampled: bool,
 }
 
-/// Byte-level ledger of an [`crate::store::EdgeStore`]: what was written to and read
-/// back from disk, and the high-water mark of edge bytes actually held in RAM.
+/// Byte-level ledger of the [`crate::store::SpillStore`]: what was written to and
+/// read back from disk.
 ///
 /// These are the *storage* columns of [`StreamStats`] — unlike every other column
-/// they legitimately differ between `MemStore` and `SpillStore` on the same stream
-/// (that difference is the whole point), so determinism fixtures comparing the two
-/// stores must exclude them (see [`StreamStats::eq_modulo_storage`]).
+/// they legitimately differ between runs with and without a spill budget on the same
+/// stream (that difference is the whole point), so determinism fixtures comparing
+/// the two must exclude them (see [`StreamStats::eq_modulo_storage`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillLedger {
     /// Tree nodes written to disk.
@@ -89,14 +89,14 @@ pub struct StreamStats {
     /// [`peak_resident_edges`](Self::peak_resident_edges), but counting only edges
     /// actually resident (spilled nodes excluded) at `size_of::<Edge>()` bytes each,
     /// plus the transient read-back spike while a spilled child is drained into the
-    /// merge scratch. With `MemStore` this is exactly `24 · peak_resident_edges`-ish;
-    /// with `SpillStore` it is the number the out-of-core RSS budget bounds.
+    /// merge scratch. Without a spill budget this is about `24 · peak_resident_edges`;
+    /// with one it is the number the out-of-core RSS budget bounds.
     pub peak_resident_bytes: usize,
     /// Per-depth ledger, indexed by application depth.
     pub levels: Vec<LevelStats>,
     /// Ledger of the ER-weighted final pass, `None` unless one was configured and ran.
     pub er_pass: Option<ErPassStats>,
-    /// Spill/readback ledger of the node store (all zeros under `MemStore`).
+    /// Spill/readback ledger of the node store (all zeros without a spill budget).
     pub spill: SpillLedger,
 }
 
@@ -135,9 +135,9 @@ impl StreamStats {
 
     /// Equality of every *algorithmic* column, ignoring the storage columns
     /// ([`spill`](Self::spill) and [`peak_resident_bytes`](Self::peak_resident_bytes))
-    /// that legitimately differ between `MemStore` and `SpillStore`. This is the
-    /// comparison the spill-determinism fixtures pin: same edges, same weights, same
-    /// ledger — only *where the bytes lived* may differ.
+    /// that legitimately differ between runs with and without a spill budget. This
+    /// is the comparison the spill-determinism fixtures pin: same edges, same
+    /// weights, same ledger — only *where the bytes lived* may differ.
     pub fn eq_modulo_storage(&self, other: &StreamStats) -> bool {
         let mut a = self.clone();
         let mut b = other.clone();

@@ -1,11 +1,12 @@
-//! Node storage for the merge-and-reduce tree: resident or spilled to disk.
+//! Node storage for the merge-and-reduce tree: resident, or spilled to disk.
 //!
-//! The [`crate::StreamSparsifier`] keeps its pending sparsifiers behind the
-//! [`EdgeStore`] trait. [`MemStore`] holds every node in RAM — byte-identical to the
-//! pre-trait engine. [`SpillStore`] bounds the edge bytes the store keeps resident:
-//! when a `put` pushes it over budget, the **deepest** pending node (ties broken
-//! oldest-first) is written to disk in the bit-exact binary format of
-//! `sgs_graph::io` and read back only when a reduction takes it.
+//! The [`crate::StreamSparsifier`] keeps its pending sparsifiers in one
+//! [`SpillStore`]. Without a [`SpillConfig`] the store keeps every node in RAM: it
+//! never spills, never creates a directory and never scans for a victim, so a `put`
+//! is O(1). With one it bounds the edge bytes it keeps resident: when a `put` pushes
+//! it over budget, the **deepest** pending node (ties broken oldest-first) is written
+//! to disk in the bit-exact binary format of `sgs_graph::io` and read back only when
+//! a reduction takes it.
 //!
 //! ## Determinism contract
 //!
@@ -13,7 +14,7 @@
 //! order — all pure functions of the stream position — and the binary format
 //! round-trips `f64` weights as exact bits. A fixed-seed run therefore produces
 //! **bitwise identical** output (edges, weights, and every algorithmic stats column)
-//! under `MemStore` and `SpillStore`, at any batch chop and any thread count; only
+//! with and without a spill budget, at any batch chop and any thread count; only
 //! the [`SpillLedger`] columns record the difference. The store never draws
 //! randomness: no vendored (or any) RNG is involved in deciding what spills.
 //!
@@ -34,76 +35,11 @@ use crate::stats::SpillLedger;
 /// Bytes one resident edge occupies (`usize` endpoints + `f64` weight).
 pub const EDGE_BYTES: usize = mem::size_of::<Edge>();
 
-/// Opaque handle to a node held by an [`EdgeStore`]. Handles are dense, increase in
+/// Opaque handle to a node held by a [`SpillStore`]. Handles are dense, increase in
 /// `put` order (the tie-break key of the spill policy), and are invalidated by
-/// [`EdgeStore::take`].
+/// [`SpillStore::take`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeHandle(usize);
-
-/// Where the merge tree keeps pending sparsifiers.
-///
-/// Implementations must be deterministic: identical `put`/`take` sequences must
-/// yield identical graphs back (the binary spill format guarantees bit-exact weight
-/// round-trips), and any internal placement policy may depend only on the sequence
-/// itself — never on wall-clock, addresses, or randomness.
-pub trait EdgeStore: std::fmt::Debug {
-    /// Stores a node produced at application depth `depth`, returning its handle.
-    fn put(&mut self, depth: usize, g: Graph) -> Result<NodeHandle>;
-
-    /// Removes and returns a node (reading it back from disk if it was spilled).
-    fn take(&mut self, h: NodeHandle) -> Result<Graph>;
-
-    /// Edge count of a stored node, available without any readback.
-    fn node_edges(&self, h: NodeHandle) -> usize;
-
-    /// Edges currently held **in RAM** by the store (spilled nodes excluded).
-    fn resident_edges(&self) -> usize;
-
-    /// The spill/readback ledger (all zeros for stores that never spill).
-    fn ledger(&self) -> SpillLedger;
-}
-
-/// The all-resident store: every node stays in RAM, exactly as before the
-/// [`EdgeStore`] abstraction existed.
-#[derive(Debug, Default)]
-pub struct MemStore {
-    nodes: Vec<Option<Graph>>,
-    resident: usize,
-}
-
-impl MemStore {
-    /// Creates an empty store.
-    pub fn new() -> MemStore {
-        MemStore::default()
-    }
-}
-
-impl EdgeStore for MemStore {
-    fn put(&mut self, _depth: usize, g: Graph) -> Result<NodeHandle> {
-        let h = NodeHandle(self.nodes.len());
-        self.resident += g.m();
-        self.nodes.push(Some(g));
-        Ok(h)
-    }
-
-    fn take(&mut self, h: NodeHandle) -> Result<Graph> {
-        let g = self.nodes[h.0].take().expect("node handle already taken");
-        self.resident -= g.m();
-        Ok(g)
-    }
-
-    fn node_edges(&self, h: NodeHandle) -> usize {
-        self.nodes[h.0].as_ref().expect("node handle taken").m()
-    }
-
-    fn resident_edges(&self) -> usize {
-        self.resident
-    }
-
-    fn ledger(&self) -> SpillLedger {
-        SpillLedger::default()
-    }
-}
 
 /// Configuration of a [`SpillStore`].
 #[derive(Debug, Clone)]
@@ -155,15 +91,17 @@ struct Slot {
     state: SlotState,
 }
 
-/// The out-of-core store: keeps at most `max_resident_bytes` of edges in RAM,
-/// spilling the deepest (coldest) nodes to disk in the binary format.
+/// The merge tree's node store: every node in RAM without a [`SpillConfig`]; with
+/// one, at most `max_resident_bytes` of edges in RAM, spilling the deepest (coldest)
+/// nodes to disk in the binary format.
 ///
 /// The spill directory is created lazily on first spill and removed when the store
 /// is dropped. Each node is one file; a file is deleted as soon as its node is read
 /// back.
 #[derive(Debug)]
 pub struct SpillStore {
-    cfg: SpillConfig,
+    /// The spill budget; `None` keeps every node resident.
+    cfg: Option<SpillConfig>,
     /// Unique directory holding the spill files, `None` until the first spill.
     dir: Option<PathBuf>,
     slots: Vec<Option<Slot>>,
@@ -172,8 +110,9 @@ pub struct SpillStore {
 }
 
 impl SpillStore {
-    /// Creates an empty store. No filesystem activity happens until the first spill.
-    pub fn new(cfg: SpillConfig) -> SpillStore {
+    /// Creates an empty store, spilling under `cfg`'s budget or, with `None`, never.
+    /// No filesystem activity happens until the first spill.
+    pub fn new(cfg: Option<SpillConfig>) -> SpillStore {
         SpillStore {
             cfg,
             dir: None,
@@ -183,19 +122,14 @@ impl SpillStore {
         }
     }
 
-    /// The ledger accessor, also available through [`EdgeStore::ledger`].
-    pub fn spill_ledger(&self) -> SpillLedger {
-        self.ledger
-    }
-
     fn ensure_dir(&mut self) -> Result<PathBuf> {
         if let Some(dir) = &self.dir {
             return Ok(dir.clone());
         }
         let base = self
             .cfg
-            .directory
-            .clone()
+            .as_ref()
+            .and_then(|c| c.directory.clone())
             .unwrap_or_else(std::env::temp_dir);
         let unique = format!(
             "sgs-spill-{}-{}",
@@ -213,9 +147,13 @@ impl SpillStore {
     }
 
     /// Spills resident nodes (deepest first, oldest first within a depth) until the
-    /// store fits its byte budget. Pure function of the put/take sequence.
+    /// store fits its byte budget; a store without a budget returns at once. Pure
+    /// function of the put/take sequence.
     fn enforce_budget(&mut self) -> Result<()> {
-        while self.resident * EDGE_BYTES > self.cfg.max_resident_bytes {
+        let Some(budget) = self.cfg.as_ref().map(|c| c.max_resident_bytes) else {
+            return Ok(());
+        };
+        while self.resident * EDGE_BYTES > budget {
             // Deepest resident node; ties broken by lowest id (oldest). Skip empty
             // graphs — spilling zero edges frees nothing and would loop forever.
             let victim = self
@@ -252,10 +190,10 @@ impl SpillStore {
         }
         Ok(())
     }
-}
 
-impl EdgeStore for SpillStore {
-    fn put(&mut self, depth: usize, g: Graph) -> Result<NodeHandle> {
+    /// Stores a node produced at application depth `depth`, returning its handle,
+    /// then spills until the store fits its budget.
+    pub fn put(&mut self, depth: usize, g: Graph) -> Result<NodeHandle> {
         let h = NodeHandle(self.slots.len());
         self.resident += g.m();
         self.slots.push(Some(Slot {
@@ -267,7 +205,8 @@ impl EdgeStore for SpillStore {
         Ok(h)
     }
 
-    fn take(&mut self, h: NodeHandle) -> Result<Graph> {
+    /// Removes and returns a node, reading it back from disk if it was spilled.
+    pub fn take(&mut self, h: NodeHandle) -> Result<Graph> {
         let slot = self.slots[h.0].take().expect("node handle already taken");
         match slot.state {
             SlotState::Resident(g) => {
@@ -300,15 +239,18 @@ impl EdgeStore for SpillStore {
         }
     }
 
-    fn node_edges(&self, h: NodeHandle) -> usize {
+    /// Edge count of a stored node, available without any readback.
+    pub fn node_edges(&self, h: NodeHandle) -> usize {
         self.slots[h.0].as_ref().expect("node handle taken").m
     }
 
-    fn resident_edges(&self) -> usize {
+    /// Edges currently held **in RAM** by the store (spilled nodes excluded).
+    pub fn resident_edges(&self) -> usize {
         self.resident
     }
 
-    fn ledger(&self) -> SpillLedger {
+    /// The spill/readback ledger (all zeros for a store that never spilled).
+    pub fn ledger(&self) -> SpillLedger {
         self.ledger
     }
 }
@@ -318,15 +260,6 @@ impl Drop for SpillStore {
         if let Some(dir) = &self.dir {
             let _ = fs::remove_dir_all(dir);
         }
-    }
-}
-
-/// Builds the store a [`crate::StreamConfig`] asks for: resident without a spill
-/// configuration, spilling to disk with one.
-pub(crate) fn build_store(spill: Option<&SpillConfig>) -> Box<dyn EdgeStore> {
-    match spill {
-        None => Box::new(MemStore::new()),
-        Some(cfg) => Box::new(SpillStore::new(cfg.clone())),
     }
 }
 
@@ -352,8 +285,8 @@ mod tests {
     }
 
     #[test]
-    fn mem_store_round_trips_without_ledger_activity() {
-        let mut store = MemStore::new();
+    fn unbudgeted_store_round_trips_without_ledger_activity() {
+        let mut store = SpillStore::new(None);
         let g = node(10, 25, 3);
         let edges = g.edges().to_vec();
         let h = store.put(0, g).unwrap();
@@ -363,12 +296,16 @@ mod tests {
         assert_eq!(back.edges(), edges.as_slice());
         assert_eq!(store.resident_edges(), 0);
         assert_eq!(store.ledger(), SpillLedger::default());
+        assert!(
+            store.dir.is_none(),
+            "an unbudgeted store never touches the disk"
+        );
     }
 
     #[test]
     fn spill_store_spills_deepest_and_reads_back_bit_exact() {
         // Budget of 30 edges: the third put must push something out.
-        let mut store = SpillStore::new(SpillConfig::new(30 * EDGE_BYTES));
+        let mut store = SpillStore::new(Some(SpillConfig::new(30 * EDGE_BYTES)));
         let shallow = node(12, 10, 1);
         let deep = node(12, 15, 2);
         let deeper = node(12, 12, 3);
@@ -403,7 +340,7 @@ mod tests {
     #[test]
     fn spill_store_ties_break_oldest_first() {
         // Same depth everywhere: the budget forces the oldest node out first.
-        let mut store = SpillStore::new(SpillConfig::new(25 * EDGE_BYTES));
+        let mut store = SpillStore::new(Some(SpillConfig::new(25 * EDGE_BYTES)));
         let h0 = store.put(0, node(8, 10, 1)).unwrap();
         let h1 = store.put(0, node(8, 10, 2)).unwrap();
         let _h2 = store.put(0, node(8, 10, 3)).unwrap();
@@ -422,7 +359,8 @@ mod tests {
         std::fs::create_dir_all(&base).unwrap();
         let dir;
         {
-            let mut store = SpillStore::new(SpillConfig::new(EDGE_BYTES).with_directory(&base));
+            let mut store =
+                SpillStore::new(Some(SpillConfig::new(EDGE_BYTES).with_directory(&base)));
             let _ = store.put(0, generators::grid2d(4, 4, 1.0)).unwrap();
             let _ = store.put(1, generators::grid2d(4, 4, 1.0)).unwrap();
             assert!(store.ledger().spilled_nodes > 0);
@@ -435,7 +373,7 @@ mod tests {
     #[test]
     fn zero_budget_keeps_empty_graphs_resident() {
         // Empty nodes cannot be usefully spilled; the enforcement loop must not spin.
-        let mut store = SpillStore::new(SpillConfig::new(0));
+        let mut store = SpillStore::new(Some(SpillConfig::new(0)));
         let h = store.put(0, Graph::new(5)).unwrap();
         assert_eq!(store.resident_edges(), 0);
         assert_eq!(store.take(h).unwrap().n(), 5);

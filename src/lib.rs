@@ -13,8 +13,9 @@
 //! * [`sparsify`] — PARALLELSAMPLE / PARALLELSPARSIFY and the ER-weighted final pass
 //!   ([`sgs_core`]).
 //! * [`stream`] — the bounded-memory semi-streaming sparsifier (merge-and-reduce over
-//!   edge batches, [`sgs_stream`]), including the out-of-core [`stream::SpillStore`]
-//!   that pages cold merge-tree nodes to disk under a resident-byte budget.
+//!   edge batches, [`sgs_stream`]). Its one node store, [`stream::SpillStore`], keeps
+//!   the merge tree resident by default and, given a [`stream::SpillConfig`], pages
+//!   cold nodes to disk under a resident-byte budget.
 //! * [`distributed`] — the synchronous CONGEST-style simulator ([`sgs_distributed`]).
 //! * [`solver`] — the Peng–Spielman-style SDD solver built on the sparsifier
 //!   ([`sgs_solver`]); [`solver::SddSolver::for_stream`] consumes a

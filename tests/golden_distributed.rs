@@ -25,41 +25,14 @@
 //!
 //! and call out the metric change in CHANGES.md.
 
+mod common;
+
+use common::{fingerprint, fnv1a};
+
 use spectral_sparsify::distributed::{distributed_sample, distributed_spanner, DistSpannerConfig};
 use spectral_sparsify::graph::{generators, Graph};
 use spectral_sparsify::spanner::{baswana_sen_spanner, SpannerConfig};
 use spectral_sparsify::sparsify::{BundleSizing, SamplingPolicy, SparsifyConfig};
-
-/// FNV-1a over the little-endian bytes of each id: the same stable fingerprint
-/// of an ordered id list that `tests/golden_spanner.rs` uses.
-fn fnv1a(ids: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &id in ids {
-        for b in (id as u64).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
-/// Fingerprint of a sparsifier: FNV-1a over endpoints and weight bits of every
-/// edge in order (edge order is part of the deterministic contract).
-fn graph_fingerprint(g: &Graph) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for e in g.edges() {
-        mix(e.u as u64);
-        mix(e.v as u64);
-        mix(e.w.to_bits());
-    }
-    h
-}
 
 fn graph(name: &str) -> Graph {
     match name {
@@ -271,7 +244,7 @@ fn print_current_fixtures() {
                 "    (\"{name}\", {seed}, {}, {}, {:#018x}, {}, {}, {}),",
                 out.bundle_edges,
                 out.sparsifier.m(),
-                graph_fingerprint(&out.sparsifier),
+                fingerprint(&out.sparsifier),
                 out.metrics.rounds,
                 out.metrics.messages,
                 out.metrics.total_bits,
@@ -317,7 +290,7 @@ fn distributed_sample_matches_fixtures() {
                 (
                     out.bundle_edges,
                     out.sparsifier.m(),
-                    graph_fingerprint(&out.sparsifier),
+                    fingerprint(&out.sparsifier),
                     out.metrics.rounds,
                     out.metrics.messages,
                     out.metrics.total_bits,

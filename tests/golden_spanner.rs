@@ -17,32 +17,14 @@
 //!
 //! and document the change in vendor/README.md.
 
+mod common;
+
+use common::{fnv1a, on_pool};
+
 use spectral_sparsify::graph::{generators, Graph};
 use spectral_sparsify::spanner::{
     baswana_sen_spanner, t_bundle, BundleConfig, BundleResult, SpannerConfig,
 };
-
-/// Runs `op` pinned to a pool of `threads` threads.
-fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    pool.install(op)
-}
-
-/// FNV-1a over the little-endian bytes of each id: a stable fingerprint of an
-/// ordered id list that is cheap to recompute in a capture binary.
-fn fnv1a(ids: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &id in ids {
-        for b in (id as u64).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 fn graph(name: &str) -> Graph {
     match name {

@@ -16,38 +16,15 @@
 //!
 //! and document the change in vendor/README.md (as for `golden_spanner.rs`).
 
+mod common;
+
+use common::{fingerprint, on_pool};
+
 use spectral_sparsify::graph::{generators, Edge, Graph};
 use spectral_sparsify::sparsify::{BundleSizing, SamplingPolicy};
 use spectral_sparsify::stream::{
     FinalPassConfig, SpillConfig, SpillLedger, StreamConfig, StreamOutput, StreamSparsifier,
 };
-
-/// Runs `op` pinned to a pool of `threads` threads.
-fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    pool.install(op)
-}
-
-/// FNV-1a over each edge's `(u, v, w)` — endpoints as little-endian u64, the weight
-/// by its exact bit pattern, so any reweighting drift re-pins the fixture.
-fn fingerprint(g: &Graph) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut absorb = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for e in g.edges() {
-        absorb(e.u as u64);
-        absorb(e.v as u64);
-        absorb(e.w.to_bits());
-    }
-    h
-}
 
 fn graph(name: &str) -> Graph {
     match name {

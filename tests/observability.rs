@@ -17,6 +17,10 @@
 //! serialises on [`OBS_LOCK`]; the engine outputs they compare are unaffected
 //! either way.
 
+mod common;
+
+use common::{fnv1a, on_pool};
+
 use std::sync::{Mutex, MutexGuard};
 
 use spectral_sparsify::distributed::{
@@ -46,14 +50,6 @@ fn record<R>(op: impl FnOnce() -> R) -> (R, Vec<obs::Event>) {
     let out = op();
     obs::clear();
     (out, sink.take())
-}
-
-fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    pool.install(op)
 }
 
 fn stream_run(batch_edges: usize) -> StreamOutput {
@@ -272,17 +268,6 @@ const GOLDEN_ER300: &[(u64, usize, u64, usize, u64)] = &[
     (2, 1216, 0x0f3e9dfecdf9ed99, 9, 94249),
     (3, 1040, 0xf1a82ec6c1c52e84, 9, 83209),
 ];
-
-fn fnv1a(ids: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &id in ids {
-        for b in (id as u64).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 #[test]
 fn golden_fixtures_hold_with_a_recording_sink_installed() {

@@ -7,6 +7,10 @@
 //! mat-vec, effective resistances, Baswana–Sen spanners, edge sampling, and
 //! the full `PARALLELSPARSIFY` loop.
 
+mod common;
+
+use common::on_pool;
+
 use spectral_sparsify::distributed::{distributed_sparsify, DistSpannerConfig};
 use spectral_sparsify::graph::{generators, stretch};
 use spectral_sparsify::linalg::{approx_effective_resistances, CsrMatrix};
@@ -16,15 +20,6 @@ use spectral_sparsify::sparsify::{
     SparsifyConfig,
 };
 use spectral_sparsify::stream::{FinalPassConfig, StreamConfig, StreamSparsifier};
-
-/// Runs `op` pinned to a pool of `threads` threads.
-fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    pool.install(op)
-}
 
 /// Pool widths every engine is pinned against the 1-thread reference. The spread
 /// matters: 2/3 exercise uneven block-to-worker ratios, 4 the CI runner's width, and

@@ -2,6 +2,10 @@
 //! weights, disconnected graphs, and repeated use of the public API the way a downstream
 //! project would exercise it.
 
+mod common;
+
+use common::{fnv1a, on_pool};
+
 use spectral_sparsify::distributed::{
     distributed_sample, distributed_sample_with_faults, distributed_spanner, distributed_sparsify,
     distributed_sparsify_with_faults, DistSpannerConfig, FaultConfig, FaultPlan, NetworkMetrics,
@@ -161,30 +165,8 @@ fn io_round_trip_preserves_sparsifier_quality() {
 // Fault injection: pinned fixtures and graceful-degradation guarantees.
 // ---------------------------------------------------------------------------
 
-/// Runs `op` pinned to a pool of `threads` threads.
-fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    pool.install(op)
-}
-
 /// Thread widths every fault fixture is replayed at (1 is the reference).
 const FAULT_WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-/// FNV-1a over the little-endian bytes of each id (same fingerprint as the golden
-/// fixture files).
-fn fnv1a(ids: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &id in ids {
-        for b in (id as u64).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
 
 fn fixture_graph() -> Graph {
     generators::erdos_renyi(120, 0.2, 1.0, 42)
