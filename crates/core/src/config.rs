@@ -2,9 +2,6 @@
 
 use crate::leverage::SamplingPolicy;
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// How the bundle parameter `t` of `PARALLELSAMPLE` is chosen.
 ///
 /// The paper's analysis (Theorem 4) sets `t = 24 log² n / ε²`, which certifies the
@@ -14,7 +11,6 @@ use serde::{Deserialize, Serialize};
 /// bound), and every implementation of resistance-based sampling scales such constants
 /// down. The enum makes the choice explicit and lets experiments sweep it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum BundleSizing {
     /// The paper's constant: `t = ⌈24 log₂² n / ε²⌉`.
     Paper,
@@ -40,7 +36,6 @@ impl BundleSizing {
 
 /// Configuration of `PARALLELSAMPLE` / `PARALLELSPARSIFY`.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SparsifyConfig {
     /// Overall accuracy target `ε` (the output is a `(1 ± ε)` approximation w.h.p.).
     pub epsilon: f64,

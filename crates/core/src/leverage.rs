@@ -39,9 +39,6 @@ use sgs_linalg::resistance::{
 use crate::engine::SparsifyEngine;
 use crate::sample::sample_weighted;
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Iteration cap of the leverage-estimation CG solves. The estimates only steer
 /// probabilities (they are not a certificate), so a hard cap keeps worst-case graphs
 /// from stalling a reduction; CG results stay deterministic regardless of where the
@@ -83,16 +80,6 @@ impl SamplingPolicy {
         }
     }
 }
-
-#[cfg(feature = "serde")]
-impl Serialize for SamplingPolicy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_string())
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> Deserialize<'de> for SamplingPolicy {}
 
 /// Reusable workspace of the leverage kernel, owned by
 /// [`SparsifyEngine`](crate::SparsifyEngine) so batch pipelines pay the probability /

@@ -4,15 +4,11 @@
 //! shared-memory machine we report *operation counts* — edges examined by the spanner
 //! construction plus edges touched by the sampling pass — as the work proxy, and the
 //! number of outer rounds as the depth proxy. `tests/theorems.rs` checks the round
-//! count against Theorem 5, and `exp_scaling` shows the work is thread-count
-//! independent.
-
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
+//! count against Theorem 5, and `tests/parallelism.rs` checks that the counters are
+//! thread-count independent.
 
 /// Aggregated counters for one sparsification run.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct WorkStats {
     /// Edge examinations performed by spanner/bundle constructions.
     pub spanner_work: u64,

@@ -52,18 +52,6 @@ pub fn complete(n: usize, w: f64) -> Graph {
     g
 }
 
-/// Complete bipartite graph `K_{a,b}` with uniform weight `w`. Vertices `0..a` form one
-/// side and `a..a+b` the other.
-pub fn complete_bipartite(a: usize, b: usize, w: f64) -> Graph {
-    let mut g = Graph::with_capacity(a + b, a * b);
-    for u in 0..a {
-        for v in 0..b {
-            g.push_edge_unchecked(u, a + v, w);
-        }
-    }
-    g
-}
-
 /// `rows × cols` 2-D grid graph with uniform weight `w`. Vertex `(r, c)` has index
 /// `r * cols + c`.
 pub fn grid2d(rows: usize, cols: usize, w: f64) -> Graph {
@@ -97,41 +85,6 @@ pub fn grid_spanning_tree(rows: usize, cols: usize, w: f64) -> Graph {
         }
         if r + 1 < rows {
             g.push_edge_unchecked(r * cols, (r + 1) * cols, w);
-        }
-    }
-    g
-}
-
-/// 2-D torus (grid with wraparound) with uniform weight `w`.
-pub fn torus2d(rows: usize, cols: usize, w: f64) -> Graph {
-    assert!(
-        rows >= 3 && cols >= 3,
-        "torus needs at least 3 rows and 3 columns"
-    );
-    let n = rows * cols;
-    let mut g = Graph::with_capacity(n, 2 * n);
-    for r in 0..rows {
-        for c in 0..cols {
-            let v = r * cols + c;
-            let right = r * cols + (c + 1) % cols;
-            let down = ((r + 1) % rows) * cols + c;
-            g.push_edge_unchecked(v, right, w);
-            g.push_edge_unchecked(v, down, w);
-        }
-    }
-    g
-}
-
-/// `d`-dimensional hypercube graph on `2^d` vertices with uniform weight `w`.
-pub fn hypercube(d: u32, w: f64) -> Graph {
-    let n = 1usize << d;
-    let mut g = Graph::with_capacity(n, n * d as usize / 2);
-    for v in 0..n {
-        for bit in 0..d {
-            let u = v ^ (1 << bit);
-            if u > v {
-                g.push_edge_unchecked(v, u, w);
-            }
         }
     }
     g
@@ -350,36 +303,6 @@ pub fn image_affinity_grid(rows: usize, cols: usize, beta: f64, seed: u64) -> Gr
     g
 }
 
-/// Watts–Strogatz small-world graph: a ring lattice where each vertex connects to its
-/// `k` nearest neighbors on each side, with every edge rewired to a random endpoint with
-/// probability `p_rewire`.
-pub fn watts_strogatz(n: usize, k: usize, p_rewire: f64, w: f64, seed: u64) -> Graph {
-    assert!(n > 2 * k, "n must exceed 2k");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        for j in 1..=k {
-            let mut u = (v + j) % n;
-            if rng.gen::<f64>() < p_rewire {
-                // Rewire to a uniformly random non-self endpoint.
-                let mut cand = rng.gen_range(0..n);
-                let mut guard = 0;
-                while cand == v && guard < 32 {
-                    cand = rng.gen_range(0..n);
-                    guard += 1;
-                }
-                if cand != v {
-                    u = cand;
-                }
-            }
-            if u != v {
-                let _ = b.add(v, u, w);
-            }
-        }
-    }
-    b.build()
-}
-
 /// A "dumbbell of expanders": two random-regular expanders joined by a single weak edge.
 /// Used to check that sparsifiers preserve sparse cuts.
 pub fn expander_dumbbell(half: usize, d: usize, w: f64, bridge_w: f64, seed: u64) -> Graph {
@@ -495,11 +418,8 @@ mod tests {
         assert_eq!(cycle(5, 1.0).m(), 5);
         assert_eq!(star(5, 1.0).m(), 4);
         assert_eq!(complete(6, 1.0).m(), 15);
-        assert_eq!(complete_bipartite(3, 4, 1.0).m(), 12);
         assert_eq!(grid2d(4, 5, 1.0).m(), 4 * 4 + 3 * 5);
         assert_eq!(grid_spanning_tree(4, 5, 1.0).m(), 19);
-        assert_eq!(torus2d(4, 5, 1.0).m(), 2 * 20);
-        assert_eq!(hypercube(4, 1.0).m(), 32);
     }
 
     #[test]
@@ -510,8 +430,6 @@ mod tests {
         assert!(is_connected(&complete(10, 1.0)));
         assert!(is_connected(&grid2d(7, 9, 1.0)));
         assert!(is_connected(&grid_spanning_tree(7, 9, 1.0)));
-        assert!(is_connected(&torus2d(5, 5, 1.0)));
-        assert!(is_connected(&hypercube(5, 1.0)));
     }
 
     #[test]
@@ -649,14 +567,6 @@ mod tests {
         for e in g.edges() {
             assert!(e.w > 0.0 && e.w <= 1.0);
         }
-    }
-
-    #[test]
-    fn watts_strogatz_is_connected_for_modest_rewiring() {
-        let g = watts_strogatz(200, 3, 0.1, 1.0, 17);
-        assert_eq!(g.n(), 200);
-        assert!(g.m() >= 500);
-        assert!(is_connected(&g));
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! This module *measures* the best constants empirically: it estimates the extreme
 //! generalized eigenvalues of the pencil `(L_H, L_G)` restricted to the complement of
 //! the all-ones vector, using power iteration where the pseudo-inverse applications are
-//! CG solves. The returned [`SpectralBounds`] are the experimentally certified
-//! `lower ≤ xᵀL_H x / xᵀL_G x ≤ upper`.
+//! CG solves. Power iteration approaches each extreme from inside the spectrum, so, up
+//! to the CG tolerance, the returned [`SpectralBounds`] are *inner* estimates, not a
+//! certificate: the true `λmin` can be lower than `lower` and the true `λmax` higher
+//! than `upper`. A pair that fails `(1 ± ε)` is a real failure; a pair that passes is
+//! evidence, not proof.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -18,12 +21,15 @@ use sgs_graph::Graph;
 use crate::cg::{cg_solve, CgConfig, GraphLaplacianOp};
 use crate::vector;
 
-/// Empirical two-sided bounds for the ratio `xᵀ L_H x / xᵀ L_G x`.
+/// Estimated extremes of the ratio `xᵀ L_H x / xᵀ L_G x`. Both are inner estimates:
+/// the true range can be wider than `[lower, upper]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectralBounds {
-    /// Estimated minimum of the ratio over `x ⟂ 1` (the `1 − ε` side).
+    /// Estimated minimum of the ratio over `x ⟂ 1` (the `1 − ε` side). Power
+    /// iteration reaches it from above: the true minimum can be lower.
     pub lower: f64,
-    /// Estimated maximum of the ratio over `x ⟂ 1` (the `1 + ε` side).
+    /// Estimated maximum of the ratio over `x ⟂ 1` (the `1 + ε` side). Power
+    /// iteration reaches it from below: the true maximum can be higher.
     pub upper: f64,
 }
 
@@ -39,7 +45,8 @@ impl SpectralBounds {
         (1.0 - self.lower).max(self.upper - 1.0).max(0.0)
     }
 
-    /// True if the bounds certify a `(1 ± ε)` approximation.
+    /// True if both estimates lie within `(1 ± ε)`. They are inner estimates, so this
+    /// is necessary for a `(1 ± ε)` approximation, not sufficient.
     pub fn within_epsilon(&self, eps: f64) -> bool {
         self.lower >= 1.0 - eps - 1e-9 && self.upper <= 1.0 + eps + 1e-9
     }

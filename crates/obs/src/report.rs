@@ -47,7 +47,7 @@ impl Section {
 /// A full-run report: identity plus a list of [`Section`]s.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
-    /// Bench / experiment name (e.g. `"exp_scaling"`).
+    /// Bench / experiment name (e.g. `"sparsify-dense"`).
     pub bench: String,
     /// Workload label (e.g. `"er(4000,150)"`).
     pub workload: String,

@@ -344,11 +344,11 @@ mod tests {
     #[test]
     fn spectral_quality_is_preserved_end_to_end() {
         use sgs_linalg::spectral::{approximation_bounds, CertifyOptions};
-        let g = generators::erdos_renyi(300, 0.5, 1.0, 19); // dense: ~22k edges
-                                                            // Budget headroom (m/2) and a gentle keep probability: the quality regime.
-                                                            // Tighter budgets force deeper resparsification chains whose error compounds
-                                                            // per level — that frontier is measured by exp_stream and pinned (loosely) in
-                                                            // the golden/acceptance suites, not asserted here.
+        // Dense: ~22k edges. Budget headroom (m/2) and a gentle keep probability: the
+        // quality regime. Tighter budgets force deeper resparsification chains whose
+        // error compounds per level — that frontier is pinned (loosely) in the
+        // golden/acceptance suites of tests/golden_stream.rs, not asserted here.
+        let g = generators::erdos_renyi(300, 0.5, 1.0, 19);
         let c = StreamConfig::new(0.75, g.m() / 2)
             .with_bundle_sizing(BundleSizing::Fixed(2))
             .with_keep_probability(0.5)

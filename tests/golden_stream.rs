@@ -152,7 +152,7 @@ fn acceptance_er4000_budget_quarter_m() {
     // Spectral sanity under the tight budget: the quadratic-form ratio on random
     // probes stays two-sided and centered. (The *certified* extremes degrade with
     // the forced-chain depth this budget imposes — the measured frontier is
-    // documented in README/exp_stream; the certified within-ε regime is pinned by
+    // documented in the README; the certified within-ε regime is pinned by
     // the faithful-constants property test in tests/properties.rs.)
     let (lo, hi) = spectral_sparsify::linalg::spectral::ratio_samples(&g, &out.sparsifier, 16, 3);
     assert!(lo > 0.5 && hi < 2.0, "probe ratio envelope [{lo}, {hi}]");
@@ -167,8 +167,8 @@ fn acceptance_er4000_budget_quarter_m() {
     assert_eq!(one.stats.peak_resident_edges, out.stats.peak_resident_edges);
 }
 
-/// The `exp_stream --n 2000 --deg 60 --batches 8 --budget-edges 30000` configuration,
-/// replayed exactly. It is the only fixture where forced merges push the resident
+/// er(2000, deg 60) streamed in 8 batches under a 30,000-edge budget, the README's
+/// streaming configuration. It is the only fixture where forced merges push the resident
 /// peak above budget plus one batch, and the only one that runs the ER final pass
 /// inside the stream, so its deterministic columns are pinned here.
 ///

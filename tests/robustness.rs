@@ -436,6 +436,39 @@ fn raw_loss_degrades_gracefully_without_recovery() {
     }
 }
 
+/// The fault matrix: on er(400, deg 16), the spanner at loss 0, 5% and 10% is
+/// connected on the raw transport and behind the default reliable layer alike.
+#[test]
+fn fault_matrix_spanners_stay_connected() {
+    let g = generators::erdos_renyi(400, 16.0 / 399.0, 1.0, 9);
+    assert!(
+        connectivity::is_connected(&g),
+        "the fault matrix input must be connected"
+    );
+    let seed = 3;
+    let mut disconnected = Vec::new();
+    for ft in [false, true] {
+        for loss in [0.0, 0.05, 0.10] {
+            let mut cfg = DistSpannerConfig::with_seed(seed);
+            if loss > 0.0 {
+                cfg = cfg.with_faults(FaultPlan::iid_loss(seed ^ 0xFA_17, loss));
+            }
+            if ft {
+                cfg = cfg.with_fault_tolerance(ReliabilityConfig::default());
+            }
+            let r = distributed_spanner(&g, &cfg);
+            if !connectivity::is_connected(&g.with_edge_ids(&r.edge_ids)) {
+                let transport = if ft { "ft" } else { "raw" };
+                disconnected.push(format!("loss={loss:.2} {transport}"));
+            }
+        }
+    }
+    assert!(
+        disconnected.is_empty(),
+        "disconnected spanner output: {disconnected:?}"
+    );
+}
+
 /// Scaling a graph commutes with sparsification in distribution: sparsifying a*G with
 /// the same seed produces exactly a times the sparsifier of G.
 #[test]
