@@ -15,8 +15,8 @@ use sgs_spanner::SpannerEngine;
 
 use crate::config::SparsifyConfig;
 use crate::leverage::{resparsify_on_engine, ErPassConfig, ErPassOutput, SamplingScratch};
-use crate::sample::{sample_on_engine, SampleOutput};
-use crate::sparsify::{sparsify_on_engine, SparsifyOutput};
+use crate::sample::{bundle_on, sample_with, SampleOutput};
+use crate::sparsify::{sparsify_with, SparsifyOutput};
 
 /// A reusable `PARALLELSAMPLE` / `PARALLELSPARSIFY` runner.
 ///
@@ -55,13 +55,13 @@ impl SparsifyEngine {
     /// One round of `PARALLELSAMPLE` (Algorithm 1); byte-identical to
     /// [`crate::parallel_sample`].
     pub fn sample(&mut self, g: &Graph, cfg: &SparsifyConfig) -> SampleOutput {
-        sample_on_engine(g, cfg, self)
+        sample_with(g, cfg, &mut self.sampling, bundle_on(&mut self.spanner))
     }
 
     /// Full `PARALLELSPARSIFY` (Algorithm 2); byte-identical to
     /// [`crate::parallel_sparsify`].
     pub fn sparsify(&mut self, g: &Graph, cfg: &SparsifyConfig) -> SparsifyOutput {
-        sparsify_on_engine(g, cfg, self)
+        sparsify_with(g, cfg, &mut self.sampling, bundle_on(&mut self.spanner))
     }
 
     /// Effective-resistance resparsification pass (Spielman–Srivastava over a finished

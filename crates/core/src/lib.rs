@@ -8,6 +8,7 @@
 //! * [`sparsify`] — `PARALLELSPARSIFY` (Algorithm 2): iterate `PARALLELSAMPLE`
 //!   `⌈log ρ⌉` times with per-round parameter `ε / ⌈log ρ⌉` to cut the edge count by a
 //!   factor of `ρ` while staying a `(1 ± ε)` spectral approximation (Theorem 5).
+//!   [`parallel_sparsify_with`] runs the same driver over any t-bundle builder.
 //! * [`engine`] — a re-entrant [`SparsifyEngine`] that reuses the spanner engine's
 //!   `O(m)` scratch across calls, for batch pipelines (the `sgs-stream` merge-and-reduce
 //!   tree) that sparsify many graphs in sequence.
@@ -48,8 +49,8 @@ pub mod verify;
 pub use config::{BundleSizing, SparsifyConfig};
 pub use engine::SparsifyEngine;
 pub use leverage::{resparsify_er, ErPassConfig, ErPassOutput, SamplingPolicy};
-pub use sample::{edge_coin, parallel_sample, sample_uniform, SampleOutput};
-pub use sparsify::{parallel_sparsify, SparsifyOutput};
+pub use sample::{edge_coin, parallel_sample, parallel_sample_with, sample_uniform, SampleOutput};
+pub use sparsify::{parallel_sparsify, parallel_sparsify_with, SparsifyOutput};
 pub use stats::WorkStats;
 pub use verify::{verify_sparsifier, VerificationReport};
 

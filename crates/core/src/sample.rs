@@ -17,11 +17,11 @@
 use rayon::prelude::*;
 
 use sgs_graph::{splitmix64, Edge, Graph};
-use sgs_spanner::{t_bundle_on_engine, BundleConfig, SpannerConfig};
+use sgs_spanner::{t_bundle_on_engine, BundleConfig, BundleResult, SpannerEngine};
 
 use crate::config::SparsifyConfig;
 use crate::engine::SparsifyEngine;
-use crate::leverage::{leverage_probabilities, OffBudget, SamplingPolicy};
+use crate::leverage::{leverage_probabilities, OffBudget, SamplingPolicy, SamplingScratch};
 use crate::stats::WorkStats;
 
 /// Counter-based per-edge coin: a uniform draw in `[0, 1)` from a splitmix64 mix of
@@ -104,39 +104,45 @@ pub struct SampleOutput {
 /// `cfg` is the single source of truth for the round: accuracy (`cfg.epsilon`), bundle
 /// sizing, keep probability, sampling policy and seed. Parallelism is the ambient
 /// rayon pool's; a 1-thread pool yields the same output.
-/// (`PARALLELSPARSIFY` derives a per-round config with `ε / ⌈log ρ⌉` before calling
-/// this, so no separate `eps` argument exists any more.)
 pub fn parallel_sample(g: &Graph, cfg: &SparsifyConfig) -> SampleOutput {
-    sample_on_engine(g, cfg, &mut SparsifyEngine::new())
+    SparsifyEngine::new().sample(g, cfg)
 }
 
-/// Re-entrant `PARALLELSAMPLE`: identical to [`parallel_sample`] but runs the bundle
-/// construction and the leverage kernel on a caller-owned
-/// [`SparsifyEngine`], whose view/CSR/mask/probability allocations are reused across
-/// calls. Batch pipelines (`sgs-stream`) call this once per batch; outputs are
-/// byte-identical to the one-shot entry point.
-pub(crate) fn sample_on_engine(
+/// [`parallel_sample`] with step 1's t-bundle built by `build_bundle` from the round's
+/// graph and [`BundleConfig`]. The CONGEST sampler of `sgs-distributed` runs this.
+pub fn parallel_sample_with(
     g: &Graph,
     cfg: &SparsifyConfig,
-    engine: &mut SparsifyEngine,
+    build_bundle: impl FnMut(&Graph, &BundleConfig) -> BundleResult,
+) -> SampleOutput {
+    sample_with(g, cfg, &mut SamplingScratch::default(), build_bundle)
+}
+
+/// The shared-memory bundle builder: [`t_bundle_on_engine`] on a reusable engine.
+pub(crate) fn bundle_on(
+    spanner: &mut SpannerEngine,
+) -> impl FnMut(&Graph, &BundleConfig) -> BundleResult + '_ {
+    move |g, cfg| {
+        spanner.reset_from_graph(g);
+        t_bundle_on_engine(spanner, cfg)
+    }
+}
+
+/// One `PARALLELSAMPLE` round; the leverage kernel reuses `sampling`.
+pub(crate) fn sample_with(
+    g: &Graph,
+    cfg: &SparsifyConfig,
+    sampling: &mut SamplingScratch,
+    mut build_bundle: impl FnMut(&Graph, &BundleConfig) -> BundleResult,
 ) -> SampleOutput {
     let eps = cfg.epsilon;
     assert!(eps > 0.0, "epsilon must be positive");
-    let SparsifyEngine { spanner, sampling } = engine;
     let n = g.n();
     let m = g.m();
     let t = cfg.bundle_sizing.resolve(n, eps);
 
-    // Step 1: the t-bundle spanner, on the reusable engine.
-    let bundle_cfg = BundleConfig {
-        t,
-        spanner: SpannerConfig {
-            k: None,
-            seed: cfg.seed,
-        },
-    };
-    spanner.reset_from_graph(g);
-    let bundle = t_bundle_on_engine(spanner, &bundle_cfg);
+    // Step 1: the t-bundle spanner.
+    let bundle = build_bundle(g, &BundleConfig::new(t).with_seed(cfg.seed));
 
     // Steps 2–3: keep the bundle, flip a coin for everything else. Under the
     // effective-resistance policy each off-bundle edge's threshold becomes its

@@ -14,10 +14,12 @@
 //! geometrically.
 
 use sgs_graph::Graph;
+use sgs_spanner::{BundleConfig, BundleResult};
 
 use crate::config::SparsifyConfig;
 use crate::engine::SparsifyEngine;
-use crate::sample::sample_on_engine;
+use crate::leverage::SamplingScratch;
+use crate::sample::sample_with;
 use crate::stats::WorkStats;
 
 /// Output of `PARALLELSPARSIFY`.
@@ -50,16 +52,25 @@ impl SparsifyOutput {
 /// the entire graph and further rounds are no-ops (this mirrors the "threshold of
 /// applicability" discussion in Section 4 of the paper).
 pub fn parallel_sparsify(g: &Graph, cfg: &SparsifyConfig) -> SparsifyOutput {
-    sparsify_on_engine(g, cfg, &mut SparsifyEngine::new())
+    SparsifyEngine::new().sparsify(g, cfg)
 }
 
-/// Re-entrant `PARALLELSPARSIFY`: identical to [`parallel_sparsify`] but every round's
-/// bundle construction and probability scratch reuse the caller's [`SparsifyEngine`]
-/// allocations. This is the per-batch entry point of [`crate::SparsifyEngine`].
-pub(crate) fn sparsify_on_engine(
+/// [`parallel_sparsify`] with every round's t-bundle built by `build_bundle`; the rest
+/// of the driver is shared. The CONGEST sparsifier of `sgs-distributed` runs this.
+pub fn parallel_sparsify_with(
     g: &Graph,
     cfg: &SparsifyConfig,
-    engine: &mut SparsifyEngine,
+    build_bundle: impl FnMut(&Graph, &BundleConfig) -> BundleResult,
+) -> SparsifyOutput {
+    sparsify_with(g, cfg, &mut SamplingScratch::default(), build_bundle)
+}
+
+/// The one `PARALLELSPARSIFY` round loop; the leverage kernel reuses `sampling`.
+pub(crate) fn sparsify_with(
+    g: &Graph,
+    cfg: &SparsifyConfig,
+    sampling: &mut SamplingScratch,
+    mut build_bundle: impl FnMut(&Graph, &BundleConfig) -> BundleResult,
 ) -> SparsifyOutput {
     let rounds = cfg.rounds();
     let per_round_epsilon = cfg.per_round_epsilon();
@@ -82,7 +93,7 @@ pub(crate) fn sparsify_on_engine(
         round_cfg.seed = cfg
             .seed
             .wrapping_add((round as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        let out = sample_on_engine(cur, &round_cfg, engine);
+        let out = sample_with(cur, &round_cfg, sampling, &mut build_bundle);
         stats.absorb_round(&out.stats);
         sgs_obs::point!(
             "sparsify.round",

@@ -20,8 +20,8 @@
 //!   `O(i)` rounds and the whole construction `O(log² n)` rounds with `O(m log n)`
 //!   messages of `O(log n)` bits.
 //! * [`sparsify`] — the distributed `PARALLELSAMPLE` / `PARALLELSPARSIFY` (Corollary 3 +
-//!   Theorem 5): bundles are built by iterating the distributed spanner on residual
-//!   edges; the uniform sampling step is purely local and costs no communication.
+//!   Theorem 5): `sgs-core`'s driver over bundles built by iterating the distributed
+//!   spanner on residual edges; the uniform coin is local and costs no communication.
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`]: seeded message
 //!   loss/duplication/delay coins, link outages, vertex crash windows) and a reliable
 //!   ack/retransmit delivery layer ([`faults::ReliableNet`]) with a bounded retry

@@ -34,13 +34,13 @@
 //!   arrived, per directed link, with a freshness bit. A lost broadcast reads as
 //!   "unknown", and the decision leaves that edge alive.
 //!
-//! The lookup also holds the one behavioural difference between the engines. The
-//! retire pass compares a vertex's *new* center with the neighbour's center from the
-//! last exchange, which predates the round's decisions. So an edge whose endpoints
-//! join the same cluster in the same round is not retired, and the two sides of an
-//! edge can disagree for a while. The duplicate `Kill` traffic this produces is part
-//! of the pinned communication metrics. It also means that at `k ≥ 3` the engines can
-//! select different edges; at `k = 2` they agree exactly.
+//! The retire pass runs right after each exchange, not right after the decisions as
+//! in the shared-memory engine. The exchange has just delivered every neighbour's
+//! current center, so both engines retire the same slots before the next decision
+//! reads them, and the protocol needs no extra message. On a clean network the two
+//! engines therefore select exactly the same edges at every `k`
+//! (`tests/golden_distributed.rs`). Under faults a lost exchange leaves a neighbour's
+//! center unknown, and the slot stays live.
 //!
 //! The decision sink sends each `Kill` as it is staged, so every vertex sends its
 //! Kills in slot order and then its `Child`. Vertex programs run through
@@ -594,14 +594,14 @@ impl<K: Knowledge> Protocol<K> {
     }
 
     /// One clustering iteration: sampling propagation (Phase A), neighbor exchange
-    /// (Phase B), local decisions + notifications (Phase C), then the retire pass.
-    /// Costs `it + 2` simulator rounds.
+    /// (Phase B), the retire pass of the previous iteration's decisions, then local
+    /// decisions + notifications (Phase C). Costs `it + 2` simulator rounds.
     fn iteration(&mut self, it: usize) {
         self.phase_a(it);
         self.phase_b();
+        self.retire();
         self.phase_c();
         self.process_kills_and_children();
-        self.retire();
     }
 
     /// Phase A: centers flip this iteration's coin; flags travel one hop per round
@@ -753,9 +753,9 @@ impl<K: Knowledge> Protocol<K> {
             });
     }
 
-    /// The kernel's retire pass: each vertex drops from its live prefix the killed
-    /// half-edges and the edges whose far endpoint, as of the latest exchange, is in
-    /// the vertex's new cluster. No message is needed; each side retires its own.
+    /// The kernel's retire pass, right after an exchange has delivered every
+    /// neighbour's current center: each vertex drops from its live prefix the killed
+    /// half-edges and the edges into its own cluster. No message is needed.
     fn retire(&mut self) {
         let info = self.know.lookup(&self.alive);
         let states = &self.states;
@@ -775,6 +775,7 @@ impl<K: Knowledge> Protocol<K> {
     /// well, so lost exchanges only make the spanner *larger*.
     fn finale(&mut self) {
         self.phase_b();
+        self.retire();
         let n = self.n;
         let info = self.know.lookup(&self.alive);
         let (states, csr, live) = (&self.states, &self.csr, &self.live);

@@ -1,23 +1,22 @@
 //! Distributed `PARALLELSAMPLE` and `PARALLELSPARSIFY` (Corollary 3 and the distributed
-//! part of Theorems 4 and 5).
-//!
-//! The distributed versions are direct compositions of the distributed spanner:
+//! part of Theorems 4 and 5): `sgs-core`'s drivers [`parallel_sample_with`] and
+//! [`parallel_sparsify_with`] with a CONGEST bundle builder, so only the cost model
+//! differs from the shared-memory sparsifier:
 //!
 //! * a t-bundle is built by running the distributed spanner `t` times, each time on the
 //!   residual edge set ("edges in earlier components declare themselves out", Section
 //!   3.1), adding `O(t log² n)` rounds and `O(t m log n)` messages (Corollary 3);
-//! * the uniform sampling step of Algorithm 1 is entirely local — every vertex owns the
-//!   coin flips of its incident edges (the lower-endpoint owns the coin, so each edge is
-//!   flipped exactly once) and no communication is needed. The step is the
-//!   shared-memory uniform coin [`sample_uniform`] of `sgs-core`: each edge reads its
-//!   own stateless counter-based stream position, so the outcome is independent of
-//!   scheduling. The coin is always uniform — `cfg.sampling` is not read, because
-//!   leverage scores would need Laplacian solves this protocol does not run;
-//! * `PARALLELSPARSIFY` repeats the above `⌈log ρ⌉` times.
+//! * the uniform sampling step of Algorithm 1 is entirely local — the lower endpoint
+//!   of each edge owns its counter-based coin, so no communication is needed. The coin
+//!   is always uniform — `cfg.sampling` is not read, because leverage scores would
+//!   need Laplacian solves this protocol does not run;
+//! * `PARALLELSPARSIFY` repeats the above `⌈log ρ⌉` times, on the driver's rounds and
+//!   seeds, so a clean run selects exactly `parallel_sparsify`'s edges.
 
 use sgs_core::config::SparsifyConfig;
-use sgs_core::sample_uniform;
+use sgs_core::{parallel_sample_with, parallel_sparsify_with, SamplingPolicy, WorkStats};
 use sgs_graph::{EdgeId, Graph};
+use sgs_spanner::{component_seed, BundleConfig, BundleResult};
 
 use crate::faults::FaultConfig;
 use crate::network::NetworkMetrics;
@@ -30,11 +29,9 @@ pub struct DistSparsifyResult {
     pub sparsifier: Graph,
     /// Total communication metrics across every phase and round.
     pub metrics: NetworkMetrics,
-    /// Number of `PARALLELSAMPLE` rounds executed.
-    pub rounds_executed: usize,
-    /// Number of edges contributed by bundles across all rounds (final round only for
-    /// the single-round variant).
-    pub bundle_edges: usize,
+    /// The driver's rounds and per-round series. The protocol's cost is `metrics`, so
+    /// `spanner_work` is 0.
+    pub stats: WorkStats,
 }
 
 /// One distributed `PARALLELSAMPLE` round on `g`; `cfg` carries the round's accuracy
@@ -47,68 +44,25 @@ pub fn distributed_sample(g: &Graph, cfg: &SparsifyConfig) -> DistSparsifyResult
 }
 
 /// [`distributed_sample`] under a transport fault setup: every spanner run inherits
-/// the fault plan (reseeded per run, so runs see independent fault streams) and the
-/// optional reliable-delivery layer. A clean [`FaultConfig`] keeps the byte stream
-/// identical to [`distributed_sample`].
+/// the fault plan (reseeded per round and per run, so runs see independent fault
+/// streams) and the optional reliable-delivery layer. A clean [`FaultConfig`] keeps
+/// the byte stream identical to [`distributed_sample`].
 pub fn distributed_sample_with_faults(
     g: &Graph,
     cfg: &SparsifyConfig,
     faults: &FaultConfig,
 ) -> DistSparsifyResult {
-    let _span = sgs_obs::span!("congest.sample", m = g.m());
-    let n = g.n();
-    let m = g.m();
-    let t = cfg.bundle_sizing.resolve(n, cfg.epsilon);
     let mut metrics = NetworkMetrics::default();
-
-    // Build the t-bundle with t successive distributed spanner runs on residual edges.
-    let mut in_bundle = vec![false; m];
-    let mut active: Vec<EdgeId> = (0..m).collect();
-    for i in 0..t {
-        if active.is_empty() {
-            break;
-        }
-        let run_seed = cfg
-            .seed
-            .wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        let mut spanner_cfg = DistSpannerConfig::with_seed(run_seed);
-        if !faults.is_clean() {
-            // Derive an independent fault-coin stream per spanner run so round `i`'s
-            // losses are not correlated with round `i + 1`'s.
-            spanner_cfg.faults = faults
-                .plan
-                .clone()
-                .with_seed(faults.plan.seed ^ run_seed.rotate_left(17));
-            spanner_cfg.reliability = faults.reliability.clone();
-        }
-        let result = distributed_spanner_on_edges(g, &active, &spanner_cfg);
-        metrics.absorb(&result.metrics);
-        for &id in &result.edge_ids {
-            in_bundle[id] = true;
-        }
-        active.retain(|&id| !in_bundle[id]);
-    }
-
-    // Local sampling: the lower-id endpoint of each off-bundle edge flips the coin.
-    // No communication happens here, so the step runs as the shared-memory uniform
-    // coin, on this protocol's own seed.
-    let sparsifier = sample_uniform(g, &in_bundle, cfg.keep_probability, cfg.seed ^ 0xD157_5A4D);
-    // `active` was retained to exactly the off-bundle edges, so the split needs no
-    // re-scan of the bitmap.
-    let bundle_edges = m - active.len();
-
+    let out = parallel_sample_with(g, &uniform(cfg), congest_bundle(faults, &mut metrics));
     DistSparsifyResult {
-        sparsifier,
+        sparsifier: out.sparsifier,
         metrics,
-        rounds_executed: 1,
-        bundle_edges,
+        stats: out.stats,
     }
 }
 
-/// Distributed `PARALLELSPARSIFY`: `⌈log ρ⌉` rounds of [`distributed_sample`].
-///
-/// Like [`distributed_sample`], every round runs the uniform coin whatever
-/// `cfg.sampling` says.
+/// Distributed `PARALLELSPARSIFY`: `⌈log ρ⌉` rounds of [`distributed_sample`], each on
+/// the uniform coin whatever `cfg.sampling` says.
 pub fn distributed_sparsify(g: &Graph, cfg: &SparsifyConfig) -> DistSparsifyResult {
     distributed_sparsify_with_faults(g, cfg, &FaultConfig::clean())
 }
@@ -121,39 +75,60 @@ pub fn distributed_sparsify_with_faults(
     cfg: &SparsifyConfig,
     faults: &FaultConfig,
 ) -> DistSparsifyResult {
-    let rounds = cfg.rounds();
-    let per_round_eps = cfg.per_round_epsilon();
-    let stop_threshold = cfg.stop_threshold(g.n());
-
-    let mut current = g.clone();
     let mut metrics = NetworkMetrics::default();
-    let mut rounds_executed = 0;
-    let mut bundle_edges = 0;
-    for round in 0..rounds {
-        if current.m() <= stop_threshold {
-            break;
-        }
-        let mut round_cfg = cfg.clone();
-        round_cfg.epsilon = per_round_eps;
-        round_cfg.seed = cfg.seed.wrapping_add(round as u64 * 0xD00D);
-        let mut round_faults = faults.clone();
-        if !round_faults.is_clean() {
-            // Per-round fault reseed, same rationale as the per-run reseed above.
-            round_faults.plan = round_faults
-                .plan
-                .with_seed(faults.plan.seed ^ (round_cfg.seed).rotate_left(29));
-        }
-        let out = distributed_sample_with_faults(&current, &round_cfg, &round_faults);
-        metrics.absorb(&out.metrics);
-        bundle_edges = out.bundle_edges;
-        current = out.sparsifier;
-        rounds_executed += 1;
-    }
+    let out = parallel_sparsify_with(g, &uniform(cfg), congest_bundle(faults, &mut metrics));
     DistSparsifyResult {
-        sparsifier: current,
+        sparsifier: out.sparsifier,
         metrics,
-        rounds_executed,
-        bundle_edges,
+        stats: out.stats,
+    }
+}
+
+/// `cfg` with the uniform coin, the only one the protocol runs.
+fn uniform(cfg: &SparsifyConfig) -> SparsifyConfig {
+    cfg.clone().with_sampling(SamplingPolicy::Uniform)
+}
+
+/// The CONGEST bundle builder: `t` distributed spanner runs on the residual edges of
+/// the round's graph, adding their traffic to `metrics`.
+fn congest_bundle<'a>(
+    faults: &'a FaultConfig,
+    metrics: &'a mut NetworkMetrics,
+) -> impl FnMut(&Graph, &BundleConfig) -> BundleResult + 'a {
+    move |g, cfg| {
+        let _span = sgs_obs::span!("congest.sample", m = g.m());
+        let m = g.m();
+        let round_seed = cfg.spanner.seed;
+        let mut in_bundle = vec![false; m];
+        let mut active: Vec<EdgeId> = (0..m).collect();
+        let mut components = Vec::new();
+        for i in 0..cfg.t {
+            if active.is_empty() {
+                break;
+            }
+            let run_seed = component_seed(round_seed, i);
+            let mut spanner_cfg = DistSpannerConfig::with_seed(run_seed);
+            if !faults.is_clean() {
+                // Derive an independent fault-coin stream per round and per spanner
+                // run, so one run's losses are not correlated with the next one's.
+                let seed = faults.plan.seed ^ round_seed.rotate_left(29) ^ run_seed.rotate_left(17);
+                spanner_cfg.faults = faults.plan.clone().with_seed(seed);
+                spanner_cfg.reliability = faults.reliability.clone();
+            }
+            let result = distributed_spanner_on_edges(g, &active, &spanner_cfg);
+            metrics.absorb(&result.metrics);
+            for &id in &result.edge_ids {
+                in_bundle[id] = true;
+            }
+            active.retain(|&id| !in_bundle[id]);
+            components.push(result.edge_ids);
+        }
+        BundleResult {
+            components,
+            in_bundle,
+            bundle_size: m - active.len(),
+            work: 0,
+        }
     }
 }
 
@@ -176,7 +151,7 @@ mod tests {
         let out = distributed_sample(&g, &cfg(1));
         assert!(out.sparsifier.m() < g.m());
         assert!(is_connected(&out.sparsifier));
-        assert!(out.bundle_edges > 0);
+        assert!(out.stats.bundle_edges_per_round[0] > 0);
         assert!(out.metrics.rounds > 0);
         assert!(out.metrics.messages > 0);
     }
@@ -216,7 +191,7 @@ mod tests {
     fn distributed_sparsify_matches_shared_memory_shape() {
         let g = generators::erdos_renyi(200, 0.4, 1.0, 17);
         let out = distributed_sparsify(&g, &cfg(3).with_bundle_sizing(BundleSizing::Fixed(4)));
-        assert!(out.rounds_executed >= 1);
+        assert!(out.stats.rounds >= 1);
         assert!(out.sparsifier.m() < g.m(), "must shrink a dense graph");
         assert!(is_connected(&out.sparsifier));
         let b = approximation_bounds(&g, &out.sparsifier, &CertifyOptions::default());
@@ -227,7 +202,7 @@ mod tests {
     fn sparse_input_is_left_untouched() {
         let g = generators::grid2d(20, 20, 1.0);
         let out = distributed_sparsify(&g, &cfg(2));
-        assert_eq!(out.rounds_executed, 0);
+        assert_eq!(out.stats.rounds, 0);
         assert_eq!(out.sparsifier.m(), g.m());
         assert_eq!(out.metrics.messages, 0);
     }

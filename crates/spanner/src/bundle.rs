@@ -92,6 +92,11 @@ impl BundleResult {
     }
 }
 
+/// The seed of a bundle's `i`-th component: one schedule for every bundle builder.
+pub fn component_seed(seed: u64, i: usize) -> u64 {
+    seed.wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15))
+}
+
 /// Computes a t-bundle spanner of `g`.
 ///
 /// Each component is a Baswana–Sen spanner of the graph formed by the edges not yet
@@ -126,10 +131,7 @@ pub fn t_bundle_on_engine(engine: &mut SpannerEngine, cfg: &BundleConfig) -> Bun
             break;
         }
         let mut spanner_cfg = cfg.spanner.clone();
-        spanner_cfg.seed = cfg
-            .spanner
-            .seed
-            .wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15));
+        spanner_cfg.seed = component_seed(cfg.spanner.seed, i);
         let SpannerResult {
             edge_ids, work: w, ..
         } = engine.spanner(&spanner_cfg);

@@ -34,7 +34,7 @@ pub use baswana_sen::{
     baswana_sen_on_view, baswana_sen_spanner, EdgeView, SpannerConfig, SpannerEngine,
     SpannerResult, ViewCsr,
 };
-pub use bundle::{t_bundle, t_bundle_on_engine, BundleConfig, BundleResult};
+pub use bundle::{component_seed, t_bundle, t_bundle_on_engine, BundleConfig, BundleResult};
 pub use partition::BlockPartition;
 pub use round::{resolve_k, NO_CLUSTER};
 

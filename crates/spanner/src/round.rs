@@ -15,8 +15,10 @@
 //!    lowest cluster id) through that cluster's best edge, kills its edges into `c*`,
 //!    and keeps and kills the best edge into every strictly lighter cluster. Adds and
 //!    kills go to a [`RoundSink`]; the caller commits them ([`commit`]).
-//! 3. **Retire** ([`retire`]), after the commit: a block-parallel pass swap-removes from
-//!    every live prefix the slots that are dead or lead into the vertex's own cluster.
+//! 3. **Retire** ([`retire`]): a block-parallel pass swap-removes from every live
+//!    prefix the slots that are dead or lead into the vertex's own cluster. The engine
+//!    runs it after the commit, the protocol after the next neighbour exchange: both
+//!    read every neighbour's current center.
 //!
 //! The joining phase ([`join`]) adds the lightest live edge into every adjacent
 //! foreign cluster.
@@ -25,7 +27,7 @@
 //! [`SlotLookup`]: the neighbour's center and sampled flag, whether that knowledge is
 //! there at all, and whether the slot's edge is still alive. The shared-memory engine
 //! reads its round-state arrays; the CONGEST protocol reads what the last neighbour
-//! exchange delivered. The lookup is the only place the two engines differ.
+//! exchange delivered. Apart from when step 3 runs, the lookup is the only difference.
 
 use rayon::prelude::*;
 

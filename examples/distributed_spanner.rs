@@ -53,7 +53,7 @@ fn main() {
         println!(
             "{:>3} {:>10} {:>10} {:>12} {:>12}",
             t,
-            out.bundle_edges,
+            out.stats.bundle_edges_per_round[0],
             out.sparsifier.m(),
             out.metrics.rounds,
             out.metrics.messages

@@ -240,8 +240,38 @@ fn distributed_sparsify_is_identical_across_thread_counts() {
         let b = on_pool(w, || distributed_sparsify(&g, &cfg));
         assert_eq!(a.sparsifier.edges(), b.sparsifier.edges(), "@ {w} threads");
         assert_eq!(a.metrics, b.metrics, "metrics @ {w} threads");
-        assert_eq!(a.rounds_executed, b.rounds_executed, "rounds @ {w} threads");
-        assert_eq!(a.bundle_edges, b.bundle_edges, "bundle @ {w} threads");
+        assert_eq!(a.stats, b.stats, "stats @ {w} threads");
+    }
+}
+
+/// Clean CONGEST sparsification is the shared-memory algorithm at every width: one
+/// family per seed, each dense enough to clear the stop threshold, at widths 1, 2
+/// and 4.
+#[test]
+fn clean_distributed_sparsify_matches_parallel_sparsify_at_every_width() {
+    let families = [
+        (1, generators::complete(40, 1.0)),
+        (
+            2,
+            generators::erdos_renyi_weighted(300, 0.15, 0.1, 10.0, 42),
+        ),
+        (3, generators::erdos_renyi(250, 0.25, 1.0, 41)),
+    ];
+    for (seed, g) in &families {
+        let cfg = SparsifyConfig::new(0.75, 4.0)
+            .with_bundle_sizing(BundleSizing::Fixed(2))
+            .with_seed(*seed);
+        for w in [1, 2, 4] {
+            let (congest, shared) = on_pool(w, || {
+                (distributed_sparsify(g, &cfg), parallel_sparsify(g, &cfg))
+            });
+            assert!(shared.rounds_executed > 0, "seed={seed}: no round ran");
+            assert_eq!(
+                congest.sparsifier.edges(),
+                shared.sparsifier.edges(),
+                "seed={seed} width={w}"
+            );
+        }
     }
 }
 

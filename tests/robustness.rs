@@ -202,12 +202,12 @@ fn fault_metrics_row(m: &NetworkMetrics) -> (usize, u64, u64, u64, u64, u64, u64
 /// rounds, messages, dropped, duplicated, delayed, retransmits, acks,
 /// dup_suppressed, abandoned). Captured by `print_fault_fixtures` below.
 const PINNED_RAW_FAULTS: (usize, u64, usize, u64, u64, u64, u64, u64, u64, u64, u64) = (
-    414,
-    0x15aceb3dccb1ed53,
+    405,
+    0x3d98276c380ff058,
     34,
-    21845,
-    1830,
-    814,
+    21713,
+    1814,
+    799,
     1011,
     0,
     0,
@@ -221,15 +221,15 @@ const PINNED_RAW_FAULTS: (usize, u64, usize, u64, u64, u64, u64, u64, u64, u64, 
 /// computation exactly, at the price of ~6k retransmissions and 600 physical rounds.
 const PINNED_FT_FAULTS: (usize, u64, usize, u64, u64, u64, u64, u64, u64, u64, u64) = (
     289,
-    0x8a40c27e01a53caa,
+    0x37a1df43685e0f4d,
     600,
-    54558,
-    4599,
-    1958,
-    2614,
-    6200,
-    26645,
-    4827,
+    54547,
+    4600,
+    1957,
+    2617,
+    6205,
+    26638,
+    4833,
     1,
 );
 
@@ -356,13 +356,13 @@ fn benchmark_reliable_delivery_configuration_is_pinned() {
         let c = &clean.metrics;
         assert_eq!(
             (clean.sparsifier.m(), c.rounds, c.messages),
-            (2757, 86, 192599),
+            (2725, 86, 178276),
             "width {w}: clean run"
         );
         let l = &lossy.metrics;
         assert_eq!(
             (l.rounds, l.messages, l.total_bits),
-            (549, 426757, 20555949),
+            (529, 421579, 20327563),
             "width {w}: lossy traffic"
         );
         assert_eq!(
@@ -373,7 +373,7 @@ fn benchmark_reliable_delivery_configuration_is_pinned() {
                 l.dup_suppressed,
                 l.abandoned
             ),
-            (22279, 22279, 208007, 10743, 0),
+            (22390, 22390, 205384, 10811, 0),
             "width {w}: reliable-layer ledger"
         );
     }
