@@ -72,12 +72,6 @@ impl SparsifyConfig {
         }
     }
 
-    /// Uses the paper's exact constants for the bundle size.
-    pub fn with_paper_constants(mut self) -> Self {
-        self.bundle_sizing = BundleSizing::Paper;
-        self
-    }
-
     /// Overrides the bundle sizing rule.
     pub fn with_bundle_sizing(mut self, sizing: BundleSizing) -> Self {
         self.bundle_sizing = sizing;

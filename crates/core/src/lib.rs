@@ -53,14 +53,3 @@ pub use sample::{edge_coin, parallel_sample, parallel_sample_with, sample_unifor
 pub use sparsify::{parallel_sparsify, parallel_sparsify_with, SparsifyOutput};
 pub use stats::WorkStats;
 pub use verify::{verify_sparsifier, VerificationReport};
-
-/// Commonly used items for downstream crates and examples.
-pub mod prelude {
-    pub use crate::config::{BundleSizing, SparsifyConfig};
-    pub use crate::engine::SparsifyEngine;
-    pub use crate::leverage::{resparsify_er, ErPassConfig, ErPassOutput, SamplingPolicy};
-    pub use crate::sample::{parallel_sample, SampleOutput};
-    pub use crate::sparsify::{parallel_sparsify, SparsifyOutput};
-    pub use crate::stats::WorkStats;
-    pub use crate::verify::{verify_sparsifier, VerificationReport};
-}

@@ -332,7 +332,7 @@ mod tests {
         // graph, so the output equals the input exactly — the algorithm never harms.
         let g = generators::erdos_renyi(100, 0.3, 1.0, 2);
         let cfg = SparsifyConfig::new(0.5, 2.0)
-            .with_paper_constants()
+            .with_bundle_sizing(BundleSizing::Paper)
             .with_seed(3);
         let out = parallel_sample(&g, &cfg);
         assert_eq!(out.sparsifier.m(), g.m());

@@ -36,15 +36,6 @@ pub struct SparsifyOutput {
     pub stats: WorkStats,
 }
 
-impl SparsifyOutput {
-    /// Ratio of input edges to output edges (the achieved sparsification factor).
-    pub fn achieved_factor(&self) -> f64 {
-        let m_in = *self.stats.edges_per_round.first().unwrap_or(&0) as f64;
-        let m_out = self.sparsifier.m().max(1) as f64;
-        m_in / m_out
-    }
-}
-
 /// Runs `PARALLELSPARSIFY` on `g` with the given configuration.
 ///
 /// The iteration stops early when the current graph has at most
@@ -142,7 +133,6 @@ mod tests {
             out.sparsifier.m(),
             g.m()
         );
-        assert!(out.achieved_factor() > 3.0);
         assert!(is_connected(&out.sparsifier));
     }
 
@@ -168,7 +158,6 @@ mod tests {
         let out = parallel_sparsify(&g, &cfg);
         assert_eq!(out.rounds_executed, 0);
         assert_eq!(out.sparsifier.m(), g.m());
-        assert_eq!(out.achieved_factor(), 1.0); // nothing was removed
     }
 
     #[test]

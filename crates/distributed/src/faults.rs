@@ -228,7 +228,7 @@ impl FaultPlan {
 
     /// Whether `v` is inside a crash window at `round`.
     #[inline]
-    pub fn is_down(&self, v: NodeId, round: u64) -> bool {
+    pub(crate) fn is_down(&self, v: NodeId, round: u64) -> bool {
         self.crashes
             .iter()
             .any(|c| c.vertex == v && c.from_round <= round && round < c.until_round)
@@ -236,7 +236,7 @@ impl FaultPlan {
 
     /// Whether the link `{u, v}` is inside an outage window at `round`.
     #[inline]
-    pub fn link_failed(&self, u: u32, v: u32, round: u64) -> bool {
+    pub(crate) fn link_failed(&self, u: u32, v: u32, round: u64) -> bool {
         self.link_failures.iter().any(|lf| {
             ((lf.u == u as usize && lf.v == v as usize)
                 || (lf.u == v as usize && lf.v == u as usize))

@@ -40,7 +40,8 @@
 //! reads them, and the protocol needs no extra message. On a clean network the two
 //! engines therefore select exactly the same edges at every `k`
 //! (`tests/golden_distributed.rs`). Under faults a lost exchange leaves a neighbour's
-//! center unknown, and the slot stays live.
+//! center unknown, and the slot stays live. The first exchange skips the pass: before
+//! any decision it has nothing to drop.
 //!
 //! The decision sink sends each `Kill` as it is staged, so every vertex sends its
 //! Kills in slot order and then its `Child`. Vertex programs run through
@@ -596,10 +597,15 @@ impl<K: Knowledge> Protocol<K> {
     /// One clustering iteration: sampling propagation (Phase A), neighbor exchange
     /// (Phase B), the retire pass of the previous iteration's decisions, then local
     /// decisions + notifications (Phase C). Costs `it + 2` simulator rounds.
+    ///
+    /// Iteration 1 skips the retire pass: no decision has run yet, so no half-edge is
+    /// dead and every vertex is its own center, and the pass would drop nothing.
     fn iteration(&mut self, it: usize) {
         self.phase_a(it);
         self.phase_b();
-        self.retire();
+        if it > 1 {
+            self.retire();
+        }
         self.phase_c();
         self.process_kills_and_children();
     }

@@ -31,11 +31,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of distinct vertex pairs added so far.
-    pub fn distinct_edges(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Adds an edge, accumulating weight onto an existing edge with the same endpoints.
     pub fn add(&mut self, u: NodeId, v: NodeId, w: f64) -> Result<&mut Self> {
         if u >= self.n {
@@ -59,26 +54,6 @@ impl GraphBuilder {
         let key = if u <= v { (u, v) } else { (v, u) };
         *self.weights.entry(key).or_insert(0.0) += w;
         Ok(self)
-    }
-
-    /// Adds every edge of `g`, accumulating duplicate pairs.
-    pub fn add_graph(&mut self, g: &Graph) -> Result<&mut Self> {
-        if g.n() != self.n {
-            return Err(GraphError::SizeMismatch {
-                left: self.n,
-                right: g.n(),
-            });
-        }
-        for e in g.edges() {
-            self.add(e.u, e.v, e.w)?;
-        }
-        Ok(self)
-    }
-
-    /// Returns `true` if the pair `(u, v)` has been added.
-    pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
-        let key = if u <= v { (u, v) } else { (v, u) };
-        self.weights.contains_key(&key)
     }
 
     /// Finalizes the builder into a simple graph with deterministically ordered edges.
@@ -108,10 +83,6 @@ mod tests {
         b.add(0, 1, 1.0).unwrap();
         b.add(1, 0, 2.0).unwrap();
         b.add(1, 2, 3.0).unwrap();
-        assert_eq!(b.distinct_edges(), 2);
-        assert!(b.contains(0, 1));
-        assert!(b.contains(1, 0));
-        assert!(!b.contains(0, 2));
         let g = b.build();
         assert_eq!(g.m(), 2);
         assert!((g.edges()[0].w - 3.0).abs() < 1e-12);
@@ -124,23 +95,7 @@ mod tests {
         assert!(b.add(0, 5, 1.0).is_err());
         assert!(b.add(0, 1, -1.0).is_err());
         assert!(b.add(0, 1, f64::NAN).is_err());
-        assert_eq!(b.distinct_edges(), 0);
-    }
-
-    #[test]
-    fn add_graph_checks_size() {
-        let g = Graph::from_tuples(3, vec![(0, 1, 1.0)]).unwrap();
-        let mut b = GraphBuilder::new(4);
-        assert!(matches!(
-            b.add_graph(&g),
-            Err(GraphError::SizeMismatch { .. })
-        ));
-        let mut b = GraphBuilder::new(3);
-        b.add_graph(&g).unwrap();
-        b.add_graph(&g).unwrap();
-        let out = b.build();
-        assert_eq!(out.m(), 1);
-        assert!((out.edges()[0].w - 2.0).abs() < 1e-12);
+        assert_eq!(b.build().m(), 0);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Connectivity utilities: union-find and connected components.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 
 /// Union-find (disjoint-set) structure with path halving and union by rank.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
-    components: usize,
 }
 
 impl UnionFind {
@@ -16,18 +15,7 @@ impl UnionFind {
         UnionFind {
             parent: (0..n).collect(),
             rank: vec![0; n],
-            components: n,
         }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True if the structure tracks no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
     }
 
     /// Finds the representative of `x` with path halving.
@@ -54,18 +42,7 @@ impl UnionFind {
         if self.rank[hi] == self.rank[lo] {
             self.rank[hi] += 1;
         }
-        self.components -= 1;
         true
-    }
-
-    /// True if `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Number of disjoint sets currently tracked.
-    pub fn component_count(&self) -> usize {
-        self.components
     }
 }
 
@@ -98,20 +75,6 @@ pub fn is_connected(g: &Graph) -> bool {
     count == 1
 }
 
-/// Returns the vertices of the largest connected component.
-pub fn largest_component(g: &Graph) -> Vec<NodeId> {
-    if g.n() == 0 {
-        return Vec::new();
-    }
-    let (labels, count) = connected_components(g);
-    let mut sizes = vec![0usize; count];
-    for &l in &labels {
-        sizes[l] += 1;
-    }
-    let best = (0..count).max_by_key(|&c| sizes[c]).unwrap_or(0);
-    (0..g.n()).filter(|&v| labels[v] == best).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,15 +84,11 @@ mod tests {
     #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.len(), 5);
-        assert!(!uf.is_empty());
-        assert_eq!(uf.component_count(), 5);
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2));
-        assert_eq!(uf.component_count(), 3);
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(0, 3));
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(3));
     }
 
     #[test]
@@ -143,8 +102,6 @@ mod tests {
         assert_ne!(labels[0], labels[3]);
         assert_ne!(labels[0], labels[5]);
         assert!(!is_connected(&g));
-        let big = largest_component(&g);
-        assert_eq!(big, vec![0, 1, 2]);
     }
 
     #[test]

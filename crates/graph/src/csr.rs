@@ -94,19 +94,9 @@ impl Adjacency {
         self.offsets[v + 1] - self.offsets[v]
     }
 
-    /// Weighted degree of vertex `v`.
-    pub fn weighted_degree(&self, v: NodeId) -> f64 {
-        self.neighbors(v).iter().map(|nb| nb.weight).sum()
-    }
-
     /// Iterates over `(vertex, &[Neighbor])` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &[Neighbor])> + '_ {
         (0..self.n).map(move |v| (v, self.neighbors(v)))
-    }
-
-    /// Maximum degree over all vertices (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.n).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 }
 
@@ -127,7 +117,6 @@ mod tests {
         assert_eq!(adj.degree(0), 1);
         assert_eq!(adj.degree(1), 2);
         assert_eq!(adj.degree(3), 1);
-        assert_eq!(adj.max_degree(), 2);
         let nb0 = adj.neighbors(0);
         assert_eq!(nb0.len(), 1);
         assert_eq!(nb0[0].node, 1);
@@ -135,16 +124,6 @@ mod tests {
         assert_eq!(nb0[0].edge, 0);
         let nb2: Vec<_> = adj.neighbors(2).iter().map(|nb| nb.node).collect();
         assert!(nb2.contains(&1) && nb2.contains(&3));
-    }
-
-    #[test]
-    fn weighted_degrees_agree_with_graph() {
-        let g = path4();
-        let adj = g.adjacency();
-        let d = g.weighted_degrees();
-        for (v, dv) in d.iter().enumerate() {
-            assert!((adj.weighted_degree(v) - dv).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -175,7 +154,6 @@ mod tests {
             assert_eq!(adj.degree(v), 0);
             assert!(adj.neighbors(v).is_empty());
         }
-        assert_eq!(adj.max_degree(), 0);
     }
 
     #[test]

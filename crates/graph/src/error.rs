@@ -24,10 +24,6 @@ pub enum GraphError {
         /// The vertex with the loop.
         vertex: usize,
     },
-    /// The operation requires a connected graph.
-    Disconnected,
-    /// The operation requires a non-empty graph.
-    EmptyGraph,
     /// Two graphs passed to a binary operation had different vertex counts.
     SizeMismatch {
         /// Vertex count of the left operand.
@@ -61,8 +57,6 @@ impl fmt::Display for GraphError {
                 )
             }
             GraphError::SelfLoop { vertex } => write!(f, "self-loop at vertex {vertex}"),
-            GraphError::Disconnected => write!(f, "graph is not connected"),
-            GraphError::EmptyGraph => write!(f, "graph has no vertices"),
             GraphError::SizeMismatch { left, right } => {
                 write!(f, "graphs have different vertex counts: {left} vs {right}")
             }

@@ -315,22 +315,6 @@ impl Graph {
         edges.sort_by_key(|e| (e.u, e.v));
         Graph { n: self.n, edges }
     }
-
-    /// True if the two graphs have the same vertex count, edge count and identical
-    /// coalesced edge weights up to `tol` (relative).
-    pub fn approx_eq(&self, other: &Graph, tol: f64) -> bool {
-        if self.n != other.n {
-            return false;
-        }
-        let a = self.coalesce();
-        let b = other.coalesce();
-        if a.m() != b.m() {
-            return false;
-        }
-        a.edges.iter().zip(b.edges.iter()).all(|(x, y)| {
-            x.key() == y.key() && (x.w - y.w).abs() <= tol * x.w.abs().max(y.w.abs()).max(1e-300)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -379,6 +363,32 @@ mod tests {
             Err(GraphError::NonPositiveWeight { .. })
         ));
         assert_eq!(g.m(), 0);
+    }
+
+    #[test]
+    fn from_edges_returns_typed_errors() {
+        let ok = Edge::new(0, 1, 1.0);
+        let build = |bad: Edge| Graph::from_edges(3, vec![ok, bad]);
+        assert_eq!(
+            build(Edge::new(2, 3, 1.0)),
+            Err(GraphError::VertexOutOfRange { vertex: 3, n: 3 })
+        );
+        assert_eq!(
+            build(Edge::new(2, 2, 1.0)),
+            Err(GraphError::SelfLoop { vertex: 2 })
+        );
+        for w in [0.0, -1.5, f64::INFINITY] {
+            assert_eq!(
+                build(Edge::new(1, 2, w)),
+                Err(GraphError::NonPositiveWeight { weight: w })
+            );
+        }
+        assert!(matches!(
+            build(Edge::new(1, 2, f64::NAN)),
+            Err(GraphError::NonPositiveWeight { weight }) if weight.is_nan()
+        ));
+        let g = Graph::from_edges(3, vec![ok, Edge::new(2, 1, 0.5)]).unwrap();
+        assert_eq!(g.edges(), &[ok, Edge::new(2, 1, 0.5)]);
     }
 
     #[test]
@@ -463,15 +473,5 @@ mod tests {
         assert_eq!(e.other(1), 3);
         assert_eq!(e.key(), (1, 3));
         assert!((e.resistance() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn approx_eq_detects_differences() {
-        let g = triangle();
-        let mut h = triangle();
-        assert!(g.approx_eq(&h, 1e-12));
-        h.edges_mut()[0].w *= 1.0 + 1e-3;
-        assert!(!g.approx_eq(&h, 1e-6));
-        assert!(g.approx_eq(&h, 1e-2));
     }
 }

@@ -275,12 +275,6 @@ impl<R: BufRead> EdgeBatchReader<R> {
     }
 }
 
-/// Writes a graph to a file in the edge-list text format.
-pub fn write_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<()> {
-    fs::write(path, to_string(g))?;
-    Ok(())
-}
-
 /// Reads a graph from a file in the edge-list text format.
 ///
 /// Streams the file through an [`EdgeBatchReader`]: peak memory is the output edge list
@@ -664,7 +658,7 @@ mod tests {
         let dir = std::env::temp_dir().join("sgs_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("grid.txt");
-        write_file(&g, &path).unwrap();
+        std::fs::write(&path, to_string(&g)).unwrap();
         let h = read_file(&path).unwrap();
         assert_eq!(g.edges(), h.edges());
         assert!(read_file(dir.join("missing.txt")).is_err());

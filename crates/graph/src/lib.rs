@@ -13,11 +13,11 @@
 //! * [`generators`] — reproducible graph families (grids, Erdős–Rényi, random regular,
 //!   preferential attachment, image affinity grids, …) used by examples, tests and the
 //!   benchmark harness.
-//! * [`ops`] — graph algebra (`G₁ + G₂`, `a·G`, edge-set difference) matching the paper's
+//! * [`ops`] — graph algebra (`G₁ + G₂`, `a·G`, coalesced union) matching the paper's
 //!   notation in Section 2.
 //! * [`stretch`] — stretch computations `st_H(e)` (Section 2, "Stretch") needed to verify
 //!   the spanner guarantees of Theorems 1 and 2.
-//! * [`connectivity`], [`traversal`], [`io`] — supporting utilities. [`io`] includes
+//! * [`connectivity`], [`metrics`], [`io`] — supporting utilities. [`io`] includes
 //!   [`io::EdgeBatchReader`], a chunked edge-list reader with `O(batch)` resident
 //!   memory that feeds the semi-streaming sparsifier (`sgs-stream`), and
 //!   [`io::BinEdgeReader`] / [`io::BinEdgeWriter`], the bit-exact binary block format
@@ -39,26 +39,10 @@ pub mod io;
 pub mod metrics;
 pub mod ops;
 pub mod stretch;
-pub mod traversal;
+mod traversal;
 
 pub use builder::GraphBuilder;
 pub use csr::Adjacency;
 pub use error::{GraphError, Result};
 pub use generators::splitmix64;
 pub use graph::{Edge, EdgeId, Graph, NodeId};
-
-/// Commonly used items, for glob-import convenience in downstream crates.
-pub mod prelude {
-    pub use crate::builder::GraphBuilder;
-    pub use crate::connectivity::{connected_components, is_connected, UnionFind};
-    pub use crate::csr::Adjacency;
-    pub use crate::error::{GraphError, Result};
-    pub use crate::generators;
-    pub use crate::graph::{Edge, EdgeId, Graph, NodeId};
-    pub use crate::io::{BinEdgeReader, BinEdgeWriter, EdgeBatchReader};
-    pub use crate::metrics::{conductance, cut_weight, degree_stats};
-    pub use crate::ops;
-    pub use crate::ops::{merge_union, merge_union_many};
-    pub use crate::stretch::{edge_stretch, max_stretch, stretch_of_all_edges};
-    pub use crate::traversal::{bfs_distances, dijkstra, dijkstra_resistance};
-}

@@ -1,14 +1,11 @@
-//! Graph metrics used by the experiments: cut weights, conductance, and degree
-//! statistics.
+//! Cut weights.
 //!
 //! Spectral sparsifiers preserve every cut of the graph to within the same `1 ± ε`
 //! factor as the quadratic form (take `x` to be the indicator vector of one side), so
-//! cut and conductance preservation are cheap necessary conditions that the tests and
-//! the examples check alongside the full spectral certification.
+//! cut preservation is a cheap necessary condition that the tests check alongside the
+//! full spectral certification.
 
-use std::collections::HashSet;
-
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 
 /// Total weight of edges crossing the cut `(S, V ∖ S)`.
 pub fn cut_weight(g: &Graph, side: &[bool]) -> f64 {
@@ -20,152 +17,19 @@ pub fn cut_weight(g: &Graph, side: &[bool]) -> f64 {
         .sum()
 }
 
-/// Total weight of edges crossing the cut defined by a vertex subset.
-pub fn cut_weight_of_set(g: &Graph, set: &HashSet<NodeId>) -> f64 {
-    let side: Vec<bool> = (0..g.n()).map(|v| set.contains(&v)).collect();
-    cut_weight(g, &side)
-}
-
-/// Volume (sum of weighted degrees) of the vertex set marked `true`.
-pub fn volume(g: &Graph, side: &[bool]) -> f64 {
-    debug_assert_eq!(side.len(), g.n());
-    let degrees = g.weighted_degrees();
-    degrees
-        .iter()
-        .zip(side)
-        .filter(|(_, &s)| s)
-        .map(|(d, _)| d)
-        .sum()
-}
-
-/// Conductance of the cut: `cut(S) / min(vol(S), vol(V∖S))`. Returns `f64::INFINITY`
-/// when one side has zero volume.
-pub fn conductance(g: &Graph, side: &[bool]) -> f64 {
-    let cut = cut_weight(g, side);
-    let vol_s = volume(g, side);
-    let vol_rest = g.weighted_degrees().iter().sum::<f64>() - vol_s;
-    let denom = vol_s.min(vol_rest);
-    if denom <= 0.0 {
-        f64::INFINITY
-    } else {
-        cut / denom
-    }
-}
-
-/// The cut indicator quadratic form identity: `xᵀ L x = cut(S)` for the 0/1 indicator
-/// vector of `S`. Exposed as a helper because several tests use it.
-pub fn indicator_vector(n: usize, set: &HashSet<NodeId>) -> Vec<f64> {
-    (0..n)
-        .map(|v| if set.contains(&v) { 1.0 } else { 0.0 })
-        .collect()
-}
-
-/// Summary statistics of the (unweighted) degree distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-    /// Fraction of vertices with degree at least ten times the mean (a heavy-tail
-    /// indicator used when characterising workloads).
-    pub hub_fraction: f64,
-}
-
-/// Computes degree statistics; returns `None` on an empty graph.
-pub fn degree_stats(g: &Graph) -> Option<DegreeStats> {
-    if g.n() == 0 {
-        return None;
-    }
-    let degrees = g.degrees();
-    let min = *degrees.iter().min().unwrap();
-    let max = *degrees.iter().max().unwrap();
-    let mean = degrees.iter().sum::<usize>() as f64 / g.n() as f64;
-    let hub_threshold = 10.0 * mean;
-    let hubs = degrees
-        .iter()
-        .filter(|&&d| d as f64 >= hub_threshold && d > 0)
-        .count();
-    Some(DegreeStats {
-        min,
-        max,
-        mean,
-        hub_fraction: hubs as f64 / g.n() as f64,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
 
     #[test]
-    fn cut_weight_matches_quadratic_form_on_indicators() {
-        let g = generators::erdos_renyi_weighted(60, 0.2, 0.5, 2.0, 3);
-        let set: HashSet<NodeId> = (0..30).collect();
-        let x = indicator_vector(g.n(), &set);
-        let via_form = g.quadratic_form(&x);
-        let via_cut = cut_weight_of_set(&g, &set);
-        assert!((via_form - via_cut).abs() < 1e-9);
-    }
-
-    #[test]
-    fn barbell_bridge_is_the_minimum_conductance_cut() {
+    fn barbell_bridge_cut_crosses_only_the_bridge() {
         let g = generators::barbell(20, 1, 1.0, 0.5);
-        // Cut between the two cliques: crosses only the bridge.
         let side: Vec<bool> = (0..g.n()).map(|v| v < 20).collect();
         assert!((cut_weight(&g, &side) - 0.5).abs() < 1e-12);
-        let phi_bridge = conductance(&g, &side);
-        // A cut through the middle of one clique has much higher conductance.
-        let side2: Vec<bool> = (0..g.n()).map(|v| v < 10).collect();
-        let phi_clique = conductance(&g, &side2);
-        assert!(phi_bridge < phi_clique);
+        // The cut weight is the quadratic form at the side's indicator vector.
+        let side: Vec<bool> = (0..g.n()).map(|v| v < 10).collect();
+        let x: Vec<f64> = side.iter().map(|&s| if s { 1.0 } else { 0.0 }).collect();
+        assert!((cut_weight(&g, &side) - g.quadratic_form(&x)).abs() < 1e-9);
     }
-
-    #[test]
-    fn volume_sums_to_total_degree() {
-        let g = generators::grid2d(6, 7, 2.0);
-        let all = vec![true; g.n()];
-        let none = vec![false; g.n()];
-        let total: f64 = g.weighted_degrees().iter().sum();
-        assert!((volume(&g, &all) - total).abs() < 1e-9);
-        assert_eq!(volume(&g, &none), 0.0);
-        assert!(conductance(&g, &none).is_infinite());
-    }
-
-    #[test]
-    fn conductance_of_expander_is_large() {
-        let g = generators::random_regular(200, 8, 1.0, 5);
-        let side: Vec<bool> = (0..200).map(|v| v < 100).collect();
-        let phi = conductance(&g, &side);
-        assert!(
-            phi > 0.1,
-            "random regular graphs have no sparse balanced cuts, phi = {phi}"
-        );
-        let dumbbell = generators::expander_dumbbell(100, 8, 1.0, 0.01, 7);
-        let side: Vec<bool> = (0..200).map(|v| v < 100).collect();
-        let phi_weak = conductance(&dumbbell, &side);
-        assert!(
-            phi_weak < 1e-3,
-            "the dumbbell cut is sparse, phi = {phi_weak}"
-        );
-    }
-
-    #[test]
-    fn degree_stats_detect_hubs() {
-        let star = generators::star(101, 1.0);
-        let stats = degree_stats(&star).unwrap();
-        assert_eq!(stats.min, 1);
-        assert_eq!(stats.max, 100);
-        assert!(stats.hub_fraction > 0.0);
-        let ring = generators::cycle(100, 1.0);
-        let stats = degree_stats(&ring).unwrap();
-        assert_eq!(stats.min, 2);
-        assert_eq!(stats.max, 2);
-        assert_eq!(stats.hub_fraction, 0.0);
-        assert!(degree_stats(&Graph::new(0)).is_none());
-    }
-    use crate::graph::Graph;
 }

@@ -7,7 +7,7 @@
 //! [`crate::graph::Graph::coalesce`] when a simple graph is preferred.
 
 use crate::error::{GraphError, Result};
-use crate::graph::{Edge, EdgeId, Graph};
+use crate::graph::{Edge, Graph};
 
 /// Returns `G₁ + G₂`: the vertex sets must match; edge lists are concatenated, so the
 /// Laplacian of the result is `L_{G₁} + L_{G₂}`.
@@ -26,19 +26,6 @@ pub fn add(g1: &Graph, g2: &Graph) -> Result<Graph> {
         out.push_edge_unchecked(e.u, e.v, e.w);
     }
     Ok(out)
-}
-
-/// Returns the sum of many graphs over a shared vertex set.
-pub fn sum<'a, I>(graphs: I) -> Result<Graph>
-where
-    I: IntoIterator<Item = &'a Graph>,
-{
-    let mut iter = graphs.into_iter();
-    let first = match iter.next() {
-        Some(g) => g.clone(),
-        None => return Err(GraphError::EmptyGraph),
-    };
-    iter.try_fold(first, |acc, g| add(&acc, g))
 }
 
 /// Returns `a · G`: every edge weight multiplied by `a > 0`.
@@ -79,32 +66,12 @@ pub fn merge_union(g1: &Graph, g2: &Graph) -> Result<Graph> {
         let (u, v) = e.key();
         scratch.push(Edge { u, v, w: e.w });
     }
-    merge_sorted_into_graph(g1.n(), &mut scratch)
-}
-
-/// k-way [`merge_union`]: coalesces any number of graphs over a shared vertex set in
-/// one sort instead of folding pairwise. The caller may pass a reusable `scratch`
-/// buffer to keep steady-state merges allocation-free (it is cleared first; its
-/// capacity is retained across calls).
-pub fn merge_union_many(graphs: &[&Graph], scratch: &mut Vec<Edge>) -> Result<Graph> {
-    let first = graphs.first().ok_or(GraphError::EmptyGraph)?;
-    let n = first.n();
-    let total: usize = graphs.iter().map(|g| g.m()).sum();
-    scratch.clear();
-    scratch.reserve(total);
-    for g in graphs {
-        if g.n() != n {
-            return Err(GraphError::SizeMismatch {
-                left: n,
-                right: g.n(),
-            });
-        }
-        for e in g.edges() {
-            let (u, v) = e.key();
-            scratch.push(Edge { u, v, w: e.w });
-        }
+    coalesce_in_place(&mut scratch);
+    let mut out = Graph::with_capacity(g1.n(), scratch.len());
+    for e in &scratch {
+        out.push_edge_unchecked(e.u, e.v, e.w);
     }
-    merge_sorted_into_graph(n, scratch)
+    Ok(out)
 }
 
 /// Canonicalizes (`u ≤ v`), sorts by vertex pair, and collapses duplicate pairs
@@ -140,47 +107,6 @@ pub fn coalesce_in_place(edges: &mut Vec<Edge>) {
     edges.truncate(write + 1);
 }
 
-/// Sorts a canonically-oriented edge scratch by vertex pair and collapses duplicate
-/// pairs by summing weights into an exactly-sized [`Graph`].
-pub(crate) fn merge_sorted_into_graph(n: usize, scratch: &mut Vec<Edge>) -> Result<Graph> {
-    coalesce_in_place(scratch);
-    let mut out = Graph::with_capacity(n, scratch.len());
-    for e in scratch.iter() {
-        out.push_edge_unchecked(e.u, e.v, e.w);
-    }
-    Ok(out)
-}
-
-/// Removes the edges with the given ids from `G`, returning `G − S` (the graph on the
-/// same vertex set with those edges deleted). This is the operation used to peel
-/// successive spanners off a graph when building a t-bundle (Section 3.1).
-pub fn remove_edges(g: &Graph, remove: &[EdgeId]) -> Graph {
-    let mut keep = vec![true; g.m()];
-    for &id in remove {
-        if id < keep.len() {
-            keep[id] = false;
-        }
-    }
-    g.edge_subgraph(&keep)
-}
-
-/// Splits `G` into `(kept, removed)` according to a predicate on edge ids.
-pub fn partition_edges<F>(g: &Graph, mut in_first: F) -> (Graph, Graph)
-where
-    F: FnMut(EdgeId) -> bool,
-{
-    let mut first = Graph::with_capacity(g.n(), g.m());
-    let mut second = Graph::with_capacity(g.n(), g.m());
-    for (id, e) in g.edges().iter().enumerate() {
-        if in_first(id) {
-            first.push_edge_unchecked(e.u, e.v, e.w);
-        } else {
-            second.push_edge_unchecked(e.u, e.v, e.w);
-        }
-    }
-    (first, second)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,18 +131,6 @@ mod tests {
             add(&g1, &g2),
             Err(GraphError::SizeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn sum_of_many() {
-        let gs: Vec<_> = (1..=3).map(|i| generators::path(5, i as f64)).collect();
-        let s = sum(gs.iter()).unwrap();
-        assert_eq!(s.m(), 3 * 4);
-        let x = vec![1.0, 0.0, 0.0, 0.0, -1.0];
-        let q: f64 = gs.iter().map(|g| g.quadratic_form(&x)).sum();
-        assert!((s.quadratic_form(&x) - q).abs() < 1e-12);
-        let empty: Vec<&Graph> = Vec::new();
-        assert!(matches!(sum(empty), Err(GraphError::EmptyGraph)));
     }
 
     #[test]
@@ -315,51 +229,5 @@ mod tests {
         let mut empty: Vec<Edge> = Vec::new();
         coalesce_in_place(&mut empty);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn merge_union_many_matches_pairwise_fold() {
-        let gs: Vec<Graph> = (0..4)
-            .map(|i| generators::erdos_renyi_weighted(20, 0.4, 0.5, 2.0, 50 + i))
-            .collect();
-        let refs: Vec<&Graph> = gs.iter().collect();
-        let mut scratch = Vec::new();
-        let many = merge_union_many(&refs, &mut scratch).unwrap();
-        let mut folded = gs[0].clone();
-        for g in &gs[1..] {
-            folded = merge_union(&folded, g).unwrap();
-        }
-        assert_eq!(many.m(), folded.m());
-        let x: Vec<f64> = (0..20).map(|i| (i as f64 * 0.7).sin()).collect();
-        assert!((many.quadratic_form(&x) - folded.quadratic_form(&x)).abs() < 1e-9);
-        // Scratch capacity is retained, so a second call does not reallocate.
-        let cap = scratch.capacity();
-        let _ = merge_union_many(&refs, &mut scratch).unwrap();
-        assert_eq!(scratch.capacity(), cap);
-        assert!(matches!(
-            merge_union_many(&[], &mut scratch),
-            Err(GraphError::EmptyGraph)
-        ));
-    }
-
-    #[test]
-    fn remove_edges_peels_subgraph() {
-        let g = generators::complete(4, 1.0); // 6 edges
-        let r = remove_edges(&g, &[0, 2, 4]);
-        assert_eq!(r.m(), 3);
-        // removing an out-of-range id is a no-op
-        let r2 = remove_edges(&g, &[100]);
-        assert_eq!(r2.m(), 6);
-    }
-
-    #[test]
-    fn partition_splits_exactly() {
-        let g = generators::complete(5, 1.0); // 10 edges
-        let (a, b) = partition_edges(&g, |id| id % 2 == 0);
-        assert_eq!(a.m() + b.m(), g.m());
-        assert_eq!(a.m(), 5);
-        // Quadratic forms add back up.
-        let x: Vec<f64> = (0..5).map(|i| i as f64).collect();
-        assert!((a.quadratic_form(&x) + b.quadratic_form(&x) - g.quadratic_form(&x)).abs() < 1e-9);
     }
 }

@@ -10,16 +10,8 @@
 
 use rayon::prelude::*;
 
-use crate::csr::Adjacency;
-use crate::graph::{Edge, Graph};
+use crate::graph::Graph;
 use crate::traversal::dijkstra_with_lengths;
-
-/// Computes the stretch of a single edge over `H` (given as an adjacency view).
-/// Returns `f64::INFINITY` if the endpoints are disconnected in `H`.
-pub fn edge_stretch(h: &Adjacency, e: &Edge) -> f64 {
-    let dist = dijkstra_with_lengths(h, e.u, |w| 1.0 / w, None);
-    e.w * dist[e.v]
-}
 
 /// Computes the stretch over `H` of every edge of `G`, in parallel.
 ///
@@ -41,7 +33,7 @@ pub fn stretch_of_all_edges(g: &Graph, h: &Graph) -> Vec<f64> {
         .enumerate()
         .filter(|(_, ids)| !ids.is_empty())
         .flat_map_iter(|(src, ids)| {
-            let dist = dijkstra_with_lengths(&adj_h, src, |w| 1.0 / w, None);
+            let dist = dijkstra_with_lengths(&adj_h, src, |w| 1.0 / w);
             ids.iter()
                 .map(|&id| {
                     let e = g.edge(id);
@@ -61,15 +53,6 @@ pub fn max_stretch(g: &Graph, h: &Graph) -> f64 {
     stretch_of_all_edges(g, h)
         .into_iter()
         .fold(0.0f64, f64::max)
-}
-
-/// Average stretch over `H` of the edges of `G` (infinite stretches propagate).
-pub fn average_stretch(g: &Graph, h: &Graph) -> f64 {
-    if g.m() == 0 {
-        return 0.0;
-    }
-    let s = stretch_of_all_edges(g, h);
-    s.iter().sum::<f64>() / s.len() as f64
 }
 
 #[cfg(test)]
@@ -105,10 +88,9 @@ mod tests {
         // Heavy edge (large conductance) over a light detour has large stretch.
         let g = Graph::from_tuples(3, vec![(0, 2, 10.0), (0, 1, 1.0), (1, 2, 1.0)]).unwrap();
         let h = Graph::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let e = g.edges()[0];
-        let s = edge_stretch(&h.adjacency(), &e);
+        let s = stretch_of_all_edges(&g, &h);
         // detour resistance = 2, weight = 10 => stretch 20.
-        assert!((s - 20.0).abs() < 1e-12);
+        assert!((s[0] - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -121,20 +103,13 @@ mod tests {
     }
 
     #[test]
-    fn average_stretch_of_empty_graph_is_zero() {
-        let g = Graph::new(3);
-        let h = Graph::new(3);
-        assert_eq!(average_stretch(&g, &h), 0.0);
-    }
-
-    #[test]
     fn parallel_and_sequential_agree() {
         let g = generators::grid2d(6, 6, 1.0);
         let h = generators::grid_spanning_tree(6, 6, 1.0);
         let all = stretch_of_all_edges(&g, &h);
         let adj = h.adjacency();
         for (id, e) in g.edges().iter().enumerate() {
-            let single = edge_stretch(&adj, e);
+            let single = e.w * dijkstra_with_lengths(&adj, e.u, |w| 1.0 / w)[e.v];
             assert!(
                 (all[id] - single).abs() < 1e-9,
                 "edge {id}: {} vs {}",

@@ -1,11 +1,6 @@
-//! Graph traversals: BFS and Dijkstra shortest paths.
-//!
-//! Two length conventions are used in the paper and therefore supported here:
-//!
-//! * *hop* lengths (BFS) — used by the distributed simulator and cluster growing;
-//! * *resistance* lengths `1 / w_e` (Dijkstra) — the stretch of an edge `e = (u, v)` over
-//!   a subgraph `H` is `w_e · dist_H(u, v)` where distances use resistance lengths
-//!   (Section 2, "Stretch").
+//! Dijkstra shortest paths for the stretch computations: the stretch of an edge
+//! `e = (u, v)` over a subgraph `H` is `w_e · dist_H(u, v)` where distances use
+//! resistance lengths `1 / w_e` (Section 2, "Stretch").
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -40,35 +35,9 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Unweighted BFS distances (hop counts) from `source`; unreachable vertices get
-/// `usize::MAX`.
-pub fn bfs_distances(adj: &Adjacency, source: NodeId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; adj.n()];
-    let mut queue = std::collections::VecDeque::new();
-    dist[source] = 0;
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        for nb in adj.neighbors(v) {
-            if dist[nb.node] == usize::MAX {
-                dist[nb.node] = dist[v] + 1;
-                queue.push_back(nb.node);
-            }
-        }
-    }
-    dist
-}
-
 /// Dijkstra distances from `source` where edge `e` has length `length(e.weight)`.
 /// Unreachable vertices get `f64::INFINITY`.
-///
-/// An optional `cutoff` prunes the search: vertices farther than `cutoff` are left at
-/// infinity, which keeps stretch verification cheap on large graphs.
-pub fn dijkstra_with_lengths<F>(
-    adj: &Adjacency,
-    source: NodeId,
-    length: F,
-    cutoff: Option<f64>,
-) -> Vec<f64>
+pub(crate) fn dijkstra_with_lengths<F>(adj: &Adjacency, source: NodeId, length: F) -> Vec<f64>
 where
     F: Fn(f64) -> f64,
 {
@@ -79,13 +48,9 @@ where
         dist: 0.0,
         node: source,
     });
-    let limit = cutoff.unwrap_or(f64::INFINITY);
     while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
         if d > dist[v] {
             continue;
-        }
-        if d > limit {
-            break;
         }
         for nb in adj.neighbors(v) {
             let nd = d + length(nb.weight);
@@ -101,28 +66,6 @@ where
     dist
 }
 
-/// Dijkstra with edge lengths equal to edge weights.
-pub fn dijkstra(adj: &Adjacency, source: NodeId) -> Vec<f64> {
-    dijkstra_with_lengths(adj, source, |w| w, None)
-}
-
-/// Dijkstra with *resistance* lengths `1 / w`, the metric used to define stretch and
-/// effective-resistance upper bounds in the paper.
-pub fn dijkstra_resistance(adj: &Adjacency, source: NodeId) -> Vec<f64> {
-    dijkstra_with_lengths(adj, source, |w| 1.0 / w, None)
-}
-
-/// Single-pair resistance-length distance with an early-exit cutoff.
-pub fn resistance_distance_capped(
-    adj: &Adjacency,
-    source: NodeId,
-    target: NodeId,
-    cutoff: f64,
-) -> f64 {
-    let dist = dijkstra_with_lengths(adj, source, |w| 1.0 / w, Some(cutoff));
-    dist[target]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,38 +77,10 @@ mod tests {
     }
 
     #[test]
-    fn bfs_hop_counts() {
+    fn resistance_lengths_add_up_along_a_path() {
         let g = weighted_path();
         let adj = g.adjacency();
-        let d = bfs_distances(&adj, 0);
-        assert_eq!(d, vec![0, 1, 2, 3]);
-        let d = bfs_distances(&adj, 2);
-        assert_eq!(d, vec![2, 1, 0, 1]);
-    }
-
-    #[test]
-    fn bfs_unreachable_is_max() {
-        let g = Graph::from_tuples(4, vec![(0, 1, 1.0)]).unwrap();
-        let adj = g.adjacency();
-        let d = bfs_distances(&adj, 0);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], usize::MAX);
-        assert_eq!(d[3], usize::MAX);
-    }
-
-    #[test]
-    fn dijkstra_weight_lengths() {
-        let g = weighted_path();
-        let adj = g.adjacency();
-        let d = dijkstra(&adj, 0);
-        assert!((d[3] - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dijkstra_resistance_lengths() {
-        let g = weighted_path();
-        let adj = g.adjacency();
-        let d = dijkstra_resistance(&adj, 0);
+        let d = dijkstra_with_lengths(&adj, 0, |w| 1.0 / w);
         // resistances: 1 + 2 + 4 = 7
         assert!((d[3] - 7.0).abs() < 1e-12);
         assert!((d[1] - 1.0).abs() < 1e-12);
@@ -176,29 +91,16 @@ mod tests {
         // Two paths from 0 to 2: direct heavy-resistance edge vs. light two-hop path.
         let g = Graph::from_tuples(3, vec![(0, 2, 0.1), (0, 1, 10.0), (1, 2, 10.0)]).unwrap();
         let adj = g.adjacency();
-        let d = dijkstra_resistance(&adj, 0);
+        let d = dijkstra_with_lengths(&adj, 0, |w| 1.0 / w);
         // direct: 1/0.1 = 10; via 1: 0.1 + 0.1 = 0.2
         assert!((d[2] - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cutoff_prunes_far_vertices() {
-        let g = weighted_path();
-        let adj = g.adjacency();
-        let d = dijkstra_with_lengths(&adj, 0, |w| 1.0 / w, Some(2.5));
-        assert!(d[1].is_finite());
-        assert!(d[3].is_infinite());
-        let capped = resistance_distance_capped(&adj, 0, 3, 2.5);
-        assert!(capped.is_infinite());
-        let full = resistance_distance_capped(&adj, 0, 3, 100.0);
-        assert!((full - 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn unreachable_is_infinite() {
         let g = Graph::from_tuples(3, vec![(0, 1, 1.0)]).unwrap();
         let adj = g.adjacency();
-        let d = dijkstra_resistance(&adj, 0);
+        let d = dijkstra_with_lengths(&adj, 0, |w| 1.0 / w);
         assert!(d[2].is_infinite());
     }
 }

@@ -19,12 +19,6 @@ pub trait LinearOperator: Sync {
     fn dim(&self) -> usize;
     /// Computes `y = A x`.
     fn apply_into(&self, x: &[f64], y: &mut [f64]);
-    /// Convenience allocation wrapper around [`LinearOperator::apply_into`].
-    fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.dim()];
-        self.apply_into(x, &mut y);
-        y
-    }
 }
 
 impl LinearOperator for CsrMatrix {
@@ -89,11 +83,6 @@ impl JacobiPreconditioner {
             .collect();
         JacobiPreconditioner { inv_diag }
     }
-
-    /// Builds the preconditioner for a graph Laplacian (weighted degrees).
-    pub fn for_graph(g: &Graph) -> Self {
-        Self::from_diagonal(&g.weighted_degrees())
-    }
 }
 
 impl Preconditioner for JacobiPreconditioner {
@@ -127,14 +116,6 @@ impl Default for CgConfig {
 }
 
 impl CgConfig {
-    /// Config with a custom tolerance, keeping the other defaults.
-    pub fn with_tolerance(tolerance: f64) -> Self {
-        CgConfig {
-            tolerance,
-            ..Default::default()
-        }
-    }
-
     /// Sets the iteration cap.
     pub fn max_iterations(mut self, iters: usize) -> Self {
         self.max_iterations = iters;
@@ -398,9 +379,17 @@ mod tests {
         let mut b = vec![0.0; 50];
         b[1] = 1.0;
         b[2] = -1.0;
-        let cfg = CgConfig::with_tolerance(1e-10);
+        let cfg = CgConfig {
+            tolerance: 1e-10,
+            ..CgConfig::default()
+        };
         let plain = cg_solve(&l, &b, &cfg);
-        let jacobi = pcg_solve(&l, &JacobiPreconditioner::for_graph(&g), &b, &cfg);
+        let jacobi = pcg_solve(
+            &l,
+            &JacobiPreconditioner::from_diagonal(&g.weighted_degrees()),
+            &b,
+            &cfg,
+        );
         assert!(jacobi.converged);
         assert!(
             jacobi.iterations <= plain.iterations,
@@ -453,7 +442,10 @@ mod tests {
         // expander-ish random regular graph of the same size.
         let path = generators::path(200, 1.0);
         let exp = generators::random_regular(200, 6, 1.0, 5);
-        let cfg = CgConfig::with_tolerance(1e-8);
+        let cfg = CgConfig {
+            tolerance: 1e-8,
+            ..CgConfig::default()
+        };
         let mut b = vec![0.0; 200];
         b[0] = 1.0;
         b[199] = -1.0;

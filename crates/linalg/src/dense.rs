@@ -22,15 +22,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Creates an identity matrix of dimension `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = DenseMatrix::zeros(n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// Converts a sparse matrix to dense form.
     pub fn from_csr(a: &CsrMatrix) -> Self {
         let n = a.n();
@@ -160,13 +151,6 @@ impl CholeskyFactor {
 mod tests {
     use super::*;
     use sgs_graph::generators;
-
-    #[test]
-    fn identity_and_apply() {
-        let id = DenseMatrix::identity(3);
-        let x = vec![1.0, -2.0, 3.0];
-        assert_eq!(id.apply(&x), x);
-    }
 
     #[test]
     fn cholesky_solves_spd_system() {

@@ -1,4 +1,4 @@
-//! Laplacian assembly and SDD checks.
+//! SDD checks and the graph behind a Laplacian-like SDD matrix.
 //!
 //! A symmetric matrix `A` is SDD (symmetric diagonally dominant) if
 //! `A_ii ≥ Σ_{j≠i} |A_ij|` for every row `i` (footnote 1 of the paper). Graph Laplacians
@@ -8,12 +8,6 @@
 use sgs_graph::{Graph, GraphError, Result};
 
 use crate::csr::CsrMatrix;
-
-/// Builds the Laplacian CSR matrix of a graph. Convenience re-export of
-/// [`CsrMatrix::laplacian`].
-pub fn laplacian_of(g: &Graph) -> CsrMatrix {
-    CsrMatrix::laplacian(g)
-}
 
 /// Checks whether a symmetric CSR matrix is SDD within tolerance `tol`.
 pub fn is_sdd(a: &CsrMatrix, tol: f64) -> bool {
@@ -71,7 +65,7 @@ mod tests {
     #[test]
     fn laplacians_are_sdd() {
         let g = generators::erdos_renyi_weighted(40, 0.3, 0.1, 5.0, 1);
-        let l = laplacian_of(&g);
+        let l = CsrMatrix::laplacian(&g);
         assert!(is_sdd(&l, 1e-9));
     }
 
@@ -93,7 +87,7 @@ mod tests {
     #[test]
     fn graph_round_trips_through_laplacian() {
         let g = generators::grid2d(4, 5, 1.5);
-        let l = laplacian_of(&g);
+        let l = CsrMatrix::laplacian(&g);
         let (h, excess) = graph_from_sdd(&l, 1e-12).unwrap();
         assert_eq!(h.coalesce().edges(), g.coalesce().edges());
         assert!(excess.iter().all(|&e| e.abs() < 1e-9));

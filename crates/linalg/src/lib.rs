@@ -8,7 +8,7 @@
 //! * [`vector`] — dense vector kernels (dot products, norms, axpy, projection against
 //!   the all-ones vector), parallelised with rayon where it pays off.
 //! * [`csr`] — a compressed-sparse-row matrix with parallel matrix–vector products.
-//! * [`laplacian`] — assembly of graph Laplacians and SDD checks.
+//! * [`laplacian`] — SDD checks and the graph behind a Laplacian-like SDD matrix.
 //! * [`dense`] — small dense matrices with Cholesky factorization, used as ground truth
 //!   on tiny instances.
 //! * [`cg`] — conjugate gradient and preconditioned conjugate gradient solvers.
@@ -36,23 +36,9 @@ pub use cg::{
 };
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use laplacian::{is_sdd, laplacian_of};
+pub use laplacian::is_sdd;
 pub use resistance::{
     approx_effective_resistances, approx_effective_resistances_in, exact_effective_resistances,
     ResistanceOptions, ResistanceScratch,
 };
-pub use spectral::{approximation_bounds, relative_condition_number, SpectralBounds};
-
-/// Commonly used items for downstream crates.
-pub mod prelude {
-    pub use crate::cg::{
-        cg_solve, pcg_solve, CgConfig, CgOutcome, JacobiPreconditioner, Preconditioner,
-    };
-    pub use crate::csr::CsrMatrix;
-    pub use crate::dense::DenseMatrix;
-    pub use crate::eigen::{power_method, smallest_nonzero_eigenvalue};
-    pub use crate::laplacian::{is_sdd, laplacian_of};
-    pub use crate::resistance::{approx_effective_resistances, exact_effective_resistances};
-    pub use crate::spectral::{approximation_bounds, relative_condition_number, SpectralBounds};
-    pub use crate::vector;
-}
+pub use spectral::{approximation_bounds, SpectralBounds};

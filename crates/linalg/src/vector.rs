@@ -27,11 +27,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Infinity norm `‖x‖∞`.
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |acc, v| acc.max(v.abs()))
-}
-
 /// `y ← y + alpha · x`.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
@@ -86,18 +81,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// Returns `x − y` as a new vector.
-pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(a, b)| a - b).collect()
-}
-
-/// Returns `x + y` as a new vector.
-pub fn add(x: &[f64], y: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(a, b)| a + b).collect()
-}
-
 /// Removes the component of `x` along the all-ones vector, i.e. subtracts the mean.
 ///
 /// Laplacians are singular with null space `span{1}`; every solver and eigen-iteration
@@ -125,17 +108,9 @@ pub fn random_unit_orthogonal(n: usize, seed: u64) -> Vec<f64> {
     x
 }
 
-/// A deterministic vector of independent Rademacher (±1) entries, used by the
-/// Spielman–Srivastava random-projection resistance estimator.
-pub fn rademacher(n: usize, seed: u64) -> Vec<f64> {
-    let mut out = vec![0.0; n];
-    rademacher_in(seed, &mut out);
-    out
-}
-
-/// In-place [`rademacher`]: fills `out` with the same ±1 stream for the same seed,
-/// letting batch callers (the engine-scratch resistance estimator) reuse one buffer
-/// across draws instead of allocating per projection row.
+/// Fills `out` with independent Rademacher (±1) entries drawn from `seed`, for the
+/// Spielman–Srivastava random-projection resistance estimator. Batch callers reuse
+/// one buffer across draws instead of allocating per projection row.
 pub fn rademacher_in(seed: u64, out: &mut [f64]) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     for v in out.iter_mut() {
@@ -152,19 +127,16 @@ mod tests {
         let x = vec![3.0, 4.0];
         assert_eq!(dot(&x, &x), 25.0);
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(norm_inf(&[-7.0, 2.0, 6.5]), 7.0);
     }
 
     #[test]
-    fn axpy_scale_add_sub() {
+    fn axpy_and_scale() {
         let x = vec![1.0, 2.0, 3.0];
         let mut y = vec![10.0, 20.0, 30.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, vec![12.0, 24.0, 36.0]);
         scale(0.5, &mut y);
         assert_eq!(y, vec![6.0, 12.0, 18.0]);
-        assert_eq!(add(&x, &x), vec![2.0, 4.0, 6.0]);
-        assert_eq!(sub(&y, &x), vec![5.0, 10.0, 15.0]);
     }
 
     #[test]
@@ -226,8 +198,13 @@ mod tests {
 
     #[test]
     fn rademacher_entries_are_pm_one() {
-        let x = rademacher(64, 9);
+        let draw = |seed| {
+            let mut x = vec![0.0; 64];
+            rademacher_in(seed, &mut x);
+            x
+        };
+        let x = draw(9);
         assert!(x.iter().all(|&v| v == 1.0 || v == -1.0));
-        assert_eq!(x, rademacher(64, 9));
+        assert_eq!(x, draw(9));
     }
 }

@@ -17,7 +17,7 @@
 //! Two exporters are provided: a JSONL event log ([`export_jsonl`]) and a Chrome
 //! `trace_event` JSON ([`export_chrome_trace`]) that loads in `chrome://tracing`
 //! or Perfetto with spans on per-thread tracks. [`json::parse`] is a minimal
-//! JSON parser back into the vendored `serde::Value` model so reports and traces
+//! JSON parser back into the vendored `serde::Value` model so exported traces
 //! round-trip without any crates.io dependency.
 
 #![warn(missing_docs)]
@@ -31,10 +31,8 @@ use std::time::Instant;
 
 pub mod export;
 pub mod json;
-pub mod report;
 
 pub use export::{export_chrome_trace, export_jsonl};
-pub use report::{RunReport, Section};
 
 /// A single deterministic field value attached to an event.
 ///
@@ -95,7 +93,8 @@ pub enum EventKind {
     SpanEnd,
     /// An instant event.
     Point,
-    /// A counter sample (rendered as a Chrome `C` event).
+    /// A counter sample (rendered as a Chrome `C` event). No engine emits one; the
+    /// variant stays while the benchmark's trace reader matches on it.
     Counter,
 }
 
@@ -200,19 +199,6 @@ pub fn point(name: &'static str, fields: &[(&'static str, FieldValue)]) {
             name,
             kind: EventKind::Point,
             fields: fields.to_vec(),
-            ts_us: now_us(),
-            tid: thread_id(),
-        });
-    }
-}
-
-/// Emits a counter sample (a gauge is the same event with a non-monotonic value).
-pub fn counter(name: &'static str, value: f64) {
-    if let Some(s) = sink() {
-        s.record(Event {
-            name,
-            kind: EventKind::Counter,
-            fields: vec![("value", FieldValue::F64(value))],
             ts_us: now_us(),
             tid: thread_id(),
         });

@@ -63,18 +63,15 @@ pub struct SolveOutcome {
     pub chain_depth: usize,
     /// Total edges stored in the chain (0 for the reference methods).
     pub chain_edges: usize,
-    /// Solve counters (iterations, preconditioner applies, per-level work).
+    /// Solve counters (preconditioner applies, per-level work).
     pub stats: SolveStats,
 }
 
-/// Counters for one solve, suitable for absorption into an observability
-/// `RunReport`. All values are deterministic for a fixed system and seed.
+/// Counters of one solve beyond the [`SolveOutcome`] fields; the `solver.done` and
+/// `solver.level_work` trace points carry the same values. All values are
+/// deterministic for a fixed system and seed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveStats {
-    /// Outer PCG/CG iterations.
-    pub iterations: usize,
-    /// Final relative residual.
-    pub relative_residual: f64,
     /// Preconditioner applications ([`SolverMethod::ChainPcg`] only; 0 for the
     /// reference methods, which either have no preconditioner or a diagonal one
     /// whose work is already counted by the iteration total).
@@ -220,8 +217,6 @@ impl SddSolver {
         }
         SolveOutcome {
             stats: SolveStats {
-                iterations: outcome.iterations,
-                relative_residual: outcome.relative_residual,
                 preconditioner_applies: applies,
                 per_level_work,
             },

@@ -60,38 +60,6 @@ pub struct BundleResult {
     pub work: u64,
 }
 
-impl BundleResult {
-    /// The bundle `H = Σ H_i` as a graph on the same vertex set.
-    pub fn bundle_graph(&self, g: &Graph) -> Graph {
-        let mut ids: Vec<EdgeId> = Vec::with_capacity(self.bundle_size);
-        ids.extend(
-            self.in_bundle
-                .iter()
-                .enumerate()
-                .filter_map(|(id, &inb)| if inb { Some(id) } else { None }),
-        );
-        g.with_edge_ids(&ids)
-    }
-
-    /// Ids of the edges of `g` that are *not* in the bundle (the uniformly sampled set
-    /// of Algorithm 1).
-    pub fn off_bundle_ids(&self) -> Vec<EdgeId> {
-        let mut ids: Vec<EdgeId> = Vec::with_capacity(self.off_bundle_count());
-        ids.extend(
-            self.in_bundle
-                .iter()
-                .enumerate()
-                .filter_map(|(id, &inb)| if inb { None } else { Some(id) }),
-        );
-        ids
-    }
-
-    /// Number of edges outside the bundle.
-    pub fn off_bundle_count(&self) -> usize {
-        self.in_bundle.len() - self.bundle_size
-    }
-}
-
 /// The seed of a bundle's `i`-th component: one schedule for every bundle builder.
 pub fn component_seed(seed: u64, i: usize) -> u64 {
     seed.wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15))
@@ -171,7 +139,6 @@ mod tests {
         }
         let total: usize = b.components.iter().map(Vec::len).sum();
         assert_eq!(total, b.bundle_size);
-        assert_eq!(b.off_bundle_count(), g.m() - b.bundle_size);
     }
 
     #[test]
@@ -220,27 +187,6 @@ mod tests {
         let b = t_bundle(&g, &BundleConfig::new(50).with_seed(2));
         assert_eq!(b.bundle_size, g.m());
         assert!(b.components.len() < 50, "construction should stop early");
-        assert!(b.off_bundle_ids().is_empty());
-    }
-
-    #[test]
-    fn off_bundle_ids_partition_the_edge_set() {
-        let g = generators::erdos_renyi(100, 0.3, 1.0, 4);
-        let b = t_bundle(&g, &BundleConfig::new(2).with_seed(11));
-        let off = b.off_bundle_ids();
-        assert_eq!(off.len() + b.bundle_size, g.m());
-        for id in off {
-            assert!(!b.in_bundle[id]);
-        }
-    }
-
-    #[test]
-    fn bundle_graph_contains_exactly_the_bundle_edges() {
-        let g = generators::erdos_renyi(80, 0.25, 1.0, 21);
-        let b = t_bundle(&g, &BundleConfig::new(3).with_seed(3));
-        let bg = b.bundle_graph(&g);
-        assert_eq!(bg.m(), b.bundle_size);
-        assert_eq!(bg.n(), g.n());
     }
 
     #[test]
@@ -249,7 +195,7 @@ mod tests {
         let b = t_bundle(&g, &BundleConfig::new(0).with_seed(1));
         assert_eq!(b.bundle_size, 0);
         assert!(b.components.is_empty());
-        assert_eq!(b.off_bundle_count(), g.m());
+        assert!(b.in_bundle.iter().all(|&x| !x));
     }
 
     #[test]
@@ -285,30 +231,18 @@ mod tests {
     }
 
     #[test]
-    fn bundle_size_and_off_bundle_count_are_consistent() {
-        // Direct consistency check of the preallocated accessors: sizes reported by
-        // `bundle_size`, `off_bundle_count`, `off_bundle_ids` and the mask must agree,
-        // and the two id lists must partition 0..m.
+    fn bundle_size_mask_and_components_are_consistent() {
+        // `bundle_size`, the mask and the components must agree: the components are
+        // disjoint and cover exactly the masked edges.
         for (t, seed) in [(1usize, 5u64), (3, 5), (4, 77)] {
             let g = generators::erdos_renyi(90, 0.3, 1.0, 13);
             let b = t_bundle(&g, &BundleConfig::new(t).with_seed(seed));
             let mask_count = b.in_bundle.iter().filter(|&&x| x).count();
             assert_eq!(b.bundle_size, mask_count);
-            assert_eq!(b.off_bundle_count(), g.m() - mask_count);
-            let off = b.off_bundle_ids();
-            assert_eq!(off.len(), b.off_bundle_count());
-            // `with_capacity` guarantees *at least* the request; growth past it would
-            // mean the up-front sizing was wrong.
-            assert!(
-                off.capacity() >= b.off_bundle_count(),
-                "undersized prealloc"
-            );
-            let bg = b.bundle_graph(&g);
-            assert_eq!(bg.m(), b.bundle_size);
-            let mut all: Vec<usize> = off;
-            all.extend((0..g.m()).filter(|&id| b.in_bundle[id]));
-            all.sort_unstable();
-            assert_eq!(all, (0..g.m()).collect::<Vec<_>>());
+            let mut ids: Vec<EdgeId> = b.components.concat();
+            ids.sort_unstable();
+            let masked: Vec<EdgeId> = (0..g.m()).filter(|&id| b.in_bundle[id]).collect();
+            assert_eq!(ids, masked);
         }
     }
 }

@@ -9,12 +9,14 @@
 //! across rounds — a `(1 ± ε₂)` sparsifier of a union of `(1 ± ε₁)` sparsifiers is a
 //! `(1 ± ε₁)(1 ± ε₂)` sparsifier of the union — applied across *slices of the edge
 //! stream*: raw edges are buffered into leaves, each leaf is sparsified, and `k`
-//! same-depth sparsifiers are repeatedly unioned ([`sgs_graph::ops::merge_union`],
-//! duplicate weights accumulated) and resparsified, with a geometric ε schedule
-//! (`ε_j = ε_total (1−r) r^j`, `Σ ε_j = ε_total`) so the end-to-end guarantee holds at
-//! any tree depth. Input size is thereby decoupled from resident memory: the stream
-//! may be far larger than RAM, arrive from an iterator, a channel, or the chunked
-//! [`sgs_graph::io::EdgeBatchReader`].
+//! same-depth sparsifiers are repeatedly unioned in place
+//! ([`sgs_graph::ops::coalesce_in_place`], duplicate weights accumulated) and
+//! resparsified, with a geometric ε schedule (`ε_j = ε_total (1−r) r^j`,
+//! `Σ ε_j = ε_total`) so the end-to-end guarantee holds at any tree depth. Input size
+//! is thereby decoupled from resident memory: the stream may be far larger than RAM.
+//! Edges arrive through [`StreamSparsifier::ingest_batch`]; a file is streamed by
+//! looping `next_batch` of the chunked [`sgs_graph::io::EdgeBatchReader`] (or
+//! [`sgs_graph::io::BinEdgeReader`]) into it.
 //!
 //! Fixed-seed output is bitwise identical across rayon thread counts **and** across
 //! batch boundaries (leaves fire on stream position, not on `ingest` call shape).
@@ -61,20 +63,11 @@ pub use sparsifier::{StreamOutput, StreamSparsifier};
 pub use stats::{ErPassStats, LevelStats, SpillLedger, StreamStats};
 pub use store::{NodeHandle, SpillConfig, SpillStore};
 
-/// Commonly used items for downstream crates and examples.
-pub mod prelude {
-    pub use crate::config::{FinalPassConfig, StreamConfig};
-    pub use crate::sparsifier::{StreamOutput, StreamSparsifier};
-    pub use crate::stats::{ErPassStats, LevelStats, SpillLedger, StreamStats};
-    pub use crate::store::{SpillConfig, SpillStore};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::EDGE_BYTES;
     use sgs_core::{parallel_sparsify, BundleSizing};
-    use sgs_graph::io::EdgeBatchReader;
     use sgs_graph::{generators, Edge, Graph};
 
     fn cfg(budget: usize, seed: u64) -> StreamConfig {
@@ -204,16 +197,12 @@ mod tests {
         assert_eq!(out.stats.batches_ingested, 1);
     }
 
-    /// Failure-atomicity contract: a failed `ingest_batch` changes nothing and the
-    /// sparsifier stays usable; a partial `ingest_iter` failure poisons it, every
-    /// further ingest call names the original error, and `finish` still produces the
-    /// validly-ingested prefix.
+    /// Failure-atomicity contract: a batch that fails validation changes nothing,
+    /// and the sparsifier stays usable.
     #[test]
-    fn failed_ingest_is_atomic_or_poisons() {
-        use sgs_graph::GraphError;
-
-        // ingest_batch: atomic — the exact state (stats included) survives the error
-        // and identical input afterwards yields the unperturbed output.
+    fn failed_validation_is_atomic() {
+        // The exact state (stats included) survives the error and identical input
+        // afterwards yields the unperturbed output.
         let g = generators::erdos_renyi(120, 0.3, 1.0, 19);
         let c = cfg(g.m() / 3, 7);
         let clean = stream_in_batches(&g, &c, 4);
@@ -232,55 +221,36 @@ mod tests {
             s.ingest_batch(batch).unwrap();
         }
         assert_eq!(clean.sparsifier.edges(), s.finish().sparsifier.edges());
+    }
 
-        // ingest_iter failing before the first edge: state unchanged, not poisoned.
-        let mut s = StreamSparsifier::new(5, cfg(100, 1));
-        assert!(s.ingest_iter([Edge::new(2, 2, 1.0)]).is_err());
-        assert!(s.poisoned().is_none());
-        assert_eq!(s.stats().batches_ingested, 0);
-        assert_eq!(s.resident_edges(), 0);
+    /// A storage failure strikes after part of a batch was applied, so it poisons
+    /// the sparsifier: every later call names the original failure.
+    #[test]
+    fn storage_failure_poisons_the_stream() {
+        use sgs_graph::GraphError;
 
-        // ingest_iter failing after partial progress: poisoned, and every ingest
-        // entry point now reports the original failure.
-        let partial = [
-            Edge::new(0, 1, 1.0),
-            Edge::new(1, 2, f64::INFINITY),
-            Edge::new(2, 3, 1.0),
-        ];
-        assert!(s.ingest_iter(partial).is_err());
-        let why = s
-            .poisoned()
-            .expect("partial failure must poison")
-            .to_string();
-        assert!(
-            why.contains("inf"),
-            "poison reason should name the cause: {why}"
-        );
-        assert_eq!(s.stats().edges_ingested, 1, "valid prefix stays ingested");
-        for result in [
-            s.ingest_batch(&[Edge::new(0, 1, 1.0)]),
-            s.ingest_iter([Edge::new(0, 1, 1.0)]).map(|_| ()),
-        ] {
-            match result {
-                Err(GraphError::Poisoned(msg)) => assert!(msg.contains("inf"), "{msg}"),
-                other => panic!("expected Poisoned, got {other:?}"),
-            }
+        // Spill files go under a regular file, so the first spill cannot create
+        // its directory.
+        let base = std::env::temp_dir().join(format!("sgs_poison_test_{}", std::process::id()));
+        std::fs::create_dir_all(&base).unwrap();
+        let blocker = base.join("not-a-directory");
+        std::fs::write(&blocker, b"").unwrap();
+        let g = generators::erdos_renyi(120, 0.3, 1.0, 19);
+        let spill = SpillConfig::new(EDGE_BYTES).with_directory(blocker.join("spill"));
+        let mut s = StreamSparsifier::new(g.n(), cfg(g.m() / 3, 7).with_spill(spill));
+        let err = g
+            .edges()
+            .chunks(g.m().div_ceil(8))
+            .find_map(|batch| s.ingest_batch(batch).err())
+            .expect("the first spill fails");
+        assert!(matches!(err, GraphError::Io(_)), "{err:?}");
+        let why = s.poisoned().expect("a storage failure poisons").to_string();
+        assert_eq!(why, err.to_string());
+        match s.ingest_batch(&[Edge::new(0, 1, 1.0)]) {
+            Err(GraphError::Poisoned(msg)) => assert_eq!(msg, why),
+            other => panic!("expected Poisoned, got {other:?}"),
         }
-        let mut reader = EdgeBatchReader::new("5 1\n0 1 1.0\n".as_bytes()).expect("valid header");
-        assert!(matches!(
-            s.ingest_reader(&mut reader, 8),
-            Err(GraphError::Poisoned(_))
-        ));
-        // finish still hands back the valid prefix.
-        assert_eq!(s.finish().sparsifier.m(), 1);
-
-        // ingest_reader failing after a full chunk landed: poisoned too.
-        let text = "5 3\n0 1 1.0\n1 2 1.0\nzebra\n";
-        let mut reader = EdgeBatchReader::new(text.as_bytes()).unwrap();
-        let mut s = StreamSparsifier::new(5, cfg(100, 1));
-        assert!(s.ingest_reader(&mut reader, 2).is_err());
-        assert!(s.poisoned().is_some());
-        assert_eq!(s.stats().edges_ingested, 2);
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]
@@ -291,44 +261,6 @@ mod tests {
         assert_eq!(out.sparsifier.m(), 0);
         assert_eq!(out.stats.leaves, 0);
         assert_eq!(out.stats.final_depth, 0);
-    }
-
-    #[test]
-    fn iterator_and_reader_ingestion_match_batches() {
-        let g = generators::erdos_renyi(200, 0.3, 1.0, 31);
-        let c = cfg(g.m() / 3, 13);
-
-        let by_batches = stream_in_batches(&g, &c, 9);
-
-        let mut by_iter = StreamSparsifier::new(g.n(), c.clone());
-        let count = by_iter.ingest_iter(g.edges().iter().copied()).unwrap();
-        assert_eq!(count, g.m() as u64);
-        let by_iter = by_iter.finish();
-        assert_eq!(by_batches.sparsifier.edges(), by_iter.sparsifier.edges());
-
-        let text = sgs_graph::io::to_string(&g);
-        let mut reader = EdgeBatchReader::new(text.as_bytes()).unwrap();
-        let mut by_reader = StreamSparsifier::new(reader.n(), c.clone());
-        let count = by_reader.ingest_reader(&mut reader, 777).unwrap();
-        assert_eq!(count, g.m() as u64);
-        let by_reader = by_reader.finish();
-        assert_eq!(by_batches.sparsifier.edges(), by_reader.sparsifier.edges());
-    }
-
-    #[test]
-    fn channel_ingestion_works() {
-        let g = generators::erdos_renyi(150, 0.3, 1.0, 41);
-        let c = cfg(g.m() / 2, 3);
-        let (tx, rx) = std::sync::mpsc::channel::<Edge>();
-        for &e in g.edges() {
-            tx.send(e).unwrap();
-        }
-        drop(tx);
-        let mut s = StreamSparsifier::new(g.n(), c.clone());
-        s.ingest_iter(rx).unwrap();
-        let via_channel = s.finish();
-        let direct = stream_in_batches(&g, &c, 1);
-        assert_eq!(via_channel.sparsifier.edges(), direct.sparsifier.edges());
     }
 
     #[test]

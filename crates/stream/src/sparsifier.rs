@@ -1,10 +1,8 @@
 //! The bounded-memory merge-and-reduce sparsifier.
 
-use std::io::BufRead;
 use std::mem;
 
 use sgs_core::SparsifyEngine;
-use sgs_graph::io::EdgeBatchReader;
 use sgs_graph::{ops, Edge, Graph, GraphError, Result};
 
 use crate::config::StreamConfig;
@@ -23,12 +21,13 @@ pub struct StreamOutput {
 
 /// A bounded-memory semi-streaming spectral sparsifier.
 ///
-/// Edges arrive in arbitrary batches ([`ingest_batch`](Self::ingest_batch), an
-/// iterator/channel via [`ingest_iter`](Self::ingest_iter), or a file through
-/// [`ingest_reader`](Self::ingest_reader)); the engine buffers them up to the leaf
-/// capacity, sparsifies each full leaf, and folds the resulting sparsifiers through a
-/// merge-and-reduce tree: `arity` same-depth sparsifiers are unioned (weights of
-/// duplicate pairs accumulated, `sgs_graph::ops::merge_union_many`) and resparsified by
+/// Edges arrive in arbitrary batches through [`ingest_batch`](Self::ingest_batch) (a
+/// file is read with `next_batch` of an [`sgs_graph::io::EdgeBatchReader`] or
+/// [`sgs_graph::io::BinEdgeReader`], one call per chunk); the engine buffers them up
+/// to the leaf capacity, sparsifies each full leaf, and folds the resulting
+/// sparsifiers through a merge-and-reduce tree: `arity` same-depth sparsifiers are
+/// unioned (weights of duplicate pairs accumulated, [`ops::coalesce_in_place`]) and
+/// resparsified by
 /// `PARALLELSPARSIFY` at the depth's scheduled ε. This is exactly the composition rule
 /// the paper's `PARALLELSPARSIFY` uses across rounds — a sparsifier of a union of
 /// sparsifiers is a sparsifier of the union — applied across *space* instead of
@@ -75,7 +74,7 @@ pub struct StreamSparsifier {
     resident_nodes: usize,
     /// Re-entrant sparsifier (reused spanner view/CSR/masks across every reduction).
     engine: SparsifyEngine,
-    /// Reused scratch for `merge_union_many`.
+    /// Reused scratch in which `reduce_group` builds each union.
     merge_scratch: Vec<Edge>,
     stats: StreamStats,
     /// Set when an ingest call failed *after* applying part of its input: the stream
@@ -124,7 +123,7 @@ impl StreamSparsifier {
     }
 
     /// Number of pending sparsifiers across all tree levels.
-    pub fn pending_sparsifiers(&self) -> usize {
+    pub(crate) fn pending_sparsifiers(&self) -> usize {
         self.levels.iter().map(Vec::len).sum()
     }
 
@@ -137,7 +136,7 @@ impl StreamSparsifier {
         self.poisoned.as_deref()
     }
 
-    /// Errors out of any ingest entry point while the sparsifier is poisoned.
+    /// Errors out of [`Self::ingest_batch`] while the sparsifier is poisoned.
     fn check_poisoned(&self) -> Result<()> {
         match &self.poisoned {
             Some(why) => Err(GraphError::Poisoned(why.clone())),
@@ -155,10 +154,12 @@ impl StreamSparsifier {
     /// Ingests one batch of edges. The batch is validated up front, so on a
     /// validation error nothing is ingested — the call is failure-atomic and the
     /// sparsifier stays usable. A *storage* failure (spill I/O, possible only under
-    /// `StreamConfig::spill`) can strike after part of the batch was applied, in
-    /// which case the sparsifier is poisoned with the same contract as
-    /// [`Self::ingest_iter`]. Batch boundaries are *only* an ingestion granularity —
-    /// they never influence the output (leaves fire on stream position).
+    /// `StreamConfig::spill`) can strike after part of the batch was applied. The
+    /// sparsifier is then **poisoned**: its stream position no longer matches the
+    /// caller's, so every further call fails with [`GraphError::Poisoned`] naming the
+    /// original failure, which [`Self::poisoned`] exposes too. Batch boundaries are
+    /// *only* an ingestion granularity — they never influence the output (leaves fire
+    /// on stream position).
     pub fn ingest_batch(&mut self, edges: &[Edge]) -> Result<()> {
         self.check_poisoned()?;
         for e in edges {
@@ -171,75 +172,6 @@ impl StreamSparsifier {
             }
         }
         Ok(())
-    }
-
-    /// Ingests edges from any iterator — including an `std::sync::mpsc::Receiver`,
-    /// which makes a channel a drop-in edge source. Counts as one batch; edges are
-    /// validated one by one, so an `Err` can strike after part of the input was
-    /// applied. In that case the sparsifier is **poisoned**: its stream position no
-    /// longer matches the caller's, so every further ingest call fails with
-    /// [`GraphError::Poisoned`] naming the original failure ([`Self::poisoned`]
-    /// exposes it too; `finish` remains available for the validly-ingested prefix).
-    /// An error before the first edge leaves the state unchanged and unpoisoned.
-    /// Returns the number of edges ingested by this call.
-    pub fn ingest_iter<I: IntoIterator<Item = Edge>>(&mut self, edges: I) -> Result<u64> {
-        self.check_poisoned()?;
-        self.stats.batches_ingested += 1;
-        let mut count = 0u64;
-        for e in edges {
-            if let Err(err) = self.validate(&e) {
-                return Err(if count == 0 {
-                    // Nothing was applied: undo the batch count so the call is a
-                    // no-op, exactly like a failed `ingest_batch`.
-                    self.stats.batches_ingested -= 1;
-                    err
-                } else {
-                    self.poison(err)
-                });
-            }
-            // A storage failure always poisons: the edge is already buffered, so the
-            // stream position has moved even when it was this call's first edge.
-            if let Err(err) = self.push_edge(e) {
-                return Err(self.poison(err));
-            }
-            count += 1;
-        }
-        Ok(count)
-    }
-
-    /// Drains an [`EdgeBatchReader`] in chunks of `batch_edges`, never holding more
-    /// than one chunk of raw input beyond the engine's own budget. Returns the number
-    /// of edges ingested.
-    ///
-    /// Each chunk is applied atomically, but a read/parse error after the first chunk
-    /// leaves earlier chunks applied — the sparsifier is then poisoned, with the same
-    /// contract as [`Self::ingest_iter`].
-    pub fn ingest_reader<R: BufRead>(
-        &mut self,
-        reader: &mut EdgeBatchReader<R>,
-        batch_edges: usize,
-    ) -> Result<u64> {
-        assert!(batch_edges > 0, "batch_edges must be positive");
-        self.check_poisoned()?;
-        let mut chunk: Vec<Edge> = Vec::with_capacity(batch_edges);
-        let mut total = 0u64;
-        loop {
-            chunk.clear();
-            let got = match reader.next_batch(batch_edges, &mut chunk) {
-                Ok(got) => got,
-                Err(err) => {
-                    return Err(if total == 0 { err } else { self.poison(err) });
-                }
-            };
-            if got == 0 {
-                break;
-            }
-            if let Err(err) = self.ingest_batch(&chunk) {
-                return Err(if total == 0 { err } else { self.poison(err) });
-            }
-            total += chunk.len() as u64;
-        }
-        Ok(total)
     }
 
     fn push_edge(&mut self, e: Edge) -> Result<()> {

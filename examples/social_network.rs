@@ -13,8 +13,8 @@
 
 use spectral_sparsify::graph::{connectivity::is_connected, generators, ops};
 use spectral_sparsify::linalg::spectral::CertifyOptions;
-use spectral_sparsify::sparsify::prelude::*;
-use spectral_sparsify::sparsify::sample_uniform;
+use spectral_sparsify::prelude::*;
+use spectral_sparsify::sparsify::{sample_uniform, verify_sparsifier};
 
 fn main() {
     // Dense social-like network: heavy-tailed degrees plus random long-range contacts.

@@ -23,7 +23,7 @@
 //!   re-materialising the input graph.
 //! * [`obs`] — structured tracing + metrics across every engine ([`sgs_obs`]):
 //!   install a sink, run any pipeline, export a JSONL event log or a Chrome
-//!   `trace_event` JSON, or fold the events into an [`obs::RunReport`].
+//!   `trace_event` JSON, or sum span wall clock per name with [`obs::span_totals`].
 //!
 //! ## Quickstart
 //!

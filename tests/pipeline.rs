@@ -4,8 +4,9 @@
 use spectral_sparsify::graph::{connectivity::is_connected, generators, ops};
 use spectral_sparsify::linalg::spectral::CertifyOptions;
 use spectral_sparsify::linalg::{cg::CgConfig, cg_solve, csr::CsrMatrix, vector};
+use spectral_sparsify::prelude::*;
 use spectral_sparsify::solver::{SddSolver, SolverConfig, SolverMethod};
-use spectral_sparsify::sparsify::prelude::*;
+use spectral_sparsify::sparsify::verify_sparsifier;
 
 /// Sparsifying a dense graph and solving on the sparsifier gives approximately the same
 /// solution as solving on the original graph — the downstream use case that motivates

@@ -13,9 +13,10 @@ use spectral_sparsify::distributed::{
 };
 use spectral_sparsify::graph::{connectivity, generators, io, metrics, ops, Graph};
 use spectral_sparsify::linalg::spectral::CertifyOptions;
+use spectral_sparsify::prelude::*;
 use spectral_sparsify::solver::{SddSolver, SolverConfig};
 use spectral_sparsify::spanner::{baswana_sen_spanner, SpannerConfig};
-use spectral_sparsify::sparsify::prelude::*;
+use spectral_sparsify::sparsify::verify_sparsifier;
 
 /// Sparsifying an already-sparse graph must be a no-op and never corrupt it.
 #[test]
