@@ -20,8 +20,12 @@
 //! that the sparsifier only pays above an `n log n` threshold. The chain therefore
 //! admits a level only if it has at most `m₀` edges, the input system's edge count. A
 //! level that would cost more to apply than the system it replaces is dropped, and the
-//! current level becomes the Jacobi base instead. Below the threshold (sparse grids,
-//! images) the chain is the input alone and the preconditioner a Jacobi polynomial.
+//! current level becomes the base instead. When every clique of the next level would be
+//! built exactly, its edge count is known before it is built, and a level that would go
+//! unsparsified yet exceed `m₀` is rejected from that count alone. A base the chain
+//! stopped on for size or depth is not dominant, so Jacobi sweeps there buy little over
+//! its diagonal: such a base applies `D⁻¹`. Below the threshold (sparse grids, images)
+//! the chain is the input alone and chain-PCG is Jacobi-preconditioned CG.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -30,7 +34,7 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 use sgs_core::{parallel_sparsify, BundleSizing, SparsifyConfig};
-use sgs_graph::{Graph, GraphBuilder};
+use sgs_graph::{Adjacency, Graph, GraphBuilder};
 use sgs_linalg::cg::Preconditioner;
 use sgs_stream::{StreamOutput, StreamStats};
 
@@ -48,7 +52,7 @@ const MAX_LEVELS: usize = 25;
 /// Stop recursing once `min(excess_i / degree_i)` exceeds this ratio (strong diagonal
 /// dominance: Jacobi converges geometrically).
 const DOMINANCE_STOP: f64 = 4.0;
-/// Number of Jacobi sweeps used by the base-case solver.
+/// Number of Jacobi sweeps used by a diagonally dominant (or empty) base level.
 const BASE_JACOBI_SWEEPS: usize = 12;
 /// Degree above which a level-construction clique is sampled instead of built exactly.
 const CLIQUE_SAMPLE_THRESHOLD: usize = 16;
@@ -156,6 +160,9 @@ impl ChainStop {
 pub struct Chain {
     levels: Vec<ChainLevel>,
     stop: ChainStop,
+    /// Jacobi sweeps of the base level per application: `BASE_JACOBI_SWEEPS` when the
+    /// chain stopped on `Dominance` or `Empty`, 0 (`x = D⁻¹ b`) otherwise.
+    base_sweeps: usize,
 }
 
 impl Chain {
@@ -178,7 +185,13 @@ impl Chain {
             if level_idx + 1 >= MAX_LEVELS {
                 break ChainStop::MaxLevels;
             }
-            let next = build_next_level(&current, config, level_idx, target_edges);
+            let adj = current.graph.adjacency();
+            // A level of this size would go unsparsified and then be rejected below.
+            match exact_two_hop_edges(&current, &adj) {
+                Some(m2) if m0 < m2 && m2 <= target_edges => break ChainStop::Oversize(m2),
+                _ => {}
+            }
+            let next = build_next_level(&current, &adj, config, level_idx, target_edges);
             if next.graph.m() > m0 {
                 break ChainStop::Oversize(next.graph.m());
             }
@@ -200,7 +213,15 @@ impl Chain {
             rejected_m = stop.rejected_m(),
         );
         drop(build_span);
-        Chain { levels, stop }
+        let base_sweeps = match stop {
+            ChainStop::Dominance | ChainStop::Empty => BASE_JACOBI_SWEEPS,
+            ChainStop::Oversize(_) | ChainStop::MaxLevels => 0,
+        };
+        Chain {
+            levels,
+            stop,
+            base_sweeps,
+        }
     }
 
     /// Why the build stopped adding levels.
@@ -224,6 +245,21 @@ impl Chain {
         self.levels.iter().map(|l| l.graph.m()).sum()
     }
 
+    /// Per level, the edges visited by `applies` applications of the chain: an
+    /// interior level makes 2 adjacency passes per application (`A·D⁻¹b` and `A·z`),
+    /// the base one per Jacobi sweep (none for a `D⁻¹` base).
+    pub(crate) fn level_work(&self, applies: u64) -> Vec<u64> {
+        let last = self.levels.len() - 1;
+        self.levels
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                let passes = if i == last { self.base_sweeps } else { 2 };
+                (l.graph.m() * passes) as u64 * applies
+            })
+            .collect()
+    }
+
     /// Applies the approximate inverse of the top-level operator to `b`, writing the
     /// result into `out` and reusing the buffers of `scratch` (grown on first use, then
     /// stable).
@@ -241,7 +277,7 @@ impl Chain {
             .split_first_mut()
             .expect("scratch shallower than chain");
         if level + 1 == self.levels.len() {
-            jacobi_sweeps_in(lvl, b, BASE_JACOBI_SWEEPS, out, &mut mine.tmp);
+            jacobi_sweeps_in(lvl, b, self.base_sweeps, out, &mut mine.tmp);
             return;
         }
         // x = 1/2 [ D^{-1} b + (I + D^{-1} A) M̃^{-1} (I + A D^{-1}) b ], with the
@@ -386,17 +422,46 @@ fn jacobi_sweeps_in(level: &ChainLevel, b: &[f64], sweeps: usize, x: &mut [f64],
     }
 }
 
-/// Builds level `i + 1` from level `i`: the two-hop graph of `M̃ = D − A D⁻¹ A`
-/// (cliques, sampled above the degree threshold), its diagonal excess, and a
-/// `PARALLELSPARSIFY` pass when the graph grows beyond the target size.
+/// Edge count of the two-hop graph `build_next_level` builds before sparsifying it,
+/// when no vertex has more than `CLIQUE_SAMPLE_THRESHOLD` neighbours (so every clique
+/// is exact); `None` otherwise. It counts the distinct pairs `{a, b}`, `a ≠ b`, that
+/// share a middle vertex `v` with a finite positive weight `w_av·w_vb/d_v`: one stamp
+/// pass in `O(Σ_v deg(v)²)`, with no hash map and no edge list.
+fn exact_two_hop_edges(level: &ChainLevel, adj: &Adjacency) -> Option<usize> {
+    let n = level.graph.n();
+    if (0..n).any(|v| adj.degree(v) > CLIQUE_SAMPLE_THRESHOLD) {
+        return None;
+    }
+    // stamp[b] == a once the pair {a, b} has been counted from a's side.
+    let mut stamp = vec![usize::MAX; n];
+    let mut ends = 0;
+    for a in 0..n {
+        for via in adj.neighbors(a) {
+            let dv = level.diagonal[via.node];
+            for b in adj.neighbors(via.node) {
+                let w = via.weight * b.weight / dv;
+                if b.node != a && stamp[b.node] != a && w.is_finite() && w > 0.0 {
+                    stamp[b.node] = a;
+                    ends += 1;
+                }
+            }
+        }
+    }
+    // Each pair was counted once from each end.
+    Some(ends / 2)
+}
+
+/// Builds level `i + 1` from level `i` (whose adjacency is `adj`): the two-hop graph of
+/// `M̃ = D − A D⁻¹ A` (cliques, sampled above the degree threshold), its diagonal
+/// excess, and a `PARALLELSPARSIFY` pass when the graph grows beyond the target size.
 fn build_next_level(
     level: &ChainLevel,
+    adj: &Adjacency,
     config: &ChainConfig,
     level_idx: usize,
     target_edges: usize,
 ) -> ChainLevel {
     let n = level.graph.n();
-    let adj = level.graph.adjacency();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(level_idx as u64 * 0xC11A));
     let mut builder = GraphBuilder::new(n);
 
@@ -508,6 +573,83 @@ mod tests {
         let mut out = vec![0.0; b.len()];
         chain.apply_inverse_in(b, &mut out, &mut ChainScratch::new());
         out
+    }
+
+    /// FNV-1a over the bit patterns of `v`.
+    fn fingerprint(v: &[f64]) -> u64 {
+        v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn exact_two_hop_count_matches_the_built_level() {
+        let families = [
+            ("grid", generators::grid2d(20, 30, 1.0)),
+            ("image16", generators::image_affinity_grid(16, 16, 80.0, 7)),
+            ("image32", generators::image_affinity_grid(32, 32, 80.0, 7)),
+            ("image48", generators::image_affinity_grid(48, 48, 80.0, 7)),
+            ("cycle", generators::cycle(50, 1.0)),
+            ("path", generators::path(400, 1.0)),
+            ("pa", generators::preferential_attachment(100, 1, 1.0, 5)),
+        ];
+        for (name, g) in families {
+            let system = GroundedLaplacian::from_graph(g);
+            let level = ChainLevel::new(system.graph().clone(), system.excess().to_vec());
+            let adj = level.graph.adjacency();
+            let built = build_next_level(&level, &adj, &ChainConfig::default(), 0, usize::MAX);
+            assert_eq!(
+                exact_two_hop_edges(&level, &adj),
+                Some(built.graph.m()),
+                "{name}"
+            );
+        }
+        // A clique above the sampling threshold is not counted.
+        let star = generators::star(CLIQUE_SAMPLE_THRESHOLD + 2, 1.0);
+        let level = ChainLevel::new(star, vec![0.0; CLIQUE_SAMPLE_THRESHOLD + 2]);
+        assert_eq!(exact_two_hop_edges(&level, &level.graph.adjacency()), None);
+    }
+
+    #[test]
+    fn dominant_and_empty_chains_apply_bit_for_bit_as_before() {
+        // Fingerprints of the chains' outputs before the D⁻¹ base existed: chains that
+        // end on a dominant or empty level keep their Jacobi base, bit for bit.
+        for (g, stop, expect) in [
+            (
+                generators::erdos_renyi(200, 0.3, 1.0, 9),
+                ChainStop::Dominance,
+                [0x00f2_27b0_4688_0982, 0x891a_2ec5_e977_0b68],
+            ),
+            (
+                generators::path(400, 1.0),
+                ChainStop::Empty,
+                [0xbe7b_0e58_6cab_0c5e, 0xfdf2_c177_b926_4e85],
+            ),
+        ] {
+            let chain = build(g);
+            assert_eq!(chain.stop(), stop);
+            assert_eq!(chain.base_sweeps, BASE_JACOBI_SWEEPS);
+            let n = chain.levels()[0].graph.n();
+            for (seed, want) in [3u64, 4].into_iter().zip(expect) {
+                let b = vector::random_unit_orthogonal(n, seed);
+                assert_eq!(
+                    fingerprint(&apply_fresh(&chain, &b)),
+                    want,
+                    "{stop:?} seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_oversize_base_applies_the_inverse_diagonal() {
+        let chain = build(generators::image_affinity_grid(48, 48, 80.0, 7));
+        assert_eq!(chain.stop(), ChainStop::Oversize(8834));
+        let level = &chain.levels()[0];
+        let b = vector::random_unit_orthogonal(level.graph.n(), 3);
+        let expect: Vec<f64> = b.iter().zip(&level.diagonal).map(|(x, d)| x / d).collect();
+        assert_eq!(fingerprint(&apply_fresh(&chain, &b)), fingerprint(&expect));
+        assert_eq!(chain.level_work(5), vec![0]);
     }
 
     #[test]
@@ -663,7 +805,8 @@ mod tests {
     #[test]
     fn image_inputs_stop_at_the_input_and_still_converge() {
         // The exact two-hop graph of a 4-neighbour image grid has about twice its
-        // edges, so the chain is the input alone: a Jacobi polynomial preconditioner.
+        // edges, so the chain is the input alone and its base applies D⁻¹: chain-PCG
+        // is Jacobi-preconditioned CG.
         let g = generators::image_affinity_grid(16, 16, 80.0, 7);
         let m0 = g.m();
         let solver = SddSolver::for_laplacian(g, SolverConfig::default());
@@ -680,27 +823,42 @@ mod tests {
 
     #[test]
     fn paths_keep_a_recursive_chain() {
-        // The two-hop graph of a path is a shorter path, so no level is ever rejected.
+        // The two-hop graph of a path is a shorter path, so no level is ever rejected,
+        // although the sparsification target is far above the input's size.
         let chain = build(generators::path(400, 1.0));
-        assert!(chain.depth() >= 3, "depth {}", chain.depth());
-        assert_eq!(chain.stop().rejected_m(), 0);
+        assert_eq!(chain.depth(), 10);
+        assert_eq!(chain.stop(), ChainStop::Empty);
+        // Interior levels make 2 edge passes per application, the base 12.
+        let work = chain.level_work(1);
+        let last = chain.depth() - 1;
+        for (i, level) in chain.levels().iter().enumerate() {
+            let passes = if i == last { BASE_JACOBI_SWEEPS } else { 2 };
+            assert_eq!(work[i], (passes * level.graph.m()) as u64, "level {i}");
+        }
     }
 
     #[test]
     fn chain_has_bounded_depth_and_size() {
-        // A small random graph, then sparse and dense random graphs, a grid and a
-        // power law. No admitted level is larger than the input.
+        // A small random graph, then sparse and dense random graphs, a grid, a power
+        // law and an image. No admitted level is larger than the input. Each stops at
+        // the input, and the rejected level's size is pinned: for the grid and the
+        // image it is counted without building the level.
         let families = [
-            generators::erdos_renyi(300, 0.1, 1.0, 3),
-            generators::erdos_renyi(1000, 20.0 / 999.0, 1.0, 31),
-            generators::erdos_renyi(1000, 60.0 / 999.0, 1.0, 31),
-            generators::grid2d(40, 40, 1.0),
-            generators::preferential_attachment(1000, 10, 1.0, 31),
+            (generators::erdos_renyi(300, 0.1, 1.0, 3), 6946),
+            (generators::erdos_renyi(1000, 20.0 / 999.0, 1.0, 31), 26_722),
+            (generators::erdos_renyi(1000, 60.0 / 999.0, 1.0, 31), 42_153),
+            (generators::grid2d(40, 40, 1.0), 6082),
+            (
+                generators::preferential_attachment(1000, 10, 1.0, 31),
+                24_190,
+            ),
+            (generators::image_affinity_grid(48, 48, 80.0, 7), 8834),
         ];
-        for g in families {
+        for (g, rejected_m) in families {
             let m0 = g.m();
             let chain = build(g);
-            assert!((1..=25).contains(&chain.depth()));
+            assert_eq!(chain.stop(), ChainStop::Oversize(rejected_m));
+            assert_eq!(chain.depth(), 1);
             assert!(chain.total_edges() > 0);
             for (i, level) in chain.levels().iter().enumerate() {
                 assert!(

@@ -76,8 +76,10 @@ pub struct SolveStats {
     /// reference methods, which either have no preconditioner or a diagonal one
     /// whose work is already counted by the iteration total).
     pub preconditioner_applies: u64,
-    /// Per chain level: edges of that level × preconditioner applies — the
-    /// chain-work decomposition of the solve (empty for reference methods).
+    /// Per chain level: the edges that level's adjacency passes visited over the
+    /// solve, `m × passes × applies`. An interior level makes 2 passes per
+    /// preconditioner application; the base makes one per Jacobi sweep, and none
+    /// when it applies only `D⁻¹`. Empty for the reference methods.
     pub per_level_work: Vec<u64>,
 }
 
@@ -178,17 +180,12 @@ impl SddSolver {
                 let pre = chain.preconditioner();
                 let outcome = pcg_solve(&self.system, &pre, b, &cg_cfg);
                 let applies = pre.applies();
-                let per_level_work: Vec<u64> = chain
-                    .levels()
-                    .iter()
-                    .map(|l| l.graph.m() as u64 * applies)
-                    .collect();
                 (
                     outcome,
                     chain.depth(),
                     chain.total_edges(),
                     applies,
-                    per_level_work,
+                    chain.level_work(applies),
                 )
             }
             SolverMethod::JacobiPcg => {
@@ -314,9 +311,10 @@ mod tests {
         assert_eq!(chain.iterations, 1, "path chain-PCG iterations");
 
         // Image-affinity grids: the iteration counts README quotes, pinned against
-        // Jacobi-PCG. These systems stay below the parallel dot-product threshold, so
-        // the counts do not depend on the pool width.
-        for (side, chain_iters, jacobi_iters) in [(16, 28, 99), (32, 55, 196), (48, 83, 297)] {
+        // Jacobi-PCG. Their chain is the input alone with a D⁻¹ base, so chain-PCG
+        // takes Jacobi-PCG's iterations. These systems stay below the parallel
+        // dot-product threshold, so the counts do not depend on the pool width.
+        for (side, iters) in [(16, 99), (32, 196), (48, 297)] {
             let g = generators::image_affinity_grid(side, side, 80.0, 7);
             let solver = SddSolver::for_laplacian(g, SolverConfig::default());
             let n = solver.system().n();
@@ -328,7 +326,7 @@ mod tests {
             assert!(chain.converged && jacobi.converged, "image {side}x{side}");
             assert_eq!(
                 (chain.iterations, jacobi.iterations),
-                (chain_iters, jacobi_iters),
+                (iters, iters),
                 "image {side}x{side}: (chain, jacobi) iterations"
             );
         }

@@ -250,6 +250,15 @@ mod tests {
             Err(GraphError::Poisoned(msg)) => assert_eq!(msg, why),
             other => panic!("expected Poisoned, got {other:?}"),
         }
+        // Finishing would return a sparsifier without the failed leaf.
+        match s.try_finish() {
+            Err(GraphError::Poisoned(msg)) => assert_eq!(msg, why),
+            Err(other) => panic!("expected Poisoned, got {other:?}"),
+            Ok(out) => panic!(
+                "a poisoned stream finished with {} edges",
+                out.sparsifier.m()
+            ),
+        }
         std::fs::remove_dir_all(&base).unwrap();
     }
 

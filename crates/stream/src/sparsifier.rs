@@ -136,7 +136,8 @@ impl StreamSparsifier {
         self.poisoned.as_deref()
     }
 
-    /// Errors out of [`Self::ingest_batch`] while the sparsifier is poisoned.
+    /// Errors out of [`Self::ingest_batch`] and [`Self::try_finish`] while the
+    /// sparsifier is poisoned.
     fn check_poisoned(&self) -> Result<()> {
         match &self.poisoned {
             Some(why) => Err(GraphError::Poisoned(why.clone())),
@@ -393,15 +394,19 @@ impl StreamSparsifier {
     /// within the configured `ε_total` (see `StreamConfig` for the schedule math, and
     /// [`StreamStats::epsilon_spent`] for the realized ledger).
     ///
-    /// Without `StreamConfig::spill` finishing cannot fail; with it a disk failure
-    /// panics here — out-of-core callers should prefer [`Self::try_finish`].
+    /// Without `StreamConfig::spill` finishing cannot fail; with it a disk failure,
+    /// now or during an earlier ingest (which poisoned the stream), panics here —
+    /// out-of-core callers should prefer [`Self::try_finish`].
     pub fn finish(self) -> StreamOutput {
         self.try_finish()
             .expect("storage failure while finishing (use try_finish with a spill budget)")
     }
 
-    /// [`Self::finish`], surfacing storage failures as errors instead of panicking.
+    /// [`Self::finish`], surfacing storage failures as errors instead of panicking. A
+    /// poisoned stream lacks part of its input, so it fails with
+    /// [`GraphError::Poisoned`] before any work.
     pub fn try_finish(mut self) -> Result<StreamOutput> {
+        self.check_poisoned()?;
         if !self.buffer.is_empty() {
             self.flush_leaf()?;
         }
