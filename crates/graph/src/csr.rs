@@ -1,9 +1,9 @@
 //! Compressed-sparse-row adjacency view of a [`Graph`].
 //!
 //! The adjacency view stores, for every vertex, its incident half-edges (neighbor,
-//! weight, originating edge id) in one contiguous allocation. It is the workhorse of
-//! Dijkstra/BFS traversals, the Baswana–Sen spanner construction and the distributed
-//! simulator, all of which iterate over neighborhoods heavily.
+//! weight, originating edge id) in one contiguous allocation. Dijkstra/BFS traversals,
+//! stretch computations and the solver's chain build, all of which iterate over
+//! neighborhoods heavily, read it.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 

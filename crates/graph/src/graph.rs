@@ -259,15 +259,8 @@ impl Graph {
             .sum()
     }
 
-    /// Applies the Laplacian to a vector: `y = L_G x`, computed edge-by-edge.
-    pub fn laplacian_apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.n];
-        self.laplacian_apply_into(x, &mut y);
-        y
-    }
-
-    /// Allocation-free [`Graph::laplacian_apply`] writing into a caller-provided
-    /// buffer; the hot SPMV of every matrix-free Laplacian solve.
+    /// Applies the Laplacian to a vector, `y = L_G x`, edge by edge into a
+    /// caller-provided buffer: the hot SPMV of every matrix-free Laplacian solve.
     pub fn laplacian_apply_into(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n);
         debug_assert_eq!(y.len(), self.n);
@@ -418,7 +411,8 @@ mod tests {
     fn laplacian_apply_agrees_with_quadratic_form() {
         let g = triangle();
         let x = vec![0.3, -1.2, 2.5];
-        let lx = g.laplacian_apply(&x);
+        let mut lx = vec![0.0; 3];
+        g.laplacian_apply_into(&x, &mut lx);
         let xtlx: f64 = x.iter().zip(lx.iter()).map(|(a, b)| a * b).sum();
         assert!((xtlx - g.quadratic_form(&x)).abs() < 1e-12);
     }
@@ -426,7 +420,8 @@ mod tests {
     #[test]
     fn laplacian_apply_annihilates_constants() {
         let g = triangle();
-        let lx = g.laplacian_apply(&[7.0, 7.0, 7.0]);
+        let mut lx = vec![1.0; 3];
+        g.laplacian_apply_into(&[7.0, 7.0, 7.0], &mut lx);
         for v in lx {
             assert!(v.abs() < 1e-12);
         }

@@ -9,7 +9,7 @@
 //! * [`Graph`] — an edge-list representation of a weighted undirected multigraph with
 //!   positive weights, the common currency of every algorithm in the workspace.
 //! * [`Adjacency`] — a CSR-style adjacency view built from a [`Graph`], used by
-//!   traversals, spanner constructions and the distributed simulator.
+//!   traversals, stretch computations and the solver's chain build.
 //! * [`generators`] — reproducible graph families (grids, Erdős–Rényi, random regular,
 //!   preferential attachment, image affinity grids, …) used by examples, tests and the
 //!   benchmark harness.

@@ -122,15 +122,7 @@ impl CsrMatrix {
         (0..self.n).map(|i| self.get(i, i)).collect()
     }
 
-    /// Parallel matrix–vector product `y = A x`.
-    pub fn apply(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n);
-        let mut y = vec![0.0; self.n];
-        self.apply_into(x, &mut y);
-        y
-    }
-
-    /// Parallel matrix–vector product writing into a caller-provided buffer.
+    /// Parallel matrix–vector product `y = A x`, written into a caller-provided buffer.
     pub fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
@@ -160,7 +152,8 @@ impl CsrMatrix {
 
     /// Quadratic form `xᵀ A x`.
     pub fn quadratic_form(&self, x: &[f64]) -> f64 {
-        let ax = self.apply(x);
+        let mut ax = vec![0.0; self.n];
+        self.apply_into(x, &mut ax);
         crate::vector::dot(x, &ax)
     }
 
@@ -257,8 +250,8 @@ mod tests {
     fn laplacian_rows_sum_to_zero() {
         let g = generators::erdos_renyi_weighted(50, 0.2, 0.5, 2.0, 3);
         let l = CsrMatrix::laplacian(&g);
-        let ones = vec![1.0; 50];
-        let y = l.apply(&ones);
+        let mut y = vec![0.0; 50];
+        l.apply_into(&[1.0; 50], &mut y);
         for v in y {
             assert!(v.abs() < 1e-9);
         }
@@ -278,7 +271,10 @@ mod tests {
         let g = generators::complete(6, 1.5);
         let l = CsrMatrix::laplacian(&g);
         let x: Vec<f64> = (0..6).map(|i| i as f64 - 2.0).collect();
-        for (y, expect) in l.apply(&x).iter().zip(g.laplacian_apply(&x)) {
+        let (mut y, mut expect) = (vec![0.0; 6], vec![0.0; 6]);
+        l.apply_into(&x, &mut y);
+        g.laplacian_apply_into(&x, &mut expect);
+        for (y, expect) in y.iter().zip(&expect) {
             assert!((y - expect).abs() < 1e-9);
         }
     }
@@ -304,7 +300,8 @@ mod tests {
         let g = generators::grid2d(60, 60, 1.0); // n = 3600 > parallel threshold
         let l = CsrMatrix::laplacian(&g);
         let x: Vec<f64> = (0..g.n()).map(|i| ((i * 31 % 17) as f64) - 8.0).collect();
-        let y = l.apply(&x);
+        let mut y = vec![0.0; g.n()];
+        l.apply_into(&x, &mut y);
         // sequential reference
         let mut y_ref = vec![0.0; g.n()];
         for (r, out) in y_ref.iter_mut().enumerate() {

@@ -188,7 +188,8 @@ mod tests {
         b[3] = -1.0;
         let x = dense.solve_laplacian(&b).unwrap();
         // Check L x = b on the orthogonal complement.
-        let lx = l.apply(&x);
+        let mut lx = vec![0.0; 6];
+        l.apply_into(&x, &mut lx);
         for (a, bb) in lx.iter().zip(&b) {
             assert!((a - bb).abs() < 1e-8);
         }

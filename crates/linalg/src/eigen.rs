@@ -10,7 +10,7 @@
 //! Their ratio is the (finite) condition number `κ` that drives the chain depth of the
 //! Peng–Spielman solver (Section 4 of the paper).
 
-use crate::cg::{cg_solve, CgConfig, LinearOperator};
+use crate::cg::{pcg_solve_in, CgConfig, CgScratch, IdentityPreconditioner, LinearOperator};
 use crate::vector;
 
 /// Result of an eigenvalue estimation.
@@ -75,10 +75,12 @@ pub fn smallest_nonzero_eigenvalue<A: LinearOperator + ?Sized>(
     };
     let mut inv_value = 0.0f64;
     let mut iterations = 0;
+    let mut y = vec![0.0; n];
+    let mut scratch = CgScratch::new(n);
     for _ in 0..max_iterations {
         iterations += 1;
-        let out = cg_solve(a, &x, &cg_cfg);
-        let mut y = out.solution;
+        pcg_solve_in(a, &IdentityPreconditioner, &x, &cg_cfg, &mut scratch);
+        y.copy_from_slice(scratch.solution());
         vector::project_out_ones(&mut y);
         let norm = vector::norm2(&y);
         if norm == 0.0 {

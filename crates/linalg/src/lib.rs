@@ -30,10 +30,7 @@ pub mod resistance;
 pub mod spectral;
 pub mod vector;
 
-pub use cg::{
-    cg_solve, cg_solve_in, pcg_solve, pcg_solve_in, CgConfig, CgOutcome, CgScratch, CgStats,
-    Preconditioner,
-};
+pub use cg::{pcg_solve_in, CgConfig, CgScratch, CgStats, Preconditioner};
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use laplacian::is_sdd;

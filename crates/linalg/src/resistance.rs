@@ -15,7 +15,7 @@ use rayon::prelude::*;
 
 use sgs_graph::Graph;
 
-use crate::cg::{cg_solve_in, CgConfig, CgScratch, GraphLaplacianOp};
+use crate::cg::{pcg_solve_in, CgConfig, CgScratch, IdentityPreconditioner};
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::vector;
@@ -87,7 +87,6 @@ fn exact_dense(g: &Graph) -> Vec<f64> {
 }
 
 fn exact_cg(g: &Graph) -> Vec<f64> {
-    let op = GraphLaplacianOp::new(g);
     let cfg = CgConfig {
         tolerance: 1e-9,
         max_iterations: 50 * g.n(),
@@ -104,7 +103,7 @@ fn exact_cg(g: &Graph) -> Vec<f64> {
             |(b, scratch), e| {
                 b[e.u] = 1.0;
                 b[e.v] = -1.0;
-                cg_solve_in(&op, b, &cfg, scratch);
+                pcg_solve_in(g, &IdentityPreconditioner, b, &cfg, scratch);
                 let x = scratch.solution();
                 let resistance = x[e.u] - x[e.v];
                 b[e.u] = 0.0;
@@ -201,7 +200,6 @@ pub fn approx_effective_resistances_in(
         return;
     }
     let k = opts.rows.max(1);
-    let op = GraphLaplacianOp::new(g);
     let cfg = CgConfig {
         tolerance: opts.tolerance,
         max_iterations: opts.max_iterations,
@@ -229,7 +227,7 @@ pub fn approx_effective_resistances_in(
                     y[e.u] += val;
                     y[e.v] -= val;
                 }
-                cg_solve_in(&op, y, &cfg, cg);
+                pcg_solve_in(g, &IdentityPreconditioner, y, &cfg, cg);
                 z.copy_from_slice(cg.solution());
             },
         )

@@ -18,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 
 use sgs_graph::Graph;
 
-use crate::cg::{cg_solve, CgConfig, GraphLaplacianOp};
+use crate::cg::{pcg_solve_in, CgConfig, CgScratch, IdentityPreconditioner};
 use crate::vector;
 
 /// Estimated extremes of the ratio `xᵀ L_H x / xᵀ L_G x`. Both are inner estimates:
@@ -87,7 +87,6 @@ fn ratio(h: &Graph, g: &Graph, x: &[f64]) -> f64 {
 /// Estimates `max_x xᵀ L_H x / xᵀ L_G x` by power iteration on `L_G⁺ L_H`.
 fn max_generalized_eigenvalue(h: &Graph, g: &Graph, opts: &CertifyOptions) -> f64 {
     let n = g.n();
-    let op_g = GraphLaplacianOp::new(g);
     let cg_cfg = CgConfig {
         tolerance: opts.cg_tolerance,
         max_iterations: 30 * n + 500,
@@ -95,10 +94,13 @@ fn max_generalized_eigenvalue(h: &Graph, g: &Graph, opts: &CertifyOptions) -> f6
     };
     let mut x = vector::random_unit_orthogonal(n, opts.seed);
     let mut best = ratio(h, g, &x);
+    let (mut hx, mut y) = (vec![0.0; n], vec![0.0; n]);
+    let mut scratch = CgScratch::new(n);
     for _ in 0..opts.iterations {
         // y = L_G^+ (L_H x)
-        let hx = h.laplacian_apply(&x);
-        let mut y = cg_solve(&op_g, &hx, &cg_cfg).solution;
+        h.laplacian_apply_into(&x, &mut hx);
+        pcg_solve_in(g, &IdentityPreconditioner, &hx, &cg_cfg, &mut scratch);
+        y.copy_from_slice(scratch.solution());
         vector::project_out_ones(&mut y);
         let norm = vector::norm2(&y);
         if norm == 0.0 {
@@ -110,7 +112,7 @@ fn max_generalized_eigenvalue(h: &Graph, g: &Graph, opts: &CertifyOptions) -> f6
         let r = ratio(h, g, &y);
         let converged = (r - best).abs() <= 1e-7 * best.abs().max(1e-300);
         best = best.max(r);
-        x = y;
+        std::mem::swap(&mut x, &mut y);
         if converged {
             break;
         }

@@ -8,18 +8,22 @@
 //! representative whose value at that vertex is zero — the standard way of making
 //! Laplacian systems positive definite without changing the answer for compatible
 //! right-hand sides.
+//!
+//! [`GroundedLaplacian`] is the one type for such an operator: the solver's system is
+//! the first level of its chain, and every later level is one too.
 
 use sgs_graph::{connectivity::connected_components, Graph};
 use sgs_linalg::cg::LinearOperator;
 use sgs_linalg::csr::CsrMatrix;
 use sgs_linalg::laplacian::graph_from_sdd;
 
-/// A positive-definite SDD operator `M = L(G) + diag(excess)`.
+/// A positive-definite SDD operator `M = L(G) + diag(excess)`, stored with its full
+/// diagonal `D = degrees + excess`.
 #[derive(Debug, Clone)]
 pub struct GroundedLaplacian {
     graph: Graph,
     excess: Vec<f64>,
-    grounded_vertices: Vec<usize>,
+    diagonal: Vec<f64>,
 }
 
 impl GroundedLaplacian {
@@ -55,7 +59,6 @@ impl GroundedLaplacian {
                 has_excess[labels[v]] = true;
             }
         }
-        let mut grounded_vertices = Vec::new();
         // Ground the first vertex of each all-zero-excess component with a resistor
         // comparable to its degree (good conditioning, exactness for b ⟂ 1 per
         // component).
@@ -66,14 +69,9 @@ impl GroundedLaplacian {
                 let w = if degrees[v] > 0.0 { degrees[v] } else { 1.0 };
                 excess[v] += w;
                 grounded_component[c] = true;
-                grounded_vertices.push(v);
             }
         }
-        GroundedLaplacian {
-            graph,
-            excess,
-            grounded_vertices,
-        }
+        Self::with_degrees(graph, excess, degrees)
     }
 
     /// Builds a grounded Laplacian from an explicit SDD matrix (non-positive
@@ -81,6 +79,26 @@ impl GroundedLaplacian {
     pub fn from_sdd_matrix(m: &CsrMatrix) -> Option<Self> {
         let (graph, excess) = graph_from_sdd(m, 1e-9).ok()?;
         Some(Self::from_graph_with_excess(graph, excess))
+    }
+
+    /// `L(graph) + diag(excess)` exactly as given, with no grounding: a chain level
+    /// derived from a positive-definite one.
+    pub(crate) fn new(graph: Graph, excess: Vec<f64>) -> Self {
+        let degrees = graph.weighted_degrees();
+        Self::with_degrees(graph, excess, degrees)
+    }
+
+    /// Assembles the operator from `graph`'s weighted degrees, which become the
+    /// diagonal `degrees + excess`.
+    fn with_degrees(graph: Graph, excess: Vec<f64>, mut degrees: Vec<f64>) -> Self {
+        for (d, e) in degrees.iter_mut().zip(&excess) {
+            *d += e;
+        }
+        GroundedLaplacian {
+            graph,
+            excess,
+            diagonal: degrees,
+        }
     }
 
     /// The underlying graph (the negated off-diagonal part).
@@ -93,20 +111,9 @@ impl GroundedLaplacian {
         &self.excess
     }
 
-    /// Vertices that received artificial grounding. The solution returned by the solver
-    /// is the representative that is zero at these vertices.
-    pub fn grounded_vertices(&self) -> &[usize] {
-        &self.grounded_vertices
-    }
-
     /// The full diagonal `D = degrees + excess`.
-    pub fn diagonal(&self) -> Vec<f64> {
-        self.graph
-            .weighted_degrees()
-            .iter()
-            .zip(&self.excess)
-            .map(|(d, e)| d + e)
-            .collect()
+    pub fn diagonal(&self) -> &[f64] {
+        &self.diagonal
     }
 
     /// Number of rows/columns.
@@ -119,19 +126,27 @@ impl GroundedLaplacian {
         self.graph.m()
     }
 
-    /// `y = M x = L(G) x + excess .* x`.
-    pub fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.graph.laplacian_apply(x);
-        for ((yi, xi), ei) in y.iter_mut().zip(x).zip(&self.excess) {
-            *yi += ei * xi;
+    /// Adjacency application: overwrites `y` with `A x` (off-diagonal only, positive
+    /// weights).
+    pub(crate) fn adjacency_apply_in(&self, x: &[f64], y: &mut [f64]) {
+        y.fill(0.0);
+        for e in self.graph.edges() {
+            y[e.u] += e.w * x[e.v];
+            y[e.v] += e.w * x[e.u];
         }
-        y
     }
 
-    /// Quadratic form `xᵀ M x`.
-    pub fn quadratic_form(&self, x: &[f64]) -> f64 {
-        let y = self.apply(x);
-        x.iter().zip(&y).map(|(a, b)| a * b).sum()
+    /// Ratio `min_v excess_v / degree_v` (∞ when the graph has no edges); the dominance
+    /// measure that terminates the chain.
+    pub(crate) fn dominance(&self) -> f64 {
+        let deg = self.graph.weighted_degrees();
+        let mut worst = f64::INFINITY;
+        for (d, e) in deg.iter().zip(&self.excess) {
+            if *d > 0.0 {
+                worst = worst.min(e / d);
+            }
+        }
+        worst
     }
 }
 
@@ -139,9 +154,8 @@ impl LinearOperator for GroundedLaplacian {
     fn dim(&self) -> usize {
         self.n()
     }
+    /// `y = M x = L(G) x + excess .* x`: the hot SPMV of every PCG iteration.
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        // Allocation-free: this is the hot SPMV of every PCG iteration. Same
-        // operation order as `apply`, so results are bit-identical.
         self.graph.laplacian_apply_into(x, y);
         for ((yi, xi), ei) in y.iter_mut().zip(x).zip(&self.excess) {
             *yi += ei * xi;
@@ -154,12 +168,22 @@ mod tests {
     use super::*;
     use sgs_graph::generators;
 
+    /// `M x` into a fresh vector.
+    fn apply(op: &impl LinearOperator, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; x.len()];
+        op.apply_into(x, &mut y);
+        y
+    }
+
+    fn grounded(gl: &GroundedLaplacian) -> usize {
+        gl.excess().iter().filter(|&&e| e > 0.0).count()
+    }
+
     #[test]
     fn pure_laplacian_gets_grounded_once_per_component() {
         let g = generators::cycle(10, 1.0);
         let gl = GroundedLaplacian::from_graph(g);
-        assert_eq!(gl.grounded_vertices().len(), 1);
-        assert!(gl.excess().iter().filter(|&&e| e > 0.0).count() == 1);
+        assert_eq!(grounded(&gl), 1);
         // Two components -> two grounds.
         let mut two = Graph::new(6);
         two.add_edge(0, 1, 1.0).unwrap();
@@ -167,16 +191,14 @@ mod tests {
         two.add_edge(3, 4, 1.0).unwrap();
         two.add_edge(4, 5, 1.0).unwrap();
         let gl = GroundedLaplacian::from_graph(two);
-        assert_eq!(gl.grounded_vertices().len(), 2);
+        assert_eq!(grounded(&gl), 2);
     }
-    use sgs_graph::Graph;
 
     #[test]
     fn excess_systems_are_not_grounded_again() {
         let g = generators::path(5, 1.0);
         let excess = vec![0.5, 0.0, 0.0, 0.0, 0.0];
         let gl = GroundedLaplacian::from_graph_with_excess(g, excess.clone());
-        assert!(gl.grounded_vertices().is_empty());
         assert_eq!(gl.excess(), &excess[..]);
     }
 
@@ -185,9 +207,16 @@ mod tests {
         let g = generators::grid2d(4, 4, 1.5);
         let excess: Vec<f64> = (0..16).map(|i| (i % 3) as f64 * 0.2).collect();
         let gl = GroundedLaplacian::from_graph_with_excess(g.clone(), excess.clone());
+        let diagonal: Vec<f64> = g
+            .weighted_degrees()
+            .iter()
+            .zip(&excess)
+            .map(|(d, e)| d + e)
+            .collect();
+        assert_eq!(gl.diagonal(), &diagonal[..]);
         let x: Vec<f64> = (0..16).map(|i| (i as f64 * 0.7).sin()).collect();
-        let y = gl.apply(&x);
-        let mut expected = g.laplacian_apply(&x);
+        let y = apply(&gl, &x);
+        let mut expected = apply(&g, &x);
         for (i, e) in expected.iter_mut().enumerate() {
             *e += excess[i] * x[i];
         }
@@ -195,10 +224,11 @@ mod tests {
             assert!((a - b).abs() < 1e-12);
         }
         // Quadratic form is positive on non-zero vectors (PD after grounding/excess).
-        assert!(gl.quadratic_form(&x) > 0.0);
-        let ones = vec![1.0; 16];
+        let quadratic_form =
+            |x: &[f64]| -> f64 { x.iter().zip(apply(&gl, x)).map(|(a, b)| a * b).sum() };
+        assert!(quadratic_form(&x) > 0.0);
         assert!(
-            gl.quadratic_form(&ones) > 0.0,
+            quadratic_form(&[1.0; 16]) > 0.0,
             "grounded system is PD even on constants"
         );
     }
@@ -219,8 +249,8 @@ mod tests {
         let gl = GroundedLaplacian::from_sdd_matrix(&m).expect("valid SDD matrix");
         assert!((gl.excess()[0] - 2.0).abs() < 1e-9);
         let x: Vec<f64> = (0..30).map(|i| i as f64 / 30.0).collect();
-        let y1 = gl.apply(&x);
-        let y2 = m.apply(&x);
+        let y1 = apply(&gl, &x);
+        let y2 = apply(&m, &x);
         // Grounding may add excess to singular components; here component of vertex 0
         // already has excess, so no extra grounding should have occurred if connected.
         if sgs_graph::connectivity::is_connected(gl.graph()) {

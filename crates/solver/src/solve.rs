@@ -6,13 +6,13 @@
 //! counts and work as the condition number grows; the unit tests pin those counts.
 
 use sgs_graph::Graph;
-use sgs_linalg::cg::{cg_solve, pcg_solve, CgConfig, JacobiPreconditioner};
+use sgs_linalg::cg::{
+    pcg_solve_in, CgConfig, CgScratch, IdentityPreconditioner, JacobiPreconditioner, Preconditioner,
+};
 use sgs_linalg::csr::CsrMatrix;
 use sgs_linalg::vector;
 
-use sgs_stream::{StreamOutput, StreamStats};
-
-use crate::chain::{Chain, ChainConfig, StreamChain};
+use crate::chain::{Chain, ChainConfig};
 use crate::sdd::GroundedLaplacian;
 
 /// Which algorithm answers the solve.
@@ -57,7 +57,9 @@ pub struct SolveOutcome {
     pub iterations: usize,
     /// Final relative residual `‖b − M x‖ / ‖b‖`.
     pub relative_residual: f64,
-    /// Whether the tolerance was met.
+    /// Whether `relative_residual` is within `10 × tolerance`, the slack of
+    /// [`sgs_linalg::CgStats::converged`]. Compare `relative_residual` with the
+    /// tolerance for the strict test.
     pub converged: bool,
     /// Chain depth (0 for the reference methods).
     pub chain_depth: usize,
@@ -83,30 +85,28 @@ pub struct SolveStats {
     pub per_level_work: Vec<u64>,
 }
 
-/// A solver for SDD systems `M x = b` where `M = L(G) + diag(excess)`.
+/// A solver for SDD systems `M x = b` where `M = L(G) + diag(excess)`. The system is
+/// held once, as the first level of its chain.
 #[derive(Debug)]
 pub struct SddSolver {
-    system: GroundedLaplacian,
-    chain: Option<Chain>,
+    chain: Chain,
     config: SolverConfig,
 }
 
 impl SddSolver {
-    /// Builds a solver (and its chain) for a Laplacian system given by a graph. The
-    /// returned solutions are the representatives that are zero at the grounded vertex.
+    /// Builds a solver (and its chain) for a Laplacian system given by a graph, which
+    /// is moved into the chain's first level, not cloned. The returned solutions are
+    /// the representatives that are zero at the grounded vertex.
     pub fn for_laplacian(graph: Graph, config: SolverConfig) -> Self {
         let system = GroundedLaplacian::from_graph(graph);
         Self::for_system(system, config)
     }
 
-    /// Builds a solver for an explicit grounded-Laplacian system.
+    /// Builds a solver for an explicit grounded-Laplacian system; the system becomes
+    /// the first level of the chain.
     pub fn for_system(system: GroundedLaplacian, config: SolverConfig) -> Self {
-        let chain = Some(Chain::build(&system, &config.chain));
-        SddSolver {
-            system,
-            chain,
-            config,
-        }
+        let chain = Chain::build(system, &config.chain);
+        SddSolver { chain, config }
     }
 
     /// Builds a solver from an SDD matrix with non-positive off-diagonals. Returns
@@ -116,38 +116,14 @@ impl SddSolver {
         Some(Self::for_system(system, config))
     }
 
-    /// Builds a solver **directly from a streaming sparsification run** — the
-    /// out-of-core path: the streamed graph is never materialised, only its sparsifier
-    /// is grounded and chained. Returns the solver and the stream's accounting
-    /// (spill ledger, peak resident bytes, ε spent).
-    ///
-    /// The solver answers solves against the *sparsifier's* Laplacian, which is a
-    /// `(1 ± ε_total)` spectral proxy for the streamed graph's — solutions agree with
-    /// the original system's up to the stream's accuracy budget.
-    pub fn for_stream(output: StreamOutput, config: SolverConfig) -> (Self, StreamStats) {
-        let StreamChain {
-            chain,
-            system,
-            stream_stats,
-        } = Chain::build_from_stream(output, &config.chain);
-        (
-            SddSolver {
-                system,
-                chain: Some(chain),
-                config,
-            },
-            stream_stats,
-        )
-    }
-
-    /// The underlying grounded system.
+    /// The underlying grounded system: the chain's first level.
     pub fn system(&self) -> &GroundedLaplacian {
-        &self.system
+        &self.chain.levels()[0]
     }
 
-    /// The chain built at construction time.
+    /// The chain built at construction time; always `Some`.
     pub fn chain(&self) -> Option<&Chain> {
-        self.chain.as_ref()
+        Some(&self.chain)
     }
 
     /// Solves `M x = b` with the requested method.
@@ -156,11 +132,8 @@ impl SddSolver {
     /// (sum to zero per component); the solution returned is the representative that is
     /// zero at the grounded vertices.
     pub fn solve_with(&self, b: &[f64], method: SolverMethod) -> SolveOutcome {
-        assert_eq!(
-            b.len(),
-            self.system.n(),
-            "right-hand side has wrong dimension"
-        );
+        let system = self.system();
+        assert_eq!(b.len(), system.n(), "right-hand side has wrong dimension");
         let cg_cfg = CgConfig {
             tolerance: self.config.tolerance,
             max_iterations: self.config.max_iterations,
@@ -170,35 +143,30 @@ impl SddSolver {
         // The solver is the sequential top-level PCG caller, so it opts into the
         // per-iteration residual trace; parallel inner solves (JL resistance
         // estimation) never enter a scope and stay silent.
-        let solve_span = sgs_obs::span!("solver.solve", n = self.system.n());
+        let solve_span = sgs_obs::span!("solver.solve", n = system.n());
         let scope = sgs_obs::trace_scope();
-        let (outcome, chain_depth, chain_edges, applies, per_level_work) = match method {
-            SolverMethod::ChainPcg => {
-                let chain = self.chain.as_ref().expect("chain built at construction");
-                // The re-entrant preconditioner reuses one scratch across all PCG
-                // iterations (bit-identical to applying the chain directly).
-                let pre = chain.preconditioner();
-                let outcome = pcg_solve(&self.system, &pre, b, &cg_cfg);
-                let applies = pre.applies();
-                (
-                    outcome,
-                    chain.depth(),
-                    chain.total_edges(),
-                    applies,
-                    chain.level_work(applies),
-                )
-            }
+        // The re-entrant chain preconditioner reuses one scratch across all PCG
+        // iterations (bit-identical to applying the chain directly).
+        let chain_pre = self.chain.preconditioner();
+        let jacobi;
+        let pre: &dyn Preconditioner = match method {
+            SolverMethod::ChainPcg => &chain_pre,
             SolverMethod::JacobiPcg => {
-                let pre = JacobiPreconditioner::from_diagonal(&self.system.diagonal());
-                (
-                    pcg_solve(&self.system, &pre, b, &cg_cfg),
-                    0,
-                    0,
-                    0,
-                    Vec::new(),
-                )
+                jacobi = JacobiPreconditioner::from_diagonal(system.diagonal());
+                &jacobi
             }
-            SolverMethod::Cg => (cg_solve(&self.system, b, &cg_cfg), 0, 0, 0, Vec::new()),
+            SolverMethod::Cg => &IdentityPreconditioner,
+        };
+        let mut scratch = CgScratch::new(system.n());
+        let outcome = pcg_solve_in(system, pre, b, &cg_cfg, &mut scratch);
+        let applies = chain_pre.applies();
+        let (chain_depth, chain_edges, per_level_work) = match method {
+            SolverMethod::ChainPcg => (
+                self.chain.depth(),
+                self.chain.total_edges(),
+                self.chain.level_work(applies),
+            ),
+            SolverMethod::JacobiPcg | SolverMethod::Cg => (0, 0, Vec::new()),
         };
         drop(scope);
         drop(solve_span);
@@ -217,7 +185,7 @@ impl SddSolver {
                 preconditioner_applies: applies,
                 per_level_work,
             },
-            solution: outcome.solution,
+            solution: scratch.into_solution(),
             iterations: outcome.iterations,
             relative_residual: outcome.relative_residual,
             converged: outcome.converged,
@@ -247,9 +215,11 @@ pub fn solve_laplacian(graph: &Graph, b: &[f64], config: &SolverConfig) -> Solve
 mod tests {
     use super::*;
     use sgs_graph::generators;
+    use sgs_linalg::cg::LinearOperator;
 
     fn residual(system: &GroundedLaplacian, x: &[f64], b: &[f64]) -> f64 {
-        let mx = system.apply(x);
+        let mut mx = vec![0.0; x.len()];
+        system.apply_into(x, &mut mx);
         let r: Vec<f64> = b.iter().zip(&mx).map(|(bi, mi)| bi - mi).collect();
         vector::norm2(&r) / vector::norm2(b)
     }
@@ -358,7 +328,8 @@ mod tests {
         let mean: f64 = out.solution.iter().sum::<f64>() / n as f64;
         assert!(mean.abs() < 1e-8);
         // The solution satisfies L x = b up to the tolerance.
-        let lx = g.laplacian_apply(&out.solution);
+        let mut lx = vec![0.0; n];
+        g.laplacian_apply_into(&out.solution, &mut lx);
         let err: f64 = lx
             .iter()
             .zip(&b)
@@ -369,41 +340,11 @@ mod tests {
     }
 
     #[test]
-    fn for_stream_solves_against_the_sparsifier() {
-        use sgs_stream::{SpillConfig, StreamConfig, StreamSparsifier};
-        let g = generators::erdos_renyi(200, 0.15, 1.0, 17);
-        let stream_cfg = StreamConfig::new(0.5, g.m() / 2)
-            .with_seed(11)
-            .with_spill(SpillConfig::new(g.m()));
-        let mut s = StreamSparsifier::new(g.n(), stream_cfg);
-        for batch in g.edges().chunks(997) {
-            s.ingest_batch(batch).unwrap();
-        }
-        let (solver, stream_stats) = SddSolver::for_stream(s.finish(), SolverConfig::default());
-        assert!(stream_stats.edges_ingested == g.m() as u64);
-        assert!(
-            stream_stats.spill.spilled_nodes > 0,
-            "the stream must spill"
-        );
-        let n = solver.system().n();
-        let mut b = vec![0.0; n];
-        b[3] = 1.0;
-        b[n - 4] = -1.0;
-        let out = solver.solve(&b);
-        assert!(out.converged, "residual {}", out.relative_residual);
-        // Converged against the sparsifier's system (the stream's proxy)...
-        assert!(residual(solver.system(), &out.solution, &b) < 1e-6);
-        // ...which is a spectral proxy of the original: the exact solution of the
-        // original system has comparable energy.
-        let orig = SddSolver::for_laplacian(g, SolverConfig::default());
-        let exact = orig.solve(&b);
-        let e1 = vector::dot(&b, &out.solution);
-        let e2 = vector::dot(&b, &exact.solution);
-        assert!(e1 > 0.0 && e2 > 0.0);
-        assert!(
-            (e1 / e2 - 1.0).abs() < 0.75,
-            "sparsifier solve energy drifted: {e1} vs {e2}"
-        );
+    fn the_system_is_held_once_as_the_first_chain_level() {
+        let g = generators::grid2d(12, 12, 1.0);
+        let solver = SddSolver::for_laplacian(g, SolverConfig::default());
+        let chain = solver.chain().expect("chain");
+        assert!(std::ptr::eq(solver.system(), &chain.levels()[0]));
     }
 
     #[test]

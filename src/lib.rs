@@ -18,9 +18,9 @@
 //!   cold nodes to disk under a resident-byte budget.
 //! * [`distributed`] — the synchronous CONGEST-style simulator ([`sgs_distributed`]).
 //! * [`solver`] — the Peng–Spielman-style SDD solver built on the sparsifier
-//!   ([`sgs_solver`]); [`solver::SddSolver::for_stream`] consumes a
-//!   [`stream::StreamOutput`] directly, so a spilled stream feeds the chain without
-//!   re-materialising the input graph.
+//!   ([`sgs_solver`]). A [`stream::StreamOutput`]'s sparsifier goes into
+//!   [`solver::SddSolver::for_laplacian`] by value, so a spilled stream feeds the chain
+//!   without re-materialising the input graph.
 //! * [`obs`] — structured tracing + metrics across every engine ([`sgs_obs`]):
 //!   install a sink, run any pipeline, export a JSONL event log or a Chrome
 //!   `trace_event` JSON, or sum span wall clock per name with [`obs::span_totals`].

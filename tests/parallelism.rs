@@ -33,8 +33,13 @@ fn matvec_is_identical_across_thread_counts() {
     let g = generators::grid2d(60, 60, 1.0); // n = 3600, above the parallel cutoff
     let l = CsrMatrix::laplacian(&g);
     let x: Vec<f64> = (0..g.n()).map(|i| (i as f64 * 0.731).sin()).collect();
-    let y1 = on_pool(1, || l.apply(&x));
-    let y4 = on_pool(4, || l.apply(&x));
+    let apply = || {
+        let mut y = vec![0.0; x.len()];
+        l.apply_into(&x, &mut y);
+        y
+    };
+    let y1 = on_pool(1, apply);
+    let y4 = on_pool(4, apply);
     assert_eq!(y1.len(), y4.len());
     for (a, b) in y1.iter().zip(&y4) {
         assert_eq!(a.to_bits(), b.to_bits());

@@ -2,8 +2,9 @@
 //! downstream user of the library would run.
 
 use spectral_sparsify::graph::{connectivity::is_connected, generators, ops};
+use spectral_sparsify::linalg::cg::{pcg_solve_in, CgConfig, CgScratch, IdentityPreconditioner};
 use spectral_sparsify::linalg::spectral::CertifyOptions;
-use spectral_sparsify::linalg::{cg::CgConfig, cg_solve, csr::CsrMatrix, vector};
+use spectral_sparsify::linalg::{csr::CsrMatrix, vector};
 use spectral_sparsify::prelude::*;
 use spectral_sparsify::solver::{SddSolver, SolverConfig, SolverMethod};
 use spectral_sparsify::sparsify::verify_sparsifier;
@@ -24,9 +25,20 @@ fn solve_on_sparsifier_approximates_solve_on_original() {
     let mut b = vec![0.0; g.n()];
     b[0] = 1.0;
     b[399] = -1.0;
-    let cg_cfg = CgConfig::default();
-    let x_full = cg_solve(&CsrMatrix::laplacian(&g), &b, &cg_cfg).solution;
-    let x_sparse = cg_solve(&CsrMatrix::laplacian(&sparse), &b, &cg_cfg).solution;
+    let cg = |graph: &Graph| {
+        let mut scratch = CgScratch::new(graph.n());
+        let l = CsrMatrix::laplacian(graph);
+        pcg_solve_in(
+            &l,
+            &IdentityPreconditioner,
+            &b,
+            &CgConfig::default(),
+            &mut scratch,
+        );
+        scratch.into_solution()
+    };
+    let x_full = cg(&g);
+    let x_sparse = cg(&sparse);
 
     // Compare the energy (quadratic form) of the two solutions on the original graph:
     // for a kappa-approximation the energies agree within that factor.
@@ -115,13 +127,53 @@ fn full_pipeline_sparsify_then_chain_solve() {
     // Use the sparsifier solution as an approximate solution of the original system:
     // the relative residual in G should be bounded away from 1 (it would be ~1 for a
     // garbage vector) because H approximates G spectrally.
-    let lx = g.laplacian_apply(&out.solution);
+    let mut lx = vec![0.0; g.n()];
+    g.laplacian_apply_into(&out.solution, &mut lx);
     let mut r: Vec<f64> = b.iter().zip(&lx).map(|(bi, li)| bi - li).collect();
     vector::project_out_ones(&mut r);
     let rel = vector::norm2(&r) / vector::norm2(&b);
     assert!(
         rel < 0.9,
         "sparsifier solution is a useful starting point, residual {rel}"
+    );
+}
+
+/// A spilled stream's sparsifier goes straight into the solver, like any other graph,
+/// and solves against the sparsifier's Laplacian: a spectral proxy of the streamed
+/// graph's, so the solution's energy is close to that of the original system's.
+#[test]
+fn a_spilled_stream_solves_against_its_sparsifier() {
+    let g = generators::erdos_renyi(200, 0.15, 1.0, 17);
+    let stream_cfg = StreamConfig::new(0.5, g.m() / 2)
+        .with_seed(11)
+        .with_spill(SpillConfig::new(g.m()));
+    let mut s = StreamSparsifier::new(g.n(), stream_cfg);
+    for batch in g.edges().chunks(997) {
+        s.ingest_batch(batch).unwrap();
+    }
+    let out = s.finish();
+    assert_eq!(out.stats.edges_ingested, g.m() as u64);
+    assert!(out.stats.spill.spilled_nodes > 0, "the stream must spill");
+    assert!(
+        out.stats.spill.spilled_bytes > 0,
+        "the spill ledger is empty"
+    );
+
+    let solver = SddSolver::for_laplacian(out.sparsifier, SolverConfig::default());
+    let n = solver.system().n();
+    let mut b = vec![0.0; n];
+    b[3] = 1.0;
+    b[n - 4] = -1.0;
+    let sol = solver.solve(&b);
+    assert!(sol.converged, "residual {}", sol.relative_residual);
+    assert!(sol.relative_residual < 1e-6);
+    let exact = SddSolver::for_laplacian(g, SolverConfig::default()).solve(&b);
+    let e1 = vector::dot(&b, &sol.solution);
+    let e2 = vector::dot(&b, &exact.solution);
+    assert!(e1 > 0.0 && e2 > 0.0);
+    assert!(
+        (e1 / e2 - 1.0).abs() < 0.75,
+        "sparsifier solve energy drifted: {e1} vs {e2}"
     );
 }
 
