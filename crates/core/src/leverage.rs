@@ -290,7 +290,7 @@ pub(crate) fn resparsify_on_engine(
     let mut uf = sgs_graph::connectivity::UnionFind::new(n);
     let mut forest_edges = 0usize;
     for (id, e) in g.edges().iter().enumerate() {
-        if uf.union(e.u, e.v) {
+        if uf.union(e.u(), e.v()) {
             forest[id] = true;
             forest_edges += 1;
         }
@@ -395,7 +395,7 @@ mod tests {
         let neck = g
             .edges()
             .iter()
-            .position(|e| (e.u < 20) != (e.v < 20))
+            .position(|e| (e.u() < 20) != (e.v() < 20))
             .expect("barbell has a neck edge");
         assert_eq!(probs[neck], 1.0, "neck probability");
     }
@@ -493,7 +493,7 @@ mod tests {
                 .sparsifier
                 .edges()
                 .iter()
-                .any(|e| (e.u < 40) != (e.v < 40));
+                .any(|e| (e.u() < 40) != (e.v() < 40));
             assert!(has_neck, "leverage-1 neck edge must clamp to p = 1");
         }
     }

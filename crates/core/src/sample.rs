@@ -58,7 +58,7 @@ pub fn sample_uniform(g: &Graph, verbatim: &[bool], p: f64, seed: u64) -> Graph 
             if verbatim[id] {
                 Some(e)
             } else if edge_coin(seed, id as u64) < p {
-                Some(Edge::new(e.u, e.v, e.w * reweight))
+                Some(Edge::new(e.u(), e.v(), e.w * reweight))
             } else {
                 None
             }
@@ -78,7 +78,7 @@ pub(crate) fn sample_weighted(g: &Graph, verbatim: &[bool], probs: &[f64], seed:
                 return Some(e);
             }
             let p = probs[id];
-            (edge_coin(seed, id as u64) < p).then(|| Edge::new(e.u, e.v, e.w / p))
+            (edge_coin(seed, id as u64) < p).then(|| Edge::new(e.u(), e.v(), e.w / p))
         })
         .collect();
     Graph::from_edges_unchecked(g.n(), kept)

@@ -182,8 +182,8 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
         let n = g.n();
         let mut nbr_offsets = vec![0u32; n + 1];
         for e in g.edges() {
-            nbr_offsets[e.u + 1] += 1;
-            nbr_offsets[e.v + 1] += 1;
+            nbr_offsets[e.u() + 1] += 1;
+            nbr_offsets[e.v() + 1] += 1;
         }
         for v in 0..n {
             nbr_offsets[v + 1] += nbr_offsets[v];
@@ -191,10 +191,10 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
         let mut cursor: Vec<u32> = nbr_offsets.clone();
         let mut nbr_ids = vec![0u32; 2 * g.m()];
         for e in g.edges() {
-            nbr_ids[cursor[e.u] as usize] = e.v as u32;
-            cursor[e.u] += 1;
-            nbr_ids[cursor[e.v] as usize] = e.u as u32;
-            cursor[e.v] += 1;
+            nbr_ids[cursor[e.u()] as usize] = e.v() as u32;
+            cursor[e.u()] += 1;
+            nbr_ids[cursor[e.v()] as usize] = e.u() as u32;
+            cursor[e.v()] += 1;
         }
         for v in 0..n {
             nbr_ids[nbr_offsets[v] as usize..nbr_offsets[v + 1] as usize].sort_unstable();

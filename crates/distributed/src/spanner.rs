@@ -524,7 +524,7 @@ impl<K: Knowledge> Protocol<K> {
             n,
             ids.iter().map(|&id| {
                 let e = g.edge(id);
-                (e.u, e.v, e.w)
+                (e.u(), e.v(), e.w)
             }),
         );
         let mut idx_of = vec![u32::MAX; g.m()];

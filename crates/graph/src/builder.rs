@@ -61,13 +61,13 @@ impl GraphBuilder {
         let mut edges: Vec<Edge> = self
             .weights
             .into_iter()
-            .map(|((u, v), w)| Edge { u, v, w })
+            .map(|((u, v), w)| Edge::new(u, v, w))
             .collect();
-        edges.sort_by_key(|e| (e.u, e.v));
+        edges.sort_by_key(|e| (e.u(), e.v()));
         // Edges were validated on insertion; reconstruct without re-validating.
         let mut g = Graph::with_capacity(self.n, edges.len());
         for e in edges {
-            g.push_edge_unchecked(e.u, e.v, e.w);
+            g.push_edge_unchecked(e.u(), e.v(), e.w);
         }
         g
     }

@@ -51,7 +51,7 @@ impl UnionFind {
 pub fn connected_components(g: &Graph) -> (Vec<usize>, usize) {
     let mut uf = UnionFind::new(g.n());
     for e in g.edges() {
-        uf.union(e.u, e.v);
+        uf.union(e.u(), e.v());
     }
     let mut label = vec![usize::MAX; g.n()];
     let mut next = 0usize;

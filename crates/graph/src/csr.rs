@@ -7,22 +7,39 @@
 
 use crate::graph::{EdgeId, Graph, NodeId};
 
-/// One half-edge stored in the CSR adjacency structure.
+/// One half-edge stored in the CSR adjacency structure: 16 bytes, the adjacent vertex
+/// and the edge id as `u32`, and the edge weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
-    /// The adjacent vertex.
-    pub node: NodeId,
+    node: u32,
+    edge: u32,
     /// Weight of the connecting edge.
     pub weight: f64,
+}
+
+impl Neighbor {
+    /// The adjacent vertex.
+    #[inline]
+    pub fn node(&self) -> NodeId {
+        self.node as NodeId
+    }
+
     /// Id of the edge in the originating [`Graph`].
-    pub edge: EdgeId,
+    #[inline]
+    pub fn edge(&self) -> EdgeId {
+        self.edge as EdgeId
+    }
 }
 
 /// CSR adjacency structure: for each vertex `v`, the half-edges incident to `v` occupy
 /// `entries[offsets[v]..offsets[v + 1]]`.
+///
+/// Offsets and edge ids are `u32`, so a graph is capped at `u32::MAX / 2` edges (every
+/// edge has two half-edges), which [`Adjacency::build`] asserts, as the spanner's
+/// `ViewCsr` does.
 #[derive(Debug, Clone, Default)]
 pub struct Adjacency {
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     entries: Vec<Neighbor>,
     n: usize,
     m: usize,
@@ -31,40 +48,47 @@ pub struct Adjacency {
 impl Adjacency {
     /// Builds the adjacency structure from a graph in `O(n + m)` time using the
     /// classical two-pass counting-sort layout.
+    ///
+    /// # Panics
+    /// If the graph has more than `u32::MAX / 2` edges.
     pub fn build(g: &Graph) -> Self {
         let n = g.n();
         let m = g.m();
-        let mut counts = vec![0usize; n + 1];
+        assert!(
+            m <= (u32::MAX / 2) as usize,
+            "graph too large for u32 adjacency indices"
+        );
+        let mut offsets = vec![0u32; n + 1];
         for e in g.edges() {
-            counts[e.u + 1] += 1;
-            counts[e.v + 1] += 1;
+            offsets[e.u() + 1] += 1;
+            offsets[e.v() + 1] += 1;
         }
         for i in 0..n {
-            counts[i + 1] += counts[i];
+            offsets[i + 1] += offsets[i];
         }
-        let offsets = counts.clone();
-        let mut cursor = counts;
+        let mut cursor = offsets[..n].to_vec();
         let mut entries = vec![
             Neighbor {
                 node: 0,
+                edge: 0,
                 weight: 0.0,
-                edge: 0
             };
             2 * m
         ];
         for (id, e) in g.edges().iter().enumerate() {
-            entries[cursor[e.u]] = Neighbor {
+            let edge = id as u32;
+            entries[cursor[e.u()] as usize] = Neighbor {
                 node: e.v,
+                edge,
                 weight: e.w,
-                edge: id,
             };
-            cursor[e.u] += 1;
-            entries[cursor[e.v]] = Neighbor {
+            cursor[e.u()] += 1;
+            entries[cursor[e.v()] as usize] = Neighbor {
                 node: e.u,
+                edge,
                 weight: e.w,
-                edge: id,
             };
-            cursor[e.v] += 1;
+            cursor[e.v()] += 1;
         }
         Adjacency {
             offsets,
@@ -86,12 +110,12 @@ impl Adjacency {
 
     /// The half-edges incident to vertex `v`.
     pub fn neighbors(&self, v: NodeId) -> &[Neighbor] {
-        &self.entries[self.offsets[v]..self.offsets[v + 1]]
+        &self.entries[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Unweighted degree of vertex `v`.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
+        (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
     /// Iterates over `(vertex, &[Neighbor])` pairs.
@@ -119,10 +143,10 @@ mod tests {
         assert_eq!(adj.degree(3), 1);
         let nb0 = adj.neighbors(0);
         assert_eq!(nb0.len(), 1);
-        assert_eq!(nb0[0].node, 1);
+        assert_eq!(nb0[0].node(), 1);
         assert_eq!(nb0[0].weight, 1.0);
-        assert_eq!(nb0[0].edge, 0);
-        let nb2: Vec<_> = adj.neighbors(2).iter().map(|nb| nb.node).collect();
+        assert_eq!(nb0[0].edge(), 0);
+        let nb2: Vec<_> = adj.neighbors(2).iter().map(|nb| nb.node()).collect();
         assert!(nb2.contains(&1) && nb2.contains(&3));
     }
 
@@ -142,7 +166,7 @@ mod tests {
         let adj = g.adjacency();
         assert_eq!(adj.degree(0), 2);
         assert_eq!(adj.degree(1), 2);
-        let edges: Vec<_> = adj.neighbors(0).iter().map(|nb| nb.edge).collect();
+        let edges: Vec<_> = adj.neighbors(0).iter().map(|nb| nb.edge()).collect();
         assert!(edges.contains(&0) && edges.contains(&1));
     }
 

@@ -12,6 +12,11 @@ pub enum GraphError {
         /// Number of vertices in the graph.
         n: usize,
     },
+    /// A graph was declared with more vertices than `u32` vertex ids can name.
+    TooManyVertices {
+        /// The declared vertex count.
+        n: usize,
+    },
     /// An edge had a non-positive (or non-finite) weight; the Laplacian machinery of the
     /// paper requires `w > 0`.
     NonPositiveWeight {
@@ -49,6 +54,9 @@ impl fmt::Display for GraphError {
                     f,
                     "vertex {vertex} out of range for graph with {n} vertices"
                 )
+            }
+            GraphError::TooManyVertices { n } => {
+                write!(f, "n = {n} vertices do not fit in u32 vertex ids")
             }
             GraphError::NonPositiveWeight { weight } => {
                 write!(

@@ -159,7 +159,7 @@ pub fn erdos_renyi_weighted(n: usize, p: f64, w_lo: f64, w_hi: f64, seed: u64) -
     let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(0x9E3779B97F4A7C15));
     let mut g = Graph::with_capacity(n, base.m());
     for e in base.edges() {
-        g.push_edge_unchecked(e.u, e.v, rng.gen_range(w_lo..=w_hi));
+        g.push_edge_unchecked(e.u(), e.v(), rng.gen_range(w_lo..=w_hi));
     }
     g
 }
@@ -311,10 +311,10 @@ pub fn expander_dumbbell(half: usize, d: usize, w: f64, bridge_w: f64, seed: u64
     let n = 2 * half;
     let mut g = Graph::with_capacity(n, left.m() + right.m() + 1);
     for e in left.edges() {
-        g.push_edge_unchecked(e.u, e.v, e.w);
+        g.push_edge_unchecked(e.u(), e.v(), e.w);
     }
     for e in right.edges() {
-        g.push_edge_unchecked(half + e.u, half + e.v, e.w);
+        g.push_edge_unchecked(half + e.u(), half + e.v(), e.w);
     }
     g.push_edge_unchecked(0, half, bridge_w);
     g
@@ -378,11 +378,7 @@ impl Iterator for StreamingEdgeGen {
         self.next += 1;
         if i < self.n - 1 {
             // Path skeleton: keeps every prefix past n−1 edges connected.
-            return Some(Edge {
-                u: i,
-                v: i + 1,
-                w: 1.0,
-            });
+            return Some(Edge::new(i, i + 1, 1.0));
         }
         // Pseudo-random extra edge: endpoints and weight are pure functions of
         // (seed, i).
@@ -396,7 +392,7 @@ impl Iterator for StreamingEdgeGen {
         k = splitmix64(k);
         // Weight in [0.5, 1.5): strictly positive, mildly heterogeneous.
         let w = 0.5 + (k >> 11) as f64 / (1u64 << 53) as f64;
-        Some(Edge { u, v, w })
+        Some(Edge::new(u, v, w))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -452,7 +448,7 @@ mod tests {
         );
         // Edge endpoints must be valid and distinct.
         for e in g.edges() {
-            assert!(e.u < n && e.v < n && e.u != e.v);
+            assert!(e.u() < n && e.v() < n && e.u() != e.v());
         }
     }
 
@@ -577,10 +573,10 @@ mod tests {
         assert_eq!(edges.len(), total);
         let mut g = Graph::with_capacity(n, total);
         for e in &edges {
-            assert_ne!(e.u, e.v, "no self-loops");
-            assert!(e.u < n && e.v < n);
+            assert_ne!(e.u(), e.v(), "no self-loops");
+            assert!(e.u() < n && e.v() < n);
             assert!(e.w >= 0.5 && e.w < 1.5);
-            g.push_edge_unchecked(e.u, e.v, e.w);
+            g.push_edge_unchecked(e.u(), e.v(), e.w);
         }
         assert!(is_connected(&g), "path skeleton keeps the stream connected");
         // Stateless: a second pass and a mid-stream restart reproduce the sequence.
@@ -606,7 +602,7 @@ mod tests {
         let bridges: Vec<_> = g
             .edges()
             .iter()
-            .filter(|e| (e.u < 50) != (e.v < 50))
+            .filter(|e| (e.u() < 50) != (e.v() < 50))
             .collect();
         assert_eq!(bridges.len(), 1);
         assert!((bridges[0].w - 0.01).abs() < 1e-12);

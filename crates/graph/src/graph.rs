@@ -14,13 +14,16 @@ pub type NodeId = usize;
 /// Identifier of an edge: an index into [`Graph::edges`].
 pub type EdgeId = usize;
 
-/// A weighted undirected edge.
+/// Largest vertex count a [`Graph`] accepts: [`Edge`] stores its endpoints as `u32`,
+/// and so do SGSB files.
+pub(crate) const MAX_VERTICES: usize = u32::MAX as usize;
+
+/// A weighted undirected edge: 16 bytes, two `u32` endpoints and an `f64` weight.
+/// The endpoints are read through [`Edge::u`] and [`Edge::v`] as [`NodeId`]s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
-    /// One endpoint.
-    pub u: NodeId,
-    /// The other endpoint.
-    pub v: NodeId,
+    pub(crate) u: u32,
+    pub(crate) v: u32,
     /// Strictly positive weight. Interpreted electrically as a conductance; the
     /// resistance of the edge is `1 / w`.
     pub w: f64,
@@ -28,8 +31,30 @@ pub struct Edge {
 
 impl Edge {
     /// Creates a new edge.
+    ///
+    /// # Panics
+    /// If an endpoint does not fit in a `u32` id. [`Graph::add_edge`] and the readers
+    /// return [`GraphError::TooManyVertices`] for such input instead.
+    #[inline]
     pub fn new(u: NodeId, v: NodeId, w: f64) -> Self {
-        Edge { u, v, w }
+        let id = |x: NodeId| u32::try_from(x).expect("vertex id exceeds u32");
+        Edge {
+            u: id(u),
+            v: id(v),
+            w,
+        }
+    }
+
+    /// One endpoint.
+    #[inline]
+    pub fn u(&self) -> NodeId {
+        self.u as NodeId
+    }
+
+    /// The other endpoint.
+    #[inline]
+    pub fn v(&self) -> NodeId {
+        self.v as NodeId
     }
 
     /// Resistance `1 / w` of the edge viewed as a resistor.
@@ -39,19 +64,20 @@ impl Edge {
 
     /// Returns the endpoint different from `x`, assuming `x` is one of the endpoints.
     pub fn other(&self, x: NodeId) -> NodeId {
-        if x == self.u {
-            self.v
+        if x == self.u() {
+            self.v()
         } else {
-            self.u
+            self.u()
         }
     }
 
     /// Canonical `(min, max)` endpoint pair, useful as a hash key for simple graphs.
     pub fn key(&self) -> (NodeId, NodeId) {
-        if self.u <= self.v {
-            (self.u, self.v)
+        let (u, v) = (self.u(), self.v());
+        if u <= v {
+            (u, v)
         } else {
-            (self.v, self.u)
+            (v, u)
         }
     }
 }
@@ -87,7 +113,8 @@ impl Graph {
     pub fn from_edges(n: usize, edges: Vec<Edge>) -> Result<Self> {
         let mut g = Graph::with_capacity(n, edges.len());
         for e in edges {
-            g.add_edge(e.u, e.v, e.w)?;
+            Graph::validate_edge(n, e.u(), e.v(), e.w)?;
+            g.edges.push(e);
         }
         Ok(g)
     }
@@ -121,10 +148,14 @@ impl Graph {
     }
 
     /// Checks whether `(u, v, w)` is a valid edge for a graph on `n` vertices —
-    /// endpoints in range, no self-loop, weight strictly positive and finite. The
-    /// single source of truth for the edge invariant; [`Graph::add_edge`] and the
-    /// batch-validation paths (`io`, `sgs-stream`) all defer to it.
+    /// `n` within `u32` ids, endpoints in range, no self-loop, weight strictly
+    /// positive and finite. The single source of truth for the edge invariant;
+    /// [`Graph::add_edge`] and the batch-validation paths (`io`, `sgs-stream`) all
+    /// defer to it.
     pub fn validate_edge(n: usize, u: NodeId, v: NodeId, w: f64) -> Result<()> {
+        if n > MAX_VERTICES {
+            return Err(GraphError::TooManyVertices { n });
+        }
         if u >= n {
             return Err(GraphError::VertexOutOfRange { vertex: u, n });
         }
@@ -144,7 +175,7 @@ impl Graph {
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: f64) -> Result<EdgeId> {
         Graph::validate_edge(self.n, u, v, w)?;
         let id = self.edges.len();
-        self.edges.push(Edge { u, v, w });
+        self.edges.push(Edge::new(u, v, w));
         Ok(id)
     }
 
@@ -153,7 +184,7 @@ impl Graph {
     pub fn push_edge_unchecked(&mut self, u: NodeId, v: NodeId, w: f64) -> EdgeId {
         debug_assert!(u < self.n && v < self.n && u != v && w > 0.0 && w.is_finite());
         let id = self.edges.len();
-        self.edges.push(Edge { u, v, w });
+        self.edges.push(Edge::new(u, v, w));
         id
     }
 
@@ -161,8 +192,8 @@ impl Graph {
     /// checks or copying. Intended for hot paths (samplers, sparsifier output assembly)
     /// where every edge was derived from an existing valid graph.
     pub fn from_edges_unchecked(n: usize, edges: Vec<Edge>) -> Graph {
-        debug_assert!(edges.iter().all(|e| e.u < n
-            && e.v < n
+        debug_assert!(edges.iter().all(|e| e.u() < n
+            && e.v() < n
             && e.u != e.v
             && e.w > 0.0
             && e.w.is_finite()));
@@ -199,8 +230,8 @@ impl Graph {
     pub fn weighted_degrees(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.n];
         for e in &self.edges {
-            d[e.u] += e.w;
-            d[e.v] += e.w;
+            d[e.u()] += e.w;
+            d[e.v()] += e.w;
         }
         d
     }
@@ -209,8 +240,8 @@ impl Graph {
     pub fn degrees(&self) -> Vec<usize> {
         let mut d = vec![0usize; self.n];
         for e in &self.edges {
-            d[e.u] += 1;
-            d[e.v] += 1;
+            d[e.u()] += 1;
+            d[e.v()] += 1;
         }
         d
     }
@@ -253,7 +284,7 @@ impl Graph {
         self.edges
             .iter()
             .map(|e| {
-                let d = x[e.u] - x[e.v];
+                let d = x[e.u()] - x[e.v()];
                 e.w * d * d
             })
             .sum()
@@ -266,9 +297,9 @@ impl Graph {
         debug_assert_eq!(y.len(), self.n);
         y.fill(0.0);
         for e in &self.edges {
-            let d = e.w * (x[e.u] - x[e.v]);
-            y[e.u] += d;
-            y[e.v] -= d;
+            let d = e.w * (x[e.u()] - x[e.v()]);
+            y[e.u()] += d;
+            y[e.v()] -= d;
         }
     }
 
@@ -303,9 +334,9 @@ impl Graph {
         }
         let mut edges: Vec<Edge> = map
             .into_iter()
-            .map(|((u, v), w)| Edge { u, v, w })
+            .map(|((u, v), w)| Edge::new(u, v, w))
             .collect();
-        edges.sort_by_key(|e| (e.u, e.v));
+        edges.sort_by_key(Edge::key);
         Graph { n: self.n, edges }
     }
 }

@@ -54,7 +54,7 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::{GraphError, Result};
-use crate::graph::{Edge, Graph};
+use crate::graph::{Edge, Graph, MAX_VERTICES};
 
 /// Serializes a graph into the edge-list text format.
 pub fn to_string(g: &Graph) -> String {
@@ -81,7 +81,8 @@ fn is_skippable(line: &str) -> bool {
 /// positioned `Err` instead of panicking.
 const MAX_TRUSTED_PREALLOC_EDGES: usize = 1 << 20;
 
-/// Parses the `n m` header line. `line_no` is 1-based and used in error positions.
+/// Parses the `n m` header line. `line_no` is 1-based and used in error positions;
+/// an `n` beyond `u32` vertex ids is [`GraphError::TooManyVertices`].
 fn parse_header(line: &str, line_no: usize) -> Result<(usize, usize)> {
     let mut parts = line.split_whitespace();
     let n: usize = parts
@@ -94,6 +95,9 @@ fn parse_header(line: &str, line_no: usize) -> Result<(usize, usize)> {
         .ok_or_else(|| GraphError::Parse(format!("line {line_no}: missing m")))?
         .parse()
         .map_err(|e| GraphError::Parse(format!("line {line_no}: bad m: {e}")))?;
+    if n > MAX_VERTICES {
+        return Err(GraphError::TooManyVertices { n });
+    }
     Ok((n, m))
 }
 
@@ -121,7 +125,7 @@ fn parse_edge(line: &str, line_no: usize, n: usize) -> Result<Edge> {
     if let Err(e) = Graph::validate_edge(n, u, v, w) {
         return Err(GraphError::Parse(format!("line {line_no}: {e}")));
     }
-    Ok(Edge { u, v, w })
+    Ok(Edge::new(u, v, w))
 }
 
 /// Parses a graph from the edge-list text format.
@@ -154,7 +158,7 @@ fn drain_batches(
             return Ok(g);
         }
         for e in &batch {
-            g.push_edge_unchecked(e.u, e.v, e.w);
+            g.push_edge_unchecked(e.u(), e.v(), e.w);
         }
     }
 }
@@ -327,10 +331,8 @@ impl<W: Write> BinEdgeWriter<W> {
     /// Wraps any writer and writes the header. `n` must fit in `u32` (vertex ids are
     /// stored as `u32`).
     pub fn new(mut dst: W, n: usize, m: usize) -> Result<Self> {
-        if n > u32::MAX as usize {
-            return Err(GraphError::Parse(format!(
-                "binary format stores vertex ids as u32; n = {n} does not fit"
-            )));
+        if n > MAX_VERTICES {
+            return Err(GraphError::TooManyVertices { n });
         }
         dst.write_all(&BIN_MAGIC)?;
         dst.write_all(&BIN_VERSION.to_le_bytes())?;
@@ -354,7 +356,7 @@ impl<W: Write> BinEdgeWriter<W> {
     /// `m` is an error).
     pub fn write_batch(&mut self, edges: &[Edge]) -> Result<()> {
         for e in edges {
-            Graph::validate_edge(self.n, e.u, e.v, e.w)?;
+            Graph::validate_edge(self.n, e.u(), e.v(), e.w)?;
         }
         if self.edges_written + edges.len() > self.declared_edges {
             return Err(GraphError::Parse(format!(
@@ -367,8 +369,8 @@ impl<W: Write> BinEdgeWriter<W> {
             self.dst.write_all(&(block.len() as u32).to_le_bytes())?;
             let mut rec = [0u8; BIN_RECORD_BYTES];
             for e in block {
-                rec[0..4].copy_from_slice(&(e.u as u32).to_le_bytes());
-                rec[4..8].copy_from_slice(&(e.v as u32).to_le_bytes());
+                rec[0..4].copy_from_slice(&e.u.to_le_bytes());
+                rec[4..8].copy_from_slice(&e.v.to_le_bytes());
                 rec[8..16].copy_from_slice(&e.w.to_bits().to_le_bytes());
                 self.dst.write_all(&rec)?;
             }
@@ -454,7 +456,7 @@ impl<R: Read> BinEdgeReader<R> {
             )));
         }
         let n = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        if n > u32::MAX as u64 {
+        if n > MAX_VERTICES as u64 {
             return Err(GraphError::Parse(format!(
                 "byte 8: n = {n} does not fit in u32 vertex ids"
             )));
@@ -543,13 +545,15 @@ impl<R: Read> BinEdgeReader<R> {
             let record_offset = self.offset;
             let mut rec = [0u8; BIN_RECORD_BYTES];
             self.read_exact_positioned(&mut rec)?;
-            let u = u32::from_le_bytes(rec[0..4].try_into().expect("4 bytes")) as usize;
-            let v = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes")) as usize;
-            let w = f64::from_bits(u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes")));
-            if let Err(e) = Graph::validate_edge(self.n, u, v, w) {
-                return Err(GraphError::Parse(format!("byte {record_offset}: {e}")));
+            let e = Edge {
+                u: u32::from_le_bytes(rec[0..4].try_into().expect("4 bytes")),
+                v: u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes")),
+                w: f64::from_bits(u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"))),
+            };
+            if let Err(err) = Graph::validate_edge(self.n, e.u(), e.v(), e.w) {
+                return Err(GraphError::Parse(format!("byte {record_offset}: {err}")));
             }
-            out.push(Edge { u, v, w });
+            out.push(e);
             self.remaining_in_block -= 1;
             self.edges_read += 1;
             appended += 1;
@@ -591,8 +595,8 @@ mod tests {
         assert_eq!(g.n(), h.n());
         assert_eq!(g.m(), h.m());
         for (a, b) in g.edges().iter().zip(h.edges().iter()) {
-            assert_eq!(a.u, b.u);
-            assert_eq!(a.v, b.v);
+            assert_eq!(a.u(), b.u());
+            assert_eq!(a.v(), b.v());
             assert!((a.w - b.w).abs() < 1e-12 * a.w.abs().max(1.0));
         }
     }
@@ -685,7 +689,7 @@ mod tests {
         assert_eq!(reader.edges_read(), g.m());
         assert_eq!(batches, g.m().div_ceil(7));
         for (a, b) in g.edges().iter().zip(edges.iter()) {
-            assert_eq!((a.u, a.v), (b.u, b.v));
+            assert_eq!((a.u(), a.v()), (b.u(), b.v()));
             assert!((a.w - b.w).abs() < 1e-12 * a.w.abs().max(1.0));
         }
         // Exhausted readers keep returning 0 without erroring.
@@ -755,7 +759,7 @@ mod tests {
         assert_eq!(edges.len(), g.m());
         assert_eq!(reader.edges_read(), g.m());
         for (a, b) in g.edges().iter().zip(edges.iter()) {
-            assert_eq!((a.u, a.v), (b.u, b.v));
+            assert_eq!((a.u(), a.v()), (b.u(), b.v()));
             // The whole point of the binary format: exact bits, not round-tripped text.
             assert_eq!(a.w.to_bits(), b.w.to_bits());
         }
@@ -887,13 +891,13 @@ mod tests {
         // Writing more than declared fails at write time.
         let mut bytes = Vec::new();
         let mut w = BinEdgeWriter::new(&mut bytes, 4, 1).unwrap();
-        let edges = [Edge { u: 0, v: 1, w: 1.0 }, Edge { u: 1, v: 2, w: 1.0 }];
+        let edges = [Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0)];
         assert!(w.write_batch(&edges).is_err());
 
         // Invalid edges are rejected before any bytes of the batch are written.
         let mut bytes = Vec::new();
         let mut w = BinEdgeWriter::new(&mut bytes, 4, 1).unwrap();
-        assert!(w.write_batch(&[Edge { u: 0, v: 9, w: 1.0 }]).is_err());
+        assert!(w.write_batch(&[Edge::new(0, 9, 1.0)]).is_err());
 
         // n beyond u32 ids is refused up front.
         assert!(BinEdgeWriter::new(Vec::new(), u32::MAX as usize + 1, 0).is_err());

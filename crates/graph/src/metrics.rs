@@ -12,7 +12,7 @@ pub fn cut_weight(g: &Graph, side: &[bool]) -> f64 {
     debug_assert_eq!(side.len(), g.n());
     g.edges()
         .iter()
-        .filter(|e| side[e.u] != side[e.v])
+        .filter(|e| side[e.u()] != side[e.v()])
         .map(|e| e.w)
         .sum()
 }

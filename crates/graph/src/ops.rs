@@ -20,10 +20,10 @@ pub fn add(g1: &Graph, g2: &Graph) -> Result<Graph> {
     }
     let mut out = Graph::with_capacity(g1.n(), g1.m() + g2.m());
     for e in g1.edges() {
-        out.push_edge_unchecked(e.u, e.v, e.w);
+        out.push_edge_unchecked(e.u(), e.v(), e.w);
     }
     for e in g2.edges() {
-        out.push_edge_unchecked(e.u, e.v, e.w);
+        out.push_edge_unchecked(e.u(), e.v(), e.w);
     }
     Ok(out)
 }
@@ -35,7 +35,7 @@ pub fn scale(g: &Graph, a: f64) -> Result<Graph> {
     }
     let mut out = Graph::with_capacity(g.n(), g.m());
     for e in g.edges() {
-        out.push_edge_unchecked(e.u, e.v, e.w * a);
+        out.push_edge_unchecked(e.u(), e.v(), e.w * a);
     }
     Ok(out)
 }
@@ -64,12 +64,12 @@ pub fn merge_union(g1: &Graph, g2: &Graph) -> Result<Graph> {
     let mut scratch: Vec<Edge> = Vec::with_capacity(g1.m() + g2.m());
     for e in g1.edges().iter().chain(g2.edges()) {
         let (u, v) = e.key();
-        scratch.push(Edge { u, v, w: e.w });
+        scratch.push(Edge::new(u, v, e.w));
     }
     coalesce_in_place(&mut scratch);
     let mut out = Graph::with_capacity(g1.n(), scratch.len());
     for e in &scratch {
-        out.push_edge_unchecked(e.u, e.v, e.w);
+        out.push_edge_unchecked(e.u(), e.v(), e.w);
     }
     Ok(out)
 }
@@ -88,16 +88,16 @@ pub fn coalesce_in_place(edges: &mut Vec<Edge>) {
         return;
     }
     for e in edges.iter_mut() {
-        if e.u > e.v {
+        if e.u() > e.v() {
             std::mem::swap(&mut e.u, &mut e.v);
         }
     }
-    edges.sort_unstable_by_key(|e| (e.u, e.v));
+    edges.sort_unstable_by_key(|e| (e.u(), e.v()));
     let mut write = 0usize;
     for read in 1..edges.len() {
         let e = edges[read];
         let last = &mut edges[write];
-        if (e.u, e.v) == (last.u, last.v) {
+        if (e.u(), e.v()) == (last.u(), last.v()) {
             last.w += e.w;
         } else {
             write += 1;
@@ -153,7 +153,7 @@ mod tests {
         assert_eq!(u.n(), 4);
         assert_eq!(u.m(), 3); // (0,1), (1,2), (2,3)
         let edges = u.edges();
-        assert_eq!((edges[0].u, edges[0].v), (0, 1));
+        assert_eq!((edges[0].u(), edges[0].v()), (0, 1));
         assert!((edges[0].w - 7.0).abs() < 1e-12);
         assert!((edges[1].w - 0.5).abs() < 1e-12);
         assert!((edges[2].w - 1.5).abs() < 1e-12);
@@ -170,7 +170,7 @@ mod tests {
         assert_eq!(u.m(), g.coalesce().m());
         let c = g.coalesce();
         for (a, b) in u.edges().iter().zip(c.edges().iter()) {
-            assert_eq!((a.u, a.v), (b.u, b.v));
+            assert_eq!((a.u(), a.v()), (b.u(), b.v()));
             assert!((a.w - 2.0 * b.w).abs() < 1e-12 * b.w);
         }
     }
@@ -191,7 +191,7 @@ mod tests {
         assert!((u.quadratic_form(&x) - q).abs() < 1e-12);
         // Output is sorted by canonical pair and exactly sized.
         for w in u.edges().windows(2) {
-            assert!((w[0].u, w[0].v) < (w[1].u, w[1].v));
+            assert!((w[0].u(), w[0].v()) < (w[1].u(), w[1].v()));
         }
     }
 
@@ -223,8 +223,8 @@ mod tests {
         coalesce_in_place(&mut v);
         assert_eq!(v.capacity(), cap);
         assert_eq!(v.len(), 3);
-        assert_eq!((v[0].u, v[0].v, v[0].w), (0, 1, 2.0));
-        assert_eq!((v[1].u, v[1].v, v[1].w), (0, 3, 1.0));
+        assert_eq!((v[0].u(), v[0].v(), v[0].w), (0, 1, 2.0));
+        assert_eq!((v[1].u(), v[1].v(), v[1].w), (0, 3, 1.0));
         assert!((v[2].w - 1.75).abs() < 1e-15);
         let mut empty: Vec<Edge> = Vec::new();
         coalesce_in_place(&mut empty);

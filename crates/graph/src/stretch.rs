@@ -25,7 +25,7 @@ pub fn stretch_of_all_edges(g: &Graph, h: &Graph) -> Vec<f64> {
     // Group edge ids by their `u` endpoint.
     let mut by_source: Vec<Vec<usize>> = vec![Vec::new(); g.n()];
     for (id, e) in g.edges().iter().enumerate() {
-        by_source[e.u].push(id);
+        by_source[e.u()].push(id);
     }
     let mut stretches = vec![0.0f64; g.m()];
     let results: Vec<(usize, f64)> = by_source
@@ -37,7 +37,7 @@ pub fn stretch_of_all_edges(g: &Graph, h: &Graph) -> Vec<f64> {
             ids.iter()
                 .map(|&id| {
                     let e = g.edge(id);
-                    (id, e.w * dist[e.v])
+                    (id, e.w * dist[e.v()])
                 })
                 .collect::<Vec<_>>()
         })
@@ -109,7 +109,7 @@ mod tests {
         let all = stretch_of_all_edges(&g, &h);
         let adj = h.adjacency();
         for (id, e) in g.edges().iter().enumerate() {
-            let single = e.w * dijkstra_with_lengths(&adj, e.u, |w| 1.0 / w)[e.v];
+            let single = e.w * dijkstra_with_lengths(&adj, e.u(), |w| 1.0 / w)[e.v()];
             assert!(
                 (all[id] - single).abs() < 1e-9,
                 "edge {id}: {} vs {}",

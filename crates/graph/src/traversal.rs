@@ -54,11 +54,11 @@ where
         }
         for nb in adj.neighbors(v) {
             let nd = d + length(nb.weight);
-            if nd < dist[nb.node] {
-                dist[nb.node] = nd;
+            if nd < dist[nb.node()] {
+                dist[nb.node()] = nd;
                 heap.push(HeapEntry {
                     dist: nd,
-                    node: nb.node,
+                    node: nb.node(),
                 });
             }
         }

@@ -77,8 +77,8 @@ impl CsrMatrix {
             triplets.push((i, i, d));
         }
         for e in g.edges() {
-            triplets.push((e.u, e.v, -e.w));
-            triplets.push((e.v, e.u, -e.w));
+            triplets.push((e.u(), e.v(), -e.w));
+            triplets.push((e.v(), e.u(), -e.w));
         }
         CsrMatrix::from_triplets(n, &triplets)
     }

@@ -1,8 +1,11 @@
 //! Small dense matrices with Cholesky factorization.
 //!
-//! Used as ground truth on tiny instances (exact effective resistances, exact extreme
-//! eigenvalue checks via bisection is out of scope — we use the pseudo-inverse route)
-//! and as the base-case solver at the bottom of the Peng–Spielman chain.
+//! Used as ground truth on tiny instances: exact effective resistances through the
+//! regularised pseudo-inverse, and [`exact_pencil_extremes`], the exact spectrum ends
+//! of a graph pair that the power-iteration certifier only estimates.
+
+use sgs_graph::connectivity::is_connected;
+use sgs_graph::Graph;
 
 use crate::csr::CsrMatrix;
 
@@ -111,6 +114,156 @@ impl DenseMatrix {
         crate::vector::project_out_ones(&mut x);
         Some(x)
     }
+
+    /// `L_G` grounded at vertex `n − 1`: the Laplacian without its last row and column.
+    fn grounded_laplacian(g: &Graph) -> DenseMatrix {
+        let k = g.n() - 1;
+        let mut a = DenseMatrix::zeros(k);
+        for e in g.edges() {
+            let (u, v) = (e.u(), e.v());
+            if u < k {
+                a.add_to(u, u, e.w);
+            }
+            if v < k {
+                a.add_to(v, v, e.w);
+            }
+            if u < k && v < k {
+                a.add_to(u, v, -e.w);
+                a.add_to(v, u, -e.w);
+            }
+        }
+        a
+    }
+
+    fn transpose_in_place(&mut self) {
+        let n = self.n;
+        for r in 0..n {
+            for c in (r + 1)..n {
+                self.data.swap(r * n + c, c * n + r);
+            }
+        }
+    }
+
+    /// Householder reduction of a symmetric matrix to tridiagonal form, consuming it.
+    /// Returns the diagonal and the `n − 1` subdiagonal entries.
+    fn tridiagonalize(mut self) -> (Vec<f64>, Vec<f64>) {
+        let n = self.n;
+        let (mut v, mut p) = (vec![0.0; n], vec![0.0; n]);
+        for j in 0..n.saturating_sub(2) {
+            let tail = (j + 1)..n;
+            let norm = tail
+                .clone()
+                .map(|i| self.get(i, j).powi(2))
+                .sum::<f64>()
+                .sqrt();
+            if norm == 0.0 {
+                continue;
+            }
+            // Reflect column j's tail onto alpha·e₁ with H = I − β v vᵀ, then apply
+            // A ← H A H to the trailing block as A − v qᵀ − q vᵀ.
+            let alpha = if self.get(j + 1, j) > 0.0 {
+                -norm
+            } else {
+                norm
+            };
+            for i in tail.clone() {
+                v[i] = self.get(i, j);
+            }
+            v[j + 1] -= alpha;
+            let beta = 2.0 / tail.clone().map(|i| v[i] * v[i]).sum::<f64>();
+            for i in tail.clone() {
+                p[i] = beta * tail.clone().map(|t| self.get(i, t) * v[t]).sum::<f64>();
+            }
+            let k = 0.5 * beta * tail.clone().map(|i| v[i] * p[i]).sum::<f64>();
+            for i in tail.clone() {
+                p[i] -= k * v[i];
+            }
+            for i in tail.clone() {
+                for t in tail.clone() {
+                    self.add_to(i, t, -(v[i] * p[t] + p[i] * v[t]));
+                }
+            }
+            for i in tail {
+                let x = if i == j + 1 { alpha } else { 0.0 };
+                self.set(i, j, x);
+                self.set(j, i, x);
+            }
+        }
+        let d = (0..n).map(|i| self.get(i, i)).collect();
+        let e = (1..n).map(|i| self.get(i, i - 1)).collect();
+        (d, e)
+    }
+}
+
+/// Exact extremes `(λmin, λmax)` of `xᵀ L_H x / xᵀ L_G x` over `x ⟂ 1`: the values that
+/// `spectral::approximation_bounds` estimates from inside the spectrum. Dense and
+/// `O(n³)`, so meant for `n` up to a few hundred.
+///
+/// Both Laplacians annihilate constants, so grounding them at vertex `n − 1` keeps the
+/// pencil's spectrum. The grounded `L_G = R Rᵀ` is factored by Cholesky,
+/// `R⁻¹ L_H R⁻ᵀ` is reduced to tridiagonal form by Householder reflections, and its
+/// end eigenvalues are found by Sturm-sequence bisection. Returns `None` for `n < 2`
+/// or a disconnected `G` (the pencil is then unbounded; the Cholesky pivot that should
+/// vanish may round to a tiny positive value, so connectivity is checked first).
+pub fn exact_pencil_extremes(g: &Graph, h: &Graph) -> Option<(f64, f64)> {
+    assert_eq!(g.n(), h.n(), "graphs must share a vertex set");
+    if g.n() < 2 || !is_connected(g) {
+        return None;
+    }
+    let r = DenseMatrix::grounded_laplacian(g).cholesky()?;
+    let mut c = DenseMatrix::grounded_laplacian(h);
+    r.forward_in_place(&mut c);
+    c.transpose_in_place();
+    r.forward_in_place(&mut c);
+    let (d, e) = c.tridiagonalize();
+    Some((
+        nth_eigenvalue(&d, &e, 0),
+        nth_eigenvalue(&d, &e, d.len() - 1),
+    ))
+}
+
+/// The `i`-th smallest eigenvalue of the symmetric tridiagonal matrix with diagonal `d`
+/// and subdiagonal `e`, by bisection on the Sturm count inside the Gershgorin interval.
+fn nth_eigenvalue(d: &[f64], e: &[f64], i: usize) -> f64 {
+    let off = |j: usize| {
+        let below = if j > 0 { e[j - 1].abs() } else { 0.0 };
+        below + e.get(j).map_or(0.0, |x| x.abs())
+    };
+    let mut lo = (0..d.len())
+        .map(|j| d[j] - off(j))
+        .fold(f64::INFINITY, f64::min);
+    let mut hi = (0..d.len())
+        .map(|j| d[j] + off(j))
+        .fold(f64::NEG_INFINITY, f64::max);
+    let pivmin = f64::MIN_POSITIVE * e.iter().map(|x| x * x).fold(1.0, f64::max);
+    // Eigenvalues strictly below `x`: the negative pivots of LDLᵀ of `T − x I`.
+    let count_below = |x: f64| {
+        let mut q = 1.0;
+        let mut count = 0;
+        for j in 0..d.len() {
+            let coupling = if j > 0 { e[j - 1] * e[j - 1] / q } else { 0.0 };
+            q = d[j] - x - coupling;
+            if q.abs() < pivmin {
+                q = -pivmin;
+            }
+            if q < 0.0 {
+                count += 1;
+            }
+        }
+        count
+    };
+    while hi - lo > 2.0 * f64::EPSILON * lo.abs().max(hi.abs()) + pivmin {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break;
+        }
+        if count_below(mid) > i {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    0.5 * (lo + hi)
 }
 
 /// Lower-triangular Cholesky factor.
@@ -144,6 +297,28 @@ impl CholeskyFactor {
             x[i] = v / self.l[i * n + i];
         }
         x
+    }
+
+    /// Overwrites `b` with `L⁻¹ b`, every column at once (forward substitution by rows).
+    fn forward_in_place(&self, b: &mut DenseMatrix) {
+        let n = self.n;
+        assert_eq!(b.n, n);
+        for i in 0..n {
+            let (done, rest) = b.data.split_at_mut(i * n);
+            let row = &mut rest[..n];
+            for t in 0..i {
+                let lit = self.l[i * n + t];
+                if lit != 0.0 {
+                    for (x, y) in row.iter_mut().zip(&done[t * n..(t + 1) * n]) {
+                        *x -= lit * y;
+                    }
+                }
+            }
+            let lii = self.l[i * n + i];
+            for x in row.iter_mut() {
+                *x /= lii;
+            }
+        }
     }
 }
 

@@ -12,7 +12,8 @@
 //! * [`dense`] — small dense matrices with Cholesky factorization, used as ground truth
 //!   on tiny instances.
 //! * [`cg`] — conjugate gradient and preconditioned conjugate gradient solvers.
-//! * [`eigen`] — power iteration and Lanczos bounds for extreme eigenvalues.
+//! * [`eigen`] — power iteration (with CG inner solves for `λ_min`) for extreme
+//!   eigenvalues; its answers are inner estimates of the true extremes.
 //! * [`spectral`] — certification of `(1 ± ε)` spectral approximations between two
 //!   graphs via generalized power iteration on the pencil `(L_G, L_H)`.
 //! * [`resistance`] — exact and approximate effective resistances, including the

@@ -58,8 +58,8 @@ fn exact_dense(g: &Graph) -> Vec<f64> {
     // Solve for the columns of L^+ we actually need: one per vertex appearing in edges.
     let mut need = vec![false; n];
     for e in g.edges() {
-        need[e.u] = true;
-        need[e.v] = true;
+        need[e.u()] = true;
+        need[e.v()] = true;
     }
     let cols: Vec<Option<Vec<f64>>> = (0..n)
         .into_par_iter()
@@ -78,10 +78,10 @@ fn exact_dense(g: &Graph) -> Vec<f64> {
     g.edges()
         .iter()
         .map(|e| {
-            let cu = cols[e.u].as_ref().expect("column computed");
-            let cv = cols[e.v].as_ref().expect("column computed");
+            let cu = cols[e.u()].as_ref().expect("column computed");
+            let cv = cols[e.v()].as_ref().expect("column computed");
             // R_uv = L^+[u,u] - 2 L^+[u,v] + L^+[v,v]
-            (cu[e.u] - cu[e.v]) - (cv[e.u] - cv[e.v])
+            (cu[e.u()] - cu[e.v()]) - (cv[e.u()] - cv[e.v()])
         })
         .collect()
 }
@@ -101,13 +101,13 @@ fn exact_cg(g: &Graph) -> Vec<f64> {
         .map_init(
             || (vec![0.0; n], CgScratch::new(n)),
             |(b, scratch), e| {
-                b[e.u] = 1.0;
-                b[e.v] = -1.0;
+                b[e.u()] = 1.0;
+                b[e.v()] = -1.0;
                 pcg_solve_in(g, &IdentityPreconditioner, b, &cfg, scratch);
                 let x = scratch.solution();
-                let resistance = x[e.u] - x[e.v];
-                b[e.u] = 0.0;
-                b[e.v] = 0.0;
+                let resistance = x[e.u()] - x[e.v()];
+                b[e.u()] = 0.0;
+                b[e.v()] = 0.0;
                 resistance
             },
         )
@@ -224,8 +224,8 @@ pub fn approx_effective_resistances_in(
                 vector::rademacher_in(opts.seed.wrapping_add(i as u64).wrapping_mul(0x9E37), q);
                 for (j, e) in g.edges().iter().enumerate() {
                     let val = q[j] * e.w.sqrt();
-                    y[e.u] += val;
-                    y[e.v] -= val;
+                    y[e.u()] += val;
+                    y[e.v()] -= val;
                 }
                 pcg_solve_in(g, &IdentityPreconditioner, y, &cfg, cg);
                 z.copy_from_slice(cg.solution());
@@ -244,7 +244,7 @@ pub fn approx_effective_resistances_in(
             let e = g.edge(j);
             let mut acc = 0.0;
             for z in zs {
-                let d = z[e.u] - z[e.v];
+                let d = z[e.u()] - z[e.v()];
                 acc += d * d;
             }
             *r = acc * scale;
@@ -404,8 +404,8 @@ mod tests {
             assert!(
                 (r - exact).abs() / exact < 0.6,
                 "edge ({}, {}): estimate {r} vs exact {exact}",
-                e.u,
-                e.v
+                e.u(),
+                e.v()
             );
         }
     }

@@ -358,11 +358,11 @@ fn exact_two_hop_edges(level: &GroundedLaplacian, adj: &Adjacency) -> Option<usi
     let mut ends = 0;
     for a in 0..n {
         for via in adj.neighbors(a) {
-            let dv = level.diagonal()[via.node];
-            for b in adj.neighbors(via.node) {
+            let dv = level.diagonal()[via.node()];
+            for b in adj.neighbors(via.node()) {
                 let w = via.weight * b.weight / dv;
-                if b.node != a && stamp[b.node] != a && w.is_finite() && w > 0.0 {
-                    stamp[b.node] = a;
+                if b.node() != a && stamp[b.node()] != a && w.is_finite() && w > 0.0 {
+                    stamp[b.node()] = a;
                     ends += 1;
                 }
             }
@@ -398,12 +398,12 @@ fn build_next_level(
             for i in 0..deg {
                 for j in (i + 1)..deg {
                     let (a, b) = (&neighbors[i], &neighbors[j]);
-                    if a.node == b.node {
+                    if a.node() == b.node() {
                         continue;
                     }
                     let w = a.weight * b.weight / dv;
                     if w > 0.0 {
-                        let _ = builder.add(a.node, b.node, w);
+                        let _ = builder.add(a.node(), b.node(), w);
                     }
                 }
             }
@@ -433,8 +433,8 @@ fn build_next_level(
             for _ in 0..samples {
                 let i = draw(&mut rng);
                 let j = draw(&mut rng);
-                if i != j && neighbors[i].node != neighbors[j].node {
-                    accepted.push((neighbors[i].node, neighbors[j].node));
+                if i != j && neighbors[i].node() != neighbors[j].node() {
+                    accepted.push((neighbors[i].node(), neighbors[j].node()));
                 }
             }
             if accepted.is_empty() {

@@ -131,8 +131,8 @@ impl GroundedLaplacian {
     pub(crate) fn adjacency_apply_in(&self, x: &[f64], y: &mut [f64]) {
         y.fill(0.0);
         for e in self.graph.edges() {
-            y[e.u] += e.w * x[e.v];
-            y[e.v] += e.w * x[e.u];
+            y[e.u()] += e.w * x[e.v()];
+            y[e.v()] += e.w * x[e.u()];
         }
     }
 
@@ -242,8 +242,8 @@ mod tests {
             triplets.push((i, i, d + if i == 0 { 2.0 } else { 0.0 }));
         }
         for e in g.edges() {
-            triplets.push((e.u, e.v, -e.w));
-            triplets.push((e.v, e.u, -e.w));
+            triplets.push((e.u(), e.v(), -e.w));
+            triplets.push((e.v(), e.u(), -e.w));
         }
         let m = CsrMatrix::from_triplets(30, &triplets);
         let gl = GroundedLaplacian::from_sdd_matrix(&m).expect("valid SDD matrix");

@@ -515,7 +515,7 @@ impl SpannerEngine {
         self.ids.clear();
         self.ids.extend(0..m);
         self.csr
-            .rebuild(g.n(), g.edges().iter().map(|e| (e.u, e.v, e.w)));
+            .rebuild(g.n(), g.edges().iter().map(|e| (e.u(), e.v(), e.w)));
         // Stale in_spanner state from a previous run must not leak into a `peel` on the
         // new view; `spanner`/`run_spanner` resize it, but clear defensively.
         self.state.in_spanner.clear();
@@ -716,10 +716,10 @@ mod tests {
         let other = generators::complete(20, 1.0);
         let mut big = Graph::new(40);
         for e in g.edges() {
-            big.add_edge(e.u, e.v, e.w).unwrap();
+            big.add_edge(e.u(), e.v(), e.w).unwrap();
         }
         for e in other.edges() {
-            big.add_edge(20 + e.u, 20 + e.v, e.w).unwrap();
+            big.add_edge(20 + e.u(), 20 + e.v(), e.w).unwrap();
         }
         g = big;
         let r = baswana_sen_spanner(&g, &SpannerConfig::with_seed(2));
@@ -738,7 +738,7 @@ mod tests {
         g.edges()
             .iter()
             .enumerate()
-            .map(|(id, e)| (id, e.u, e.v, e.w))
+            .map(|(id, e)| (id, e.u(), e.v(), e.w))
             .collect()
     }
 
@@ -833,7 +833,7 @@ mod tests {
             .edges()
             .iter()
             .enumerate()
-            .map(|(id, e)| (e.u, e.v, 1.0 + (id % 3) as f64))
+            .map(|(id, e)| (e.u(), e.v(), 1.0 + (id % 3) as f64))
             .collect();
         let g = Graph::from_tuples(base.n(), edges).unwrap();
         let view = view_of(&g);

@@ -128,7 +128,7 @@ impl StreamSparsifier {
     }
 
     fn validate(&self, e: &Edge) -> Result<()> {
-        Graph::validate_edge(self.n, e.u, e.v, e.w)
+        Graph::validate_edge(self.n, e.u(), e.v(), e.w)
     }
 
     /// If the sparsifier is poisoned, describes the failure that poisoned it.
@@ -305,7 +305,7 @@ impl StreamSparsifier {
             );
             for e in child.edges() {
                 let (u, v) = e.key();
-                self.merge_scratch.push(Edge { u, v, w: e.w });
+                self.merge_scratch.push(Edge::new(u, v, e.w));
             }
             self.resident_nodes -= child.m();
             drop(child);

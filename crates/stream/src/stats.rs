@@ -89,8 +89,9 @@ pub struct StreamStats {
     /// [`peak_resident_edges`](Self::peak_resident_edges), but counting only edges
     /// actually resident (spilled nodes excluded) at `size_of::<Edge>()` bytes each,
     /// plus the transient read-back spike while a spilled child is drained into the
-    /// merge scratch. Without a spill budget this is about `24 · peak_resident_edges`;
-    /// with one it is the number the out-of-core RSS budget bounds.
+    /// merge scratch. Without a spill budget this is about `16 · peak_resident_edges`
+    /// (`EDGE_BYTES` per edge); with one it is the number the out-of-core RSS budget
+    /// bounds.
     pub peak_resident_bytes: usize,
     /// Per-depth ledger, indexed by application depth.
     pub levels: Vec<LevelStats>,

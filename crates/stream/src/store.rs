@@ -32,7 +32,7 @@ use sgs_graph::{Edge, Graph, GraphError, Result};
 
 use crate::stats::SpillLedger;
 
-/// Bytes one resident edge occupies (`usize` endpoints + `f64` weight).
+/// Bytes one resident edge occupies: 16 (two `u32` endpoints and an `f64` weight).
 pub const EDGE_BYTES: usize = mem::size_of::<Edge>();
 
 /// Opaque handle to a node held by a [`SpillStore`]. Handles are dense, increase in

@@ -7,8 +7,8 @@
 //! that examples and downstream users need a single dependency:
 //!
 //! * [`graph`] — weighted graphs, generators, stretch, graph algebra ([`sgs_graph`]).
-//! * [`linalg`] — sparse matrices, CG/PCG, Lanczos, effective resistances
-//!   ([`sgs_linalg`]).
+//! * [`linalg`] — sparse matrices, CG/PCG, power-iteration eigenvalue estimates with
+//!   CG inner solves, effective resistances ([`sgs_linalg`]).
 //! * [`spanner`] — Baswana–Sen spanners and t-bundle spanners ([`sgs_spanner`]).
 //! * [`sparsify`] — PARALLELSAMPLE / PARALLELSPARSIFY and the ER-weighted final pass
 //!   ([`sgs_core`]).

@@ -39,6 +39,6 @@ pub fn fingerprint(g: &Graph) -> u64 {
     fnv1a_words(
         g.edges()
             .iter()
-            .flat_map(|e| [e.u as u64, e.v as u64, e.w.to_bits()]),
+            .flat_map(|e| [e.u() as u64, e.v() as u64, e.w.to_bits()]),
     )
 }

@@ -41,7 +41,7 @@ fn graph(name: &str) -> Graph {
                 .edges()
                 .iter()
                 .enumerate()
-                .map(|(id, e)| (e.u, e.v, 1.0 + (id % 3) as f64))
+                .map(|(id, e)| (e.u(), e.v(), 1.0 + (id % 3) as f64))
                 .collect();
             Graph::from_tuples(g.n(), edges).expect("reweighted er300")
         }

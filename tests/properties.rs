@@ -44,7 +44,7 @@ proptest! {
         let manual: f64 = g
             .edges()
             .iter()
-            .map(|e| e.w * (x[e.u] - x[e.v]).powi(2))
+            .map(|e| e.w * (x[e.u()] - x[e.v()]).powi(2))
             .sum();
         let via_graph = g.quadratic_form(&x);
         let via_matrix = CsrMatrix::laplacian(&g).quadratic_form(&x);
@@ -334,7 +334,7 @@ proptest! {
             if let (Ok(g), Ok(es)) = (&whole, &streamed) {
                 prop_assert_eq!(g.edges(), es.as_slice());
                 for e in g.edges() {
-                    prop_assert!(e.u < g.n() && e.v < g.n() && e.u != e.v);
+                    prop_assert!(e.u() < g.n() && e.v() < g.n() && e.u() != e.v());
                     prop_assert!(e.w.is_finite() && e.w > 0.0);
                 }
             }
@@ -353,7 +353,7 @@ proptest! {
         prop_assert_eq!(g.n(), h.n());
         prop_assert_eq!(g.m(), h.m());
         for (a, b) in g.edges().iter().zip(h.edges()) {
-            prop_assert_eq!((a.u, a.v), (b.u, b.v));
+            prop_assert_eq!((a.u(), a.v()), (b.u(), b.v()));
             prop_assert!((a.w - b.w).abs() <= 1e-12 * a.w.abs().max(1.0));
         }
     }
@@ -381,7 +381,7 @@ proptest! {
         while r.next_batch(chunk, &mut edges).unwrap() != 0 {}
         prop_assert_eq!(edges.len(), g.m());
         for (a, b) in g.edges().iter().zip(&edges) {
-            prop_assert_eq!((a.u, a.v), (b.u, b.v));
+            prop_assert_eq!((a.u(), a.v()), (b.u(), b.v()));
             prop_assert_eq!(a.w.to_bits(), b.w.to_bits());
         }
     }

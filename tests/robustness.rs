@@ -94,10 +94,10 @@ fn disconnected_inputs_stay_disconnected() {
     let b = generators::complete(40, 1.0);
     let mut g = Graph::new(80);
     for e in a.edges() {
-        g.add_edge(e.u, e.v, e.w).unwrap();
+        g.add_edge(e.u(), e.v(), e.w).unwrap();
     }
     for e in b.edges() {
-        g.add_edge(40 + e.u, 40 + e.v, e.w).unwrap();
+        g.add_edge(40 + e.u(), 40 + e.v(), e.w).unwrap();
     }
     let (_, count) = connectivity::connected_components(&g);
     assert_eq!(count, 2);
@@ -488,7 +488,7 @@ fn sparsification_is_scale_equivariant() {
         .iter()
         .zip(out_scaled.sparsifier.edges())
     {
-        assert_eq!((e.u, e.v), (es.u, es.v));
+        assert_eq!((e.u(), e.v()), (es.u(), es.v()));
         assert!((es.w - 3.0 * e.w).abs() < 1e-9 * es.w.max(1.0));
     }
 }
