@@ -16,7 +16,10 @@ pub enum BundleSizing {
     Paper,
     /// A scaled version of the paper's formula: `t = ⌈c · log₂² n / ε²⌉`.
     Scaled(f64),
-    /// A fixed bundle size, independent of `n` and `ε`.
+    /// A fixed bundle size, independent of `n` and `ε`. A `t` below the theorem's
+    /// `t = O(log² n / ε²)` voids the `(1 ± ε)` guarantee: `parallel_sparsify` at
+    /// `ε = 0.5`, `ρ = 4` with `Fixed(1)` gives complete80 a sparsifier whose exact
+    /// interval is `[0.0726, 2.461]` (`tests/certifier.rs`; ROADMAP item 9).
     Fixed(usize),
 }
 

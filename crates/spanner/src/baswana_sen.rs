@@ -30,16 +30,21 @@
 //! * **Live prefix**: each vertex's row keeps the slots of its still-alive edges in a
 //!   prefix of length `live[v]`. The decide pass and the join walk only that prefix,
 //!   with no per-edge aliveness test. After each commit the kernel's block-parallel
-//!   *retire pass* (the `spanner.sweep` span) swap-removes from every prefix the slots
-//!   whose edge was killed or whose endpoints now share a cluster; both tests are
-//!   symmetric, so an edge leaves its two rows together. A round thus costs about the
-//!   number of live edges, not the number of edges. Swap-removal leaves rows
-//!   unordered, so grouping breaks weight ties explicitly by lowest view index.
+//!   *retire pass* (the `spanner.sweep` span) swaps out of every prefix the slots
+//!   whose edge was killed or whose endpoints now share a cluster, with no
+//!   data-dependent branch; both tests are symmetric, so an edge leaves its two rows
+//!   together. A round thus costs about the number of live edges, not the number of
+//!   edges. The swaps leave rows unordered, so the decision breaks weight ties
+//!   explicitly by lowest view index.
+//! * **Join edge first**: a vertex with a sampled neighbour cluster finds its join
+//!   edge in one pass over its prefix and groups only the clusters lighter than that
+//!   edge, usually none; only a vertex that leaves the clustering groups its whole
+//!   prefix.
 //! * **Flat decision batches**: vertices are processed in contiguous blocks cut by
 //!   the density-aware [`BlockPartition`](crate::partition) (edge-load balanced, a few
 //!   blocks per thread, 64-vertex floor), each with one cluster-stamped grouping
-//!   scratch per worker, and each block emits compact per-vertex records plus flat
-//!   add and kill id lists.
+//!   scratch per worker (for the lighter clusters, leaving vertices and the join),
+//!   and each block emits compact per-vertex records plus flat add and kill id lists.
 //! * **Parallel commit**: every decision reads round-start state only, and its writes
 //!   are order-invariant — adds only set `in_spanner`, kills only clear `alive`, and
 //!   each decided vertex writes only its own center. The flag writes therefore run
@@ -213,7 +218,7 @@ impl ViewCsr {
     }
 
     /// The incident edges of `v`. A fresh build lists them by ascending view index;
-    /// a spanner run reorders rows (its retire pass swap-removes dead slots), so
+    /// a spanner run reorders rows (its retire pass swaps dead slots out), so
     /// callers that run the spanner must not rely on the order.
     #[inline]
     pub fn row(&self, v: NodeId) -> &[Slot] {
