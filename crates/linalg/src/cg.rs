@@ -135,10 +135,11 @@ pub struct CgStats {
 /// Reusable workspace for [`pcg_solve_in`].
 ///
 /// A CG solve needs six `n`-vectors of scratch; callers that solve many
-/// systems of the same size (one per edge in the effective-resistance
-/// computation, one per projection row in the Johnson–Lindenstrauss
-/// estimator) allocate one `CgScratch` per worker — e.g. through rayon's
-/// `map_init` — instead of six fresh vectors per solve.
+/// systems of the same size (one per edge in the exact effective-resistance
+/// computation) allocate one `CgScratch` per worker — e.g. through rayon's
+/// `map_init` — instead of six fresh vectors per solve. The
+/// Johnson–Lindenstrauss resistance estimator does not come through here: it
+/// runs its projection rows as one block CG with its own interleaved buffers.
 #[derive(Debug, Clone)]
 pub struct CgScratch {
     x: Vec<f64>,
@@ -241,9 +242,9 @@ pub fn pcg_solve_in<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
         }
         let r_norm = vector::norm2(r);
         // Per-iteration residual trajectory, emitted only inside a trace scope:
-        // the JL resistance estimator runs many of these solves under `par_iter`,
-        // and only sequential top-level callers (the SDD solver) opt in, which
-        // keeps the event stream a pure function of the input.
+        // the exact resistance computation runs one of these solves per edge under
+        // `par_iter`, and only sequential top-level callers (the SDD solver) opt
+        // in, which keeps the event stream a pure function of the input.
         if sgs_obs::in_scope() {
             sgs_obs::point!(
                 "pcg.iter",

@@ -6,10 +6,13 @@
 //!
 //! * the Spielman–Srivastava baseline samples edges proportionally to approximate
 //!   leverage scores obtained from `O(log n)` Laplacian solves (implemented here as
-//!   [`approx_effective_resistances`]);
+//!   [`approx_effective_resistances`], which solves them together as a block CG:
+//!   one pass over the edges advances four solves);
 //! * the paper's bundle certificate (Lemma 1) upper-bounds `w_e R_e[G]` by `log n / t`
 //!   for every off-bundle edge — the experiments validate that bound against the exact
 //!   values computed by [`exact_effective_resistances`].
+
+use std::array::from_fn;
 
 use rayon::prelude::*;
 
@@ -116,7 +119,8 @@ fn exact_cg(g: &Graph) -> Vec<f64> {
 
 /// Approximate effective resistances via the Spielman–Srivastava random-projection
 /// scheme: `R_e ≈ ‖Z (e_u − e_v)‖²` where `Z = Q W^{1/2} B L⁺` and `Q` has `k` rows of
-/// scaled ±1 entries. `k = ⌈jl_factor · log₂ n⌉` Laplacian solves are performed.
+/// scaled ±1 entries. `k = ⌈jl_factor · log₂ n⌉` Laplacian solves are performed, as
+/// in [`approx_effective_resistances_in`].
 ///
 /// Returns per-edge estimates that are within `(1 ± δ)` of the truth with high
 /// probability for `jl_factor = O(1/δ²)`.
@@ -158,12 +162,24 @@ pub struct ResistanceOptions {
     pub seed: u64,
 }
 
-/// Reusable workspace of [`approx_effective_resistances_in`]: the `k × n` projection
-/// rows. Construction is free; the first call sizes it and later calls on graphs of
-/// similar size reuse the allocations.
+/// Projection rows per block CG: one pass over the edge list applies the Laplacian
+/// to this many rows at once.
+const LANES: usize = 4;
+
+/// One vertex's entries in every lane of a block.
+type Lanes = [f64; LANES];
+
+/// Reusable workspace of [`approx_effective_resistances_in`]: the `n`-vectors of the
+/// block CG, one set per block of `LANES` (4) projection rows. Construction is free;
+/// the first call sizes it and later calls on graphs of similar size reuse the
+/// allocations.
+///
+/// Each block stores its rows' vectors vertex-major and lane-interleaved: lane `l`
+/// (projection row `LANES·block + l`) of vertex `v` is `x[v][l]`, so one edge reads
+/// and writes every lane's entries of both endpoints together.
 #[derive(Debug, Default)]
 pub struct ResistanceScratch {
-    zs: Vec<Vec<f64>>,
+    blocks: Vec<Block>,
 }
 
 impl ResistanceScratch {
@@ -171,6 +187,19 @@ impl ResistanceScratch {
     pub fn new() -> ResistanceScratch {
         ResistanceScratch::default()
     }
+}
+
+/// The interleaved vectors of one block CG (layout in [`ResistanceScratch`]).
+#[derive(Debug, Default)]
+struct Block {
+    /// The iterate; after the solve, each lane's potentials `z = L⁺ y`.
+    x: Vec<Lanes>,
+    /// The residual, which starts as the right-hand side `y`.
+    r: Vec<Lanes>,
+    /// The search direction.
+    p: Vec<Lanes>,
+    /// `L p`.
+    ap: Vec<Lanes>,
 }
 
 /// Scratch-reusing [`approx_effective_resistances`] that also accepts **disconnected**
@@ -184,56 +213,71 @@ impl ResistanceScratch {
 /// merge-and-reduce tree of `sgs-stream` relies on this: leaf slices of an edge stream
 /// are routinely disconnected.
 ///
+/// The `k` rows are solved as blocks of `LANES` (4) rows, the blocks in parallel. A
+/// block runs one CG per lane in lockstep: one pass over the edges computes `L p` for
+/// every lane, and each lane keeps its own `α`, `β`, `‖r‖` and stop test, so a lane
+/// that converges early stops changing. Every lane reproduces, bit for bit, the float
+/// sequence of [`pcg_solve_in`] under [`IdentityPreconditioner`] with `project_ones`:
+/// the Laplacian pass does each lane's `d = w·(x_u − x_v)` in edge order as
+/// `Graph::laplacian_apply_into` does, the mean projections fold each lane's entries
+/// in vertex order as `vector::project_out_ones` does, and the dot products group each
+/// lane's products as `vector::dot` does at the same length. Each lane stops on the
+/// same tests (`pᵀLp ≤ 0` or not finite, then `‖r‖/‖b‖ ≤ tol`), and a lane whose
+/// projected right-hand side is zero keeps `x = 0`. The solve's final true-residual
+/// product is skipped: the estimate never reads it.
+///
 /// For a fixed seed the output is bitwise identical across thread counts — rows and
-/// per-edge accumulations are independent, and no cross-edge reduction is performed.
+/// per-edge accumulations are independent, and every reduction is grouped by length
+/// alone.
+///
+/// Emits one `resistance.estimate` span with fields `rows` and `m`, whose end carries
+/// `iterations`: the CG iterations summed over the rows.
 pub fn approx_effective_resistances_in(
     g: &Graph,
     opts: &ResistanceOptions,
     scratch: &mut ResistanceScratch,
     out: &mut Vec<f64>,
 ) {
-    let n = g.n();
+    let span = sgs_obs::span!("resistance.estimate", rows = opts.rows.max(1), m = g.m());
+    let iterations = estimate_in(g, opts, scratch, out);
+    span.end_with(&[("iterations", iterations.into())]);
+}
+
+/// The estimator behind [`approx_effective_resistances_in`]; returns the CG
+/// iterations summed over the rows.
+fn estimate_in(
+    g: &Graph,
+    opts: &ResistanceOptions,
+    scratch: &mut ResistanceScratch,
+    out: &mut Vec<f64>,
+) -> usize {
     let m = g.m();
     out.clear();
     out.resize(m, 0.0);
     if m == 0 {
-        return;
+        return 0;
     }
     let k = opts.rows.max(1);
-    let cfg = CgConfig {
-        tolerance: opts.tolerance,
-        max_iterations: opts.max_iterations,
-        project_ones: true,
-    };
 
-    // For each projection row i: y_i = Bᵀ W^{1/2} q_i  (an n-vector), z_i = L⁺ y_i.
-    // Rows live in the caller's scratch; the RHS accumulator, the ±1 draw and the CG
-    // workspace are reused across the rows of one executor chunk.
-    scratch.zs.resize_with(k, Vec::new);
-    for z in scratch.zs.iter_mut() {
-        z.clear();
-        z.resize(n, 0.0);
+    // For each projection row i: y_i = Bᵀ W^{1/2} q_i (an n-vector), z_i = L⁺ y_i. The
+    // ±1 draw is reused across the blocks of one executor chunk.
+    let nb = k.div_ceil(LANES);
+    if scratch.blocks.len() < nb {
+        scratch.blocks.resize_with(nb, Block::default);
     }
-    scratch.zs[..k]
+    let iterations = scratch.blocks[..nb]
         .par_iter_mut()
         .enumerate()
         .map_init(
-            || (vec![0.0; n], vec![0.0; m], CgScratch::new(n)),
-            |(y, q, cg), (i, z)| {
-                y.fill(0.0);
-                vector::rademacher_in(opts.seed.wrapping_add(i as u64).wrapping_mul(0x9E37), q);
-                for (j, e) in g.edges().iter().enumerate() {
-                    let val = q[j] * e.w.sqrt();
-                    y[e.u()] += val;
-                    y[e.v()] -= val;
-                }
-                pcg_solve_in(g, &IdentityPreconditioner, y, &cfg, cg);
-                z.copy_from_slice(cg.solution());
+            || vec![0.0; m],
+            |q, (b, block)| {
+                let first = b * LANES;
+                solve_block(g, opts, first, (k - first).min(LANES), q, block)
             },
         )
-        .count();
+        .sum();
 
-    let zs = &scratch.zs[..k];
+    let blocks = &scratch.blocks[..nb];
     let scale = 1.0 / k as f64;
     // Each estimate is k multiply-adds; batch the per-edge dispatch so the ER
     // sampling policy and `resparsify_er` stop paying per-item overhead.
@@ -243,12 +287,195 @@ pub fn approx_effective_resistances_in(
         .for_each(|(j, r)| {
             let e = g.edge(j);
             let mut acc = 0.0;
-            for z in zs {
-                let d = z[e.u()] - z[e.v()];
-                acc += d * d;
+            for (b, block) in blocks.iter().enumerate() {
+                let (xu, xv) = (&block.x[e.u()], &block.x[e.v()]);
+                for lane in 0..(k - b * LANES).min(LANES) {
+                    let d = xu[lane] - xv[lane];
+                    acc += d * d;
+                }
             }
             *r = acc * scale;
         });
+    iterations
+}
+
+/// Solves projection rows `first .. first + rows` (`rows ≤ LANES`) in one block CG
+/// and returns their iterations summed over the lanes. Lanes past `rows` have a zero
+/// right-hand side and never iterate.
+fn solve_block(
+    g: &Graph,
+    opts: &ResistanceOptions,
+    first: usize,
+    rows: usize,
+    q: &mut [f64],
+    block: &mut Block,
+) -> usize {
+    let n = g.n();
+    let Block { x, r, p, ap } = block;
+    for buf in [&mut *x, &mut *r, &mut *p, &mut *ap] {
+        buf.clear();
+        buf.resize(n, [0.0; LANES]);
+    }
+    // Right-hand sides y = Bᵀ W^{1/2} q, one ±1 draw per lane, accumulated in r.
+    for (lane, row) in (first..first + rows).enumerate() {
+        vector::rademacher_in(opts.seed.wrapping_add(row as u64).wrapping_mul(0x9E37), q);
+        for (e, &sign) in g.edges().iter().zip(q.iter()) {
+            let val = sign * e.w.sqrt();
+            r[e.u()][lane] += val;
+            r[e.v()][lane] -= val;
+        }
+    }
+    // b ← b − mean(b); then x = 0 and r = b.
+    project_out_ones_lanes(r, &[true; LANES]);
+    let b_norm = lane_dots(r, r).map(f64::sqrt);
+    let mut active: [bool; LANES] = from_fn(|l| b_norm[l] != 0.0);
+    // p = z = r − mean(r): `project_ones` projects the preconditioned residual too.
+    let mean = lane_means(r);
+    for (pv, rv) in p.iter_mut().zip(r.iter()) {
+        *pv = from_fn(|l| rv[l] - mean[l]);
+    }
+    let mut rz = lane_dots(r, p);
+
+    let mut iterations = 0;
+    for _ in 0..opts.max_iterations {
+        if !active.contains(&true) {
+            break;
+        }
+        iterations += active.iter().filter(|&&a| a).count();
+        laplacian_apply_lanes(g, p, ap);
+        let pap = lane_dots(p, ap);
+        let mut alpha = [0.0; LANES];
+        for l in 0..LANES {
+            if !active[l] {
+                continue;
+            }
+            if pap[l] <= 0.0 || !pap[l].is_finite() {
+                active[l] = false;
+            } else {
+                alpha[l] = rz[l] / pap[l];
+            }
+        }
+        // x ← x + α p, r ← r − α L p, then r ← r − mean(r). Stopped lanes keep theirs.
+        for ((xv, rv), (pv, apv)) in x.iter_mut().zip(r.iter_mut()).zip(p.iter().zip(ap.iter())) {
+            for l in 0..LANES {
+                if active[l] {
+                    xv[l] += alpha[l] * pv[l];
+                    rv[l] += -alpha[l] * apv[l];
+                }
+            }
+        }
+        project_out_ones_lanes(r, &active);
+        // ‖r‖² and rᵀz for z = r − mean(r), in one pass.
+        let mean = lane_means(r);
+        let sums: [f64; 2 * LANES] = lane_sums(n, |v| {
+            from_fn(|j| {
+                let ri = r[v][j % LANES];
+                if j < LANES {
+                    ri * ri
+                } else {
+                    ri * (ri - mean[j % LANES])
+                }
+            })
+        });
+        let mut beta = [0.0; LANES];
+        for l in 0..LANES {
+            if !active[l] {
+                continue;
+            }
+            if sums[l].sqrt() / b_norm[l] <= opts.tolerance {
+                active[l] = false;
+            } else {
+                beta[l] = sums[LANES + l] / rz[l];
+                rz[l] = sums[LANES + l];
+            }
+        }
+        for (pv, rv) in p.iter_mut().zip(r.iter()) {
+            for l in 0..LANES {
+                if active[l] {
+                    pv[l] = (rv[l] - mean[l]) + beta[l] * pv[l];
+                }
+            }
+        }
+    }
+    iterations
+}
+
+/// `y = L x` for every lane in one pass over the edges; each lane does the arithmetic
+/// of `Graph::laplacian_apply_into`, in the same edge order.
+fn laplacian_apply_lanes(g: &Graph, x: &[Lanes], y: &mut [Lanes]) {
+    y.fill([0.0; LANES]);
+    for e in g.edges() {
+        let (u, v) = (e.u(), e.v());
+        let (xu, xv) = (x[u], x[v]);
+        let d: Lanes = from_fn(|l| e.w * (xu[l] - xv[l]));
+        for (yi, di) in y[u].iter_mut().zip(d) {
+            *yi += di;
+        }
+        for (yi, di) in y[v].iter_mut().zip(d) {
+            *yi -= di;
+        }
+    }
+}
+
+/// `x ← x − mean(x)` in each active lane, as `vector::project_out_ones` does to one
+/// vector.
+fn project_out_ones_lanes(x: &mut [Lanes], active: &[bool; LANES]) {
+    let mean = lane_means(x);
+    for xv in x.iter_mut() {
+        for l in 0..LANES {
+            if active[l] {
+                xv[l] -= mean[l];
+            }
+        }
+    }
+}
+
+/// Each lane's mean, its entries folded in vertex order as `vector::project_out_ones`
+/// folds one vector.
+fn lane_means(x: &[Lanes]) -> Lanes {
+    lane_sums_seq(x.len(), |v| x[v]).map(|s| s / x.len() as f64)
+}
+
+/// Each lane's dot product `aᵀb`.
+fn lane_dots(a: &[Lanes], b: &[Lanes]) -> Lanes {
+    lane_sums(a.len(), |v| from_fn(|l| a[v][l] * b[v][l]))
+}
+
+/// Lane-wise sums of `f(v)` over the vertices `0..n`, each lane grouped as
+/// `vector::dot` groups one vector of length `n`: one sequential fold below
+/// `vector::PAR_THRESHOLD`, and above it one fold per executor chunk, the chunks
+/// combined in order.
+fn lane_sums<const W: usize>(n: usize, f: impl Fn(usize) -> [f64; W] + Sync) -> [f64; W] {
+    if n < vector::PAR_THRESHOLD {
+        lane_sums_seq(n, f)
+    } else {
+        (0..n)
+            .into_par_iter()
+            .map(|v| Sums(f(v)))
+            .sum::<Sums<W>>()
+            .0
+    }
+}
+
+/// The sequential arm of `lane_sums`: one fold over `0..n`.
+fn lane_sums_seq<const W: usize>(n: usize, f: impl Fn(usize) -> [f64; W]) -> [f64; W] {
+    (0..n).map(|v| Sums(f(v))).sum::<Sums<W>>().0
+}
+
+/// `W` independent sums. Summing folds each one from `f64`'s empty sum, exactly as
+/// `f64`'s own `Sum` does, so every lane reproduces the scalar reduction bit for bit.
+struct Sums<const W: usize>([f64; W]);
+
+impl<const W: usize> std::iter::Sum for Sums<W> {
+    fn sum<I: Iterator<Item = Sums<W>>>(iter: I) -> Sums<W> {
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        iter.fold(Sums([empty; W]), |mut acc, item| {
+            for (a, b) in acc.0.iter_mut().zip(item.0) {
+                *a += b;
+            }
+            acc
+        })
+    }
 }
 
 /// Sum of leverage scores `Σ_e w_e R_e[G]`; equals `n − 1` exactly for a connected
@@ -408,6 +635,121 @@ mod tests {
                 e.v()
             );
         }
+    }
+
+    /// The per-row estimator the block CG replaces: one `pcg_solve_in` per projection
+    /// row. Returns the estimates and the iterations summed over the rows.
+    fn per_row_reference(g: &Graph, opts: &ResistanceOptions) -> (Vec<f64>, usize) {
+        let k = opts.rows.max(1);
+        let cfg = CgConfig {
+            tolerance: opts.tolerance,
+            max_iterations: opts.max_iterations,
+            project_ones: true,
+        };
+        let mut q = vec![0.0; g.m()];
+        let mut cg = CgScratch::new(g.n());
+        let mut iterations = 0;
+        let zs: Vec<Vec<f64>> = (0..k)
+            .map(|i| {
+                let mut y = vec![0.0; g.n()];
+                vector::rademacher_in(
+                    opts.seed.wrapping_add(i as u64).wrapping_mul(0x9E37),
+                    &mut q,
+                );
+                for (e, &sign) in g.edges().iter().zip(&q) {
+                    let val = sign * e.w.sqrt();
+                    y[e.u()] += val;
+                    y[e.v()] -= val;
+                }
+                iterations +=
+                    pcg_solve_in(g, &IdentityPreconditioner, &y, &cfg, &mut cg).iterations;
+                cg.solution().to_vec()
+            })
+            .collect();
+        let estimates = g
+            .edges()
+            .iter()
+            .map(|e| {
+                let mut acc = 0.0;
+                for z in &zs {
+                    let d = z[e.u()] - z[e.v()];
+                    acc += d * d;
+                }
+                acc * (1.0 / k as f64)
+            })
+            .collect();
+        (estimates, iterations)
+    }
+
+    /// Asserts that the block estimator reproduces the per-row reference bit for bit,
+    /// iteration counts included.
+    fn assert_matches_per_row(
+        g: &Graph,
+        opts: &ResistanceOptions,
+        scratch: &mut ResistanceScratch,
+    ) {
+        let (want, want_iterations) = per_row_reference(g, opts);
+        let mut got = Vec::new();
+        let iterations = estimate_in(g, opts, scratch, &mut got);
+        let case = format!("n {} m {} {opts:?}", g.n(), g.m());
+        assert_eq!(iterations, want_iterations, "iterations, {case}");
+        assert_eq!(got.len(), want.len(), "{case}");
+        for (j, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "edge {j}: {a} vs {b}, {case}");
+        }
+    }
+
+    #[test]
+    fn block_cg_matches_per_row_pcg_bit_for_bit() {
+        let connected = generators::erdos_renyi_weighted(70, 0.15, 0.5, 3.0, 4);
+        assert!(sgs_graph::connectivity::is_connected(&connected));
+        // A stream leaf: a prefix of an edge list, in several components.
+        let er = generators::erdos_renyi(90, 0.08, 1.0, 9);
+        let leaf = Graph::from_edges(90, er.edges()[..70].to_vec()).unwrap();
+        assert!(!sgs_graph::connectivity::is_connected(&leaf));
+        // Vertices 12..40 have no edge at all.
+        let mut isolated = Graph::new(40);
+        for e in generators::erdos_renyi_weighted(12, 0.4, 1.0, 2.0, 5).edges() {
+            isolated.add_edge(e.u(), e.v(), e.w).unwrap();
+        }
+        let mut scratch = ResistanceScratch::new();
+        for g in [&connected, &leaf, &isolated] {
+            for rows in [1, 3, 4, 5, 8, 10, 13] {
+                for tolerance in [1e-3, 1e-4, 1e-8] {
+                    let opts = ResistanceOptions {
+                        rows,
+                        tolerance,
+                        max_iterations: 1000,
+                        seed: 17 + rows as u64,
+                    };
+                    assert_matches_per_row(g, &opts, &mut scratch);
+                }
+            }
+        }
+        // An iteration cap that stops every lane mid-solve.
+        let grid = generators::grid2d(15, 15, 1.0);
+        for max_iterations in [0, 1, 7] {
+            let opts = ResistanceOptions {
+                rows: 6,
+                tolerance: 1e-8,
+                max_iterations,
+                seed: 3,
+            };
+            assert_matches_per_row(&grid, &opts, &mut scratch);
+        }
+    }
+
+    #[test]
+    fn block_cg_groups_large_lane_dots_like_the_parallel_dot() {
+        // Above `vector::PAR_THRESHOLD` vertices `vector::dot` sums per executor chunk.
+        let g = generators::random_regular(vector::PAR_THRESHOLD + 600, 4, 1.0, 8);
+        let opts = ResistanceOptions {
+            rows: 5,
+            tolerance: 1e-4,
+            max_iterations: 1000,
+            seed: 21,
+        };
+        assert_matches_per_row(&g, &opts, &mut ResistanceScratch::new());
     }
 
     #[test]

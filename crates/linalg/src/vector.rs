@@ -10,7 +10,7 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 /// Vectors shorter than this are processed sequentially.
-const PAR_THRESHOLD: usize = 1 << 14;
+pub(crate) const PAR_THRESHOLD: usize = 1 << 14;
 
 /// Dot product `xᵀ y`.
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {

@@ -309,12 +309,12 @@ macro_rules! span {
 /// Thread-local trace scope guard.
 ///
 /// Some instrumented inner loops (PCG iterations) also run inside *parallel*
-/// callers — the JL effective-resistance estimator solves many systems under
-/// `par_iter`. Emitting per-iteration events there would interleave events
-/// nondeterministically. Sequential top-level callers (e.g. `SddSolver::solve`)
-/// enter a [`TraceScope`]; the inner loop emits only when [`in_scope`] is true
-/// on its thread, so parallel workers stay silent and event order stays a pure
-/// function of the input.
+/// callers — the exact effective-resistance computation solves one system per
+/// edge under `par_iter`. Emitting per-iteration events there would interleave
+/// events nondeterministically. Sequential top-level callers (e.g.
+/// `SddSolver::solve`) enter a [`TraceScope`]; the inner loop emits only when
+/// [`in_scope`] is true on its thread, so parallel workers stay silent and event
+/// order stays a pure function of the input.
 #[must_use = "the scope closes when the guard drops"]
 pub struct TraceScope(());
 

@@ -141,8 +141,8 @@ impl SddSolver {
             project_ones: false,
         };
         // The solver is the sequential top-level PCG caller, so it opts into the
-        // per-iteration residual trace; parallel inner solves (JL resistance
-        // estimation) never enter a scope and stay silent.
+        // per-iteration residual trace; parallel inner solves (the exact
+        // resistances' per-edge CG) never enter a scope and stay silent.
         let solve_span = sgs_obs::span!("solver.solve", n = system.n());
         let scope = sgs_obs::trace_scope();
         // The re-entrant chain preconditioner reuses one scratch across all PCG

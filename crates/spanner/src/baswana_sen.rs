@@ -310,7 +310,12 @@ impl SlotLookup for Arrays<'_> {
 
     #[inline]
     fn sampled(&self, _v: NodeId, s: &Slot) -> bool {
-        self.sampled[self.center[s.nbr as usize] as usize]
+        let c = self.center[s.nbr as usize];
+        debug_assert_ne!(
+            c, NO_CLUSTER,
+            "sampled() asked about an unclustered neighbour"
+        );
+        self.sampled[c as usize]
     }
 
     #[inline]

@@ -71,7 +71,13 @@ pub trait SlotLookup: Copy + Sync {
     /// The neighbour's cluster center, or [`NO_CLUSTER`] when it is unclustered or
     /// unknown.
     fn center(&self, v: NodeId, s: &Slot) -> u32;
-    /// Whether the neighbour's cluster is sampled this round (false when unknown).
+    /// Whether the neighbour's cluster is sampled this round (false when `v` does not
+    /// know the neighbour's state).
+    ///
+    /// Precondition: the neighbour is clustered, i.e. [`center`](Self::center) is not
+    /// [`NO_CLUSTER`]. The shared-memory lookup reads the flag at the neighbour's
+    /// center and panics on an unclustered neighbour, so callers test the center
+    /// first, as [`decide`] does.
     fn sampled(&self, v: NodeId, s: &Slot) -> bool;
     /// Whether `v` knows the neighbour's state at all. Without that knowledge a
     /// leaving vertex leaves the slot alive.

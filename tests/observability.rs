@@ -31,7 +31,9 @@ use spectral_sparsify::graph::generators;
 use spectral_sparsify::obs::{self, json, EventKind};
 use spectral_sparsify::solver::{SddSolver, SolverConfig, SolverMethod};
 use spectral_sparsify::spanner::{baswana_sen_spanner, SpannerConfig};
-use spectral_sparsify::sparsify::{parallel_sparsify, BundleSizing, SparsifyConfig};
+use spectral_sparsify::sparsify::{
+    parallel_sparsify, BundleSizing, SamplingPolicy, SparsifyConfig,
+};
 use spectral_sparsify::stream::{StreamConfig, StreamOutput, StreamSparsifier};
 
 /// Serialises sink-installing tests within this binary (cargo runs `#[test]`s
@@ -262,6 +264,82 @@ fn event_structure_is_identical_across_batch_chops() {
         obs::structure_fingerprint(&events_11),
         "event structure across chops"
     );
+}
+
+/// The `u64` field `key` of `event`.
+fn field(event: &obs::Event, key: &str) -> u64 {
+    match event.fields.iter().find(|(k, _)| *k == key) {
+        Some((_, obs::FieldValue::U64(x))) => *x,
+        other => panic!("{} without {key}: {other:?}", event.name),
+    }
+}
+
+/// An ER-policy stream emits one `resistance.estimate` span per resistance estimate:
+/// one per sampling round of every reduction above the leaves (depth 0 and the
+/// leaves flip the uniform coin). Each span carries the round's `m` and the policy's
+/// row count, its end the summed CG iterations, and the counts match across widths.
+#[test]
+fn er_stream_emits_one_resistance_span_per_estimate() {
+    let _guard = lock();
+    let g = generators::erdos_renyi(350, 0.3, 1.0, 47);
+    let cfg = StreamConfig::new(0.75, g.m() / 3)
+        .with_bundle_sizing(BundleSizing::Fixed(2))
+        .with_interior_sampling(SamplingPolicy::effective_resistance(4, 1e-3))
+        .with_seed(13);
+    let run = |threads| {
+        record(|| {
+            on_pool(threads, || {
+                let mut s = StreamSparsifier::new(g.n(), cfg.clone());
+                s.ingest_batch(g.edges()).unwrap();
+                s.finish()
+            })
+        })
+    };
+    let (out, events) = run(1);
+    // Walk the stream in order: each round's `sample.pass` point follows its
+    // estimate, and a `stream.leaf` / `stream.reduce` point closes its rounds.
+    let (mut estimates, mut er_rounds) = (0, 0);
+    let mut pending: Vec<(Option<u64>, u64)> = Vec::new();
+    for e in &events {
+        match (e.name, e.kind) {
+            ("resistance.estimate", EventKind::SpanBegin) => {
+                assert_eq!(field(e, "rows"), 4);
+                estimates += 1;
+                pending.push((Some(field(e, "m")), 0));
+            }
+            ("resistance.estimate", EventKind::SpanEnd) => {
+                assert!(
+                    field(e, "iterations") > 0,
+                    "an estimate ran no CG iteration"
+                );
+            }
+            ("sample.pass", EventKind::Point) => match pending.last_mut() {
+                Some(last @ (Some(_), 0)) => last.1 = field(e, "m"),
+                _ => pending.push((None, field(e, "m"))),
+            },
+            ("stream.leaf" | "stream.reduce", EventKind::Point) => {
+                let er = e.name == "stream.reduce" && field(e, "depth") > 0;
+                for &(estimate_m, m) in &pending {
+                    if er {
+                        assert_eq!(estimate_m, Some(m), "an ER round's estimate sees its m");
+                        er_rounds += 1;
+                    } else {
+                        assert_eq!(estimate_m, None, "a uniform round ran an estimate");
+                    }
+                }
+                pending.clear();
+            }
+            _ => {}
+        }
+    }
+    assert!(pending.is_empty());
+    assert!(er_rounds > 0, "the stream ran no ER reduction");
+    assert_eq!(estimates, er_rounds);
+    let (wide_out, wide_events) = run(4);
+    assert_eq!(wide_out.sparsifier.edges(), out.sparsifier.edges());
+    let totals = |events: &[obs::Event]| obs::span_totals(events)["resistance.estimate"].count;
+    assert_eq!(totals(&events), estimates as u64);
+    assert_eq!(totals(&wide_events), totals(&events));
 }
 
 /// Rows copied verbatim from `tests/golden_spanner.rs` (`GOLDEN_DEFAULT_K`):
