@@ -9,35 +9,35 @@
 //!   and vertex crash–restart windows (omission model: a crashed vertex neither
 //!   executes, sends, nor receives during its window, but keeps its local state).
 //! * `FaultLayer` — the transport hook every transport round runs before anything is
-//!   delivered: it turns the staged buffer into the round's surviving frames, in
-//!   delivery order. [`SyncNetwork::advance_round`] then sorts them by recipient
-//!   into inboxes; [`ReliableNet`] reads them in that order. Every fault coin is keyed
-//!   splitmix64-style on `(round, from, to, seq)` — the same counter-mix discipline as
-//!   `sgs_core::edge_coin` — so outcomes depend only on the message's position in the
-//!   traffic stream, never on scheduling: fixed-seed runs are bitwise identical across
-//!   thread counts, and [`FaultPlan::none()`] leaves the byte stream and
-//!   [`NetworkMetrics`] untouched. Staged records carry their link slot, so the
-//!   per-link `seq` counter and the delay queue need no lookup; a delayed record
-//!   keeps only `(due, link, msg)` and recovers its sender as `nbr_ids[rev[link]]`.
+//!   delivered: it hands each of the round's surviving frames, in delivery order, to
+//!   a consumer. [`SyncNetwork::advance_round`] collects them and sorts them by
+//!   recipient into inboxes; [`ReliableNet`] consumes each one as it is transmitted.
+//!   Every fault coin is keyed splitmix64-style on `(round, from, to, seq)` — the
+//!   same counter-mix discipline as `sgs_core::edge_coin` — so outcomes depend only
+//!   on the message's position in the traffic stream, never on scheduling: fixed-seed
+//!   runs are bitwise identical across thread counts, and [`FaultPlan::none()`]
+//!   leaves the byte stream and [`NetworkMetrics`] untouched. Staged records carry
+//!   their link slot, so the per-link `seq` counter and the delay queue need no
+//!   lookup; a delayed record keeps only `(due, link, msg)` and recovers its sender
+//!   as `nbr_ids[rev[link]]`.
 //! * [`ReliableNet`] — a reliable-delivery protocol layered over the faulty transport:
-//!   per-directed-link sequence numbers, positive acks, round-based
-//!   timeout/retransmit with exponential backoff and a bounded retry budget, and
-//!   duplicate suppression. One *logical* round (`advance_round`) runs as many
-//!   transport sub-rounds as needed to either deliver or abandon every staged
-//!   message, so a protocol built on top sees a lossless (if slower) network until
-//!   the retry budget is exhausted. Retransmits, acks, drops, and suppressed
-//!   duplicates are ledgered as [`NetworkMetrics`] columns. Each sub-round consumes
-//!   the transport's surviving frames in delivery order, with no inbox, no recipient
-//!   sort and no gather: only the logical inbox handed to the protocol at the end of
-//!   the round is sorted by recipient. The bookkeeping is
-//!   slot-addressed, with no hash map: each data frame of a logical round owns one
-//!   pending entry that stays in place until the round ends; a `(link, seq)` lookup
-//!   walks a per-link chain from `head[link]` (usually one hop); acks travel on the
-//!   reverse link `rev[link]`; the timeout sweep walks a live-index list compacted in
-//!   order, and only in sub-rounds where some entry can be due, while a running
-//!   unsettled count decides when the round ends; a `delivered` flag on the entry
-//!   suppresses duplicates; and round end resets only the links that carried data.
-//!   A pending entry does not store its sender, which is `nbr_ids[rev[link]]`. Each
+//!   positive acks, round-based timeout/retransmit with exponential backoff and a
+//!   bounded retry budget, and duplicate suppression. One *logical* round
+//!   (`advance_round`) runs as many transport sub-rounds as needed to either deliver
+//!   or abandon every staged message, so a protocol built on top sees a lossless (if
+//!   slower) network until the retry budget is exhausted. Retransmits, acks, drops,
+//!   and suppressed duplicates are ledgered as [`NetworkMetrics`] columns. Each
+//!   message of a logical round owns one pending entry that stays in place until the
+//!   round ends, and a round ends only once nothing is in flight, so the wire frame
+//!   is a 4-byte handle naming the entry (top bit set for its ack): the message is
+//!   stored once, in its entry, and a staged or delayed frame record is 12 bytes. A
+//!   sub-round consumes each frame as the fault layer transmits it, in delivery
+//!   order, with no frame buffer, inbox or sort, and stages the ack of a data frame on
+//!   the reverse link `rev[link]`. A `delivered` flag on the entry suppresses
+//!   duplicates; the timeout sweep walks a live-index list compacted in order, only
+//!   in sub-rounds where some entry can be due, while a running unsettled count
+//!   decides when the round ends. A first delivery is counted for its recipient as it
+//!   is accepted, so sealing the round places the logical inbox in one pass. Each
 //!   logical round is one `congest.reliable_round` span whose end records its
 //!   `subrounds`, and each sub-round one `congest.round` point emitted after the
 //!   reliable ledger update.
@@ -45,8 +45,7 @@
 use sgs_graph::{splitmix64, Graph, NodeId};
 
 use crate::network::{
-    round_point, sort_by_recipient, Envelope, MessageSize, NetworkMetrics, Staged, SyncNetwork,
-    VertexOutbox,
+    round_point, Envelope, MessageSize, NetworkMetrics, Staged, SyncNetwork, VertexOutbox,
 };
 
 /// Raw 64 deterministic bits for the fault coin keyed on `(round, from, to, seq)`.
@@ -288,9 +287,9 @@ impl<M: Clone> FaultLayer<M> {
     }
 
     /// Runs every staged message (and newly-due delayed message) through the plan for
-    /// delivery at `round`, draining `staged` and appending the frames that actually
-    /// get delivered to `frames`, in delivery order. A duplicate sits right after its
-    /// original. `nbr_ids` is the network's flat adjacency: link `l` leads to
+    /// delivery at `round`, draining `staged` and handing each frame that actually
+    /// gets delivered to `deliver`, in delivery order. A duplicate comes right after
+    /// its original. `nbr_ids` is the network's flat adjacency: link `l` leads to
     /// `nbr_ids[l]`, and `rev[l]` is the slot of its opposite direction.
     pub(crate) fn apply(
         &mut self,
@@ -299,7 +298,7 @@ impl<M: Clone> FaultLayer<M> {
         metrics: &mut NetworkMetrics,
         nbr_ids: &[u32],
         rev: &[u32],
-        frames: &mut Vec<Staged<M>>,
+        mut deliver: impl FnMut(Staged<M>),
     ) {
         // Due delayed messages deliver first, in injection order. Their coins were
         // consumed when first staged; only the structural checks re-apply (the link
@@ -314,7 +313,7 @@ impl<M: Clone> FaultLayer<M> {
                 if self.plan.link_failed(from, to, round) || self.plan.is_down(to as usize, round) {
                     metrics.dropped += 1;
                 } else {
-                    frames.push((from, link, msg));
+                    deliver((from, link, msg));
                 }
             } else {
                 keep.push((due, link, msg));
@@ -356,9 +355,9 @@ impl<M: Clone> FaultLayer<M> {
             }
             if plan.dup_prob > 0.0 && unit(keyed_bits(dup_key, from, to, seq)) < plan.dup_prob {
                 metrics.duplicated += 1;
-                frames.push((from, link, msg.clone()));
+                deliver((from, link, msg.clone()));
             }
-            frames.push((from, link, msg));
+            deliver((from, link, msg));
         }
     }
 }
@@ -404,44 +403,38 @@ impl Default for ReliabilityConfig {
     }
 }
 
-/// Wire format of the reliable layer: payloads carry a per-link sequence number,
-/// acks echo it back.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Reliable<M> {
-    /// A payload message stamped with the sender's per-link sequence number.
-    Data {
-        /// Per-directed-link sequence number (dense, starting at 0).
-        seq: u32,
-        /// The wrapped protocol message.
-        msg: M,
-    },
-    /// Acknowledgement echoing the sequence number of a received `Data`.
-    Ack {
-        /// Sequence number being acknowledged.
-        seq: u32,
-    },
-}
+/// The wire frame of the reliable layer: a handle naming pending entry `i` of the
+/// current logical round, as its data frame or, with the top bit set, as its ack.
+/// Every frame on the wire names an entry of the round that sent it, since a round
+/// ends only once nothing is in flight. A data frame is billed as
+/// `32 + msg.size_bits()` bits and an ack as 32, the cost of a sequence number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Frame(u32);
 
-impl<M: MessageSize> MessageSize for Reliable<M> {
-    fn size_bits(&self) -> usize {
-        match self {
-            Reliable::Data { msg, .. } => 32 + msg.size_bits(),
-            Reliable::Ack { .. } => 32,
-        }
+impl Frame {
+    /// The top bit: set on an ack, clear on a data frame.
+    const ACK: u32 = 1 << 31;
+    /// Bits billed for the handle, on top of a data frame's message.
+    const BITS: usize = 32;
+
+    fn is_ack(self) -> bool {
+        self.0 & Self::ACK != 0
+    }
+
+    /// The pending entry this frame names.
+    fn index(self) -> usize {
+        (self.0 & !Self::ACK) as usize
     }
 }
 
-/// Sentinel closing a per-link pending chain.
-const NO_ENTRY: u32 = u32::MAX;
-
-/// One data frame staged in the current logical round: what a retransmission needs.
-/// The sender is not stored: it is the far end of the reverse link,
+/// One data message staged in the current logical round: what a retransmission
+/// needs. The sender is not stored: it is the far end of the reverse link,
 /// `nbr_ids[rev[link]]`. Entries stay in place until the round ends, so an index into
-/// `ReliableNet::pending` is stable for the whole round; the entry's lookup key and
-/// flags live in the parallel `ReliableNet::chain` and `ReliableNet::state` arrays,
-/// which every frame arrival touches and which are kept small for it.
+/// `ReliableNet::pending` is stable for the whole round and is the frame handle; the
+/// entry's flags live in the parallel `ReliableNet::state` array, which every frame
+/// arrival touches and which is kept small for it.
 #[derive(Debug)]
-struct Pending<M> {
+pub(crate) struct Pending<M> {
     link: u32,
     msg: M,
     /// The sub-round at which the entry times out: its latest (re)transmission plus
@@ -450,110 +443,70 @@ struct Pending<M> {
     retries: u32,
 }
 
-/// The lookup key of a pending entry: its sequence number and the entry staged
-/// before it on the same link this round ([`NO_ENTRY`] ends the chain).
-#[derive(Debug, Clone, Copy)]
-struct ChainLink {
-    seq: u32,
-    next_on_link: u32,
-}
-
 /// Sender side: acked or abandoned, so out of the timeout sweep.
 const SETTLED: u8 = 1;
 /// Receiver side: one copy was delivered; later copies are duplicates.
 const DELIVERED: u8 = 2;
-
-/// The index of the pending entry `(link, seq)`, walking the link's chain from
-/// `head[link]`. Every frame in flight belongs to the current logical round (a round
-/// ends only once nothing is in flight), so the entry always exists.
-#[inline]
-fn find_pending(head: &[u32], chain: &[ChainLink], link: u32, seq: u32) -> usize {
-    let mut i = head[link as usize];
-    while i != NO_ENTRY {
-        let c = chain[i as usize];
-        if c.seq == seq {
-            return i as usize;
-        }
-        i = c.next_on_link;
-    }
-    panic!("frame on link {link} with seq {seq} has no pending entry this round");
-}
 
 /// A reliable-delivery network: the same vertex-program API as [`SyncNetwork`], but
 /// each logical [`ReliableNet::advance_round`] runs ack/retransmit sub-rounds on the
 /// underlying (faulty) transport until every staged message is delivered exactly once
 /// or abandoned after the retry budget.
 ///
-/// Bookkeeping is addressed by link slot and stable pending index, with no hashing:
-/// a frame's link comes with it from the transport, a `(link, seq)` lookup follows
-/// `head[link]` down a short per-link chain (usually one hop), acks travel on the
-/// reverse link, and duplicate suppression is a flag on the entry.
+/// Bookkeeping is addressed by stable pending index, with no hashing and no search:
+/// a frame is the index of its entry, acks travel on the reverse link, and duplicate
+/// suppression is a flag on the entry.
 ///
-/// Determinism: sequence numbers are stamped in staging order (deterministic for
-/// `par_step` sweeps), retransmissions and acks are issued in deterministic sweeps,
-/// and all fault coins are keyed on stream positions — so fixed-seed runs are
-/// bitwise identical across thread counts.
+/// Determinism: entries are numbered in staging order (deterministic for `par_step`
+/// sweeps), retransmissions and acks are issued in deterministic sweeps, and all
+/// fault coins are keyed on stream positions — so fixed-seed runs are bitwise
+/// identical across thread counts.
 #[derive(Debug)]
 pub struct ReliableNet<M> {
-    net: SyncNetwork<Reliable<M>>,
+    net: SyncNetwork<Frame>,
     cfg: ReliabilityConfig,
-    n: usize,
-    /// Next sequence number per directed link.
-    next_seq: Vec<u32>,
-    /// Per-link newest pending entry of the current logical round ([`NO_ENTRY`] when
-    /// the link sent nothing); reset link by link at round end.
-    head: Vec<u32>,
-    /// Every data frame of the current logical round, in staging order, with its
-    /// lookup key and its [`SETTLED`]/[`DELIVERED`] flags at the same index.
+    /// Every data message of the current logical round, in staging order, with its
+    /// [`SETTLED`]/[`DELIVERED`] flags at the same index.
     pending: Vec<Pending<M>>,
-    chain: Vec<ChainLink>,
     state: Vec<u8>,
     /// Indices of `pending` entries in staging order that were unsettled at the last
     /// timeout sweep: the sweep's worklist, compacted in place and cleared when the
     /// round is sealed.
     live: Vec<u32>,
-    /// Logical deliveries accumulated this round: `(from, link, msg)`.
-    acc: Vec<Staged<M>>,
-    /// The frames of the current transport sub-round, in delivery order.
-    frames: Vec<Staged<Reliable<M>>>,
-    /// Logical inbox CSR presented to the protocol, with each delivery's link.
+    /// First deliveries accepted this round, in arrival order: `(recipient, index)`.
+    acc: Vec<(u32, u32)>,
+    /// Logical inbox CSR presented to the protocol, with each delivery's link. While
+    /// a round runs, `inbox_offsets[v + 1]` counts the deliveries accepted for `v`.
     inbox_offsets: Vec<u32>,
     inbox_buf: Vec<Envelope<M>>,
     inbox_links: Vec<u32>,
+    /// Sealing scratch: per-recipient write cursors.
     cursor: Vec<u32>,
-    perm: Vec<u32>,
 }
 
 impl<M: MessageSize + Clone> ReliableNet<M> {
     /// Builds a reliable network over `g` with the given fault plan underneath.
     pub fn new(g: &Graph, plan: FaultPlan, cfg: ReliabilityConfig) -> Self {
-        let mut net: SyncNetwork<Reliable<M>> = SyncNetwork::with_faults(g, plan);
+        let mut net: SyncNetwork<Frame> = SyncNetwork::with_faults(g, plan);
         net.track_links();
-        let links = net.num_links();
         let n = net.n();
         ReliableNet {
             net,
             cfg,
-            n,
-            next_seq: vec![0; links],
-            head: vec![NO_ENTRY; links],
             pending: Vec::new(),
-            chain: Vec::new(),
             state: Vec::new(),
             live: Vec::new(),
             acc: Vec::new(),
-            frames: Vec::new(),
             inbox_offsets: vec![0; n + 1],
             inbox_buf: Vec::new(),
             inbox_links: Vec::new(),
             cursor: Vec::new(),
-            perm: Vec::new(),
         }
     }
 
     /// Number of vertices.
     pub fn n(&self) -> usize {
-        self.n
+        self.net.n()
     }
 
     /// Messages logically delivered to `v` by the last [`ReliableNet::advance_round`].
@@ -569,7 +522,7 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
     }
 
     /// The transport underneath (for its topology tables).
-    pub(crate) fn transport(&self) -> &SyncNetwork<Reliable<M>> {
+    pub(crate) fn transport(&self) -> &SyncNetwork<Frame> {
         &self.net
     }
 
@@ -579,8 +532,8 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
     }
 
     /// One parallel vertex sweep, mirroring [`SyncNetwork::par_step`]: the protocol
-    /// sees its own message type and the *logical* inboxes; emissions are wrapped
-    /// into sequenced [`Reliable::Data`] frames underneath.
+    /// sees its own message type and the *logical* inboxes; each emission becomes a
+    /// pending entry, sent as a data frame naming it.
     pub fn par_step<T, B, F>(&mut self, scratch: impl Fn() -> T + Sync, step: F) -> Vec<B>
     where
         M: Send + Sync,
@@ -591,10 +544,7 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
         let ReliableNet {
             net,
             cfg,
-            next_seq,
-            head,
             pending,
-            chain,
             state,
             live,
             inbox_offsets,
@@ -614,30 +564,16 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
                 },
             )
         };
-        // Sequence numbers are stamped here, in staging order, so they are
+        // Entries are numbered here, in staging order, so frame handles are
         // deterministic in the thread count.
         let mut payloads = Vec::with_capacity(blocks.len());
         for (payload, sends) in blocks {
             for (from, link, msg) in sends {
-                let l = link as usize;
-                let seq = next_seq[l];
-                next_seq[l] = seq.wrapping_add(1);
                 let i = pending.len() as u32;
-                chain.push(ChainLink {
-                    seq,
-                    next_on_link: head[l],
-                });
+                assert!(i < Frame::ACK, "2^31 messages in one logical round");
+                net.send_on_link(from, link, Frame(i));
                 state.push(0);
-                head[l] = i;
                 live.push(i);
-                net.send_on_link(
-                    from,
-                    link,
-                    Reliable::Data {
-                        seq,
-                        msg: msg.clone(),
-                    },
-                );
                 pending.push(Pending {
                     link,
                     msg,
@@ -661,62 +597,62 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
     pub fn advance_round(&mut self) {
         let span = sgs_obs::span!("congest.reliable_round");
         let mut sub: u32 = 0;
-        let mut frames = std::mem::take(&mut self.frames);
         // Every entry was staged by `par_step` this round, unsettled and due at the
         // first timeout. The sweep runs only once some entry can be due, and the loop
         // ends on the running count of unsettled entries, not on `live`, which is
         // compacted only by the sweep.
         let mut unsettled = self.pending.len();
         let mut next_due = self.cfg.timeout(0);
+        self.inbox_offsets.fill(0);
         loop {
             let before = sgs_obs::enabled().then(|| self.net.metrics_mut().clone());
-            self.net.transmit(&mut frames);
-            sub += 1;
             let mut dup_sup = 0u64;
             let mut acks_seen = 0u64;
-            let (mut bits, mut max_bits) = (0u64, 0usize);
+            let (mut frames, mut bits, mut max_bits) = (0usize, 0u64, 0usize);
             let ReliableNet {
                 net,
                 cfg,
-                head,
                 pending,
-                chain,
                 state,
                 live,
                 acc,
+                inbox_offsets,
                 ..
             } = self;
-            // Consume and bill the frames in delivery order. Acks are staged in
-            // the order of the data frames they answer, link by link, and per-link
-            // order is all the fault layer's coin counters see. `acc` is sorted by
-            // recipient, stably, only when the round is sealed.
-            for &(from, link, ref frame) in frames.iter() {
-                let b = frame.size_bits();
+            // Consume and bill each frame as it is transmitted, in delivery order.
+            // Acks are staged in the order of the data frames they answer, link by
+            // link, and per-link order is all the fault layer's coin counters see.
+            net.transmit(|to, frame| {
+                let i = frame.index();
+                debug_assert!(i < pending.len(), "frame {frame:?} outlived its round");
+                let b = if frame.is_ack() {
+                    Frame::BITS
+                } else {
+                    Frame::BITS + pending[i].msg.size_bits()
+                };
+                frames += 1;
                 bits += b as u64;
                 max_bits = max_bits.max(b);
-                match frame {
-                    Reliable::Data { seq, msg } => {
-                        let st = &mut state[find_pending(head, chain, link, *seq)];
-                        if *st & DELIVERED != 0 {
-                            dup_sup += 1;
-                        } else {
-                            *st |= DELIVERED;
-                            acc.push((from, link, msg.clone()));
-                        }
-                        // Always (re-)ack: the previous ack may have been lost.
-                        net.send_back(link, Reliable::Ack { seq: *seq });
+                let st = &mut state[i];
+                if frame.is_ack() {
+                    acks_seen += 1;
+                    if *st & SETTLED == 0 {
+                        *st |= SETTLED;
+                        unsettled -= 1;
                     }
-                    Reliable::Ack { seq } => {
-                        acks_seen += 1;
-                        let back = net.rev_links()[link as usize];
-                        let st = &mut state[find_pending(head, chain, back, *seq)];
-                        if *st & SETTLED == 0 {
-                            *st |= SETTLED;
-                            unsettled -= 1;
-                        }
-                    }
+                    return None;
                 }
-            }
+                if *st & DELIVERED != 0 {
+                    dup_sup += 1;
+                } else {
+                    *st |= DELIVERED;
+                    acc.push((to, i as u32));
+                    inbox_offsets[to as usize + 1] += 1;
+                }
+                // Always (re-)ack: the previous ack may have been lost.
+                Some(Frame(frame.0 | Frame::ACK))
+            });
+            sub += 1;
             // Timeout sweep over the unsettled entries, in staging order: retransmit
             // overdue messages, abandon exhausted ones, and drop settled ones from
             // the worklist. A sub-round where no entry can be due skips it, since it
@@ -742,12 +678,8 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
                         retransmits += 1;
                         p.retries += 1;
                         p.due = sub.saturating_add(cfg.timeout(p.retries));
-                        let frame = Reliable::Data {
-                            seq: chain[i as usize].seq,
-                            msg: p.msg.clone(),
-                        };
                         let from = net.link_targets()[net.rev_links()[p.link as usize] as usize];
-                        net.send_on_link(from, p.link, frame);
+                        net.send_on_link(from, p.link, Frame(i));
                     }
                     next_due = next_due.min(p.due);
                     live[kept] = i;
@@ -757,7 +689,7 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
                 unsettled -= abandoned as usize;
             }
             let m = net.metrics_mut();
-            m.bill(frames.len(), bits, max_bits);
+            m.bill(frames, bits, max_bits);
             m.dup_suppressed += dup_sup;
             m.acks += acks_seen;
             m.retransmits += retransmits;
@@ -769,32 +701,39 @@ impl<M: MessageSize + Clone> ReliableNet<M> {
                 break;
             }
         }
-        frames.clear();
-        self.frames = frames;
         span.end_with(&[("subrounds", sgs_obs::FieldValue::from(sub))]);
-        // Seal the logical round: reset the links that carried data and expose the
-        // accumulated deliveries as the logical inbox CSR (stable sort by recipient).
-        for p in &self.pending {
-            self.head[p.link as usize] = NO_ENTRY;
+        self.seal();
+    }
+
+    /// Exposes the round's accepted deliveries as the logical inbox CSR, each inbox
+    /// in arrival order, and clears the round's entries. The per-recipient counts
+    /// were taken as the deliveries were accepted, so one pass places them.
+    fn seal(&mut self) {
+        let n = self.n();
+        for v in 0..n {
+            self.inbox_offsets[v + 1] += self.inbox_offsets[v];
         }
-        self.pending.clear();
-        self.chain.clear();
-        self.state.clear();
-        self.live.clear();
-        sort_by_recipient(
-            &self.acc,
-            self.net.link_targets(),
-            &mut self.inbox_offsets,
-            &mut self.cursor,
-            &mut self.perm,
-        );
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.inbox_offsets[..n]);
         self.inbox_buf.clear();
         self.inbox_links.clear();
-        for &i in &self.perm {
-            let (from, link, ref msg) = self.acc[i as usize];
-            self.inbox_buf.push((from, msg.clone()));
-            self.inbox_links.push(link);
+        if let Some(&(_, first)) = self.acc.first() {
+            // Every slot is written below; the first delivery only fills them first.
+            let filler = (0, self.pending[first as usize].msg.clone());
+            self.inbox_buf.resize(self.acc.len(), filler);
+            self.inbox_links.resize(self.acc.len(), 0);
         }
+        let (targets, rev) = (self.net.link_targets(), self.net.rev_links());
+        for &(to, i) in &self.acc {
+            let c = &mut self.cursor[to as usize];
+            let p = &self.pending[i as usize];
+            self.inbox_buf[*c as usize] = (targets[rev[p.link as usize] as usize], p.msg.clone());
+            self.inbox_links[*c as usize] = p.link;
+            *c += 1;
+        }
+        self.pending.clear();
+        self.state.clear();
+        self.live.clear();
         self.acc.clear();
     }
 }
@@ -1040,8 +979,7 @@ mod tests {
     }
 
     /// Vertex 0 sends three distinct `Ping`s to vertex 1 in one sweep: three pending
-    /// entries chained on one link, each looked up by `(link, seq)` on every data and
-    /// ack arrival.
+    /// entries on one link, whose frames share its fault coins.
     fn three_pings_on_one_link(plan: FaultPlan, cfg: ReliabilityConfig) -> ReliableNet<Ping> {
         let g = generators::path(2, 1.0);
         let mut net: ReliableNet<Ping> = ReliableNet::new(&g, plan, cfg);
@@ -1272,6 +1210,47 @@ mod tests {
             );
             assert_eq!(metrics, want, "{ctx}");
         }
+    }
+
+    /// [`shared_link_traffic`] with `max_subrounds` 1: the cap abandons every entry in
+    /// the first sub-round of each logical round, before any ack can arrive, while
+    /// delayed data frames and the acks of the first deliveries are still in flight.
+    /// Those frames name abandoned entries, so the round drains before it is sealed:
+    /// late data is still delivered once and acked, late acks settle nothing. Pins
+    /// the logical inboxes in order and the full metrics.
+    #[test]
+    fn reliable_net_capped_round_drains_the_frames_of_abandoned_entries() {
+        let cfg = ReliabilityConfig {
+            max_subrounds: 1,
+            ..ReliabilityConfig::default()
+        };
+        let (inboxes, metrics) = shared_link_traffic(cfg);
+        for inbox in &inboxes {
+            let mut once = inbox.clone();
+            once.sort_unstable();
+            once.dedup();
+            assert_eq!(once.len(), inbox.len(), "no message is delivered twice");
+        }
+        // First-sub-round arrivals come in sender order; a later one breaks it.
+        assert!(
+            inboxes.iter().any(|ib| ib.windows(2).any(|w| w[0] > w[1])),
+            "some data arrives after the cap: {inboxes:?}"
+        );
+        assert_eq!(inbox_fingerprint(&inboxes), 0x97FC_6980_8314_63CC);
+        let want = NetworkMetrics {
+            rounds: 12,
+            messages: 280,
+            total_bits: 18688,
+            max_message_bits: 96,
+            dropped: 93,
+            duplicated: 41,
+            delayed: 61,
+            retransmits: 0,
+            acks: 128,
+            dup_suppressed: 22,
+            abandoned: 2 * 6 * 5 * 3,
+        };
+        assert_eq!(metrics, want);
     }
 
     #[test]

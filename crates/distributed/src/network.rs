@@ -17,20 +17,23 @@
 //!   recipient is `nbr_ids[link]` and the record is no larger than `(from, to, msg)`.
 //! * **Record widths**: every id the simulator stores is a `u32`, and the spanner's
 //!   [`SpannerMsg`](crate::spanner::SpannerMsg) is 8 bytes. A staged record is then
-//!   16 bytes, a reliable frame (`Staged<Reliable<SpannerMsg>>`) 20 bytes and an
-//!   inbox [`Envelope`] `(from, msg)` 12 bytes, for messages billed at 1–33 bits
-//!   (32 more for the reliable layer's sequence number).
-//!   `congest_records_keep_their_compact_layout` pins these widths.
-//! * **Transmission** (`SyncNetwork::transmit`): a round first runs the staged
-//!   buffer through the fault layer, if one is installed, and leaves the surviving
-//!   frames in one buffer in *delivery order*: due delayed frames first, then the
-//!   staged ones in staging order, each duplicate right after its original.
-//!   Without a fault layer the staged buffer is the frame buffer.
-//! * **Delivery** ([`SyncNetwork::advance_round`]): one stable counting sort by
-//!   recipient turns those frames into the next round's inbox CSR — per-vertex
-//!   offset ranges over one flat message array. The reliable layer
-//!   ([`ReliableNet`](crate::ReliableNet)) skips this step: it consumes the frames
-//!   of each sub-round in delivery order and builds one logical inbox per round
+//!   16 bytes and an inbox [`Envelope`] `(from, msg)` 12 bytes, for messages billed
+//!   at 1–33 bits. The reliable layer's wire frame is a 4-byte handle naming the
+//!   message's pending entry, so its staged and delayed frame records are 12 bytes
+//!   whatever the message; it bills each data frame 32 bits more than its message,
+//!   and an ack 32 bits. `congest_records_keep_their_compact_layout` pins these
+//!   widths.
+//! * **Transmission**: a round first runs the staged buffer through the fault layer,
+//!   if one is installed, which hands each surviving frame on in *delivery order*:
+//!   due delayed frames first, then the staged ones in staging order, each duplicate
+//!   right after its original. Without a fault layer the staged buffer is the frame
+//!   buffer.
+//! * **Delivery** ([`SyncNetwork::advance_round`]): the surviving frames are
+//!   collected into one buffer, and one stable counting sort by recipient turns them
+//!   into the next round's inbox CSR — per-vertex offset ranges over one flat
+//!   message array. The reliable layer ([`ReliableNet`](crate::ReliableNet)) skips
+//!   this step: `SyncNetwork::transmit` hands it each frame as it is transmitted and
+//!   stages the ack it returns, and the layer builds one logical inbox per round
 //!   from what it accepted. Communication metrics are counted *at delivery*, by
 //!   whichever of the two consumes the frames: a message staged but never
 //!   transmitted is a protocol bug, not traffic, and [`SyncNetwork::metrics`]
@@ -95,7 +98,7 @@ pub struct NetworkMetrics {
     pub retransmits: u64,
     /// Acknowledgement messages processed by the reliable-delivery layer.
     pub acks: u64,
-    /// Duplicate data messages suppressed by the reliable layer's sequence numbers.
+    /// Duplicate data messages suppressed by the reliable layer.
     pub dup_suppressed: u64,
     /// Messages abandoned after the reliable layer's retry budget was exhausted.
     pub abandoned: u64,
@@ -150,7 +153,8 @@ pub struct SyncNetwork<M> {
     nbr_ids: Vec<u32>,
     /// Messages staged for the next delivery, in emission order: `(from, link, msg)`.
     staged: Vec<Staged<M>>,
-    /// Spare buffer for the frames [`SyncNetwork::advance_round`] delivers.
+    /// Spare buffer: the frames [`SyncNetwork::advance_round`] delivers, or the
+    /// replies `SyncNetwork::transmit` stages while it drains `staged`.
     frames: Vec<Staged<M>>,
     /// Reverse-link table, built only when link tracking is on (faults or reliable
     /// delivery installed): `rev[l]` is the slot of the opposite direction of link
@@ -176,7 +180,7 @@ pub struct SyncNetwork<M> {
     metrics: NetworkMetrics,
 }
 
-impl<M: MessageSize + Clone> SyncNetwork<M> {
+impl<M: Clone> SyncNetwork<M> {
     /// Builds a network whose topology is the given graph.
     pub fn new(g: &Graph) -> Self {
         let n = g.n();
@@ -317,14 +321,6 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
         self.staged.push((from, link, msg));
     }
 
-    /// Stages `msg` back along link `link`: from the link's recipient, on the reverse
-    /// link (link tracking must be on).
-    #[inline]
-    pub(crate) fn send_back(&mut self, link: u32, msg: M) {
-        let l = link as usize;
-        self.staged.push((self.nbr_ids[l], self.rev[l], msg));
-    }
-
     /// The neighbors of `v` in the communication topology, ascending.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[u32] {
@@ -357,12 +353,29 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
     /// staging of [`SyncNetwork::par_step`] this yields inboxes sorted by
     /// `(recipient, sender)`. Metrics are counted here, at delivery, so only
     /// traffic that actually reaches a vertex is billed.
-    pub fn advance_round(&mut self) {
+    pub fn advance_round(&mut self)
+    where
+        M: MessageSize,
+    {
         // Snapshot the ledger so the per-round trace event can carry deltas
         // (messages/bits/fault columns for *this* round, not running totals).
         let before = sgs_obs::enabled().then(|| self.metrics.clone());
+        self.metrics.rounds += 1;
         let mut frames = std::mem::take(&mut self.frames);
-        self.transmit(&mut frames);
+        match &mut self.faults {
+            Some(fl) => {
+                let round = self.metrics.rounds as u64;
+                fl.apply(
+                    round,
+                    &mut self.staged,
+                    &mut self.metrics,
+                    &self.nbr_ids,
+                    &self.rev,
+                    |frame| frames.push(frame),
+                );
+            }
+            None => std::mem::swap(&mut self.staged, &mut frames),
+        }
         self.deliver(&frames);
         // Stage the next round in the buffer just read, which is the warmer one;
         // without a fault layer that is the one buffer the round started with.
@@ -373,44 +386,64 @@ impl<M: MessageSize + Clone> SyncNetwork<M> {
         }
     }
 
-    /// One transport step with no inbox: bumps the round, runs every staged (and
-    /// newly due delayed) message through the fault layer, and leaves the survivors
-    /// in `frames` in delivery order, with nothing staged. Without a fault plan every
-    /// staged message survives and the two buffers just trade places.
+    /// One transport step with no inbox: bumps the round and runs every staged (and
+    /// newly due delayed) message through the fault layer, handing each survivor to
+    /// `on_frame(recipient, msg)` in delivery order as it is transmitted. A reply that
+    /// `on_frame` returns is staged back along the frame's reverse link (link
+    /// tracking must be on) for the next step, in the order the replies were made.
     ///
-    /// The caller consumes `frames` and bills them ([`NetworkMetrics::bill`]) in the
-    /// same pass: the frames of a large round outgrow the cache, so a billing pass
-    /// of its own would read them all once more.
-    pub(crate) fn transmit(&mut self, frames: &mut Vec<Staged<M>>) {
+    /// The caller bills the frames ([`NetworkMetrics::bill`]) as it consumes them.
+    pub(crate) fn transmit(&mut self, mut on_frame: impl FnMut(u32, M) -> Option<M>) {
         self.metrics.rounds += 1;
-        frames.clear();
-        match &mut self.faults {
-            Some(fl) => {
-                let round = self.metrics.rounds as u64;
-                fl.apply(
-                    round,
-                    &mut self.staged,
-                    &mut self.metrics,
-                    &self.nbr_ids,
-                    &self.rev,
-                    frames,
-                );
+        let round = self.metrics.rounds as u64;
+        // The spare buffer collects the replies while the staged one is drained.
+        let mut sending = std::mem::replace(&mut self.staged, std::mem::take(&mut self.frames));
+        let SyncNetwork {
+            nbr_ids,
+            rev,
+            staged,
+            faults,
+            metrics,
+            ..
+        } = self;
+        let consume = |(_, link, msg): Staged<M>| {
+            let l = link as usize;
+            if let Some(reply) = on_frame(nbr_ids[l], msg) {
+                staged.push((nbr_ids[l], rev[l], reply));
             }
-            None => std::mem::swap(&mut self.staged, frames),
+        };
+        match faults {
+            Some(fl) => fl.apply(round, &mut sending, metrics, nbr_ids, rev, consume),
+            None => sending.drain(..).for_each(consume),
         }
+        self.frames = sending;
     }
 
     /// Stable counting sort of `frames` by recipient into the inbox CSR, billing
     /// metrics per delivered message and recording each frame's link when link
     /// tracking is on.
-    fn deliver(&mut self, frames: &[Staged<M>]) {
-        sort_by_recipient(
-            frames,
-            &self.nbr_ids,
-            &mut self.inbox_offsets,
-            &mut self.cursor,
-            &mut self.perm,
-        );
+    fn deliver(&mut self, frames: &[Staged<M>])
+    where
+        M: MessageSize,
+    {
+        // Count per recipient, then place: `perm[j]` is the frame at inbox slot `j`.
+        let (n, nbr_ids, offsets) = (self.n, &self.nbr_ids, &mut self.inbox_offsets);
+        offsets.fill(0);
+        for &(_, link, _) in frames {
+            offsets[nbr_ids[link as usize] as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&offsets[..n]);
+        self.perm.clear();
+        self.perm.resize(frames.len(), 0);
+        for (i, &(_, link, _)) in frames.iter().enumerate() {
+            let c = &mut self.cursor[nbr_ids[link as usize] as usize];
+            self.perm[*c as usize] = i as u32;
+            *c += 1;
+        }
         // Gather through the permutation with a clone per message. Messages in this
         // workspace are Copy-sized enums, so the clone is a memcpy and the gather's
         // sequential writes beat an in-place cycle-walk permutation (tried: ~10%
@@ -560,35 +593,6 @@ pub(crate) fn round_point(before: &NetworkMetrics, now: &NetworkMetrics) {
         dup_suppressed = now.dup_suppressed - before.dup_suppressed,
         abandoned = now.abandoned - before.abandoned,
     );
-}
-
-/// Stable counting sort of staged records by recipient (`nbr_ids[link]`): fills the
-/// inbox CSR row starts `offsets` (one per vertex plus the end) and `perm`, where
-/// `perm[j]` is the index of the record placed at position `j`. `cursor` is scratch.
-pub(crate) fn sort_by_recipient<M>(
-    records: &[Staged<M>],
-    nbr_ids: &[u32],
-    offsets: &mut [u32],
-    cursor: &mut Vec<u32>,
-    perm: &mut Vec<u32>,
-) {
-    let n = offsets.len() - 1;
-    offsets.fill(0);
-    for &(_, link, _) in records {
-        offsets[nbr_ids[link as usize] as usize + 1] += 1;
-    }
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    cursor.clear();
-    cursor.extend_from_slice(&offsets[..n]);
-    perm.clear();
-    perm.resize(records.len(), 0);
-    for (i, &(_, link, _)) in records.iter().enumerate() {
-        let c = &mut cursor[nbr_ids[link as usize] as usize];
-        perm[*c as usize] = i as u32;
-        *c += 1;
-    }
 }
 
 /// The per-vertex message sink handed to a [`SyncNetwork::par_step`] vertex program.

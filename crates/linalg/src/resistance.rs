@@ -169,17 +169,19 @@ const LANES: usize = 4;
 /// One vertex's entries in every lane of a block.
 type Lanes = [f64; LANES];
 
-/// Reusable workspace of [`approx_effective_resistances_in`]: the `n`-vectors of the
-/// block CG, one set per block of `LANES` (4) projection rows. Construction is free;
-/// the first call sizes it and later calls on graphs of similar size reuse the
-/// allocations.
+/// Reusable workspace of [`approx_effective_resistances_in`]: each block CG's iterate,
+/// one `n`-vector per block of `LANES` (4) projection rows, which the estimate pass
+/// reads after the solves. Construction is free; the first call sizes it and later
+/// calls on graphs of similar size reuse the allocations. The other CG vectors are
+/// per-call worker state, freed at return.
 ///
 /// Each block stores its rows' vectors vertex-major and lane-interleaved: lane `l`
 /// (projection row `LANES·block + l`) of vertex `v` is `x[v][l]`, so one edge reads
 /// and writes every lane's entries of both endpoints together.
 #[derive(Debug, Default)]
 pub struct ResistanceScratch {
-    blocks: Vec<Block>,
+    /// Each block's iterate; after its solve, each lane's potentials `z = L⁺ y`.
+    blocks: Vec<Vec<Lanes>>,
 }
 
 impl ResistanceScratch {
@@ -189,11 +191,10 @@ impl ResistanceScratch {
     }
 }
 
-/// The interleaved vectors of one block CG (layout in [`ResistanceScratch`]).
-#[derive(Debug, Default)]
-struct Block {
-    /// The iterate; after the solve, each lane's potentials `z = L⁺ y`.
-    x: Vec<Lanes>,
+/// The interleaved working vectors of a block CG besides its iterate (layout in
+/// [`ResistanceScratch`]), reused by one executor worker across its blocks.
+#[derive(Default)]
+struct BlockCg {
     /// The residual, which starts as the right-hand side `y`.
     r: Vec<Lanes>,
     /// The search direction.
@@ -260,19 +261,19 @@ fn estimate_in(
     let k = opts.rows.max(1);
 
     // For each projection row i: y_i = Bᵀ W^{1/2} q_i (an n-vector), z_i = L⁺ y_i. The
-    // ±1 draw is reused across the blocks of one executor chunk.
+    // ±1 draw and the CG vectors are reused across the blocks of one executor chunk.
     let nb = k.div_ceil(LANES);
     if scratch.blocks.len() < nb {
-        scratch.blocks.resize_with(nb, Block::default);
+        scratch.blocks.resize_with(nb, Vec::new);
     }
     let iterations = scratch.blocks[..nb]
         .par_iter_mut()
         .enumerate()
         .map_init(
-            || vec![0.0; m],
-            |q, (b, block)| {
+            || (vec![0.0; m], BlockCg::default()),
+            |(q, cg), (b, x)| {
                 let first = b * LANES;
-                solve_block(g, opts, first, (k - first).min(LANES), q, block)
+                solve_block(g, opts, first, (k - first).min(LANES), q, x, cg)
             },
         )
         .sum();
@@ -287,8 +288,8 @@ fn estimate_in(
         .for_each(|(j, r)| {
             let e = g.edge(j);
             let mut acc = 0.0;
-            for (b, block) in blocks.iter().enumerate() {
-                let (xu, xv) = (&block.x[e.u()], &block.x[e.v()]);
+            for (b, x) in blocks.iter().enumerate() {
+                let (xu, xv) = (&x[e.u()], &x[e.v()]);
                 for lane in 0..(k - b * LANES).min(LANES) {
                     let d = xu[lane] - xv[lane];
                     acc += d * d;
@@ -300,18 +301,19 @@ fn estimate_in(
 }
 
 /// Solves projection rows `first .. first + rows` (`rows ≤ LANES`) in one block CG
-/// and returns their iterations summed over the lanes. Lanes past `rows` have a zero
-/// right-hand side and never iterate.
+/// into the iterate `x` and returns their iterations summed over the lanes. Lanes past
+/// `rows` have a zero right-hand side and never iterate.
 fn solve_block(
     g: &Graph,
     opts: &ResistanceOptions,
     first: usize,
     rows: usize,
     q: &mut [f64],
-    block: &mut Block,
+    x: &mut Vec<Lanes>,
+    cg: &mut BlockCg,
 ) -> usize {
     let n = g.n();
-    let Block { x, r, p, ap } = block;
+    let BlockCg { r, p, ap } = cg;
     for buf in [&mut *x, &mut *r, &mut *p, &mut *ap] {
         buf.clear();
         buf.resize(n, [0.0; LANES]);
